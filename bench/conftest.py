@@ -1,0 +1,12 @@
+"""Put the checkout's sources and the benchmark's modules on the import path.
+
+Run the benchmark's own tests with ``python3 -m pytest bench``.
+"""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+for path in (os.path.join(os.path.dirname(HERE), "src"), HERE):
+    if path not in sys.path:
+        sys.path.insert(0, path)
