@@ -49,6 +49,7 @@ from .expressions import (
     Scale,
     arity_check,
     classify,
+    fold,
     format_expr,
     max_projection,
 )
@@ -56,10 +57,12 @@ from .graphs import (
     FeatureMap,
     Graph,
     InvalidGraphError,
+    RandomUnion,
     disjoint_union,
     random_features,
     random_graph,
     random_instances,
+    random_union,
 )
 from .intervals import DomainBox, Interval
 from .interpreter import eval_expr, eval_tuple

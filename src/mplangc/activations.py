@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -98,6 +99,15 @@ class Merged:
         if not (math.isfinite(self.left_max) and math.isfinite(self.right_min)):
             raise ValueError("merge bounds must be finite")
 
+    @cached_property
+    def seams(self) -> tuple[float, float]:
+        """The two pieces at their seams: left at left_max, right at right_min.
+
+        Computed once per activation, so evaluating a chain of merges costs
+        time linear in its depth.
+        """
+        return apply(self.left, self.left_max), apply(self.right, self.right_min)
+
 
 Activation = Union[Named, PiecewiseLinear, ReluSum, Merged]
 
@@ -138,8 +148,7 @@ def apply_vec(f: Activation, x: np.ndarray) -> np.ndarray:
     if isinstance(f, Merged):
         left_vals = apply_vec(f.left, x + (f.left_max + 1.0))
         right_vals = apply_vec(f.right, x + (f.right_min - 1.0))
-        seam_left = apply(f.left, f.left_max)
-        seam_right = apply(f.right, f.right_min)
+        seam_left, seam_right = f.seams
         bridge = seam_left + (x + 1.0) * 0.5 * (seam_right - seam_left)
         return np.where(x <= -1.0, left_vals, np.where(x >= 1.0, right_vals, bridge))
     raise TypeError(f"not an activation: {f!r}")
@@ -207,8 +216,8 @@ def _merged_interval(f: Merged, y: Interval) -> Interval:
         pieces.append(interval_image(f.right, sub))
     if y.hi > -1.0 and y.lo < 1.0:
         xs = (max(y.lo, -1.0), min(y.hi, 1.0))
-        vals = [float(apply_vec(f, np.array(xs))[i]) for i in range(2)]
-        pieces.append(Interval(min(vals), max(vals)))
+        a, b = apply_vec(f, np.array(xs)).tolist()
+        pieces.append(Interval(min(a, b), max(a, b)))
     out = pieces[0]
     for piece in pieces[1:]:
         out = out.hull(piece)

@@ -22,12 +22,12 @@ from .expressions import (
     Proj,
     Scale,
     arity_check,
-    classify,
     const,
+    fold,
     scaled,
     sum_terms,
 )
-from .graphs import FeatureMap, disjoint_union, random_instances
+from .graphs import random_union
 from .intervals import DomainBox, Interval
 from .interpreter import eval_expr
 
@@ -36,23 +36,26 @@ __all__ = ["image_bounds", "approximate", "uniform_distance_estimate"]
 
 def image_bounds(e: Expr, p: int, box: DomainBox) -> Interval:
     """Interval containing every value of e over degree-<=p graphs and box."""
-    if isinstance(e, One):
-        return Interval(1.0, 1.0)
-    if isinstance(e, Proj):
-        if e.index > box.dimension:
-            raise ArityError(f"projection {e.index} outside box of dimension {box.dimension}")
-        return box.intervals[e.index - 1]
-    if isinstance(e, Scale):
-        return image_bounds(e.arg, p, box).scale(e.factor)
-    if isinstance(e, Add):
-        return image_bounds(e.left, p, box).add(image_bounds(e.right, p, box))
-    if isinstance(e, Apply):
-        return interval_image(e.func, image_bounds(e.arg, p, box))
-    if isinstance(e, Diamond):
-        inner = image_bounds(e.arg, p, box)
+
+    def bound(node: Expr, kids: tuple[Interval, ...]) -> Interval:
+        if isinstance(node, One):
+            return Interval(1.0, 1.0)
+        if isinstance(node, Proj):
+            if node.index > box.dimension:
+                raise ArityError(
+                    f"projection {node.index} outside box of dimension {box.dimension}"
+                )
+            return box.intervals[node.index - 1]
+        if isinstance(node, Scale):
+            return kids[0].scale(node.factor)
+        if isinstance(node, Add):
+            return kids[0].add(kids[1])
+        if isinstance(node, Apply):
+            return interval_image(node.func, kids[0])
         # Sum of up to p values from the image (or none at all).
-        return Interval(p * min(0.0, inner.lo), p * max(0.0, inner.hi))
-    raise TypeError(f"not an expression: {e!r}")
+        return Interval(p * min(0.0, kids[0].lo), p * max(0.0, kids[0].hi))
+
+    return fold(e, bound)
 
 
 def _relu_sum_expr(rs: ReluSum, arg: Expr) -> Expr:
@@ -74,31 +77,45 @@ def approximate(e: Expr, p: int, box: DomainBox, eps: float) -> Expr:
         raise ValueError("eps must be positive")
     if not arity_check(e, box.dimension):
         raise ArityError(f"expression needs arity > {box.dimension}")
-    if classify(e).relu_only:
-        return e
-    if isinstance(e, Scale):
-        if e.factor == 0.0:
-            return const(0.0)
-        return Scale(e.factor, approximate(e.arg, p, box, eps / abs(e.factor)))
-    if isinstance(e, Add):
-        return Add(
-            approximate(e.left, p, box, eps / 2.0),
-            approximate(e.right, p, box, eps / 2.0),
-        )
-    if isinstance(e, Diamond):
-        if p == 0:
-            # No graph of degree 0 has neighbors, so the sum is identically 0.
-            return const(0.0)
-        return Diamond(approximate(e.arg, p, box, eps / p))
-    if isinstance(e, Apply):
-        image = image_bounds(e.arg, p, box)
+    relu_only: dict[int, bool] = {}
+
+    def mark(node: Expr, kids: tuple[bool, ...]) -> bool:
+        ok = all(kids) and not (isinstance(node, Apply) and node.func != RELU)
+        relu_only[id(node)] = ok
+        return ok
+
+    fold(e, mark)
+
+    def split(node: Expr, eps: float) -> Expr:
+        if relu_only[id(node)]:
+            return node
+        if isinstance(node, Scale):
+            if node.factor == 0.0:
+                return const(0.0)
+            return Scale(node.factor, split(node.arg, eps / abs(node.factor)))
+        if isinstance(node, Add):
+            # Down a sum's left spine in a loop, so a long sum adds no depth.
+            rights: list[tuple[Expr, float]] = []
+            while isinstance(node, Add) and not relu_only[id(node)]:
+                eps /= 2.0
+                rights.append((node.right, eps))
+                node = node.left
+            out = split(node, eps)
+            for right, right_eps in reversed(rights):
+                out = Add(out, split(right, right_eps))
+            return out
+        if isinstance(node, Diamond):
+            if p == 0:
+                # No graph of degree 0 has neighbors, so the sum is identically 0.
+                return const(0.0)
+            return Diamond(split(node.arg, eps / p))
+        image = image_bounds(node.arg, p, box)
         widened = image.widen(eps / 2.0)
-        approximant = relu_approximate(e.func, widened, eps / 2.0)
+        approximant = relu_approximate(node.func, widened, eps / 2.0)
         delta = modulus_delta(approximant, widened, eps / 2.0)
-        inner = approximate(e.arg, p, box, min(delta, eps / 2.0))
-        return _relu_sum_expr(approximant, inner)
-    # One / Proj are relu-only and returned above; nothing else remains.
-    raise TypeError(f"not an expression: {e!r}")
+        return _relu_sum_expr(approximant, split(node.arg, min(delta, eps / 2.0)))
+
+    return split(e, eps)
 
 
 def uniform_distance_estimate(
@@ -116,9 +133,7 @@ def uniform_distance_estimate(
     d = box.dimension
     if not (arity_check(e1, d) and arity_check(e2, d)):
         raise ArityError(f"expressions need arity > {d}")
-    instances = list(random_instances(p, box, trials, seed))
-    union, _ = disjoint_union(g for g, _ in instances)
-    features = FeatureMap(np.concatenate([fm.values for _, fm in instances]))
-    va = eval_expr(e1, union, features)
-    vb = eval_expr(e2, union, features)
-    return float(np.max(np.abs(va - vb))) if union.node_count else 0.0
+    batch = random_union(p, box, trials, seed)
+    va = eval_expr(e1, batch.graph, batch.features)
+    vb = eval_expr(e2, batch.graph, batch.features)
+    return float(np.max(np.abs(va - vb), initial=0.0))

@@ -4,17 +4,23 @@ Subcommands: eval, compile, approx, check, bounds, fmt.
 
 Exit codes (fixed for scripting):
   0  success / check passed
-  1  parse error (expression text or input file)
+  1  parse or input error (expression text, nesting too deep, input file,
+     NaN or infinite feature values)
   2  arity or dimension mismatch
-  3  mode or configuration error (inapplicable mode, bad --box, eps <= 0, ...)
+  3  mode or configuration error (inapplicable mode, bad --box, a --box
+     endpoint or width that is not finite, eps <= 0, a result with no JSON
+     form because it is not finite, ...)
   4  approximation certificate failure
   5  equivalence check failed (a witness instance is printed)
+
+Output JSON is strict: NaN and infinity are never written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -34,7 +40,7 @@ from .graphs import (
     features_to_json,
     graph_from_json,
     graph_to_json,
-    random_instances,
+    random_union,
 )
 from .intervals import DomainBox
 from .interpreter import eval_expr
@@ -74,6 +80,8 @@ def _parse_box(text: str, expected_dim: int | None = None) -> DomainBox:
         box = DomainBox.from_pairs(pairs)
     except (ValueError, TypeError) as exc:
         raise ModeError(f'invalid --box (want "[[lo,hi],...]"): {exc}') from exc
+    if not all(math.isfinite(iv.width) for iv in box.intervals):
+        raise ModeError("--box endpoints and widths must be finite")
     if expected_dim is not None and box.dimension != expected_dim:
         raise ArityError(
             f"--box has dimension {box.dimension}, expected {expected_dim}"
@@ -82,7 +90,7 @@ def _parse_box(text: str, expected_dim: int | None = None) -> DomainBox:
 
 
 def _write_json(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, indent=2)
+    text = json.dumps(obj, indent=2, allow_nan=False)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -202,32 +210,27 @@ def cmd_check(args) -> int:
         raise ArityError(
             f"--box has dimension {box.dimension}, operands need {max(a.input_arity, b.input_arity)}"
         )
-    worst_dev = 0.0
-    worst_excess = 0.0
-    witness = None
-    for g, fm in random_instances(args.degree_bound, box, args.trials, args.seed):
-        va = a.run(g, fm)
-        vb = b.run(g, fm)
-        dev = np.abs(va - vb)
-        allowed = np.maximum(ABS_FLOOR, args.tolerance * np.maximum(np.abs(va), np.abs(vb)))
-        worst_dev = max(worst_dev, float(dev.max()))
-        excess = dev / allowed
-        if float(excess.max()) > worst_excess:
-            worst_excess = float(excess.max())
-            node = int(np.unravel_index(np.argmax(excess), excess.shape)[0])
-            witness = (g, fm, node, va[node].tolist(), vb[node].tolist())
-    failed = worst_excess > 1.0
-    print(f"max deviation = {worst_dev!r} over {args.trials} trials: "
+    batch = random_union(args.degree_bound, box, args.trials, args.seed)
+    va = a.run(batch.graph, batch.features)
+    vb = b.run(batch.graph, batch.features)
+    dev = np.abs(va - vb)
+    allowed = np.maximum(ABS_FLOOR, args.tolerance * np.maximum(np.abs(va), np.abs(vb)))
+    # A NaN deviation (both operands overflowed) cannot be judged; it is skipped.
+    excess = np.nan_to_num(dev / allowed, nan=0.0, posinf=np.inf)
+    failed = float(excess.max(initial=0.0)) > 1.0
+    print(f"max deviation = {float(np.nanmax(dev, initial=0.0))!r} over {args.trials} trials: "
           f"{'FAIL' if failed else 'PASS'} (tolerance {args.tolerance!r})")
     if failed:
-        g, fm, node, va, vb = witness
+        node = int(np.unravel_index(np.argmax(excess), excess.shape)[0])
+        k = int(np.searchsorted(batch.offsets, node, side="right")) - 1
+        g, fm = batch.instances[k]
         print(json.dumps({
             "graph": graph_to_json(g),
             "features": features_to_json(fm),
-            "node": node,
-            "left": va,
-            "right": vb,
-        }, indent=2))
+            "node": node - batch.offsets[k],
+            "left": va[node].tolist(),
+            "right": vb[node].tolist(),
+        }, indent=2, allow_nan=False))
         return 5
     return 0
 
@@ -242,7 +245,7 @@ def cmd_bounds(args) -> int:
             f"--box has dimension {box.dimension}, expression needs {max_projection(expr)}"
         )
     iv = image_bounds(expr, args.degree_bound, box)
-    print(json.dumps([iv.lo, iv.hi]))
+    print(json.dumps([iv.lo, iv.hi], allow_nan=False))
     return 0
 
 

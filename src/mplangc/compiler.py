@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import ID, RELU, Merged, interval_image, merge
+from .activations import ID, Merged, interval_image, merge
 from .errors import ArityError, ModeError
 from .expressions import (
     Add,
@@ -35,6 +35,7 @@ from .expressions import (
     Scale,
     arity_check,
     classify,
+    fold,
 )
 from .intervals import DomainBox, Interval
 from .mpnn import (
@@ -140,14 +141,24 @@ def parallel_mixed(
 
 # -- shared base layers ------------------------------------------------------------
 
-def _const_one_layer(d: int) -> Layer:
-    return Layer(np.zeros((1, d)), np.zeros((1, d)), np.ones(1), ID)
-
-
-def _proj_layer(index: int, d: int) -> Layer:
+def _leaf_layer(e: One | Proj, d: int) -> Layer:
+    """The id-layer computing the constant 1 or a projection."""
     w = np.zeros((1, d))
-    w[0, index - 1] = 1.0
+    if isinstance(e, One):
+        return Layer(w, np.zeros((1, d)), np.ones(1), ID)
+    w[0, e.index - 1] = 1.0
     return Layer(w, np.zeros((1, d)), np.zeros(1), ID)
+
+
+def _node_layer(e: Expr) -> Layer:
+    """The layer a scaling, application, neighbor sum or sum puts on its operands."""
+    if isinstance(e, Scale):
+        return layer(e.factor, 0.0, 0.0, ID)
+    if isinstance(e, Apply):
+        return layer(1.0, 0.0, 0.0, e.func)
+    if isinstance(e, Diamond):
+        return layer(0.0, 1.0, 0.0, ID)
+    return layer([[1.0, 1.0]], [[0.0, 0.0]], 0.0, ID)
 
 
 # -- exact ReLU compilation ---------------------------------------------------------
@@ -167,24 +178,14 @@ def compile_relu(e: Expr, d: int) -> Mpnn:
         raise ArityError(f"expression uses projections beyond arity {d}")
     if not classify(e).relu_only:
         raise ModeError("expression applies functions other than relu")
-    return _compile_relu(e, d)
 
+    def build(node: Expr, kids: tuple[Mpnn, ...]) -> Mpnn:
+        if isinstance(node, (One, Proj)):
+            return Mpnn((_leaf_layer(node, d),))
+        net = concat_mpnns(*kids) if isinstance(node, Add) else kids[0]
+        return _append_layer(net, _node_layer(node))
 
-def _compile_relu(e: Expr, d: int) -> Mpnn:
-    if isinstance(e, One):
-        return Mpnn((_const_one_layer(d),))
-    if isinstance(e, Proj):
-        return Mpnn((_proj_layer(e.index, d),))
-    if isinstance(e, Scale):
-        return _append_layer(_compile_relu(e.arg, d), layer(e.factor, 0.0, 0.0, ID))
-    if isinstance(e, Apply):
-        return _append_layer(_compile_relu(e.arg, d), layer(1.0, 0.0, 0.0, RELU))
-    if isinstance(e, Diamond):
-        return _append_layer(_compile_relu(e.arg, d), layer(0.0, 1.0, 0.0, ID))
-    if isinstance(e, Add):
-        both = concat_mpnns(_compile_relu(e.left, d), _compile_relu(e.right, d))
-        return _append_layer(both, layer([[1.0, 1.0]], [[0.0, 0.0]], 0.0, ID))
-    raise TypeError(f"not an expression: {e!r}")
+    return fold(e, build)
 
 
 def compile_relu_tuple(t: ExprTuple) -> Mpnn:
@@ -241,28 +242,6 @@ def _concat_mixed(x: _BoundedNet, y: _BoundedNet, p: int) -> _BoundedNet:
     return _BoundedNet(layers, boxes)
 
 
-def _compile_mixed(e: Expr, p: int, box: DomainBox) -> _BoundedNet:
-    d = box.dimension
-    if isinstance(e, One):
-        base = _const_one_layer(d)
-        return _BoundedNet([base], [box, _post_box(base, p, box)])
-    if isinstance(e, Proj):
-        base = _proj_layer(e.index, d)
-        return _BoundedNet([base], [box, _post_box(base, p, box)])
-    if isinstance(e, Scale):
-        return _appended(_compile_mixed(e.arg, p, box), layer(e.factor, 0.0, 0.0, ID), p)
-    if isinstance(e, Apply):
-        return _appended(_compile_mixed(e.arg, p, box), layer(1.0, 0.0, 0.0, e.func), p)
-    if isinstance(e, Diamond):
-        return _appended(_compile_mixed(e.arg, p, box), layer(0.0, 1.0, 0.0, ID), p)
-    if isinstance(e, Add):
-        both = _concat_mixed(
-            _compile_mixed(e.left, p, box), _compile_mixed(e.right, p, box), p
-        )
-        return _appended(both, layer([[1.0, 1.0]], [[0.0, 0.0]], 0.0, ID), p)
-    raise TypeError(f"not an expression: {e!r}")
-
-
 def compile_mixed(e: Expr, d: int, p: int, box: DomainBox) -> Mpnn:
     """MPNN equivalent to e over graphs of degree <= p and features in box."""
     if box.dimension != d:
@@ -271,53 +250,44 @@ def compile_mixed(e: Expr, d: int, p: int, box: DomainBox) -> Mpnn:
         raise ArityError(f"expression uses projections beyond arity {d}")
     if p < 0:
         raise ValueError("degree bound must be nonnegative")
-    return Mpnn(tuple(_compile_mixed(e, p, box).layers))
+
+    def build(node: Expr, kids: tuple[_BoundedNet, ...]) -> _BoundedNet:
+        if isinstance(node, (One, Proj)):
+            base = _leaf_layer(node, d)
+            return _BoundedNet([base], [box, _post_box(base, p, box)])
+        bn = _concat_mixed(*kids, p) if isinstance(node, Add) else kids[0]
+        return _appended(bn, _node_layer(node), p)
+
+    return Mpnn(tuple(fold(e, build).layers))
 
 
 # -- addition-free fast paths ----------------------------------------------------------
 
-def _chain(e: Expr, d: int, allow_diamond: bool) -> list[Layer]:
-    if isinstance(e, One):
-        return [_const_one_layer(d)]
-    if isinstance(e, Proj):
-        return [_proj_layer(e.index, d)]
+def _fused(e: Expr, last: Layer) -> Layer | None:
+    """`last` with the unary node e folded into it, or None if e needs its own layer."""
+    if last.activation != ID:
+        return None
     if isinstance(e, Scale):
-        layers = _chain(e.arg, d, allow_diamond)
-        last = layers[-1]
-        if last.activation == ID:
-            layers[-1] = Layer(
-                e.factor * last.w_self,
-                e.factor * last.w_neigh,
-                e.factor * last.bias,
-                ID,
-            )
-        else:
-            layers.append(layer(e.factor, 0.0, 0.0, ID))
-        return layers
+        return Layer(e.factor * last.w_self, e.factor * last.w_neigh, e.factor * last.bias, ID)
     if isinstance(e, Apply):
-        layers = _chain(e.arg, d, allow_diamond)
-        last = layers[-1]
-        if last.activation == ID:
-            layers[-1] = Layer(last.w_self, last.w_neigh, last.bias, e.func)
-        else:
-            layers.append(layer(1.0, 0.0, 0.0, e.func))
-        return layers
-    if isinstance(e, Diamond):
-        if not allow_diamond:
-            raise ModeError("expression uses the neighbor-sum operator")
-        layers = _chain(e.arg, d, allow_diamond)
-        last = layers[-1]
-        if last.activation == ID and not last.w_neigh.any() and not last.bias.any():
-            # <> after a pure self-transform refolds into the neighbor slot.
-            layers[-1] = Layer(
-                np.zeros_like(last.w_self), last.w_self, last.bias, ID
-            )
-        else:
-            layers.append(layer(0.0, 1.0, 0.0, ID))
-        return layers
-    if isinstance(e, Add):
-        raise ModeError("expression uses +")
-    raise TypeError(f"not an expression: {e!r}")
+        return Layer(last.w_self, last.w_neigh, last.bias, e.func)
+    if last.w_neigh.any() or last.bias.any():
+        return None
+    # <> after a pure self-transform refolds into the neighbor slot.
+    return Layer(np.zeros_like(last.w_self), last.w_self, last.bias, ID)
+
+
+def _chain(e: Expr, d: int) -> tuple[Layer, ...]:
+    """Layers of an addition-free expression, fusing each node into the last layer."""
+
+    def build(node: Expr, kids: tuple[tuple[Layer, ...], ...]) -> tuple[Layer, ...]:
+        if isinstance(node, (One, Proj)):
+            return (_leaf_layer(node, d),)
+        layers = kids[0]
+        fused = _fused(node, layers[-1])
+        return layers[:-1] + (fused,) if fused is not None else layers + (_node_layer(node),)
+
+    return fold(e, build)
 
 
 def compile_addition_free(e: Expr, d: int) -> Mpnn:
@@ -330,7 +300,7 @@ def compile_addition_free(e: Expr, d: int) -> Mpnn:
         raise ArityError(f"expression uses projections beyond arity {d}")
     if not classify(e).addition_free:
         raise ModeError("expression uses +")
-    return Mpnn(tuple(_chain(e, d, allow_diamond=True)))
+    return Mpnn(_chain(e, d))
 
 
 def compile_pointwise(e: Expr, d: int) -> Mpnn:
@@ -346,7 +316,7 @@ def compile_pointwise(e: Expr, d: int) -> Mpnn:
         raise ModeError("expression uses +")
     if not traits.summation_free:
         raise ModeError("expression uses the neighbor-sum operator")
-    return Mpnn(tuple(_chain(e, d, allow_diamond=False)))
+    return Mpnn(_chain(e, d))
 
 
 # -- mode dispatch -----------------------------------------------------------------

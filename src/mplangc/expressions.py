@@ -1,5 +1,9 @@
 """MPLang abstract syntax: six constructors, arity checks, syntactic traits.
 
+Expressions are DAGs: the parser and the MPNN translation share repeated
+subterms.  Every walk over them is a ``fold``, one iterative post-order pass
+that handles each distinct node once.
+
 The concrete text form (see parser) writes the neighbor-sum operator as
 ``<>``, scaling as ``a*e``, and a bare number ``a`` as shorthand for ``a*1``.
 """
@@ -7,7 +11,7 @@ The concrete text form (see parser) writes the neighbor-sum operator as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, TypeVar, Union
 
 from .activations import Activation, Named, RELU
 from .errors import ArityError
@@ -22,6 +26,7 @@ __all__ = [
     "Diamond",
     "ExprTuple",
     "ExprTraits",
+    "fold",
     "arity_check",
     "max_projection",
     "classify",
@@ -73,6 +78,7 @@ class Diamond:
 
 
 Expr = Union[One, Proj, Scale, Add, Apply, Diamond]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -101,14 +107,51 @@ def _children(e: Expr) -> tuple[Expr, ...]:
         return (e.arg,)
     if isinstance(e, Add):
         return (e.left, e.right)
-    return ()
+    if isinstance(e, (One, Proj)):
+        return ()
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def fold(e: Expr, combine: Callable[[Expr, tuple], T]) -> T:
+    """Post-order fold over the DAG under e, without recursion.
+
+    combine(node, child_results) runs once per distinct node object, with the
+    results of its children left to right.  Nodes are told apart by id, never
+    by ==/hash: those recurse over the whole subtree, so on a shared DAG they
+    cost time exponential in its depth.  A result is dropped once the node's
+    last parent has read it.
+    """
+    parents: dict[int, int] = {}
+    expanded: set[int] = set()
+    order: list[tuple[Expr, tuple]] = []
+    stack: list[tuple[Expr, tuple | None]] = [(e, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is not None:
+            order.append((node, kids))
+            continue
+        if id(node) in expanded:
+            continue
+        expanded.add(id(node))
+        kids = _children(node)
+        stack.append((node, kids))
+        for c in reversed(kids):
+            parents[id(c)] = parents.get(id(c), 0) + 1
+            stack.append((c, None))
+    results: dict[int, T] = {}
+    for node, kids in order:
+        args = tuple([results[id(c)] for c in kids])
+        for c in kids:
+            parents[id(c)] -= 1
+            if not parents[id(c)]:
+                del results[id(c)]
+        results[id(node)] = combine(node, args)
+    return results[id(e)]
 
 
 def max_projection(e: Expr) -> int:
     """Largest projection index used, 0 if none."""
-    if isinstance(e, Proj):
-        return e.index
-    return max((max_projection(c) for c in _children(e)), default=0)
+    return fold(e, lambda node, kids: node.index if isinstance(node, Proj) else max(kids, default=0))
 
 
 def arity_check(e: Expr, d: int) -> bool:
@@ -126,25 +169,18 @@ class ExprTraits:
 
 def classify(e: Expr) -> ExprTraits:
     functions: set[Activation] = set()
-    has_add = False
-    has_diamond = False
+    kinds: set[type] = set()
 
-    def walk(node: Expr) -> None:
-        nonlocal has_add, has_diamond
+    def visit(node: Expr, _) -> None:
+        kinds.add(type(node))
         if isinstance(node, Apply):
             functions.add(node.func)
-        elif isinstance(node, Add):
-            has_add = True
-        elif isinstance(node, Diamond):
-            has_diamond = True
-        for c in _children(node):
-            walk(c)
 
-    walk(e)
+    fold(e, visit)
     return ExprTraits(
         relu_only=functions <= {RELU},
-        addition_free=not has_add,
-        summation_free=not has_diamond,
+        addition_free=Add not in kinds,
+        summation_free=Diamond not in kinds,
         functions_used=frozenset(functions),
     )
 
@@ -157,32 +193,32 @@ def _num(a: float) -> str:
 
 def format_expr(e: Expr) -> str:
     """Concrete text for e; parse(format_expr(e)) reproduces e exactly."""
-    if isinstance(e, Add):
-        # The grammar is left-associative, so a right-nested sum needs parens.
-        return f"{format_expr(e.left)} + {_format_term(e.right)}"
-    return _format_term(e)
+    return fold(e, _format_node)
 
 
-def _format_term(e: Expr) -> str:
-    if isinstance(e, Scale):
-        if isinstance(e.arg, One):
-            return "1*1" if e.factor == 1.0 else _num(e.factor)
-        return f"{_num(e.factor)}*{_format_factor(e.arg)}"
-    return _format_factor(e)
-
-
-def _format_factor(e: Expr) -> str:
+def _format_node(e: Expr, kids: tuple[str, ...]) -> str:
+    """The text of e at expression level, from its children's."""
     if isinstance(e, One):
         return "1"
     if isinstance(e, Proj):
         return f"P{e.index}"
+    if isinstance(e, Add):
+        # The grammar is left-associative, so a right-nested sum needs parens.
+        return f"{kids[0]} + {_parenthesized(e.right, kids[1], Add)}"
+    if isinstance(e, Scale):
+        if isinstance(e.arg, One):
+            return "1*1" if e.factor == 1.0 else _num(e.factor)
+        return f"{_num(e.factor)}*{_parenthesized(e.arg, kids[0], (Add, Scale))}"
     if isinstance(e, Apply):
         if not isinstance(e.func, Named):
             raise ValueError("only named activations have a concrete syntax")
-        return f"{e.func.name}({format_expr(e.arg)})"
-    if isinstance(e, Diamond):
-        return f"<>{_format_factor(e.arg)}"
-    return f"({format_expr(e)})"
+        return f"{e.func.name}({kids[0]})"
+    return f"<>{_parenthesized(e.arg, kids[0], (Add, Scale))}"
+
+
+def _parenthesized(e: Expr, text: str, needs_parens) -> str:
+    """e's text as a term (parens around a sum) or a factor (also around a scaling)."""
+    return f"({text})" if isinstance(e, needs_parens) else text
 
 
 # -- smart constructors ---------------------------------------------------------

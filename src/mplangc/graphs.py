@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -23,6 +23,8 @@ __all__ = [
     "random_graph",
     "random_features",
     "random_instances",
+    "RandomUnion",
+    "random_union",
     "disjoint_union",
     "graph_to_json",
     "graph_from_json",
@@ -32,7 +34,7 @@ __all__ = [
 
 
 class InvalidGraphError(ValueError):
-    pass
+    """A graph or feature map read from outside breaks an invariant."""
 
 
 @dataclass(frozen=True)
@@ -185,6 +187,30 @@ def random_instances(
         yield g, fm
 
 
+class RandomUnion(NamedTuple):
+    """Random instances, their disjoint union with its features, and the
+    union node id at which each instance starts."""
+
+    instances: list[tuple[Graph, FeatureMap]]
+    graph: Graph
+    features: FeatureMap
+    offsets: list[int]
+
+
+def random_union(
+    p: int | None,
+    box: DomainBox,
+    trials: int,
+    seed: int,
+    max_nodes: int = 8,
+) -> RandomUnion:
+    """The `random_instances` stream as one union graph and feature map."""
+    instances = list(random_instances(p, box, trials, seed, max_nodes))
+    graph, offsets = disjoint_union(g for g, _ in instances)
+    values = [fm.values for _, fm in instances] or [np.zeros((0, box.dimension))]
+    return RandomUnion(instances, graph, FeatureMap(np.concatenate(values)), offsets)
+
+
 def disjoint_union(graphs: Iterable[Graph]) -> tuple[Graph, list[int]]:
     """Union graph plus the node-id offset of each component."""
     offsets: list[int] = []
@@ -217,4 +243,6 @@ def features_from_json(obj: dict) -> FeatureMap:
     fm = FeatureMap(np.asarray(obj["values"], dtype=float).reshape(-1, int(obj["dim"])))
     if fm.dimension != int(obj["dim"]):
         raise ValueError("feature rows do not match declared dimension")
+    if not np.isfinite(fm.values).all():
+        raise InvalidGraphError("feature values must be finite (no NaN or infinity)")
     return fm

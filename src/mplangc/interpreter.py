@@ -1,7 +1,9 @@
 """Reference interpreter: the ground truth every compiler is checked against.
 
-Evaluation is bottom-up per node, vectorized over nodes; the neighbor sum
-follows the graph's deterministic edge order.
+Evaluation is one bottom-up fold over the expression DAG (see
+``expressions.fold``): each distinct node is evaluated once, vectorized over
+the graph's nodes, and no recursion depth grows with the expression.  The
+neighbor sum follows the graph's deterministic edge order.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import numpy as np
 
 from .activations import apply_vec
 from .errors import ArityError
-from .expressions import Add, Apply, Diamond, Expr, ExprTuple, One, Proj, Scale, arity_check
+from .expressions import Add, Apply, Expr, ExprTuple, One, Proj, Scale, fold
 from .graphs import FeatureMap, Graph
 
 __all__ = ["eval_expr", "eval_tuple"]
@@ -22,25 +24,24 @@ def eval_expr(e: Expr, g: Graph, chi: FeatureMap) -> np.ndarray:
         raise ArityError(
             f"feature map covers {chi.node_count} nodes, graph has {g.node_count}"
         )
-    if not arity_check(e, chi.dimension):
-        raise ArityError(f"expression needs arity > {chi.dimension}")
-    return _ev(e, g, chi.values)
+    values = chi.values
 
+    def ev(node: Expr, kids: tuple[np.ndarray, ...]) -> np.ndarray:
+        if isinstance(node, One):
+            return np.ones(values.shape[0])
+        if isinstance(node, Proj):
+            if node.index > chi.dimension:
+                raise ArityError(f"expression needs arity > {chi.dimension}")
+            return values[:, node.index - 1]
+        if isinstance(node, Scale):
+            return node.factor * kids[0]
+        if isinstance(node, Add):
+            return kids[0] + kids[1]
+        if isinstance(node, Apply):
+            return apply_vec(node.func, kids[0])
+        return g.neighbor_sum(kids[0])
 
-def _ev(e: Expr, g: Graph, values: np.ndarray) -> np.ndarray:
-    if isinstance(e, One):
-        return np.ones(values.shape[0])
-    if isinstance(e, Proj):
-        return values[:, e.index - 1]
-    if isinstance(e, Scale):
-        return e.factor * _ev(e.arg, g, values)
-    if isinstance(e, Add):
-        return _ev(e.left, g, values) + _ev(e.right, g, values)
-    if isinstance(e, Apply):
-        return apply_vec(e.func, _ev(e.arg, g, values))
-    if isinstance(e, Diamond):
-        return g.neighbor_sum(_ev(e.arg, g, values))
-    raise TypeError(f"not an expression: {e!r}")
+    return fold(e, ev)
 
 
 def eval_tuple(t: ExprTuple, g: Graph, chi: FeatureMap) -> FeatureMap:

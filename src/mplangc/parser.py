@@ -8,6 +8,12 @@
 Numbers are decimal with optional sign, fraction, and exponent; whitespace is
 insignificant.  The literal ``1`` denotes the unit constant; any other number
 ``a`` is shorthand for ``a*1``.
+
+``parse`` returns a shared DAG: within one call, every repeated subterm is one
+node object, so the walks over the result (see ``expressions.fold``) visit it
+once.  The descent is the one walk whose recursion depth grows with the
+input's nesting; nesting deeper than the interpreter's recursion limit is a
+syntax error.
 """
 
 from __future__ import annotations
@@ -19,6 +25,9 @@ from .activations import Named, _NAMED
 from .expressions import Add, Apply, Diamond, Expr, One, Proj, Scale
 
 __all__ = ["parse", "MPLangSyntaxError"]
+
+
+_NODE_TYPES = (One, Proj, Scale, Add, Apply, Diamond)
 
 
 class MPLangSyntaxError(ValueError):
@@ -66,6 +75,21 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nodes: dict[tuple, Expr] = {}
+
+    def node(self, cls: type, *fields) -> Expr:
+        """The one node of this parse with this type and these fields.
+
+        Children are keyed by id, scalars by repr, so -0.0 stays apart from 0.0.
+        """
+        key = (cls, *[id(f) if isinstance(f, _NODE_TYPES) else repr(f) for f in fields])
+        found = self.nodes.get(key)
+        if found is None:
+            found = self.nodes[key] = cls(*fields)
+        return found
+
+    def number(self, value: float) -> Expr:
+        return self.node(One) if value == 1.0 else self.node(Scale, value, self.node(One))
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
@@ -88,7 +112,7 @@ class _Parser:
         e = self.term()
         while self.peek().kind == "+":
             self.next()
-            e = Add(e, self.term())
+            e = self.node(Add, e, self.term())
         return e
 
     def _at_number(self) -> bool:
@@ -110,21 +134,20 @@ class _Parser:
             value = self._signed_number()
             if self.peek().kind == "*":
                 self.next()
-                return Scale(value, self.factor())
-            return One() if value == 1.0 else Scale(value, One())
+                return self.node(Scale, value, self.factor())
+            return self.number(value)
         return self.factor()
 
     def factor(self) -> Expr:
         tok = self.peek()
         if self._at_number():
-            value = self._signed_number()
-            return One() if value == 1.0 else Scale(value, One())
+            return self.number(self._signed_number())
         if tok.kind == "proj":
             self.next()
             index = int(tok.text[1:])
             if index < 1:
                 raise MPLangSyntaxError("projection index must be >= 1", tok.pos)
-            return Proj(index)
+            return self.node(Proj, index)
         if tok.kind == "ident":
             self.next()
             if tok.text not in _NAMED:
@@ -132,10 +155,10 @@ class _Parser:
             self.expect("(")
             arg = self.expr()
             self.expect(")")
-            return Apply(Named(tok.text), arg)
+            return self.node(Apply, Named(tok.text), arg)
         if tok.kind == "diamond":
             self.next()
-            return Diamond(self.factor())
+            return self.node(Diamond, self.factor())
         if tok.kind == "(":
             self.next()
             e = self.expr()
@@ -146,7 +169,10 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     p = _Parser(text)
-    e = p.expr()
+    try:
+        e = p.expr()
+    except RecursionError:
+        raise MPLangSyntaxError("expression nested too deeply", p.peek().pos) from None
     trailing = p.peek()
     if trailing.kind != "eof":
         raise MPLangSyntaxError(f"unexpected {trailing.text!r} after expression", trailing.pos)

@@ -2,15 +2,13 @@
 
 import numpy as np
 
-from mplangc.graphs import FeatureMap, disjoint_union, random_instances
+from mplangc.graphs import random_union
 
 
 def batch_instances(p, box, trials, seed, max_nodes=8):
     """One union graph + feature map covering `trials` random instances."""
-    instances = list(random_instances(p, box, trials, seed, max_nodes))
-    union, offsets = disjoint_union(g for g, _ in instances)
-    fm = FeatureMap(np.concatenate([f.values for _, f in instances]))
-    return union, fm
+    batch = random_union(p, box, trials, seed, max_nodes)
+    return batch.graph, batch.features
 
 
 def assert_close(actual, expected, rtol=1e-9, floor=1e-12, context=""):

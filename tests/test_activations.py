@@ -175,6 +175,32 @@ def test_merged_bridge_is_linear():
     assert vals[1] == pytest.approx((vals[0] + vals[2]) / 2.0)
 
 
+def _merged_by_definition(f, x: float, seams: dict) -> float:
+    """Piecewise definition of a merged activation, written out on scalars."""
+    if not isinstance(f, Merged):
+        return {"tanh": math.tanh, "sin": math.sin, "abs": abs}[f.name](x)
+    if id(f) not in seams:
+        seams[id(f)] = (_merged_by_definition(f.left, f.left_max, seams),
+                        _merged_by_definition(f.right, f.right_min, seams))
+    seam_left, seam_right = seams[id(f)]
+    if x <= -1.0:
+        return _merged_by_definition(f.left, x + f.left_max + 1.0, seams)
+    if x >= 1.0:
+        return _merged_by_definition(f.right, x + f.right_min - 1.0, seams)
+    return seam_left + (x + 1.0) * 0.5 * (seam_right - seam_left)
+
+
+def test_deep_merge_chain_matches_piecewise_definition():
+    # Each level shifts the left piece by +1, so -k-0.5 reaches level k's bridge.
+    chain = TANH
+    for k in range(24):
+        chain = merge(chain, 0.0, (SIN, ABS)[k % 2], -0.5 * k)
+    xs = [-30.0, -20.5, -12.25, -3.0, -1.0, -0.4, 0.7, 1.0, 2.5]
+    got = apply_vec(chain, np.array(xs))
+    for x, value in zip(xs, got):
+        assert value == pytest.approx(_merged_by_definition(chain, x, {}), abs=1e-12)
+
+
 # -- pl_to_relu_sum ----------------------------------------------------------------
 
 def test_pl_to_relu_sum_clamp():

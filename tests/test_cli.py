@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from mplangc.cli import main
+from mplangc.graphs import features_from_json, graph_from_json
+from mplangc.interpreter import eval_expr
+from mplangc.parser import parse
 
 
 def _graph_file(tmp_path, nodes, edges, name="graph.json"):
@@ -248,3 +251,84 @@ def test_fmt_parse_error_exit_1(capsys):
 def test_bad_box_is_config_error(capsys):
     rc = main(["check", "P1", "P1", "--box", "not-json"])
     assert rc == 3
+
+
+# -- input checks, strict JSON, deep and long inputs --------------------------------
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_eval_rejects_non_finite_features(tmp_path, capsys, bad):
+    g = _graph_file(tmp_path, 2, [[0, 1]])
+    f = tmp_path / "features.json"
+    f.write_text(f'{{"dim": 1, "values": [[{bad}], [1.0]]}}')
+    rc = main(["eval", "--expr", "P1", "--graph", g, "--features", str(f)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("box", ["[[-1e400,1]]", "[[-1,Infinity]]", "[[-1e308,1e308]]"])
+def test_box_must_be_finite_with_finite_width(capsys, box):
+    assert main(["check", "P1", "relu(P1)", "--box", box]) == 3
+    assert main(["bounds", "--expr", "P1", "--degree-bound", "1", "--box", box]) == 3
+    assert "PASS" not in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_result_is_never_written(pair_instance, capsys):
+    g, f = pair_instance
+    rc = main(["eval", "--expr", "1e308*P1 + 1e308*P1", "--graph", g, "--features", f])
+    assert rc == 3
+    assert "Infinity" not in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_check_nan_deviation_does_not_hide_a_failure(capsys):
+    # Where P1 > 0 both sides overflow to inf and deviate by NaN; where P1 < 0
+    # they differ by relu(-P1).
+    big = "1e308*relu(P1) + 1e308*relu(P1)"
+    rc = main(["check", big + " + relu(-1*P1)", big, "--box", "[[-1,1]]", "--trials", "200"])
+    assert rc == 5
+    witness = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert witness["features"]["values"][witness["node"]][0] < 0
+
+
+def test_fmt_of_too_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.mplang"
+    path.write_text("sin(" * 400 + "P1" + ")" * 400 + "\n")
+    assert main(["fmt", "--expr-file", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "Traceback" not in err
+
+
+def test_long_sum_through_every_walking_command(pair_instance, tmp_path, capsys):
+    g, f = pair_instance
+    text = " + ".join(f"{0.5 + k % 5}*P{1 + k % 2}" for k in range(3000))
+    path = tmp_path / "long.mplang"
+    path.write_text(text + "\n")
+    expr = ["--expr-file", str(path)]
+    assert main(["fmt", *expr]) == 0
+    assert capsys.readouterr().out.strip() == text
+    assert main(["bounds", *expr, "--degree-bound", "1", "--box", "[[-1,1],[-1,1]]"]) == 0
+    assert json.loads(capsys.readouterr().out) == [-7500.0, 7500.0]
+    assert main(["eval", *expr, "--graph", g, "--features", f]) == 0
+    assert json.loads(capsys.readouterr().out)["values"] == [[15000.0], [22500.0]]
+
+
+def test_approx_of_sin_on_a_wide_box(capsys):
+    rc = main(["approx", "--expr", "sin(P1)", "--box", "[[-60,60]]", "--degree-bound", "1",
+               "--epsilon", "1e-3", "--trials", "100"])
+    assert rc == 0
+    assert float(capsys.readouterr().out.split("rho_hat = ")[1].split()[0]) <= 1e-3
+
+
+def test_check_witness_replays_in_its_own_instance(capsys):
+    rc = main(["check", "<>P1", "<>relu(P1)", "--box", "[[-1,1]]", "--degree-bound", "3",
+               "--trials", "50", "--seed", "3"])
+    assert rc == 5
+    witness = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    g = graph_from_json(witness["graph"])
+    fm = features_from_json(witness["features"])
+    node = witness["node"]
+    assert g.node_count > 1
+    assert eval_expr(parse("<>P1"), g, fm)[node] == witness["left"][0]
+    assert eval_expr(parse("<>relu(P1)"), g, fm)[node] == witness["right"][0]
