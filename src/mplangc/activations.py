@@ -7,6 +7,9 @@ one continuous curve: the left piece, shifted so its largest intended input
 `left_max` lands at -1, the right piece shifted so its smallest intended
 input `right_min` lands at +1, and the straight segment joining the two seam
 values in between.
+
+`relu_approximate` and `modulus_delta` are closed forms, so their results are
+proofs: one sizes its grid from sup|f''|, the other divides by a Lipschitz bound.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
-from scipy.special import expit
 
 from .errors import CertificateError
 from .intervals import Interval
@@ -132,7 +133,8 @@ def apply_vec(f: Activation, x: np.ndarray) -> np.ndarray:
         if f.name == "tanh":
             return np.tanh(x)
         if f.name == "sigmoid":
-            return expit(x)
+            with np.errstate(over="ignore"):  # exp(-x) = inf gives the right limit, 0
+                return 1.0 / (1.0 + np.exp(-x))
         if f.name == "sin":
             return np.sin(x)
         return np.abs(x)
@@ -256,83 +258,78 @@ def pl_to_relu_sum(f: PiecewiseLinear) -> ReluSum:
     return ReluSum(tuple(terms))
 
 
-def relu_approximate(
-    f: Activation,
-    y: Interval,
-    eps: float,
-    *,
-    max_points: int = 4097,
-    samples: int = 100_000,
-) -> ReluSum:
-    """A ReLU combination within eps of f on y (sampled sup-norm certificate).
+# sup|f''| on the real line: sin'' = -sin; tanh'' = -2 tanh sech^2 peaks at
+# tanh = 1/sqrt(3); sigmoid'' = s(1-s)(1-2s) peaks at s = (3 -+ sqrt(3))/6.
+_CURVATURE = {"sin": 1.0, "tanh": 4.0 / math.sqrt(27.0), "sigmoid": 1.0 / math.sqrt(108.0)}
 
-    Piecewise-linear interpolation of f on a grid over y, refined until the
-    certificate holds, then converted exactly to ReluSum form.
+
+def relu_approximate(f: Activation, y: Interval, eps: float, *, max_points: int = 4097) -> ReluSum:
+    """A ReLU combination within eps of f on y, proven by the interpolation bound.
+
+    relu, id, ReluSum and PiecewiseLinear come back exact, abs is interpolated
+    exactly on {lo, 0, hi}, and sin, tanh and sigmoid on ceil(width / h) + 1
+    uniform knots with h = sqrt(8 eps / sup|f''|), which bounds the error on
+    each cell by h^2/8 * sup|f''| = eps.  Raises CertificateError when y is not
+    finite or the grid needs more than max_points knots.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if isinstance(f, Named) and f.name == "relu":
+    if f == RELU:
         return ReluSum(((1.0, 0.0, 1.0),))
-    if isinstance(f, Named) and f.name == "id":
+    if f == ID:
         return ReluSum(((1.0, 0.0, 1.0), (-1.0, 0.0, -1.0)))
     if isinstance(f, ReluSum):
         return f
     if isinstance(f, PiecewiseLinear):
         return pl_to_relu_sum(f)
-    if y.width == 0.0:
-        c = apply(f, y.lo)
-        return ReluSum(((0.0, -1.0, c),)) if c != 0.0 else ReluSum(())
-
-    grid = np.linspace(y.lo, y.hi, samples)
-    target = apply_vec(f, grid)
-    k = 17
-    while True:
-        xs = np.linspace(y.lo, y.hi, k)
-        ys = apply_vec(f, xs)
-        err = float(np.max(np.abs(target - np.interp(grid, xs, ys))))
-        if err <= eps:
-            pl = PiecewiseLinear(tuple(zip(xs.tolist(), ys.tolist())))
-            return pl_to_relu_sum(pl)
-        if k >= max_points:
+    if isinstance(f, Merged):
+        raise ValueError("merged activations have no closed-form approximant")
+    if not math.isfinite(y.width):
+        raise CertificateError(f"no {eps:g}-certificate on the unbounded interval {y}")
+    if f == ABS:
+        xs = np.unique([y.lo, min(max(y.lo, 0.0), y.hi), y.hi])
+    else:
+        cells = y.width / math.sqrt(8.0 * eps / _CURVATURE[f.name])
+        if not cells <= max_points - 1:
             raise CertificateError(
-                f"no {eps:g}-certificate on {y} within {max_points} grid points"
-                f" (best error {err:g})"
+                f"a {eps:g}-certificate on {y} needs {cells:.4g} grid cells,"
+                f" more than {max_points - 1}"
             )
-        k = 2 * (k - 1) + 1
+        xs = np.linspace(y.lo, y.hi, math.ceil(cells) + 1)
+    pl = PiecewiseLinear(tuple(zip(xs.tolist(), apply_vec(f, xs).tolist())))
+    return pl_to_relu_sum(pl)
 
 
-def modulus_delta(
-    f: Activation,
-    y: Interval,
-    eps: float,
-    *,
-    samples: int = 100_000,
-) -> float:
-    """A delta so the sampled oscillation of f within any delta-window on y
-    stays below eps; halved once after estimation to stay conservative."""
+def _lipschitz(f: Activation, y: Interval) -> float:
+    """A Lipschitz constant of f on y: global for a named f, and for ReluSum and
+    PiecewiseLinear the exact one, the largest |slope| of a piece meeting y."""
+    if isinstance(f, Named):
+        return 0.25 if f.name == "sigmoid" else 1.0
+    if isinstance(f, Merged):
+        raise ValueError("merged activations have no closed-form Lipschitz constant")
+    if isinstance(f, PiecewiseLinear):
+        f = pl_to_relu_sum(f)
+    a, b, _ = np.array(f.terms).reshape(-1, 3).T
+    # One probe inside each piece.  An unbounded end piece is probed at -inf or
+    # inf, where a*x - b has the sign it keeps on the whole piece (a = 0 gives
+    # NaN, and such a term adds no slope anyway).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kinks = b / a
+        edges = np.unique(np.concatenate(([y.lo, y.hi], kinks[(kinks > y.lo) & (kinks < y.hi)])))
+        probes = edges[:-1] / 2.0 + edges[1:] / 2.0
+        slopes = sum((ai * ci) * (ai * probes - bi > 0.0) for ai, bi, ci in f.terms)
+    return float(np.abs(slopes).max(initial=0.0))
+
+
+def modulus_delta(f: Activation, y: Interval, eps: float) -> float:
+    """A delta with |f(x) - f(x')| < eps for x, x' in y at most delta apart:
+    min(eps / L, width) / 2, with L the Lipschitz constant of f on y."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if y.width == 0.0:
-        return max(eps, 1.0) / 2.0
-    xs = np.linspace(y.lo, y.hi, samples)
-    vals = apply_vec(f, xs)
-    h = y.width / (samples - 1)
-    delta = y.width
-    while True:
-        size = int(math.ceil(delta / h)) + 1
-        osc = float(
-            np.max(
-                maximum_filter1d(vals, size=size, mode="nearest")
-                - minimum_filter1d(vals, size=size, mode="nearest")
-            )
-        )
-        if osc < eps:
-            return delta / 2.0
-        delta /= 2.0
-        if delta <= h:
-            # Finer windows than the grid resolve nothing; adjacent samples
-            # already oscillate >= eps, so hand back the grid step itself.
-            return delta / 2.0
+        return eps / 2.0
+    lip = _lipschitz(f, y)
+    return (min(eps / lip, y.width) if lip > 0.0 else y.width) / 2.0
 
 
 # -- JSON interchange ----------------------------------------------------------

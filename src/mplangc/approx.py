@@ -3,8 +3,9 @@
 Every function application is replaced by a finite ReLU combination accurate
 on an interval covering the argument's image, and the error budget is split
 down the tree: halves across +, |a|-scaled through scaling, p-way through the
-neighbor sum, and through an application via the approximant's modulus of
-continuity.
+neighbor sum, and through an application via the approximant's Lipschitz
+constant.  Each step is a bound, so the result is within eps on every graph of
+degree <= p with features in the box, up to floating-point rounding.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ Exit codes (fixed for scripting):
   2  arity or dimension mismatch
   3  mode or configuration error (inapplicable mode, bad --box, a --box
      endpoint or width that is not finite, eps <= 0, a result with no JSON
-     form because it is not finite, ...)
-  4  approximation certificate failure
+     form because it is not finite, a check with non-finite operand values
+     and no finite failure, out of memory, ...)
+  4  no approximation certificate (an unbounded argument image, or a grid
+     of more than 4097 knots)
   5  equivalence check failed (a witness instance is printed)
 
 Output JSON is strict: NaN and infinity are never written.
@@ -213,12 +215,17 @@ def cmd_check(args) -> int:
     batch = random_union(args.degree_bound, box, args.trials, args.seed)
     va = a.run(batch.graph, batch.features)
     vb = b.run(batch.graph, batch.features)
-    dev = np.abs(va - vb)
+    # A non-finite value (NaN, or an overflow) cannot be judged: the check fails on
+    # the finite values, or else it exits 3, never passes.
+    finite = np.isfinite(va) & np.isfinite(vb)
+    dev = np.where(finite, np.abs(va - vb), 0.0)
     allowed = np.maximum(ABS_FLOOR, args.tolerance * np.maximum(np.abs(va), np.abs(vb)))
-    # A NaN deviation (both operands overflowed) cannot be judged; it is skipped.
-    excess = np.nan_to_num(dev / allowed, nan=0.0, posinf=np.inf)
+    excess = np.where(finite, dev / allowed, 0.0)
     failed = float(excess.max(initial=0.0)) > 1.0
-    print(f"max deviation = {float(np.nanmax(dev, initial=0.0))!r} over {args.trials} trials: "
+    if not (failed or finite.all()):
+        print("check error: operand values are not finite (NaN or overflow)", file=sys.stderr)
+        return 3
+    print(f"max deviation = {float(dev.max(initial=0.0))!r} over {args.trials} trials: "
           f"{'FAIL' if failed else 'PASS'} (tolerance {args.tolerance!r})")
     if failed:
         node = int(np.unravel_index(np.argmax(excess), excess.shape)[0])
@@ -350,6 +357,9 @@ def main(argv=None) -> int:
         return 4
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("out of memory: the result is too large to build", file=sys.stderr)
         return 3
 
 

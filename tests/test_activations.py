@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mplangc.activations import (
     ABS,
@@ -301,6 +303,60 @@ def test_modulus_delta_post(f, iv, eps, ceiling):
 def test_modulus_delta_wide_tolerance_returns_half_width():
     # global oscillation of tanh is < 2, so the whole width passes, halved once
     assert modulus_delta(TANH, Interval(-2.0, 2.0), 5.0) == 2.0
+
+
+def test_modulus_delta_of_relu_sum_uses_its_steepest_piece_inside_the_interval():
+    # slopes: 0 left of 0, 1 on [0, 2], 4 right of 2
+    g = ReluSum(((1.0, 0.0, 1.0), (1.0, 2.0, 3.0)))
+    assert modulus_delta(g, Interval(-1.0, 1.0), 0.1) == 0.05
+    assert modulus_delta(g, Interval(-1.0, 3.0), 0.1) == 0.0125
+    assert modulus_delta(g, Interval(-5.0, -1.0), 0.1) == 2.0
+
+
+def test_merged_has_no_closed_form_approximant():
+    with pytest.raises(ValueError):
+        relu_approximate(FIG_MERGED, Interval(-1.0, 1.0), 0.1)
+    with pytest.raises(ValueError):
+        modulus_delta(FIG_MERGED, Interval(-1.0, 1.0), 0.1)
+
+
+# -- the certificate is a proof ------------------------------------------------------
+
+# sup|f''| on the real line, worked out by hand; the interpolation bound h^2/8 * M2
+# then fixes the knot count.
+CURVATURE = {SIN: 1.0, TANH: 4.0 / (3.0 * math.sqrt(3.0)), SIGMOID: 1.0 / (6.0 * math.sqrt(3.0))}
+# Evaluating a ReluSum of up to ~2000 terms on |x| <= 100 rounds by far less.
+ROUNDING = 1e-10
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    f=st.sampled_from([SIN, TANH, SIGMOID, ABS]),
+    lo=st.floats(-50.0, 50.0),
+    width=st.floats(1e-3, 50.0),
+    eps=st.floats(1e-4, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_relu_approximate_and_modulus_delta_are_proven(f, lo, width, eps, seed):
+    y = Interval(lo, lo + width)
+    g = relu_approximate(f, y, eps)
+    if f == ABS:
+        knots = np.array([y.lo, 0.0, y.hi] if y.lo < 0.0 < y.hi else [y.lo, y.hi])
+    else:
+        n = math.ceil(y.width / math.sqrt(8.0 * eps / CURVATURE[f])) + 1
+        knots = np.linspace(y.lo, y.hi, n)
+        relu_approximate(f, y, eps, max_points=n)
+        with pytest.raises(CertificateError):
+            relu_approximate(f, y, eps, max_points=n - 1)
+        hinges = np.array([b for a, b, _ in g.terms if a != 0.0])
+        assert np.isin(hinges, knots).all()
+    probes = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2.0])
+    assert np.abs(apply_vec(g, probes) - apply_vec(f, probes)).max() <= eps + ROUNDING
+
+    delta = modulus_delta(g, y, eps)
+    assert delta > 0.0
+    xs = np.random.default_rng(seed).uniform(y.lo, max(y.lo, y.hi - delta), 500)
+    assert np.abs(apply_vec(g, xs + delta) - apply_vec(g, xs)).max() < eps
 
 
 # -- serialization --------------------------------------------------------------------

@@ -292,6 +292,35 @@ def test_check_nan_deviation_does_not_hide_a_failure(capsys):
     assert witness["features"]["values"][witness["node"]][0] < 0
 
 
+def test_check_with_overflowing_operands_is_not_a_pass(capsys):
+    # Both sides overflow to inf, so every deviation is NaN and nothing is judged.
+    rc = main(["check", "1e308*P1 + 1e308*P1", "1e308*P1 + 1e308*P1 + -1e308*P1",
+               "--box", "[[1,2]]", "--trials", "20"])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "not finite" in err
+
+
+def test_out_of_memory_is_a_configuration_error(monkeypatch, tmp_path, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("mplangc.cli.compile_relu", exhausted)
+    rc = main(["approx", "--expr", "tanh(P1)", "--degree-bound", "1", "--box", "[[-1,1]]",
+               "--epsilon", "0.1", "--trials", "10", "--compile", str(tmp_path / "net.json")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory") and "Traceback" not in err
+
+
+def test_approx_of_an_unbounded_argument_is_a_certificate_error(capsys):
+    # The image of 1e300*P1 over the box overflows to [-inf, inf].
+    rc = main(["approx", "--expr", "sin(1e300*P1)", "--box", "[[-1e10,1e10]]",
+               "--degree-bound", "1", "--epsilon", "0.1"])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("certificate error:")
+
+
 def test_fmt_of_too_deep_nesting_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "deep.mplang"
     path.write_text("sin(" * 400 + "P1" + ")" * 400 + "\n")

@@ -1,0 +1,38 @@
+"""The toolkit's dependencies: numpy only."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy or a submodule now fails
+
+import numpy as np
+from mplangc import DomainBox, approximate, eval_expr, parse, random_union
+
+box = DomainBox.cube(-1.0, 1.0, 1)
+e = parse("sin(<>tanh(P1)) + 0.5*sigmoid(P1) + abs(P1)")
+approx = approximate(e, 3, box, 0.1)
+batch = random_union(3, box, 50, 0)
+dev = eval_expr(e, batch.graph, batch.features) - eval_expr(approx, batch.graph, batch.features)
+assert np.abs(dev).max() <= 0.1
+"""
+
+
+def test_the_toolkit_runs_without_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", WITHOUT_SCIPY], env=env, check=True, timeout=120)
+
+
+def test_numpy_is_the_only_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert len(deps) == 1 and deps[0].startswith("numpy")
