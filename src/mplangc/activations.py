@@ -270,7 +270,8 @@ def relu_approximate(f: Activation, y: Interval, eps: float, *, max_points: int 
     exactly on {lo, 0, hi}, and sin, tanh and sigmoid on ceil(width / h) + 1
     uniform knots with h = sqrt(8 eps / sup|f''|), which bounds the error on
     each cell by h^2/8 * sup|f''| = eps.  Raises CertificateError when y is not
-    finite or the grid needs more than max_points knots.
+    finite, the grid needs more than max_points knots, or its step is below
+    the float spacing, so that two knots round to the same float.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -296,6 +297,10 @@ def relu_approximate(f: Activation, y: Interval, eps: float, *, max_points: int 
                 f" more than {max_points - 1}"
             )
         xs = np.linspace(y.lo, y.hi, math.ceil(cells) + 1)
+        if not (np.diff(xs) > 0.0).all():
+            raise CertificateError(
+                f"a {eps:g}-certificate on {y} needs a grid step below the float spacing"
+            )
     pl = PiecewiseLinear(tuple(zip(xs.tolist(), apply_vec(f, xs).tolist())))
     return pl_to_relu_sum(pl)
 

@@ -11,8 +11,8 @@ Exit codes (fixed for scripting):
      endpoint or width that is not finite, eps <= 0, a result with no JSON
      form because it is not finite, a check with non-finite operand values
      and no finite failure, out of memory, ...)
-  4  no approximation certificate (an unbounded argument image, or a grid
-     of more than 4097 knots)
+  4  no approximation certificate (an unbounded argument image, a grid of
+     more than 4097 knots, or a grid step below the float spacing)
   5  equivalence check failed (a witness instance is printed)
 
 Output JSON is strict: NaN and infinity are never written.

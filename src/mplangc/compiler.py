@@ -2,10 +2,14 @@
 
 Three exact routes:
 
-* ``compile_relu``: structural induction for ReLU-only expressions; valid on
-  every graph and every feature map.  Sub-networks are joined with the
-  ReLU-MPNN concatenation combinators, and interior id-layers are removed via
-  the relu(x) - relu(-x) split.
+* ``compile_relu``: ReLU-only expressions, valid on every graph and every
+  feature map.  One fold over the DAG gives each distinct node an affine form
+  over the channels of one level (level 0: the input features).  Scalings
+  and sums combine forms, a sum first lifting its shallower operand through
+  x = relu(x) - relu(-x); relu emits one row of the next level; <> turns self
+  weights into neighbour weights.  Rows are stored once per level, so a tree
+  and its shared DAG give the same network: one ReLU layer per level, then an
+  id-layer reading out each root.
 * ``compile_mixed``: arbitrary catalog activations, valid over graphs of
   degree at most p and features inside a box.  Layer pairs with different
   activations are rewritten to share one merged activation, with the shift
@@ -19,10 +23,11 @@ Three exact routes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .activations import ID, Merged, interval_image, merge
+from .activations import ID, RELU, Merged, interval_image, merge
 from .errors import ArityError, ModeError
 from .expressions import (
     Add,
@@ -42,8 +47,6 @@ from .mpnn import (
     Layer,
     Mpnn,
     concat_layers,
-    concat_mpnns,
-    eliminate_id_layer,
     identity_layer,
     layer,
     parallel_layers,
@@ -163,37 +166,173 @@ def _node_layer(e: Expr) -> Layer:
 
 # -- exact ReLU compilation ---------------------------------------------------------
 
-def _append_layer(net: Mpnn, extra: Layer) -> Mpnn:
-    """Append a layer, removing the interior id-layer this would create."""
-    last = net.layers[-1]
-    if last.activation == ID:
-        relu_part, adjusted = eliminate_id_layer(last, extra)
-        return Mpnn(net.layers[:-1] + (relu_part, adjusted))
-    return Mpnn(net.layers + (extra,))
+class _Form(NamedTuple):
+    """An affine form over the channels of one level: at a node v it is
+    sum_c self_w[c] * x(v)[c] + sum_c neigh_w[c] * sum_{u~v} x(u)[c] + bias,
+    with x the channels of `level` (level 0: the input features)."""
+
+    level: int
+    self_w: dict[int, float]
+    neigh_w: dict[int, float]
+    bias: float
+
+
+def _scaled(a: float, f: _Form) -> _Form:
+    def times(weights: dict[int, float]) -> dict[int, float]:
+        return {c: v for c, w in weights.items() if (v := a * w) != 0.0}
+
+    return _Form(f.level, times(f.self_w), times(f.neigh_w), a * f.bias)
+
+
+def _sum(x: dict[int, float], y: dict[int, float]) -> dict[int, float]:
+    """x + y without zero weights; a long sum only ever walks its short side."""
+    if len(x) < len(y):
+        x, y = y, x
+    out = dict(x)
+    for c, w in y.items():
+        out[c] = out.get(c, 0.0) + w
+        if out[c] == 0.0:
+            del out[c]
+    return out
+
+
+def _nonnegative(f: _Form) -> bool:
+    """f >= 0 everywhere: a nonnegative combination of post-ReLU channels."""
+    return (
+        f.level > 0
+        and f.bias >= 0.0
+        and all(w > 0.0 for w in (*f.self_w.values(), *f.neigh_w.values()))
+    )
+
+
+class _Channels:
+    """The rows of a levelled ReLU network, each stored once.
+
+    rows[k] holds the rows of layer k + 1, keyed by content; a row's index
+    there is its channel at level k + 1.
+    """
+
+    def __init__(self, d: int):
+        self.d = d
+        self.rows: list[dict[tuple, int]] = []
+
+    def emit(self, f: _Form) -> int:
+        """The channel of level f.level + 1 that holds relu(f)."""
+        while len(self.rows) <= f.level:
+            self.rows.append({})
+        rows = self.rows[f.level]
+        key = (tuple(sorted(f.self_w.items())), tuple(sorted(f.neigh_w.items())), f.bias + 0.0)
+        return rows.setdefault(key, len(rows))
+
+    def lift(self, f: _Form) -> _Form:
+        """f over the channels of the next level, by x = relu(x) - relu(-x).
+
+        The bias stays a bias.  A single channel is carried alone, so every
+        form that reads it shares its rows; a nonnegative one needs one row.
+        """
+        up = f.level + 1
+        if not (f.self_w or f.neigh_w):
+            return _Form(up, {}, {}, f.bias)
+        g, scale = _Form(f.level, f.self_w, f.neigh_w, 0.0), 1.0
+        if len(f.self_w) == 1 and not f.neigh_w:
+            ((c, scale),) = f.self_w.items()
+            g = _Form(f.level, {c: 1.0}, {}, 0.0)
+        p = self.emit(g)
+        if _nonnegative(g):
+            return _Form(up, {p: scale}, {}, f.bias)
+        m = self.emit(_scaled(-1.0, g))
+        return _Form(up, {p: scale, m: -scale}, {}, f.bias)
+
+    def lifted(self, f: _Form, level: int) -> _Form:
+        while f.level < level:
+            f = self.lift(f)
+        return f
+
+    def form(self, node: Expr, kids: tuple[_Form, ...]) -> _Form:
+        """The form of one expression node, from its children's."""
+        if isinstance(node, One):
+            return _Form(0, {}, {}, 1.0)
+        if isinstance(node, Proj):
+            return _Form(0, {node.index - 1: 1.0}, {}, 0.0)
+        if isinstance(node, Scale):
+            return _scaled(node.factor, kids[0])
+        if isinstance(node, Add):
+            level = max(k.level for k in kids)
+            f, g = (self.lifted(k, level) for k in kids)
+            return _Form(
+                level,
+                _sum(f.self_w, g.self_w),
+                _sum(f.neigh_w, g.neigh_w),
+                f.bias + g.bias,
+            )
+        (f,) = kids
+        if isinstance(node, Apply):  # relu, which compile_relu has checked
+            if not (f.self_w or f.neigh_w):
+                return _Form(f.level, {}, {}, max(f.bias, 0.0))
+            if _nonnegative(f):
+                return f
+            return _Form(f.level + 1, {self.emit(f): 1.0}, {}, 0.0)
+        # Diamond: the self weights become neighbour weights.  A neighbour part
+        # has to become channels first, and so does a bias at level 0; at a
+        # higher level a bias b becomes weight b on a constant relu(1) channel.
+        if f.neigh_w or (f.level == 0 and f.bias != 0.0):
+            f = self.lift(f)
+        neigh_w = f.self_w
+        if f.bias != 0.0:
+            one = self.emit(_Form(f.level - 1, {}, {}, 1.0))
+            neigh_w = _sum(neigh_w, {one: f.bias})
+        return _Form(f.level, {}, neigh_w, 0.0)
+
+    def network(self, roots: list[_Form]) -> Mpnn:
+        """ReLU layers for the emitted rows, then one id-layer with a row per root."""
+        top = max(f.level for f in roots)
+        roots = [self.lifted(f, top) for f in roots]
+        widths = [self.d] + [len(rows) for rows in self.rows[:top]]
+        layers = [
+            _matrix_layer(list(rows), widths[k], RELU)
+            for k, rows in enumerate(self.rows[:top])
+        ]
+        out = [(f.self_w.items(), f.neigh_w.items(), f.bias) for f in roots]
+        return Mpnn(tuple(layers) + (_matrix_layer(out, widths[top], ID),))
+
+
+def _matrix_layer(rows: list[tuple], width: int, activation) -> Layer:
+    """The layer whose rows are the given (self, neighbour, bias) weights."""
+    w_self = np.zeros((len(rows), width))
+    w_neigh = np.zeros((len(rows), width))
+    bias = np.zeros(len(rows))
+    for i, (self_w, neigh_w, b) in enumerate(rows):
+        for c, w in self_w:
+            w_self[i, c] = w
+        for c, w in neigh_w:
+            w_neigh[i, c] = w
+        bias[i] = b
+    return Layer(w_self, w_neigh, bias, activation)
+
+
+def _compile_relu_roots(roots: tuple[Expr, ...], d: int) -> Mpnn:
+    for e in roots:
+        if not arity_check(e, d):
+            raise ArityError(f"expression uses projections beyond arity {d}")
+        if not classify(e).relu_only:
+            raise ModeError("expression applies functions other than relu")
+    channels = _Channels(d)
+    return channels.network([fold(e, channels.form) for e in roots])
 
 
 def compile_relu(e: Expr, d: int) -> Mpnn:
-    """ReLU-MPNN equivalent to e on all graphs and all feature maps."""
-    if not arity_check(e, d):
-        raise ArityError(f"expression uses projections beyond arity {d}")
-    if not classify(e).relu_only:
-        raise ModeError("expression applies functions other than relu")
+    """ReLU-MPNN equivalent to e on all graphs and all feature maps.
 
-    def build(node: Expr, kids: tuple[Mpnn, ...]) -> Mpnn:
-        if isinstance(node, (One, Proj)):
-            return Mpnn((_leaf_layer(node, d),))
-        net = concat_mpnns(*kids) if isinstance(node, Add) else kids[0]
-        return _append_layer(net, _node_layer(node))
-
-    return fold(e, build)
+    Each distinct node is compiled once into an affine form over the channels
+    of one level; relu and lifting emit rows of the next level.  The network
+    has one ReLU layer per level above the input and ends in an id-layer.
+    """
+    return _compile_relu_roots((e,), d)
 
 
 def compile_relu_tuple(t: ExprTuple) -> Mpnn:
-    nets = [compile_relu(c, t.input_arity) for c in t.components]
-    out = nets[0]
-    for net in nets[1:]:
-        out = concat_mpnns(out, net)
-    return out
+    """compile_relu of every component at once: one network, one output per component."""
+    return _compile_relu_roots(t.components, t.input_arity)
 
 
 # -- bounded-domain mixed compilation -------------------------------------------------
@@ -336,12 +475,16 @@ class CompileReport:
     activations: list[str]
     merged_activations: int
     bounds: list[list[list[float]]] | None
+    widths: list[int]  # output width of each layer
+    nonzero: list[int]  # non-zero weights and biases of each layer
 
     def to_json(self) -> dict:
         return {
             "mode": self.mode,
             "layers": self.layers,
             "max_width": self.max_width,
+            "widths": self.widths,
+            "nonzero": self.nonzero,
             "activations": self.activations,
             "merged_activations": self.merged_activations,
             "bounds": self.bounds,
@@ -370,6 +513,12 @@ def _report(mode: str, net: Mpnn, boxes: list[DomainBox] | None) -> CompileRepor
             isinstance(lyr.activation, Merged) for lyr in net.layers
         ),
         bounds=None if boxes is None else [b.to_pairs() for b in boxes[1:]],
+        widths=[lyr.output_arity for lyr in net.layers],
+        nonzero=[
+            int(np.count_nonzero(lyr.w_self) + np.count_nonzero(lyr.w_neigh)
+                + np.count_nonzero(lyr.bias))
+            for lyr in net.layers
+        ],
     )
 
 

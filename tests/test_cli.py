@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from helpers import assert_close
 from mplangc.cli import main
-from mplangc.graphs import features_from_json, graph_from_json
+from mplangc.graphs import FeatureMap, Graph, features_from_json, graph_from_json, random_union
 from mplangc.interpreter import eval_expr
+from mplangc.intervals import DomainBox
+from mplangc.mpnn import eval_mpnn, mpnn_from_json
 from mplangc.parser import parse
 
 
@@ -116,6 +119,33 @@ def test_compile_explicit_mode_mismatch_exit_3(capsys):
     assert rc == 3
 
 
+def test_compile_report_gives_each_layers_width_and_nonzero_count(tmp_path):
+    out = tmp_path / "max.json"
+    assert main(["compile", "--expr", "relu(P2 + -1*P1) + P1", "--mode", "relu",
+                 "--out", str(out)]) == 0
+    layers = json.loads(out.read_text())["layers"]
+    report = json.loads((tmp_path / "max.json.report.json").read_text())
+    assert report["widths"] == [len(lyr["b"]) for lyr in layers]
+    assert report["nonzero"] == [
+        sum(int(np.count_nonzero(lyr[key])) for key in ("W1", "W2", "b")) for lyr in layers
+    ]
+    # relu(P2 - P1) and the pair relu(P1), relu(-P1) in one ReLU layer, then
+    # the read-out relu(P2 - P1) + relu(P1) - relu(-P1).
+    assert report["widths"] == [3, 1] and report["nonzero"] == [4, 3]
+
+
+def test_compile_of_a_3000_term_sum(pair_instance, tmp_path):
+    text = " + ".join(f"{0.5 + k % 5}*P{1 + k % 2}" for k in range(3000))
+    path = tmp_path / "long.mplang"
+    path.write_text(text + "\n")
+    out = tmp_path / "long.json"
+    assert main(["compile", "--expr-file", str(path), "--out", str(out)]) == 0
+    net = mpnn_from_json(json.loads(out.read_text()))
+    features = FeatureMap(np.array([[1.0, 3.0], [4.0, 2.0]]))
+    values = eval_mpnn(net, Graph(2, ((0, 1),)), features).values
+    assert values.tolist() == [[15000.0], [22500.0]]
+
+
 # -- approx --------------------------------------------------------------------
 
 def test_approx_sin(tmp_path, capsys):
@@ -157,6 +187,21 @@ def test_approx_with_compile_writes_network(tmp_path, capsys):
     assert rc == 0
     net = json.loads(net_out.read_text())
     assert net["layers"]
+
+
+def test_approx_compile_of_a_nested_function_at_a_small_epsilon(tmp_path, capsys):
+    net_out = tmp_path / "net.json"
+    rc = main(["approx", "--expr", "sin(<>tanh(P1)) + 0.5*P1", "--degree-bound", "3",
+               "--box", "[[-1,1]]", "--epsilon", "0.01", "--trials", "100",
+               "--compile", str(net_out)])
+    assert rc == 0
+    approximant = parse(capsys.readouterr().out.splitlines()[0])
+    net = mpnn_from_json(json.loads(net_out.read_text()))
+    batch = random_union(3, DomainBox.from_pairs([[-1.0, 1.0]]), 200, 7)
+    assert_close(
+        eval_mpnn(net, batch.graph, batch.features).values[:, 0],
+        eval_expr(approximant, batch.graph, batch.features),
+    )
 
 
 # -- check ---------------------------------------------------------------------
@@ -319,6 +364,15 @@ def test_approx_of_an_unbounded_argument_is_a_certificate_error(capsys):
                "--degree-bound", "1", "--epsilon", "0.1"])
     assert rc == 4
     assert capsys.readouterr().err.startswith("certificate error:")
+
+
+def test_approx_with_a_grid_step_below_the_float_spacing_is_a_certificate_error(capsys):
+    # The box is two float steps wide; an eps of 1e-3 wants knots far closer.
+    rc = main(["approx", "--expr", "sin(P1)", "--box", "[[1e16,1.0000000000000004e16]]",
+               "--degree-bound", "0", "--epsilon", "1e-3"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("certificate error:") and "float spacing" in err
 
 
 def test_fmt_of_too_deep_nesting_is_a_parse_error(tmp_path, capsys):

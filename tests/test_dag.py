@@ -9,18 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_close, batch_instances
-from mplangc.activations import SIN
+from mplangc.activations import ID, RELU, SIN
 from mplangc.approx import image_bounds
 from mplangc.compiler import (
+    _Channels,
     compile_addition_free,
     compile_mixed,
     compile_pointwise,
     compile_relu,
+    compile_relu_tuple,
 )
 from mplangc.expressions import (
     Add,
     Apply,
     Diamond,
+    ExprTuple,
     One,
     Proj,
     Scale,
@@ -98,6 +101,52 @@ def test_tree_and_shared_dag_agree_on_every_walk(seed, depth, relu, form):
         assert _networks(dag) == _networks(tree)
 
 
+RELU_SHARING_FORMS = SHARING_FORMS[:2] + [lambda e: Add(Apply(RELU, e), Diamond(e))]
+# The degree term, nested neighbour sums, constants under relu and a dead channel.
+RELU_TEXTS = ["<>1", "<>(P1 + 1)", "<><>P1", "relu(<>1 + -2) + <>(relu(P2) + -1)",
+              "0*relu(P1) + P2", "relu(relu(P1) + 1) + -3*<>relu(P2)"]
+
+
+@st.composite
+def relu_roots(draw):
+    """One to three ReLU-only expressions over D inputs that share subterms."""
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        e = random_relu_expr(rng, draw(st.integers(0, 4)), D)
+    else:
+        e = parse(draw(st.sampled_from(RELU_TEXTS)))
+    shared = draw(st.sampled_from(RELU_SHARING_FORMS))(e)
+    extra = [Diamond(e), Apply(RELU, Scale(-1.5, e)), Add(shared, Proj(2)), shared]
+    return [shared] + draw(st.lists(st.sampled_from(extra), max_size=2))
+
+
+def _nesting(e):
+    """The largest number of relu and <> nodes on a path from e to a leaf."""
+    return fold(e, lambda node, kids: max(kids, default=0) + isinstance(node, (Apply, Diamond)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(roots=relu_roots(), seed=st.integers(0, 2**32 - 1))
+def test_relu_networks_are_levelled_and_agree_with_the_interpreter(roots, seed):
+    union, fm = batch_instances(None, DomainBox.cube(-10.0, 10.0, D), 20, seed)
+    nets = [compile_relu(e, D) for e in roots]
+    joint = compile_relu_tuple(ExprTuple(tuple(roots), D))
+    for j, (e, net) in enumerate(zip(roots, nets)):
+        want = eval_expr(e, union, fm)
+        assert_close(eval_mpnn(net, union, fm).values[:, 0], want)
+        assert_close(eval_mpnn(joint, union, fm).values[:, j], want)
+        channels = _Channels(D)
+        assert len(net.layers) == fold(e, channels.form).level + 1 <= _nesting(e) + 1
+    assert len(joint.layers) == max(len(net.layers) for net in nets)
+    assert joint.output_arity == len(roots)
+    for net in nets + [joint]:
+        assert [lyr.activation for lyr in net.layers] == [RELU] * (len(net.layers) - 1) + [ID]
+        for lyr in net.layers[:-1]:
+            rows = np.hstack([lyr.w_self, lyr.w_neigh, lyr.bias[:, None]])
+            assert np.all(rows.any(axis=1)), "an all-zero row"
+            assert len(np.unique(rows, axis=0)) == len(rows), "two equal rows"
+
+
 def test_fold_visits_each_distinct_node_once_children_first():
     x = Scale(2.0, Proj(1))
     calls = []
@@ -169,3 +218,10 @@ def test_long_sum_walks_need_no_recursion(recursion_limit_200):
     want = eval_expr(short, PATH, PATH_FEATURES)
     for net in (compile_relu(short, D), compile_mixed(short, D, P, BOX)):
         assert_close(eval_mpnn(net, PATH, PATH_FEATURES).values[:, 0], want)
+
+
+def test_long_sum_compiles_whole_without_recursion(recursion_limit_200):
+    e = parse(" + ".join(LONG_TERMS))
+    net = compile_relu(e, D)
+    assert_close(eval_mpnn(net, PATH, PATH_FEATURES).values[:, 0],
+                 eval_expr(e, PATH, PATH_FEATURES))
