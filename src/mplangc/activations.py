@@ -148,11 +148,16 @@ def apply_vec(f: Activation, x: np.ndarray) -> np.ndarray:
             out += c * np.maximum(0.0, a * x - b)
         return out
     if isinstance(f, Merged):
-        left_vals = apply_vec(f.left, x + (f.left_max + 1.0))
-        right_vals = apply_vec(f.right, x + (f.right_min - 1.0))
+        # Each piece runs only on its own inputs, so a merge chain evaluates
+        # every function it embeds once per input, not once per level.
+        if x.ndim != 1:
+            return apply_vec(f, x.ravel()).reshape(x.shape)
         seam_left, seam_right = f.seams
-        bridge = seam_left + (x + 1.0) * 0.5 * (seam_right - seam_left)
-        return np.where(x <= -1.0, left_vals, np.where(x >= 1.0, right_vals, bridge))
+        out = seam_left + (x + 1.0) * 0.5 * (seam_right - seam_left)
+        left, right = x <= -1.0, x >= 1.0
+        out[left] = apply_vec(f.left, x[left] + (f.left_max + 1.0))
+        out[right] = apply_vec(f.right, x[right] + (f.right_min - 1.0))
+        return out
     raise TypeError(f"not an activation: {f!r}")
 
 

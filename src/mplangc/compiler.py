@@ -9,11 +9,14 @@ Three exact routes:
   x = relu(x) - relu(-x); relu emits one row of the next level; <> turns self
   weights into neighbour weights.  Rows are stored once per level, so a tree
   and its shared DAG give the same network: one ReLU layer per level, then an
-  id-layer reading out each root.
+  id-layer reading out each root.  Rows that no root reads are dropped.
 * ``compile_mixed``: arbitrary catalog activations, valid over graphs of
-  degree at most p and features inside a box.  Layer pairs with different
-  activations are rewritten to share one merged activation, with the shift
-  amounts taken from interval bounds propagated through the network.
+  degree at most p and features inside a box.  The same scheduler, with each
+  application f(e) emitting a row with activation f.  A level whose rows use
+  k > 1 activations gets one merged activation, a left fold of merge_layers
+  over its activation groups, with shifts from the level's channel box
+  propagated from the input box; its merge depth is k - 1, so a flat n-term
+  sum is one hidden layer of width n and the read-out.
 * ``compile_addition_free`` / ``compile_pointwise``: fast paths for
   expressions without + (and without the neighbor sum): a single chain of
   layers with scaling and function application fused into id-layers, valid
@@ -22,12 +25,13 @@ Three exact routes:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .activations import ID, RELU, Merged, interval_image, merge
+from .activations import ABS, ID, RELU, SIGMOID, Activation, Merged, apply, interval_image, merge
 from .errors import ArityError, ModeError
 from .expressions import (
     Add,
@@ -47,7 +51,6 @@ from .mpnn import (
     Layer,
     Mpnn,
     concat_layers,
-    identity_layer,
     layer,
     parallel_layers,
 )
@@ -142,34 +145,13 @@ def parallel_mixed(
     return parallel_layers(a2, b2)
 
 
-# -- shared base layers ------------------------------------------------------------
-
-def _leaf_layer(e: One | Proj, d: int) -> Layer:
-    """The id-layer computing the constant 1 or a projection."""
-    w = np.zeros((1, d))
-    if isinstance(e, One):
-        return Layer(w, np.zeros((1, d)), np.ones(1), ID)
-    w[0, e.index - 1] = 1.0
-    return Layer(w, np.zeros((1, d)), np.zeros(1), ID)
-
-
-def _node_layer(e: Expr) -> Layer:
-    """The layer a scaling, application, neighbor sum or sum puts on its operands."""
-    if isinstance(e, Scale):
-        return layer(e.factor, 0.0, 0.0, ID)
-    if isinstance(e, Apply):
-        return layer(1.0, 0.0, 0.0, e.func)
-    if isinstance(e, Diamond):
-        return layer(0.0, 1.0, 0.0, ID)
-    return layer([[1.0, 1.0]], [[0.0, 0.0]], 0.0, ID)
-
-
-# -- exact ReLU compilation ---------------------------------------------------------
+# -- the levelled channel scheduler -------------------------------------------------------
 
 class _Form(NamedTuple):
     """An affine form over the channels of one level: at a node v it is
     sum_c self_w[c] * x(v)[c] + sum_c neigh_w[c] * sum_{u~v} x(u)[c] + bias,
-    with x the channels of `level` (level 0: the input features)."""
+    with x the channels of `level` (level 0: the input features).  A form
+    with no weights is a constant and sits at level 0."""
 
     level: int
     self_w: dict[int, float]
@@ -181,7 +163,8 @@ def _scaled(a: float, f: _Form) -> _Form:
     def times(weights: dict[int, float]) -> dict[int, float]:
         return {c: v for c, w in weights.items() if (v := a * w) != 0.0}
 
-    return _Form(f.level, times(f.self_w), times(f.neigh_w), a * f.bias)
+    self_w, neigh_w = times(f.self_w), times(f.neigh_w)
+    return _Form(f.level if self_w or neigh_w else 0, self_w, neigh_w, a * f.bias)
 
 
 def _sum(x: dict[int, float], y: dict[int, float]) -> dict[int, float]:
@@ -196,33 +179,51 @@ def _sum(x: dict[int, float], y: dict[int, float]) -> dict[int, float]:
     return out
 
 
-def _nonnegative(f: _Form) -> bool:
-    """f >= 0 everywhere: a nonnegative combination of post-ReLU channels."""
-    return (
-        f.level > 0
-        and f.bias >= 0.0
-        and all(w > 0.0 for w in (*f.self_w.values(), *f.neigh_w.values()))
-    )
+# Activations whose every output is >= 0.
+_NONNEGATIVE = (RELU, ABS, SIGMOID)
+
+
+class _Row(NamedTuple):
+    """One channel of the next level: activation(form) for a form over this one."""
+
+    self_w: tuple[tuple[int, float], ...]
+    neigh_w: tuple[tuple[int, float], ...]
+    bias: float
+    activation: Activation
 
 
 class _Channels:
-    """The rows of a levelled ReLU network, each stored once.
+    """The rows of a levelled network, each stored once.
 
-    rows[k] holds the rows of layer k + 1, keyed by content; a row's index
-    there is its channel at level k + 1.
+    rows[k] lists the rows of layer k + 1 (weights, bias and activation), and
+    index[k] finds one by content; a row's index is its channel at level k + 1.
     """
 
     def __init__(self, d: int):
         self.d = d
-        self.rows: list[dict[tuple, int]] = []
+        self.rows: list[list[_Row]] = []
+        self.index: list[dict[_Row, int]] = []
 
-    def emit(self, f: _Form) -> int:
-        """The channel of level f.level + 1 that holds relu(f)."""
+    def emit(self, f: _Form, activation: Activation = RELU) -> int:
+        """The channel of level f.level + 1 that holds activation(f)."""
         while len(self.rows) <= f.level:
-            self.rows.append({})
+            self.rows.append([])
+            self.index.append({})
+        row = _Row(tuple(sorted(f.self_w.items())), tuple(sorted(f.neigh_w.items())),
+                   f.bias + 0.0, activation)
         rows = self.rows[f.level]
-        key = (tuple(sorted(f.self_w.items())), tuple(sorted(f.neigh_w.items())), f.bias + 0.0)
-        return rows.setdefault(key, len(rows))
+        c = self.index[f.level].setdefault(row, len(rows))
+        if c == len(rows):
+            rows.append(row)
+        return c
+
+    def _nonnegative(self, f: _Form) -> bool:
+        """f >= 0 everywhere: a nonnegative combination of nonnegative channels."""
+        if f.level == 0 or f.bias < 0.0:
+            return False
+        rows = self.rows[f.level - 1]
+        return all(w > 0.0 and rows[c].activation in _NONNEGATIVE
+                   for weights in (f.self_w, f.neigh_w) for c, w in weights.items())
 
     def lift(self, f: _Form) -> _Form:
         """f over the channels of the next level, by x = relu(x) - relu(-x).
@@ -238,7 +239,7 @@ class _Channels:
             ((c, scale),) = f.self_w.items()
             g = _Form(f.level, {c: 1.0}, {}, 0.0)
         p = self.emit(g)
-        if _nonnegative(g):
+        if self._nonnegative(g):
             return _Form(up, {p: scale}, {}, f.bias)
         m = self.emit(_scaled(-1.0, g))
         return _Form(up, {p: scale, m: -scale}, {}, f.bias)
@@ -259,54 +260,93 @@ class _Channels:
         if isinstance(node, Add):
             level = max(k.level for k in kids)
             f, g = (self.lifted(k, level) for k in kids)
-            return _Form(
-                level,
-                _sum(f.self_w, g.self_w),
-                _sum(f.neigh_w, g.neigh_w),
-                f.bias + g.bias,
-            )
+            self_w, neigh_w = _sum(f.self_w, g.self_w), _sum(f.neigh_w, g.neigh_w)
+            return _Form(level if self_w or neigh_w else 0, self_w, neigh_w, f.bias + g.bias)
         (f,) = kids
-        if isinstance(node, Apply):  # relu, which compile_relu has checked
-            if not (f.self_w or f.neigh_w):
-                return _Form(f.level, {}, {}, max(f.bias, 0.0))
-            if _nonnegative(f):
+        if isinstance(node, Apply):
+            if node.func == ID:
                 return f
-            return _Form(f.level + 1, {self.emit(f): 1.0}, {}, 0.0)
+            if not (f.self_w or f.neigh_w):
+                return _Form(0, {}, {}, apply(node.func, f.bias))
+            if node.func in (RELU, ABS) and self._nonnegative(f):
+                return f
+            return _Form(f.level + 1, {self.emit(f, node.func): 1.0}, {}, 0.0)
         # Diamond: the self weights become neighbour weights.  A neighbour part
         # has to become channels first, and so does a bias at level 0; at a
-        # higher level a bias b becomes weight b on a constant relu(1) channel.
+        # higher level a bias b becomes weight b on the constant channel
+        # relu(1), emitted at level 1 and lifted, so that no level is empty.
         if f.neigh_w or (f.level == 0 and f.bias != 0.0):
             f = self.lift(f)
         neigh_w = f.self_w
         if f.bias != 0.0:
-            one = self.emit(_Form(f.level - 1, {}, {}, 1.0))
-            neigh_w = _sum(neigh_w, {one: f.bias})
-        return _Form(f.level, {}, neigh_w, 0.0)
+            one = _Form(1, {self.emit(_Form(0, {}, {}, 1.0)): 1.0}, {}, 0.0)
+            (c,) = self.lifted(one, f.level).self_w
+            neigh_w = _sum(neigh_w, {c: f.bias})
+        return _Form(f.level if neigh_w else 0, {}, neigh_w, 0.0)
 
-    def network(self, roots: list[_Form]) -> Mpnn:
-        """ReLU layers for the emitted rows, then one id-layer with a row per root."""
+    def _live(self, roots: list[_Form], top: int) -> list[list[int]]:
+        """The channels of levels 1..top that a root or a live row reads,
+        rows of one activation together, in order of first emission."""
+        read = [c for f in roots for c in (*f.self_w, *f.neigh_w)]
+        live: list[list[int]] = []
+        for level in range(top, 0, -1):
+            rows = self.rows[level - 1]
+            chans = sorted(set(read))
+            first: dict[Activation, int] = {}
+            for c in chans:
+                first.setdefault(rows[c].activation, c)
+            chans.sort(key=lambda c: first[rows[c].activation])  # stable: c stays ascending
+            live.append(chans)
+            read = [c for ch in chans for c, _ in (*rows[ch].self_w, *rows[ch].neigh_w)]
+        return live[::-1]
+
+    def network(self, roots: list[_Form], p: int | None = None,
+                box: DomainBox | None = None) -> Mpnn:
+        """One layer per level, then an id-layer with a row per root.
+
+        Only live rows are kept.  Given a degree bound p and an input box, a
+        level whose rows use several activations gets one merged activation:
+        a left fold of merge_layers over its activation groups, with shifts
+        from the level's propagated channel box.
+        """
         top = max(f.level for f in roots)
         roots = [self.lifted(f, top) for f in roots]
-        widths = [self.d] + [len(rows) for rows in self.rows[:top]]
-        layers = [
-            _matrix_layer(list(rows), widths[k], RELU)
-            for k, rows in enumerate(self.rows[:top])
-        ]
-        out = [(f.self_w.items(), f.neigh_w.items(), f.bias) for f in roots]
-        return Mpnn(tuple(layers) + (_matrix_layer(out, widths[top], ID),))
+        position, width = list(range(self.d)), self.d
+        layers = []
+        for level, chans in enumerate(self._live(roots, top)):
+            rows = self.rows[level]
+            groups = [
+                _matrix_layer([rows[c] for c in group], position, width, act)
+                for act, group in itertools.groupby(chans, key=lambda c: rows[c].activation)
+            ]
+            merged = groups[0]  # compile_relu's levels have one group, and no box
+            if box is not None:
+                for part in groups[1:]:
+                    merged = concat_layers(*merge_layers(merged, part, p, box, box))
+                box = DomainBox(tuple(
+                    interval_image(part.activation, iv)
+                    for part in groups for iv in layer_output_bounds(part, p, box).components
+                ))
+            layers.append(merged)
+            position, width = [0] * len(rows), len(chans)
+            for i, c in enumerate(chans):
+                position[c] = i
+        out = [_Row(tuple(f.self_w.items()), tuple(f.neigh_w.items()), f.bias, ID) for f in roots]
+        return Mpnn(tuple(layers) + (_matrix_layer(out, position, width, ID),))
 
 
-def _matrix_layer(rows: list[tuple], width: int, activation) -> Layer:
-    """The layer whose rows are the given (self, neighbour, bias) weights."""
+def _matrix_layer(rows: list[_Row], position: list[int], width: int,
+                  activation: Activation) -> Layer:
+    """The layer whose rows are the given rows, channel c in column position[c]."""
     w_self = np.zeros((len(rows), width))
     w_neigh = np.zeros((len(rows), width))
     bias = np.zeros(len(rows))
-    for i, (self_w, neigh_w, b) in enumerate(rows):
-        for c, w in self_w:
-            w_self[i, c] = w
-        for c, w in neigh_w:
-            w_neigh[i, c] = w
-        bias[i] = b
+    for i, row in enumerate(rows):
+        for c, w in row.self_w:
+            w_self[i, position[c]] = w
+        for c, w in row.neigh_w:
+            w_neigh[i, position[c]] = w
+        bias[i] = row.bias
     return Layer(w_self, w_neigh, bias, activation)
 
 
@@ -335,72 +375,41 @@ def compile_relu_tuple(t: ExprTuple) -> Mpnn:
     return _compile_relu_roots(t.components, t.input_arity)
 
 
-# -- bounded-domain mixed compilation -------------------------------------------------
-
-@dataclass
-class _BoundedNet:
-    """Layers plus the propagated feature box entering/leaving each layer."""
-
-    layers: list[Layer]
-    boxes: list[DomainBox]  # boxes[0] = input box; boxes[i+1] = post-activation box of layer i
-
-
-def _post_box(lyr: Layer, p: int, in_box: DomainBox) -> DomainBox:
-    pre = layer_output_bounds(lyr, p, in_box)
-    return DomainBox(tuple(interval_image(lyr.activation, iv) for iv in pre.components))
-
-
-def _appended(bn: _BoundedNet, lyr: Layer, p: int) -> _BoundedNet:
-    return _BoundedNet(bn.layers + [lyr], bn.boxes + [_post_box(lyr, p, bn.boxes[-1])])
-
-
-def _extended_to(bn: _BoundedNet, n: int) -> _BoundedNet:
-    """Pad to n layers with trailing identity id-layers (box unchanged)."""
-    layers = list(bn.layers)
-    boxes = list(bn.boxes)
-    while len(layers) < n:
-        layers.append(identity_layer(layers[-1].output_arity, ID))
-        boxes.append(boxes[-1])
-    return _BoundedNet(layers, boxes)
-
-
-def _concat_mixed(x: _BoundedNet, y: _BoundedNet, p: int) -> _BoundedNet:
-    n = max(len(x.layers), len(y.layers))
-    x = _extended_to(x, n)
-    y = _extended_to(y, n)
-    layers: list[Layer] = []
-    boxes = [x.boxes[0]]
-    for i in range(n):
-        lx, ly = x.layers[i], y.layers[i]
-        if lx.activation != ly.activation:
-            lx, ly = merge_layers(lx, ly, p, x.boxes[i], y.boxes[i])
-        layers.append(concat_layers(lx, ly) if i == 0 else parallel_layers(lx, ly))
-        # The rewritten layers agree with the originals pointwise over the
-        # domain, so the original output boxes stay valid.
-        boxes.append(x.boxes[i + 1].concat(y.boxes[i + 1]))
-    return _BoundedNet(layers, boxes)
-
-
 def compile_mixed(e: Expr, d: int, p: int, box: DomainBox) -> Mpnn:
-    """MPNN equivalent to e over graphs of degree <= p and features in box."""
+    """MPNN equivalent to e over graphs of degree <= p and features in box.
+
+    The same scheduler as compile_relu, with each application emitting a row
+    with its own activation; each level merges its activations into one.
+    """
     if box.dimension != d:
         raise ArityError(f"box dimension {box.dimension} != input arity {d}")
     if not arity_check(e, d):
         raise ArityError(f"expression uses projections beyond arity {d}")
     if p < 0:
         raise ValueError("degree bound must be nonnegative")
-
-    def build(node: Expr, kids: tuple[_BoundedNet, ...]) -> _BoundedNet:
-        if isinstance(node, (One, Proj)):
-            base = _leaf_layer(node, d)
-            return _BoundedNet([base], [box, _post_box(base, p, box)])
-        bn = _concat_mixed(*kids, p) if isinstance(node, Add) else kids[0]
-        return _appended(bn, _node_layer(node), p)
-
-    return Mpnn(tuple(fold(e, build).layers))
+    channels = _Channels(d)
+    return channels.network([fold(e, channels.form)], p, box)
 
 
 # -- addition-free fast paths ----------------------------------------------------------
+
+def _leaf_layer(e: One | Proj, d: int) -> Layer:
+    """The id-layer computing the constant 1 or a projection."""
+    w = np.zeros((1, d))
+    if isinstance(e, One):
+        return Layer(w, np.zeros((1, d)), np.ones(1), ID)
+    w[0, e.index - 1] = 1.0
+    return Layer(w, np.zeros((1, d)), np.zeros(1), ID)
+
+
+def _node_layer(e: Scale | Apply | Diamond) -> Layer:
+    """The layer a scaling, application or neighbor sum puts on its operand."""
+    if isinstance(e, Scale):
+        return layer(e.factor, 0.0, 0.0, ID)
+    if isinstance(e, Apply):
+        return layer(1.0, 0.0, 0.0, e.func)
+    return layer(0.0, 1.0, 0.0, ID)
+
 
 def _fused(e: Expr, last: Layer) -> Layer | None:
     """`last` with the unary node e folded into it, or None if e needs its own layer."""
@@ -477,6 +486,11 @@ class CompileReport:
     bounds: list[list[list[float]]] | None
     widths: list[int]  # output width of each layer
     nonzero: list[int]  # non-zero weights and biases of each layer
+    # Per layer, the bias shift each function of its merged activation got,
+    # left to right ([] without a merge), and the ulp of the largest |shift|:
+    # a bound on the rounding each shift adds to a pre-activation value.
+    shifts: list[list[float]]
+    shift_ulps: list[float]
 
     def to_json(self) -> dict:
         return {
@@ -488,6 +502,8 @@ class CompileReport:
             "activations": self.activations,
             "merged_activations": self.merged_activations,
             "bounds": self.bounds,
+            "shifts": self.shifts,
+            "shift_ulps": self.shift_ulps,
         }
 
 
@@ -503,7 +519,17 @@ def _activation_label(act) -> str:
     return "merged"
 
 
+def _shifts(act: Activation) -> list[float]:
+    """The bias shift of each function a merged activation embeds, left to right."""
+    if not isinstance(act, Merged):
+        return [0.0]
+    return ([s - (act.left_max + 1.0) for s in _shifts(act.left)]
+            + [s + (1.0 - act.right_min) for s in _shifts(act.right)])
+
+
 def _report(mode: str, net: Mpnn, boxes: list[DomainBox] | None) -> CompileReport:
+    shifts = [_shifts(lyr.activation) if isinstance(lyr.activation, Merged) else []
+              for lyr in net.layers]
     return CompileReport(
         mode=mode,
         layers=len(net.layers),
@@ -519,13 +545,16 @@ def _report(mode: str, net: Mpnn, boxes: list[DomainBox] | None) -> CompileRepor
                 + np.count_nonzero(lyr.bias))
             for lyr in net.layers
         ],
+        shifts=shifts,
+        shift_ulps=[float(np.spacing(max(map(abs, s)))) if s else 0.0 for s in shifts],
     )
 
 
 def _propagated_boxes(net: Mpnn, p: int, box: DomainBox) -> list[DomainBox]:
     boxes = [box]
     for lyr in net.layers:
-        boxes.append(_post_box(lyr, p, boxes[-1]))
+        pre = layer_output_bounds(lyr, p, boxes[-1])
+        boxes.append(DomainBox(tuple(interval_image(lyr.activation, iv) for iv in pre.components)))
     return boxes
 
 

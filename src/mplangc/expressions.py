@@ -37,12 +37,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class One:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proj:
     index: int  # 1-based
 
@@ -51,7 +51,7 @@ class Proj:
             raise ValueError("projection index must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scale:
     factor: float
     arg: "Expr"
@@ -60,19 +60,19 @@ class Scale:
         object.__setattr__(self, "factor", float(self.factor))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Apply:
     func: Activation
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diamond:
     arg: "Expr"
 

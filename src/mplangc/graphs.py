@@ -97,16 +97,21 @@ class Graph:
     def neighbor_sum(self, values: np.ndarray) -> np.ndarray:
         """Per node, the sum of `values` rows over its neighbors.
 
-        `values` has shape (node_count,) or (node_count, d). Accumulation order
-        follows the sorted edge arrays, hence is deterministic.
+        `values` has shape (node_count,) or (node_count, d).  Each column is
+        one bincount over the sorted edge arrays, which adds in edge order,
+        hence deterministically.
         """
         if values.shape[0] != self.node_count:
             raise ArityError(
                 f"feature map has {values.shape[0]} rows for {self.node_count} nodes"
             )
-        out = np.zeros_like(values, dtype=float)
+        n = self.node_count
         src, dst = self._csr
-        np.add.at(out, src, values[dst])
+        if values.ndim == 1:
+            return np.bincount(src, weights=values[dst], minlength=n)
+        out = np.zeros(values.shape)
+        for j in range(values.shape[1]):
+            out[:, j] = np.bincount(src, weights=values[dst, j], minlength=n)
         return out
 
 

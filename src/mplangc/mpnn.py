@@ -141,8 +141,13 @@ def eval_layer(lyr: Layer, g: Graph, chi: FeatureMap) -> FeatureMap:
         raise ArityError(
             f"layer expects {lyr.input_arity}-dim features, got {chi.dimension}"
         )
+    if chi.node_count != g.node_count:
+        raise ArityError(f"feature map has {chi.node_count} rows for {g.node_count} nodes")
     x = chi.values
-    z = x @ lyr.w_self.T + g.neighbor_sum(x) @ lyr.w_neigh.T + lyr.bias
+    z = x @ lyr.w_self.T
+    if lyr.w_neigh.any():  # id read-outs and pointwise chains read no neighbours
+        z += g.neighbor_sum(x) @ lyr.w_neigh.T
+    z += lyr.bias
     return FeatureMap(apply_vec(lyr.activation, z))
 
 

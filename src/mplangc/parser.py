@@ -28,6 +28,9 @@ __all__ = ["parse", "MPLangSyntaxError"]
 
 
 _NODE_TYPES = (One, Proj, Scale, Add, Apply, Diamond)
+# One activation object per catalog name, shared by every parse, so a parsed
+# expression holds no copy of it per application.
+_FUNCTIONS = {name: Named(name) for name in _NAMED}
 
 
 class MPLangSyntaxError(ValueError):
@@ -150,12 +153,12 @@ class _Parser:
             return self.node(Proj, index)
         if tok.kind == "ident":
             self.next()
-            if tok.text not in _NAMED:
+            if tok.text not in _FUNCTIONS:
                 raise MPLangSyntaxError(f"unknown function {tok.text!r}", tok.pos)
             self.expect("(")
             arg = self.expr()
             self.expect(")")
-            return self.node(Apply, Named(tok.text), arg)
+            return self.node(Apply, _FUNCTIONS[tok.text], arg)
         if tok.kind == "diamond":
             self.next()
             return self.node(Diamond, self.factor())

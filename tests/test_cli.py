@@ -114,6 +114,20 @@ def test_compile_mixed_mode_via_flags(tmp_path):
     assert report["bounds"] is not None
 
 
+def test_compile_report_gives_each_layers_merge_shifts(tmp_path):
+    out = tmp_path / "mixed.json"
+    assert main(["compile", "--expr", "tanh(P1) + sin(P1)", "--mode", "mixed",
+                 "--degree-bound", "2", "--box", "[[-1,1]]", "--out", str(out)]) == 0
+    layers = json.loads(out.read_text())["layers"]
+    report = json.loads((tmp_path / "mixed.json.report.json").read_text())
+    # tanh(P1) and sin(P1) both see [-1, 1]: tanh's row drops by M + 1 = 2,
+    # sin's rises by 1 - m = 2; the id read-out has no merge.
+    assert report["shifts"] == [[-2.0, 2.0], []]
+    assert report["shift_ulps"] == [float(np.spacing(2.0)), 0.0]
+    assert layers[0]["b"] == [-2.0, 2.0]
+    assert layers[0]["sigma"]["M"] == 1.0 and layers[0]["sigma"]["m"] == -1.0
+
+
 def test_compile_explicit_mode_mismatch_exit_3(capsys):
     rc = main(["compile", "--expr", "tanh(P1)", "--mode", "relu"])
     assert rc == 3

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import assert_close, batch_instances
-from mplangc.activations import ID, RELU, SIGMOID, TANH, Merged, apply_vec, interval_image
+from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH, Merged, apply_vec, interval_image
 from mplangc.compiler import (
     CompileEnv,
     compile_addition_free,
@@ -21,7 +21,7 @@ from mplangc.fixtures import oracle_t2, oracle_t4
 from mplangc.graphs import FeatureMap, Graph, random_graph, random_features
 from mplangc.intervals import DomainBox, Interval
 from mplangc.interpreter import eval_expr
-from mplangc.mpnn import Layer, Mpnn, eval_layer, eval_mpnn, layer
+from mplangc.mpnn import Layer, Mpnn, eval_layer, eval_mpnn, layer, mpnn_from_json, mpnn_to_json
 from mplangc.parser import parse
 
 MAX_EXPR = parse("relu(P2 + -1*P1) + P1")
@@ -90,6 +90,14 @@ def test_compile_relu_structural_id_only_final():
         e = random_relu_expr(rng, int(rng.integers(1, 6)), d)
         net = compile_relu(e, d)
         assert _relu_id_only(net)
+
+
+@pytest.mark.parametrize("text", ["0*relu(P1) + P2", "relu(P1) + -1*relu(P1) + P2"])
+def test_compile_relu_drops_dead_rows(text):
+    # relu(P1) is read with weight 0, so P2 needs no lift and no row is kept.
+    net = compile_relu(parse(text), 2)
+    assert len(net.layers) == 1 and net.layers[0].activation == ID
+    assert net.layers[0].w_self.tolist() == [[0.0, 1.0]]
 
 
 # -- compile_relu_tuple ----------------------------------------------------------------
@@ -246,6 +254,32 @@ def test_compile_mixed_matches_interpreter(text, p, box):
         eval_mpnn(net, union, fm).values[:, 0],
         eval_expr(e, union, fm),
     )
+
+
+def test_compile_mixed_flat_sum_is_one_merged_layer():
+    e = parse("tanh(P1) + sin(<>P2) + sigmoid(P1 + P2) + 2*tanh(P2) + abs(P1)")
+    box = DomainBox.cube(-1, 1, 2)
+    net = compile_mixed(e, 2, 3, box)
+    assert [lyr.output_arity for lyr in net.layers] == [5, 1]
+    merged = net.layers[0].activation
+    # tanh, sin, sigmoid, abs folded from the left: merge depth 3.
+    assert isinstance(merged, Merged) and isinstance(merged.left.left, Merged)
+    assert merged.right == ABS and merged.left.left.left == TANH
+    assert [merged.left.right, merged.left.left.right] == [SIGMOID, SIN]
+    union, fm = batch_instances(3, box, 100, 39)
+    assert_close(eval_mpnn(net, union, fm).values[:, 0], eval_expr(e, union, fm))
+
+
+def test_compile_mixed_constant_channel_keeps_every_level_nonempty():
+    # Only the constant channel of <>(... + 1) survives the cancellation; it
+    # is lifted from level 1, so the level below it still has a row.
+    e = parse("sin(<>(tanh(sin(P1)) + 1) + -1*<>tanh(sin(P1)))")
+    box = DomainBox.cube(-1, 1, 1)
+    net = compile_mixed(e, 1, 2, box)
+    assert [lyr.output_arity for lyr in net.layers] == [1, 1, 1, 1]
+    assert mpnn_from_json(mpnn_to_json(net)) == net
+    union, fm = batch_instances(2, box, 50, 43)
+    assert_close(eval_mpnn(net, union, fm).values[:, 0], eval_expr(e, union, fm))
 
 
 def test_compile_mixed_agrees_with_compile_relu_on_relu_subset():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_close, batch_instances
-from mplangc.activations import ID, RELU, SIN
+from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH, Merged
 from mplangc.approx import image_bounds
 from mplangc.compiler import (
     _Channels,
@@ -32,7 +32,7 @@ from mplangc.expressions import (
     format_expr,
     max_projection,
 )
-from mplangc.generate import random_expr, random_relu_expr
+from mplangc.generate import MIXED_FUNCTIONS, random_expr, random_relu_expr
 from mplangc.graphs import FeatureMap, Graph
 from mplangc.interpreter import eval_expr
 from mplangc.intervals import DomainBox, Interval
@@ -102,9 +102,11 @@ def test_tree_and_shared_dag_agree_on_every_walk(seed, depth, relu, form):
 
 
 RELU_SHARING_FORMS = SHARING_FORMS[:2] + [lambda e: Add(Apply(RELU, e), Diamond(e))]
-# The degree term, nested neighbour sums, constants under relu and a dead channel.
+# The degree term, nested neighbour sums, constants under relu, a dead channel,
+# and a constant channel that a cancellation leaves alone at level 2.
 RELU_TEXTS = ["<>1", "<>(P1 + 1)", "<><>P1", "relu(<>1 + -2) + <>(relu(P2) + -1)",
-              "0*relu(P1) + P2", "relu(relu(P1) + 1) + -3*<>relu(P2)"]
+              "0*relu(P1) + P2", "relu(relu(P1) + 1) + -3*<>relu(P2)",
+              "<>(relu(relu(P1) + -0.5) + 1) + -1*<>relu(relu(P1) + -0.5)"]
 
 
 @st.composite
@@ -121,8 +123,15 @@ def relu_roots(draw):
 
 
 def _nesting(e):
-    """The largest number of relu and <> nodes on a path from e to a leaf."""
+    """The largest number of applications and <> nodes on a path from e to a leaf."""
     return fold(e, lambda node, kids: max(kids, default=0) + isinstance(node, (Apply, Diamond)))
+
+
+def _assert_every_channel_is_read(net):
+    assert all(lyr.output_arity for lyr in net.layers), "an empty layer"
+    for lyr, after in zip(net.layers, net.layers[1:]):
+        read = (after.w_self != 0.0) | (after.w_neigh != 0.0)
+        assert read.any(axis=0).all(), "a hidden channel no later row reads"
 
 
 @settings(max_examples=150, deadline=None)
@@ -145,6 +154,49 @@ def test_relu_networks_are_levelled_and_agree_with_the_interpreter(roots, seed):
             rows = np.hstack([lyr.w_self, lyr.w_neigh, lyr.bias[:, None]])
             assert np.all(rows.any(axis=1)), "an all-zero row"
             assert len(np.unique(rows, axis=0)) == len(rows), "two equal rows"
+        _assert_every_channel_is_read(net)
+
+
+MIXED_SHARING_FORMS = SHARING_FORMS + [
+    lambda e: Add(Apply(TANH, e), Apply(ABS, Diamond(e))),
+    lambda e: Add(Apply(SIGMOID, e), Scale(-1.5, Apply(RELU, Add(e, One())))),
+]
+
+
+def _merge_leaves(act):
+    """The functions a merged activation embeds, left to right."""
+    return _merge_leaves(act.left) + _merge_leaves(act.right) if isinstance(act, Merged) else [act]
+
+
+def _merge_depth(act):
+    return 1 + max(_merge_depth(act.left), _merge_depth(act.right)) if isinstance(act, Merged) else 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    p=st.integers(0, 3),
+    depth=st.integers(0, 5),
+    form=st.sampled_from(range(len(MIXED_SHARING_FORMS))),
+)
+def test_mixed_networks_merge_once_per_level_and_agree_with_the_interpreter(
+        seed, d, p, depth, form):
+    rng = np.random.default_rng(seed)
+    e = MIXED_SHARING_FORMS[form](random_expr(rng, depth, d, functions=MIXED_FUNCTIONS))
+    box = DomainBox.cube(-1.0, 1.0, d)
+    net = compile_mixed(e, d, p, box)
+    union, fm = batch_instances(p, box, 20, seed)
+    # assert_close's defaults are test_acceptance's RTOL and FLOOR.
+    assert_close(eval_mpnn(net, union, fm).values[:, 0], eval_expr(e, union, fm))
+    assert len(net.layers) <= _nesting(e) + 1
+    assert net.layers[-1].activation == ID
+    functions = classify(e).functions_used | {RELU}  # relu also lifts
+    for lyr in net.layers[:-1]:
+        leaves = _merge_leaves(lyr.activation)
+        assert len(set(leaves)) == len(leaves) and set(leaves) <= functions
+        assert _merge_depth(lyr.activation) <= len(leaves) - 1
+    _assert_every_channel_is_read(net)
 
 
 def test_fold_visits_each_distinct_node_once_children_first():
@@ -186,9 +238,7 @@ def test_parse_shares_repeated_subterms():
 
 
 LONG_TERMS = [f"{0.5 + k % 5}*P{1 + k % 2}" for k in range(3000)]
-# Compiling a left-associated sum costs about n**4 (each + pads the shorter
-# network to the longer one's depth), so the compilers get a shorter sum; it
-# is still deeper than the lowered recursion limit.
+# A prefix that is still deeper than the lowered recursion limit.
 COMPILED_TERMS = 180
 
 
@@ -222,6 +272,20 @@ def test_long_sum_walks_need_no_recursion(recursion_limit_200):
 
 def test_long_sum_compiles_whole_without_recursion(recursion_limit_200):
     e = parse(" + ".join(LONG_TERMS))
-    net = compile_relu(e, D)
-    assert_close(eval_mpnn(net, PATH, PATH_FEATURES).values[:, 0],
-                 eval_expr(e, PATH, PATH_FEATURES))
+    for net in (compile_relu(e, D), compile_mixed(e, D, P, BOX)):
+        assert_close(eval_mpnn(net, PATH, PATH_FEATURES).values[:, 0],
+                     eval_expr(e, PATH, PATH_FEATURES))
+
+
+def test_long_sums_compile_to_two_mixed_layers(recursion_limit_200):
+    functions = ("tanh", "sin", "sigmoid", "abs", "relu")
+    cycling = " + ".join(
+        f"{0.5 + k % 3}*{functions[k % 5]}({1.5 - k % 4 * 0.5}*P{1 + k % 2}"
+        f" + {0.25 * (k % 3)}*<>P{2 - k % 2})" for k in range(45))
+    union, fm = batch_instances(P, BOX, 20, 7)
+    for text in (" + ".join(LONG_TERMS[:COMPILED_TERMS]), cycling):
+        e = parse(text)
+        net = compile_mixed(e, D, P, BOX)
+        assert len(net.layers) <= 2
+        assert _merge_depth(net.layers[0].activation) <= len(functions) - 1
+        assert_close(eval_mpnn(net, union, fm).values[:, 0], eval_expr(e, union, fm))

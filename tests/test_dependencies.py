@@ -1,5 +1,7 @@
-"""The toolkit's dependencies: numpy only."""
+"""The toolkit's dependencies: numpy only, and the names the benchmark traces."""
 
+import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -36,3 +38,16 @@ def test_numpy_is_the_only_dependency():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     assert len(deps) == 1 and deps[0].startswith("numpy")
+
+
+def test_every_traced_function_resolves():
+    # bench/tracing.py wraps these by name; a renamed or deleted function
+    # would otherwise surface only in a traced benchmark run.
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    (traced,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "TRACED" for t in node.targets)]
+    assert traced
+    for module, name in traced:
+        assert callable(getattr(importlib.import_module(f"mplangc.{module}"), name, None)), \
+            f"mplangc.{module}.{name}"

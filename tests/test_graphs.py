@@ -121,6 +121,28 @@ def test_neighbor_sum_matches_neighbors():
         assert sums[v, 0] == sum(vals[u, 0] for u in TRIANGLE.neighbors(v))
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        random_graph(40, 5, 3),             # random degrees up to 5
+        Graph(5, ((1, 3),)),                # isolated nodes around one edge
+        Graph(4, ((0, 1), (0, 2), (0, 3))),  # a star: node 0 has every edge
+        Graph(6, ()),                       # no edges
+        Graph(0, ()),                       # no nodes
+    ],
+)
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_neighbor_sum_matches_a_loop_over_neighbors(g, shape):
+    vals = np.random.default_rng(g.node_count).uniform(-2, 2, (g.node_count, *shape))
+    want = np.zeros_like(vals)
+    for v in range(g.node_count):
+        for u in g.neighbors(v):
+            want[v] += vals[u]
+    got = g.neighbor_sum(vals)
+    # Both add each node's neighbors in ascending order, starting from 0.
+    assert got.shape == vals.shape and np.array_equal(got, want)
+
+
 def test_graph_json_roundtrip_and_symmetrize():
     g = graph_from_json({"nodes": 3, "edges": [[1, 0], [1, 2]]})
     assert g == Graph(3, ((0, 1), (1, 2)))
