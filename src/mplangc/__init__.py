@@ -35,7 +35,6 @@ from .compiler import (
     compile_relu_tuple,
     layer_output_bounds,
     merge_layers,
-    parallel_mixed,
 )
 from .errors import ArityError, CertificateError, ModeError
 from .expressions import (
@@ -67,6 +66,7 @@ from .graphs import (
 from .intervals import DomainBox, Interval
 from .interpreter import eval_expr, eval_tuple
 from .mpnn import (
+    InvalidNetworkError,
     Layer,
     Mpnn,
     concat_layers,

@@ -5,12 +5,13 @@ Subcommands: eval, compile, approx, check, bounds, fmt.
 Exit codes (fixed for scripting):
   0  success / check passed
   1  parse or input error (expression text, nesting too deep, input file,
-     NaN or infinite feature values)
+     NaN or infinite feature values, a malformed network file)
   2  arity or dimension mismatch
   3  mode or configuration error (inapplicable mode, bad --box, a --box
-     endpoint or width that is not finite, eps <= 0, a result with no JSON
-     form because it is not finite, a check with non-finite operand values
-     and no finite failure, out of memory, ...)
+     endpoint or width that is not finite, eps <= 0, --trials < 1, a
+     --tolerance that is negative or not finite, a result with no JSON form
+     because it is not finite, a check with non-finite operand values and no
+     finite failure, out of memory, ...)
   4  no approximation certificate (an unbounded argument image, a grid of
      more than 4097 knots, or a grid step below the float spacing)
   5  equivalence check failed (a witness instance is printed)
@@ -46,7 +47,7 @@ from .graphs import (
 )
 from .intervals import DomainBox
 from .interpreter import eval_expr
-from .mpnn import eval_mpnn, mpnn_from_json, mpnn_to_json
+from .mpnn import InvalidNetworkError, eval_mpnn, mpnn_from_json, mpnn_to_json
 from .parser import MPLangSyntaxError, parse
 
 DEFAULT_TRIALS = 1000
@@ -89,6 +90,11 @@ def _parse_box(text: str, expected_dim: int | None = None) -> DomainBox:
             f"--box has dimension {box.dimension}, expected {expected_dim}"
         )
     return box
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ModeError(f"--trials must be at least 1, got {trials}")
 
 
 def _write_json(obj: dict, path: str | None) -> None:
@@ -175,6 +181,7 @@ def cmd_approx(args) -> int:
     (expr,) = _read_exprs(args)
     if args.epsilon is None or args.epsilon <= 0:
         raise ModeError("--epsilon must be a positive real")
+    _check_trials(args.trials)
     if args.degree_bound is None or args.box is None:
         raise ModeError("approx needs --degree-bound and --box")
     box = _parse_box(args.box, expected_dim=None)
@@ -200,6 +207,9 @@ def cmd_approx(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _check_trials(args.trials)
+    if not 0.0 <= args.tolerance < math.inf:
+        raise ModeError(f"--tolerance must be finite and nonnegative, got {args.tolerance!r}")
     a = _load_operand(args.a)
     b = _load_operand(args.b)
     if a.output_arity != b.output_arity:
@@ -340,7 +350,7 @@ def main(argv=None) -> int:
     except MPLangSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, InvalidGraphError) as exc:
+    except (json.JSONDecodeError, InvalidGraphError, InvalidNetworkError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

@@ -1,26 +1,32 @@
 """Compilers from MPLang expressions to MPNNs.
 
-Three exact routes:
+One scheduler, ``_Channels``, builds every network.  A fold over the DAG
+gives each distinct node an affine form over the channels of one level
+(level 0: the input features).  Scalings and sums combine forms, a sum first
+lifting its shallower operand to the other's level; an application f(e)
+emits a row with activation f at the next level; <> turns self weights into
+neighbour weights.  Rows are stored once per level, so a tree and its shared
+DAG give the same network: one layer per level, then an id-layer reading out
+each root.  Rows that no root reads are dropped.  If every root is exactly
+one channel of the top level, the read-out is fused away and the last layer
+is returned with its rows in root order.
 
-* ``compile_relu``: ReLU-only expressions, valid on every graph and every
-  feature map.  One fold over the DAG gives each distinct node an affine form
-  over the channels of one level (level 0: the input features).  Scalings
-  and sums combine forms, a sum first lifting its shallower operand through
-  x = relu(x) - relu(-x); relu emits one row of the next level; <> turns self
-  weights into neighbour weights.  Rows are stored once per level, so a tree
-  and its shared DAG give the same network: one ReLU layer per level, then an
-  id-layer reading out each root.  Rows that no root reads are dropped.
+A carrier row only carries a value up a level: a lift, or the constant
+channel that a bias under <> reads.  Its activation is fixed by the route:
+
+* ``compile_relu`` / ``compile_relu_tuple``: ReLU-only expressions, valid on
+  every graph and every feature map.  Relu carriers: a lift is
+  x = relu(x) - relu(-x), one row for a nonnegative x.
 * ``compile_mixed``: arbitrary catalog activations, valid over graphs of
-  degree at most p and features inside a box.  The same scheduler, with each
-  application f(e) emitting a row with activation f.  A level whose rows use
-  k > 1 activations gets one merged activation, a left fold of merge_layers
-  over its activation groups, with shifts from the level's channel box
-  propagated from the input box; its merge depth is k - 1, so a flat n-term
-  sum is one hidden layer of width n and the read-out.
-* ``compile_addition_free`` / ``compile_pointwise``: fast paths for
-  expressions without + (and without the neighbor sum): a single chain of
-  layers with scaling and function application fused into id-layers, valid
-  everywhere and introducing no merged activations.
+  degree at most p and features inside a box.  Relu carriers.  A level whose
+  rows use k > 1 activations gets one merged activation, a left fold of
+  merge_layers over its activation groups, with shifts from the level's
+  channel box propagated from the input box; its merge depth is k - 1, so a
+  flat n-term sum is one hidden layer of width n and the read-out.
+* ``compile_addition_free`` / ``compile_pointwise``: expressions without +
+  (and without the neighbor sum), valid everywhere.  Id carriers: a lift is
+  one id row, so the network uses only the expression's own functions and
+  id, one row per layer, and never a merged activation.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from .errors import ArityError, ModeError
 from .expressions import (
     Add,
     Apply,
-    Diamond,
     Expr,
     ExprTuple,
     One,
@@ -47,13 +52,7 @@ from .expressions import (
     fold,
 )
 from .intervals import DomainBox, Interval
-from .mpnn import (
-    Layer,
-    Mpnn,
-    concat_layers,
-    layer,
-    parallel_layers,
-)
+from .mpnn import Layer, Mpnn, concat_layers
 
 __all__ = [
     "LayerBounds",
@@ -61,7 +60,6 @@ __all__ = [
     "CompileReport",
     "layer_output_bounds",
     "merge_layers",
-    "parallel_mixed",
     "compile_relu",
     "compile_relu_tuple",
     "compile_mixed",
@@ -137,14 +135,6 @@ def merge_layers(
     return shifted_a, shifted_b
 
 
-def parallel_mixed(
-    a: Layer, b: Layer, p: int, box_a: DomainBox, box_b: DomainBox
-) -> Layer:
-    """Parallel composition of layers with possibly different activations."""
-    a2, b2 = merge_layers(a, b, p, box_a, box_b)
-    return parallel_layers(a2, b2)
-
-
 # -- the levelled channel scheduler -------------------------------------------------------
 
 class _Form(NamedTuple):
@@ -197,14 +187,17 @@ class _Channels:
 
     rows[k] lists the rows of layer k + 1 (weights, bias and activation), and
     index[k] finds one by content; a row's index is its channel at level k + 1.
+    A carrier row only carries a value up a level: a lift, or the constant
+    channel under <>.  Its activation is the route's carrier, relu or id.
     """
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, carrier: Activation):
         self.d = d
+        self.carrier = carrier
         self.rows: list[list[_Row]] = []
         self.index: list[dict[_Row, int]] = []
 
-    def emit(self, f: _Form, activation: Activation = RELU) -> int:
+    def emit(self, f: _Form, activation: Activation) -> int:
         """The channel of level f.level + 1 that holds activation(f)."""
         while len(self.rows) <= f.level:
             self.rows.append([])
@@ -226,7 +219,8 @@ class _Channels:
                    for weights in (f.self_w, f.neigh_w) for c, w in weights.items())
 
     def lift(self, f: _Form) -> _Form:
-        """f over the channels of the next level, by x = relu(x) - relu(-x).
+        """f over the channels of the next level: one id carrier row, or
+        x = relu(x) - relu(-x) with relu carriers.
 
         The bias stays a bias.  A single channel is carried alone, so every
         form that reads it shares its rows; a nonnegative one needs one row.
@@ -238,10 +232,10 @@ class _Channels:
         if len(f.self_w) == 1 and not f.neigh_w:
             ((c, scale),) = f.self_w.items()
             g = _Form(f.level, {c: 1.0}, {}, 0.0)
-        p = self.emit(g)
-        if self._nonnegative(g):
+        p = self.emit(g, self.carrier)
+        if self.carrier == ID or self._nonnegative(g):
             return _Form(up, {p: scale}, {}, f.bias)
-        m = self.emit(_scaled(-1.0, g))
+        m = self.emit(_scaled(-1.0, g), RELU)
         return _Form(up, {p: scale, m: -scale}, {}, f.bias)
 
     def lifted(self, f: _Form, level: int) -> _Form:
@@ -274,12 +268,12 @@ class _Channels:
         # Diamond: the self weights become neighbour weights.  A neighbour part
         # has to become channels first, and so does a bias at level 0; at a
         # higher level a bias b becomes weight b on the constant channel
-        # relu(1), emitted at level 1 and lifted, so that no level is empty.
+        # carrier(1), emitted at level 1 and lifted, so that no level is empty.
         if f.neigh_w or (f.level == 0 and f.bias != 0.0):
             f = self.lift(f)
         neigh_w = f.self_w
         if f.bias != 0.0:
-            one = _Form(1, {self.emit(_Form(0, {}, {}, 1.0)): 1.0}, {}, 0.0)
+            one = _Form(1, {self.emit(_Form(0, {}, {}, 1.0), self.carrier): 1.0}, {}, 0.0)
             (c,) = self.lifted(one, f.level).self_w
             neigh_w = _sum(neigh_w, {c: f.bias})
         return _Form(f.level if neigh_w else 0, {}, neigh_w, 0.0)
@@ -307,7 +301,9 @@ class _Channels:
         Only live rows are kept.  Given a degree bound p and an input box, a
         level whose rows use several activations gets one merged activation:
         a left fold of merge_layers over its activation groups, with shifts
-        from the level's propagated channel box.
+        from the level's propagated channel box.  If every root is one channel
+        of the top level, the read-out is fused away: the last layer is
+        returned with its rows picked in root order.
         """
         top = max(f.level for f in roots)
         roots = [self.lifted(f, top) for f in roots]
@@ -319,8 +315,10 @@ class _Channels:
                 _matrix_layer([rows[c] for c in group], position, width, act)
                 for act, group in itertools.groupby(chans, key=lambda c: rows[c].activation)
             ]
-            merged = groups[0]  # compile_relu's levels have one group, and no box
-            if box is not None:
+            if box is None:
+                (merged,) = groups  # without a box every level has one activation
+            else:
+                merged = groups[0]
                 for part in groups[1:]:
                     merged = concat_layers(*merge_layers(merged, part, p, box, box))
                 box = DomainBox(tuple(
@@ -331,6 +329,11 @@ class _Channels:
             position, width = [0] * len(rows), len(chans)
             for i, c in enumerate(chans):
                 position[c] = i
+        if top and all(list(f.self_w.values()) == [1.0] and not f.neigh_w and f.bias == 0.0
+                       for f in roots):
+            last, picks = layers.pop(), [position[c] for f in roots for c in f.self_w]
+            return Mpnn((*layers, Layer(last.w_self[picks], last.w_neigh[picks],
+                                        last.bias[picks], last.activation)))
         out = [_Row(tuple(f.self_w.items()), tuple(f.neigh_w.items()), f.bias, ID) for f in roots]
         return Mpnn(tuple(layers) + (_matrix_layer(out, position, width, ID),))
 
@@ -350,14 +353,19 @@ def _matrix_layer(rows: list[_Row], position: list[int], width: int,
     return Layer(w_self, w_neigh, bias, activation)
 
 
+def _schedule(roots: tuple[Expr, ...], d: int, carrier: Activation,
+              p: int | None = None, box: DomainBox | None = None) -> Mpnn:
+    channels = _Channels(d, carrier)
+    return channels.network([fold(e, channels.form) for e in roots], p, box)
+
+
 def _compile_relu_roots(roots: tuple[Expr, ...], d: int) -> Mpnn:
     for e in roots:
         if not arity_check(e, d):
             raise ArityError(f"expression uses projections beyond arity {d}")
         if not classify(e).relu_only:
             raise ModeError("expression applies functions other than relu")
-    channels = _Channels(d)
-    return channels.network([fold(e, channels.form) for e in roots])
+    return _schedule(roots, d, RELU)
 
 
 def compile_relu(e: Expr, d: int) -> Mpnn:
@@ -365,7 +373,8 @@ def compile_relu(e: Expr, d: int) -> Mpnn:
 
     Each distinct node is compiled once into an affine form over the channels
     of one level; relu and lifting emit rows of the next level.  The network
-    has one ReLU layer per level above the input and ends in an id-layer.
+    has one ReLU layer per level above the input and ends in an id-layer,
+    unless the read-out fuses into the last ReLU layer.
     """
     return _compile_relu_roots((e,), d)
 
@@ -387,75 +396,27 @@ def compile_mixed(e: Expr, d: int, p: int, box: DomainBox) -> Mpnn:
         raise ArityError(f"expression uses projections beyond arity {d}")
     if p < 0:
         raise ValueError("degree bound must be nonnegative")
-    channels = _Channels(d)
-    return channels.network([fold(e, channels.form)], p, box)
-
-
-# -- addition-free fast paths ----------------------------------------------------------
-
-def _leaf_layer(e: One | Proj, d: int) -> Layer:
-    """The id-layer computing the constant 1 or a projection."""
-    w = np.zeros((1, d))
-    if isinstance(e, One):
-        return Layer(w, np.zeros((1, d)), np.ones(1), ID)
-    w[0, e.index - 1] = 1.0
-    return Layer(w, np.zeros((1, d)), np.zeros(1), ID)
-
-
-def _node_layer(e: Scale | Apply | Diamond) -> Layer:
-    """The layer a scaling, application or neighbor sum puts on its operand."""
-    if isinstance(e, Scale):
-        return layer(e.factor, 0.0, 0.0, ID)
-    if isinstance(e, Apply):
-        return layer(1.0, 0.0, 0.0, e.func)
-    return layer(0.0, 1.0, 0.0, ID)
-
-
-def _fused(e: Expr, last: Layer) -> Layer | None:
-    """`last` with the unary node e folded into it, or None if e needs its own layer."""
-    if last.activation != ID:
-        return None
-    if isinstance(e, Scale):
-        return Layer(e.factor * last.w_self, e.factor * last.w_neigh, e.factor * last.bias, ID)
-    if isinstance(e, Apply):
-        return Layer(last.w_self, last.w_neigh, last.bias, e.func)
-    if last.w_neigh.any() or last.bias.any():
-        return None
-    # <> after a pure self-transform refolds into the neighbor slot.
-    return Layer(np.zeros_like(last.w_self), last.w_self, last.bias, ID)
-
-
-def _chain(e: Expr, d: int) -> tuple[Layer, ...]:
-    """Layers of an addition-free expression, fusing each node into the last layer."""
-
-    def build(node: Expr, kids: tuple[tuple[Layer, ...], ...]) -> tuple[Layer, ...]:
-        if isinstance(node, (One, Proj)):
-            return (_leaf_layer(node, d),)
-        layers = kids[0]
-        fused = _fused(node, layers[-1])
-        return layers[:-1] + (fused,) if fused is not None else layers + (_node_layer(node),)
-
-    return fold(e, build)
+    return _schedule((e,), d, RELU, p, box)
 
 
 def compile_addition_free(e: Expr, d: int) -> Mpnn:
     """MPNN for an addition-free expression, exact on all graphs and features.
 
-    Uses only the expression's own functions plus the identity; never
-    introduces merged activations.
+    The scheduler with id carrier rows: the network uses only the
+    expression's own functions plus the identity, and no merged activation.
     """
     if not arity_check(e, d):
         raise ArityError(f"expression uses projections beyond arity {d}")
     if not classify(e).addition_free:
         raise ModeError("expression uses +")
-    return Mpnn(_chain(e, d))
+    return _schedule((e,), d, ID)
 
 
 def compile_pointwise(e: Expr, d: int) -> Mpnn:
     """MPNN for an addition- and summation-free expression.
 
-    The chain keeps the expression's own activations; an id-layer can only
-    survive in final position (scaling fuses into it, applications replace it).
+    Every layer applies one of the expression's functions, except that the
+    last may be an id read-out.
     """
     if not arity_check(e, d):
         raise ArityError(f"expression uses projections beyond arity {d}")
@@ -464,7 +425,7 @@ def compile_pointwise(e: Expr, d: int) -> Mpnn:
         raise ModeError("expression uses +")
     if not traits.summation_free:
         raise ModeError("expression uses the neighbor-sum operator")
-    return Mpnn(_chain(e, d))
+    return _schedule((e,), d, ID)
 
 
 # -- mode dispatch -----------------------------------------------------------------

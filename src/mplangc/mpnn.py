@@ -41,6 +41,7 @@ __all__ = [
     "is_relu_mpnn",
     "mpnn_to_json",
     "mpnn_from_json",
+    "InvalidNetworkError",
 ]
 
 
@@ -294,15 +295,28 @@ def mpnn_to_json(net: Mpnn) -> dict:
     }
 
 
+class InvalidNetworkError(ValueError):
+    """A network read from outside is not one that mpnn_to_json writes."""
+
+
 def mpnn_from_json(obj: dict) -> Mpnn:
-    return Mpnn(
-        tuple(
-            Layer(
-                np.asarray(spec["W1"], dtype=float),
-                np.asarray(spec["W2"], dtype=float),
-                np.asarray(spec["b"], dtype=float),
-                activation_from_json(spec["sigma"]),
-            )
-            for spec in obj["layers"]
-        )
-    )
+    """The network of an mpnn_to_json object; InvalidNetworkError if obj is none."""
+    layers: list[Layer] = []
+    try:
+        for spec in obj["layers"]:
+            w1, w2 = (np.asarray(spec[key], dtype=float) for key in ("W1", "W2"))
+            if w1.shape == (0,) and w2.shape == (0,):
+                # A layer with no rows is written as []: its columns are the
+                # rows of the layer before, which the first layer lacks.
+                if not layers:
+                    raise ValueError("a first layer with no rows has no input arity")
+                w1 = w2 = np.zeros((0, layers[-1].output_arity))
+            layers.append(Layer(w1, w2, np.asarray(spec["b"], dtype=float),
+                                activation_from_json(spec["sigma"])))
+    except KeyError as exc:
+        raise InvalidNetworkError(f"malformed network: no {exc} field") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidNetworkError(f"malformed network: {exc}") from exc
+    if not layers:
+        raise InvalidNetworkError("malformed network: no layers")
+    return Mpnn(tuple(layers))

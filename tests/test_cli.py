@@ -276,6 +276,44 @@ def test_check_arity_mismatch_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+_LAYER = {"W1": [[1.0]], "W2": [[0.0]], "b": [0.0], "sigma": {"kind": "named", "name": "relu"}}
+
+
+@pytest.mark.parametrize("net", [
+    {"nets": []},  # no layers
+    {"layers": []},
+    {"layers": [{k: v for k, v in _LAYER.items() if k != "sigma"}]},
+    {"layers": [dict(_LAYER, sigma={"kind": "spline"})]},
+    {"layers": [dict(_LAYER, sigma={"kind": "named", "name": "softplus"})]},
+    {"layers": [dict(_LAYER, W1=[[1.0], [1.0, 2.0]])]},
+    [_LAYER],  # a top-level list
+    {"layers": [dict(_LAYER, W1=[], W2=[], b=[])]},  # no rows: no input arity
+])
+def test_check_malformed_network_file_is_input_error(tmp_path, capsys, net):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(net))
+    assert main(["check", str(path), "P1"]) == 1
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tolerance", "nan"], ["--tolerance", "inf"], ["--tolerance=-1e-9"],
+    ["--trials", "0"], ["--trials", "-2"],
+])
+def test_check_rejects_a_vacuous_configuration(capsys, flags):
+    assert main(["check", "P1", "P1 + 1", "--trials", "20", *flags]) == 3
+    assert "PASS" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_approx_rejects_fewer_than_one_trial(capsys, trials):
+    rc = main(["approx", "--expr", "sin(P1)", "--degree-bound", "1", "--box", "[[-1,1]]",
+               "--epsilon", "0.1", "--trials", trials])
+    assert rc == 3
+    assert "rho_hat" not in capsys.readouterr().out
+
+
 # -- bounds / fmt ------------------------------------------------------------------
 
 def test_bounds_constant(capsys):

@@ -13,7 +13,6 @@ from mplangc.compiler import (
     compile_relu_tuple,
     layer_output_bounds,
     merge_layers,
-    parallel_mixed,
 )
 from mplangc.errors import ArityError, ModeError
 from mplangc.expressions import ExprTuple, classify
@@ -200,42 +199,6 @@ def test_merge_layers_random_equivalence(seed):
     assert_close(eval_layer(b2, union_b, fm_b).values, eval_layer(b, union_b, fm_b).values)
 
 
-# -- parallel_mixed -------------------------------------------------------------------------
-
-def test_parallel_mixed_matches_componentwise_oracle():
-    rng = np.random.default_rng(23)
-    a = _rand_layer(rng, 1, 1, TANH)
-    b = _rand_layer(rng, 1, 1, ID)
-    box = DomainBox.cube(-1, 1, 1)
-    combined = parallel_mixed(a, b, 2, box, box)
-    union, fm = batch_instances(2, DomainBox.cube(-1, 1, 2), 50, 29)
-    joint = eval_layer(combined, union, fm).values
-    fa = FeatureMap(fm.values[:, :1])
-    fb = FeatureMap(fm.values[:, 1:])
-    assert_close(joint[:, 0], eval_layer(a, union, fa).values[:, 0])
-    assert_close(joint[:, 1], eval_layer(b, union, fb).values[:, 0])
-
-
-def test_parallel_mixed_symmetric_on_equal_layers():
-    lyr = layer(1.0, 0.5, 0.0, TANH)
-    box = DomainBox.cube(-1, 1, 1)
-    combined = parallel_mixed(lyr, lyr, 1, box, box)
-    union, fm1 = batch_instances(1, box, 20, 31)
-    fm = FeatureMap(np.hstack([fm1.values, fm1.values]))
-    vals = eval_layer(combined, union, fm).values
-    # The components traverse the two differently-shifted pieces of the
-    # merged activation, so agreement is to rounding, not bit-exact.
-    assert_close(vals[:, 0], vals[:, 1])
-
-
-def test_parallel_mixed_uses_single_merged_activation():
-    a = layer(1.0, 0.0, 0.0, TANH)
-    b = layer(1.0, 0.0, 0.0, ID)
-    box = DomainBox.cube(-1, 1, 1)
-    combined = parallel_mixed(a, b, 2, box, box)
-    assert isinstance(combined.activation, Merged)
-
-
 # -- compile_mixed ----------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -272,11 +235,12 @@ def test_compile_mixed_flat_sum_is_one_merged_layer():
 
 def test_compile_mixed_constant_channel_keeps_every_level_nonempty():
     # Only the constant channel of <>(... + 1) survives the cancellation; it
-    # is lifted from level 1, so the level below it still has a row.
+    # is lifted from level 1, so the level below it still has a row.  The
+    # root is the one sin channel of level 3, so the read-out fuses into it.
     e = parse("sin(<>(tanh(sin(P1)) + 1) + -1*<>tanh(sin(P1)))")
     box = DomainBox.cube(-1, 1, 1)
     net = compile_mixed(e, 1, 2, box)
-    assert [lyr.output_arity for lyr in net.layers] == [1, 1, 1, 1]
+    assert [lyr.output_arity for lyr in net.layers] == [1, 1, 1]
     assert mpnn_from_json(mpnn_to_json(net)) == net
     union, fm = batch_instances(2, box, 50, 43)
     assert_close(eval_mpnn(net, union, fm).values[:, 0], eval_expr(e, union, fm))

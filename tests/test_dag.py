@@ -34,10 +34,11 @@ from mplangc.expressions import (
 )
 from mplangc.generate import MIXED_FUNCTIONS, random_expr, random_relu_expr
 from mplangc.graphs import FeatureMap, Graph
-from mplangc.interpreter import eval_expr
+from mplangc.interpreter import eval_expr, eval_tuple
 from mplangc.intervals import DomainBox, Interval
 from mplangc.mpnn import eval_mpnn
 from mplangc.parser import parse
+from mplangc.translate import mpnn_to_mplang
 
 D, P = 2, 2
 BOX = DomainBox.cube(-1.0, 1.0, D)
@@ -127,6 +128,17 @@ def _nesting(e):
     return fold(e, lambda node, kids: max(kids, default=0) + isinstance(node, (Apply, Diamond)))
 
 
+def _scheduled(roots, d=D, carrier=RELU):
+    """The top level of the roots' forms, and whether the read-out fuses:
+    every root, lifted to the top level, is exactly one of its channels."""
+    channels = _Channels(d, carrier)
+    forms = [fold(e, channels.form) for e in roots]
+    top = max(f.level for f in forms)
+    lifted = [channels.lifted(f, top) for f in forms]
+    return top, top > 0 and all(
+        list(f.self_w.values()) == [1.0] and not f.neigh_w and f.bias == 0.0 for f in lifted)
+
+
 def _assert_every_channel_is_read(net):
     assert all(lyr.output_arity for lyr in net.layers), "an empty layer"
     for lyr, after in zip(net.layers, net.layers[1:]):
@@ -140,16 +152,20 @@ def test_relu_networks_are_levelled_and_agree_with_the_interpreter(roots, seed):
     union, fm = batch_instances(None, DomainBox.cube(-10.0, 10.0, D), 20, seed)
     nets = [compile_relu(e, D) for e in roots]
     joint = compile_relu_tuple(ExprTuple(tuple(roots), D))
+    shapes = []
     for j, (e, net) in enumerate(zip(roots, nets)):
         want = eval_expr(e, union, fm)
         assert_close(eval_mpnn(net, union, fm).values[:, 0], want)
         assert_close(eval_mpnn(joint, union, fm).values[:, j], want)
-        channels = _Channels(D)
-        assert len(net.layers) == fold(e, channels.form).level + 1 <= _nesting(e) + 1
-    assert len(joint.layers) == max(len(net.layers) for net in nets)
+        level, fused = _scheduled([e])
+        assert len(net.layers) == level + (0 if fused else 1) <= _nesting(e) + 1
+        shapes.append((net, fused))
+    top, joint_fused = _scheduled(roots)
+    assert len(joint.layers) == top + (0 if joint_fused else 1)
     assert joint.output_arity == len(roots)
-    for net in nets + [joint]:
-        assert [lyr.activation for lyr in net.layers] == [RELU] * (len(net.layers) - 1) + [ID]
+    for net, fused in shapes + [(joint, joint_fused)]:
+        assert [lyr.activation for lyr in net.layers] == (
+            [RELU] * (len(net.layers) - 1) + [RELU if fused else ID])
         for lyr in net.layers[:-1]:
             rows = np.hstack([lyr.w_self, lyr.w_neigh, lyr.bias[:, None]])
             assert np.all(rows.any(axis=1)), "an all-zero row"
@@ -189,14 +205,52 @@ def test_mixed_networks_merge_once_per_level_and_agree_with_the_interpreter(
     union, fm = batch_instances(p, box, 20, seed)
     # assert_close's defaults are test_acceptance's RTOL and FLOOR.
     assert_close(eval_mpnn(net, union, fm).values[:, 0], eval_expr(e, union, fm))
-    assert len(net.layers) <= _nesting(e) + 1
-    assert net.layers[-1].activation == ID
+    top, fused = _scheduled([e], d)
+    assert len(net.layers) == top + (0 if fused else 1) <= _nesting(e) + 1
+    assert (net.layers[-1].activation == ID) == (not fused)
     functions = classify(e).functions_used | {RELU}  # relu also lifts
-    for lyr in net.layers[:-1]:
+    for lyr in net.layers[:top]:
         leaves = _merge_leaves(lyr.activation)
         assert len(set(leaves)) == len(leaves) and set(leaves) <= functions
         assert _merge_depth(lyr.activation) <= len(leaves) - 1
     _assert_every_channel_is_read(net)
+
+
+# Nested neighbour sums (an id lift), a scaled one, the degree term, a
+# constant under functions, a relu of a relu, and a scaled function of <>.
+CHAIN_TEXTS = ["<><>P1", "<>(2*<>P1)", "<>1", "tanh(<>sin(1))", "relu(relu(P1))",
+               "2*<>sin(P1)"]
+
+
+@st.composite
+def addition_free_exprs(draw):
+    if draw(st.booleans()):
+        return parse(draw(st.sampled_from(CHAIN_TEXTS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    depth = draw(st.integers(0, 6))
+    while not classify(e := random_expr(rng, depth, D, functions=MIXED_FUNCTIONS)).addition_free:
+        pass
+    return e
+
+
+@settings(max_examples=150, deadline=None)
+@given(e=addition_free_exprs(), seed=st.integers(0, 2**32 - 1))
+def test_chain_networks_use_only_their_own_functions_and_agree_with_the_interpreter(e, seed):
+    union, fm = batch_instances(None, DomainBox.cube(-3.0, 3.0, D), 20, seed)
+    want = eval_expr(e, union, fm)
+    traits = classify(e)
+    nets = [compile_addition_free(e, D)]
+    if traits.summation_free:
+        nets.append(compile_pointwise(e, D))
+    for net in nets:
+        out = eval_mpnn(net, union, fm).values
+        assert_close(out[:, 0], want)
+        assert {lyr.activation for lyr in net.layers} <= traits.functions_used | {ID}
+        # One row per layer: an id carrier lifts a value with one row, where
+        # relu carriers would need the pair relu(x), relu(-x).
+        assert [lyr.output_arity for lyr in net.layers] == [1] * len(net.layers)
+        assert len(net.layers) <= _nesting(e) + 1
+        assert_close(eval_tuple(mpnn_to_mplang(net), union, fm).values, out)
 
 
 def test_fold_visits_each_distinct_node_once_children_first():

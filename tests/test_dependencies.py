@@ -51,3 +51,31 @@ def test_every_traced_function_resolves():
     for module, name in traced:
         assert callable(getattr(importlib.import_module(f"mplangc.{module}"), name, None)), \
             f"mplangc.{module}.{name}"
+
+
+def _dead_code(path: pathlib.Path) -> list[str]:
+    """Unused imports, and module-level private functions and classes that
+    nothing in their module refers to."""
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:  # names listed in __all__ are exported
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    dead = []
+    if path.name != "__init__.py":  # a package's imports are its interface
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                dead += [f"import {name}" for alias in node.names
+                         if (name := (alias.asname or alias.name).split(".")[0]) not in used]
+    dead += [f"def {node.name}" for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and node.name.startswith("_") and node.name not in used]
+    return dead
+
+
+def test_no_unused_imports_or_private_definitions():
+    dead = {path.name: found for path in sorted((ROOT / "src" / "mplangc").glob("*.py"))
+            if (found := _dead_code(path))}
+    assert not dead

@@ -8,6 +8,7 @@ from mplangc.fixtures import max_mpnn, oracle_t2
 from mplangc.graphs import FeatureMap, Graph
 from mplangc.intervals import DomainBox
 from mplangc.mpnn import (
+    InvalidNetworkError,
     Layer,
     Mpnn,
     concat_layers,
@@ -321,3 +322,14 @@ def test_mpnn_json_roundtrip():
     assert np.array_equal(
         eval_mpnn(net, union, fm).values, eval_mpnn(again, union, fm).values
     )
+
+
+def test_mpnn_json_roundtrip_of_a_layer_with_no_rows():
+    # The empty layer is written as W1 = []; its two columns are read back
+    # from the layer before it.
+    net = Mpnn((layer([[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)), [0.0, 0.0], RELU),
+                Layer(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), RELU),
+                Layer(np.zeros((1, 0)), np.zeros((1, 0)), np.ones(1), ID)))
+    assert mpnn_from_json(mpnn_to_json(net)) == net
+    with pytest.raises(InvalidNetworkError, match="no input arity"):
+        mpnn_from_json(mpnn_to_json(Mpnn(net.layers[1:])))
