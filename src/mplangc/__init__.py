@@ -49,6 +49,7 @@ from .expressions import (
     arity_check,
     classify,
     fold,
+    fold_all,
     format_expr,
     max_projection,
 )

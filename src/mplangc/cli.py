@@ -9,9 +9,9 @@ Exit codes (fixed for scripting):
   2  arity or dimension mismatch
   3  mode or configuration error (inapplicable mode, bad --box, a --box
      endpoint or width that is not finite, eps <= 0, --trials < 1, a
-     --tolerance that is negative or not finite, a result with no JSON form
-     because it is not finite, a check with non-finite operand values and no
-     finite failure, out of memory, ...)
+     --tolerance or --abs-tolerance that is negative or not finite, a result
+     with no JSON form because it is not finite, a check with non-finite
+     operand values and no finite failure, out of memory, ...)
   4  no approximation certificate (an unbounded argument image, a grid of
      more than 4097 knots, or a grid step below the float spacing)
   5  equivalence check failed (a witness instance is printed)
@@ -34,7 +34,7 @@ import numpy as np
 from .approx import approximate, image_bounds, uniform_distance_estimate
 from .compiler import CompileEnv, compile_expr, compile_relu, compile_relu_tuple
 from .errors import ArityError, CertificateError, ModeError
-from .expressions import Expr, ExprTuple, format_expr, max_projection
+from .expressions import Expr, ExprTuple, format_expr, max_projection, max_projections
 from .graphs import (
     FeatureMap,
     Graph,
@@ -46,7 +46,7 @@ from .graphs import (
     random_union,
 )
 from .intervals import DomainBox
-from .interpreter import eval_expr
+from .interpreter import eval_expr, eval_tuple
 from .mpnn import InvalidNetworkError, eval_mpnn, mpnn_from_json, mpnn_to_json
 from .parser import MPLangSyntaxError, parse
 
@@ -131,12 +131,12 @@ def _load_operand(spec: str) -> Operand:
         exprs = [parse(ln) for ln in lines]
     else:
         exprs = [parse(spec)]
-    arity = max((max_projection(e) for e in exprs), default=0)
+    components = tuple(exprs)
 
     def run(g: Graph, fm: FeatureMap) -> np.ndarray:
-        return np.stack([eval_expr(e, g, fm) for e in exprs], axis=1)
+        return eval_tuple(ExprTuple(components, fm.dimension), g, fm).values
 
-    return Operand(spec, arity, len(exprs), run)
+    return Operand(spec, max(max_projections(components), default=0), len(components), run)
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -155,7 +155,7 @@ def cmd_compile(args) -> int:
     box = _parse_box(args.box) if args.box else None
     d = args.arity
     if d is None:
-        d = box.dimension if box else max(max_projection(e) for e in exprs)
+        d = box.dimension if box else max(max_projections(exprs))
     env = CompileEnv(mode=args.mode, degree_bound=args.degree_bound, box=box)
     if len(exprs) == 1:
         net, report = compile_expr(exprs[0], d, env)
@@ -208,8 +208,9 @@ def cmd_approx(args) -> int:
 
 def cmd_check(args) -> int:
     _check_trials(args.trials)
-    if not 0.0 <= args.tolerance < math.inf:
-        raise ModeError(f"--tolerance must be finite and nonnegative, got {args.tolerance!r}")
+    for flag, value in (("--tolerance", args.tolerance), ("--abs-tolerance", args.abs_tolerance)):
+        if not 0.0 <= value < math.inf:
+            raise ModeError(f"{flag} must be finite and nonnegative, got {value!r}")
     a = _load_operand(args.a)
     b = _load_operand(args.b)
     if a.output_arity != b.output_arity:
@@ -229,7 +230,8 @@ def cmd_check(args) -> int:
     # the finite values, or else it exits 3, never passes.
     finite = np.isfinite(va) & np.isfinite(vb)
     dev = np.where(finite, np.abs(va - vb), 0.0)
-    allowed = np.maximum(ABS_FLOOR, args.tolerance * np.maximum(np.abs(va), np.abs(vb)))
+    allowed = np.maximum(max(ABS_FLOOR, args.abs_tolerance),
+                         args.tolerance * np.maximum(np.abs(va), np.abs(vb)))
     excess = np.where(finite, dev / allowed, 0.0)
     failed = float(excess.max(initial=0.0)) > 1.0
     if not (failed or finite.all()):
@@ -327,6 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     pk.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                     help=f"relative tolerance (absolute floor {ABS_FLOOR:g})")
+    pk.add_argument("--abs-tolerance", type=float, default=0.0,
+                    help="absolute tolerance: a deviation up to it always passes")
     pk.add_argument("--seed", type=int, default=0)
     pk.set_defaults(func=cmd_check)
 

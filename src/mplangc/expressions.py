@@ -11,7 +11,7 @@ The concrete text form (see parser) writes the neighbor-sum operator as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TypeVar, Union
+from typing import Callable, Sequence, TypeVar, Union
 
 from .activations import Activation, Named, RELU
 from .errors import ArityError
@@ -27,8 +27,10 @@ __all__ = [
     "ExprTuple",
     "ExprTraits",
     "fold",
+    "fold_all",
     "arity_check",
     "max_projection",
+    "max_projections",
     "classify",
     "format_expr",
     "const",
@@ -91,11 +93,8 @@ class ExprTuple:
     def __post_init__(self):
         if not self.components:
             raise ValueError("expression tuple must be nonempty")
-        for e in self.components:
-            if not arity_check(e, self.input_arity):
-                raise ArityError(
-                    f"component uses projection beyond arity {self.input_arity}"
-                )
+        if max(max_projections(self.components)) > self.input_arity:
+            raise ArityError(f"component uses projection beyond arity {self.input_arity}")
 
     @property
     def output_arity(self) -> int:
@@ -112,19 +111,23 @@ def _children(e: Expr) -> tuple[Expr, ...]:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def fold(e: Expr, combine: Callable[[Expr, tuple], T]) -> T:
-    """Post-order fold over the DAG under e, without recursion.
+def fold_all(roots: Sequence[Expr], combine: Callable[[Expr, tuple], T]) -> list[T]:
+    """Post-order fold over the DAG under the roots, without recursion.
 
     combine(node, child_results) runs once per distinct node object, with the
-    results of its children left to right.  Nodes are told apart by id, never
-    by ==/hash: those recurse over the whole subtree, so on a shared DAG they
-    cost time exponential in its depth.  A result is dropped once the node's
-    last parent has read it.
+    results of its children left to right, however many roots share it; the
+    result is the list of the roots' results.  Nodes are told apart by id,
+    never by ==/hash: those recurse over the whole subtree, so on a shared DAG
+    they cost time exponential in its depth.  A result is dropped once the
+    node's last parent has read it; a root's is kept.
     """
     parents: dict[int, int] = {}
     expanded: set[int] = set()
     order: list[tuple[Expr, tuple]] = []
-    stack: list[tuple[Expr, tuple | None]] = [(e, None)]
+    stack: list[tuple[Expr, tuple | None]] = []
+    for r in reversed(roots):
+        parents[id(r)] = parents.get(id(r), 0) + 1
+        stack.append((r, None))
     while stack:
         node, kids = stack.pop()
         if kids is not None:
@@ -146,12 +149,23 @@ def fold(e: Expr, combine: Callable[[Expr, tuple], T]) -> T:
             if not parents[id(c)]:
                 del results[id(c)]
         results[id(node)] = combine(node, args)
-    return results[id(e)]
+    return [results[id(r)] for r in roots]
+
+
+def fold(e: Expr, combine: Callable[[Expr, tuple], T]) -> T:
+    """fold_all over the one root e."""
+    return fold_all((e,), combine)[0]
 
 
 def max_projection(e: Expr) -> int:
     """Largest projection index used, 0 if none."""
-    return fold(e, lambda node, kids: node.index if isinstance(node, Proj) else max(kids, default=0))
+    return max_projections((e,))[0]
+
+
+def max_projections(roots: Sequence[Expr]) -> list[int]:
+    """max_projection of each root, in one fold over their shared DAG."""
+    return fold_all(roots, lambda node, kids: node.index if isinstance(node, Proj)
+                    else max(kids, default=0))
 
 
 def arity_check(e: Expr, d: int) -> bool:

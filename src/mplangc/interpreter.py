@@ -1,18 +1,21 @@
 """Reference interpreter: the ground truth every compiler is checked against.
 
-Evaluation is one bottom-up fold over the expression DAG (see
-``expressions.fold``): each distinct node is evaluated once, vectorized over
-the graph's nodes, and no recursion depth grows with the expression.  The
-neighbor sum follows the graph's deterministic edge order.
+Evaluation is one bottom-up fold over the expression DAG, one for all of a
+tuple's components (see ``expressions.fold_all``): each distinct node is
+evaluated once, vectorized over the graph's nodes, and no recursion depth
+grows with the expression.  The neighbor sum follows the graph's
+deterministic edge order.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from .activations import apply_vec
 from .errors import ArityError
-from .expressions import Add, Apply, Expr, ExprTuple, One, Proj, Scale, fold
+from .expressions import Add, Apply, Expr, ExprTuple, One, Proj, Scale, fold_all
 from .graphs import FeatureMap, Graph
 
 __all__ = ["eval_expr", "eval_tuple"]
@@ -20,6 +23,24 @@ __all__ = ["eval_expr", "eval_tuple"]
 
 def eval_expr(e: Expr, g: Graph, chi: FeatureMap) -> np.ndarray:
     """Per-node value of e on (g, chi); shape (node_count,)."""
+    return _evaluate((e,), g, chi)[0]
+
+
+def eval_tuple(t: ExprTuple, g: Graph, chi: FeatureMap) -> FeatureMap:
+    """Component-wise evaluation; output dimension = number of components.
+
+    The components are evaluated in one fold, so the subterms they share (the
+    layers of a translated network, say) are evaluated once.
+    """
+    if chi.dimension != t.input_arity:
+        raise ArityError(
+            f"tuple of arity {t.input_arity} applied to {chi.dimension}-dim features"
+        )
+    return FeatureMap(np.stack(_evaluate(t.components, g, chi), axis=1))
+
+
+def _evaluate(roots: Sequence[Expr], g: Graph, chi: FeatureMap) -> list[np.ndarray]:
+    """Per-node value of each root on (g, chi), in one fold over their DAG."""
     if chi.node_count != g.node_count:
         raise ArityError(
             f"feature map covers {chi.node_count} nodes, graph has {g.node_count}"
@@ -41,14 +62,4 @@ def eval_expr(e: Expr, g: Graph, chi: FeatureMap) -> np.ndarray:
             return apply_vec(node.func, kids[0])
         return g.neighbor_sum(kids[0])
 
-    return fold(e, ev)
-
-
-def eval_tuple(t: ExprTuple, g: Graph, chi: FeatureMap) -> FeatureMap:
-    """Component-wise evaluation; output dimension = number of components."""
-    if chi.dimension != t.input_arity:
-        raise ArityError(
-            f"tuple of arity {t.input_arity} applied to {chi.dimension}-dim features"
-        )
-    cols = [eval_expr(c, g, chi) for c in t.components]
-    return FeatureMap(np.stack(cols, axis=1))
+    return fold_all(roots, ev)

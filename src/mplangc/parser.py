@@ -11,15 +11,33 @@ insignificant.  The literal ``1`` denotes the unit constant; any other number
 
 ``parse`` returns a shared DAG: within one call, every repeated subterm is one
 node object, so the walks over the result (see ``expressions.fold``) visit it
-once.  The descent is the one walk whose recursion depth grows with the
-input's nesting; nesting deeper than the interpreter's recursion limit is a
+once.
+
+Parsing costs one scan of the text plus one descent per *distinct*
+parenthesised group.  The scan is a single ``findall``: it yields the tokens
+as strings, and the descent reads a token's kind from its first character.
+An unexpected character ends the scan as one token holding the rest of the
+text, so it is found (and reported before any grammar error) without a
+per-token loop; token positions are recomputed only for an error message.
+The parentheses are then matched once.  The expression inside ``(``...``)``
+is context-free, so a group whose tokens were parsed before is not descended
+into again: the descent jumps past its ``)`` and returns the node built the
+first time.  The descent's work is thus linear in the tokens the distinct
+groups hold outside their own subgroups, not in the text, which for a
+translated network grows about sixfold per layer.  Keying a group copies and
+hashes its tokens at C speed, at most the text length times the nesting depth.
+
+The descent is the one walk whose recursion depth grows with the input's
+nesting; as before, nesting deeper than the interpreter's recursion limit is a
 syntax error.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+import string
+from itertools import compress, count
 
 from .activations import Named, _NAMED
 from .expressions import Add, Apply, Diamond, Expr, One, Proj, Scale
@@ -39,53 +57,72 @@ class MPLangSyntaxError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
-
-
+# Alternatives in order of preference: number, projection, identifier, <>, operator.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<proj>P\d+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<diamond><>)"
-    r"|(?P<op>[+\-*()]))"
+    r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
+    r"|P\d+"
+    r"|[A-Za-z_][A-Za-z_0-9]*"
+    r"|<>"
+    r"|[+\-*()]"
 )
+# A token, or else an unexpected character together with the rest of the text,
+# so the scan stops at the first one.
+_SCAN_RE = re.compile(_TOKEN_RE.pattern + r"|(?s:\S.*)")
+_LETTERS = frozenset(string.ascii_letters + "_")
+_PARENS = frozenset("()")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if rest == "":
-                break
-            raise MPLangSyntaxError(f"unexpected character {rest[0]!r}",
-                                    pos + len(text[pos:]) - len(rest))
-        kind = m.lastgroup
-        value = m.group(kind)
-        tokens.append(_Token(kind if kind != "op" else value, value, m.start(kind)))
-        pos = m.end()
-    tokens.append(_Token("eof", "", len(text)))
-    return tokens
+def _position(text: str, k: int) -> int:
+    """Where the k-th token of text starts; len(text) past the last one."""
+    for j, m in enumerate(_SCAN_RE.finditer(text)):
+        if j == k:
+            return m.start()
+    return len(text)
+
+
+def _tokenize(text: str) -> tuple[str, ...]:
+    """The tokens of text, then "" for the end of input."""
+    tokens = _SCAN_RE.findall(text)
+    if tokens and _TOKEN_RE.fullmatch(tokens[-1]) is None:
+        raise MPLangSyntaxError(f"unexpected character {tokens[-1][0]!r}",
+                                _position(text, len(tokens) - 1))
+    tokens.append("")
+    return tuple(tokens)
+
+
+def _match_parens(tokens: tuple[str, ...]) -> dict[int, int]:
+    """Index of each matched "(" -> index of its ")"."""
+    close: dict[int, int] = {}
+    opened: list[int] = []
+    for i in compress(count(), map(_PARENS.__contains__, tokens)):
+        if tokens[i] == "(":
+            opened.append(i)
+        elif opened:
+            close[opened.pop()] = i
+    return close
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
+        self.close = _match_parens(self.tokens)
         self.i = 0
         self.nodes: dict[tuple, Expr] = {}
+        self.groups: dict[tuple[str, ...], Expr] = {}
+
+    def error(self, message: str) -> MPLangSyntaxError:
+        return MPLangSyntaxError(message, _position(self.text, self.i))
 
     def node(self, cls: type, *fields) -> Expr:
         """The one node of this parse with this type and these fields.
 
-        Children are keyed by id, scalars by repr, so -0.0 stays apart from 0.0.
+        Children are keyed by id, a factor by its value and its sign bit, so
+        -0.0 stays apart from 0.0.
         """
-        key = (cls, *[id(f) if isinstance(f, _NODE_TYPES) else repr(f) for f in fields])
+        key = (cls, *[id(f) if isinstance(f, _NODE_TYPES) else f for f in fields])
+        if cls is Scale:
+            key += (math.copysign(1.0, fields[0]),)
         found = self.nodes.get(key)
         if found is None:
             found = self.nodes[key] = cls(*fields)
@@ -94,80 +131,85 @@ class _Parser:
     def number(self, value: float) -> Expr:
         return self.node(One) if value == 1.0 else self.node(Scale, value, self.node(One))
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
+    def expect(self, token: str) -> None:
+        found = self.tokens[self.i]
+        if found != token:
+            raise self.error(f"expected {token!r}, found {found or 'end of input'!r}")
         self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise MPLangSyntaxError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                                    tok.pos)
-        return tok
 
     # ---- grammar ----
 
     def expr(self) -> Expr:
         e = self.term()
-        while self.peek().kind == "+":
-            self.next()
+        while self.tokens[self.i] == "+":
+            self.i += 1
             e = self.node(Add, e, self.term())
         return e
 
     def _at_number(self) -> bool:
-        tok = self.peek()
-        if tok.kind == "number":
-            return True
-        return tok.kind in ("+", "-") and self.peek(1).kind == "number"
+        tok = self.tokens[self.i]
+        if tok in ("+", "-"):
+            tok = self.tokens[self.i + 1]
+        # Only a number starts with a digit or ".".
+        return tok[:1].isdigit() or tok[:1] == "."
 
     def _signed_number(self) -> float:
         sign = 1.0
-        if self.peek().kind in ("+", "-"):
-            if self.next().kind == "-":
+        if self.tokens[self.i] in ("+", "-"):
+            if self.tokens[self.i] == "-":
                 sign = -1.0
-        tok = self.expect("number")
-        return sign * float(tok.text)
+            self.i += 1
+        value = sign * float(self.tokens[self.i])
+        self.i += 1
+        return value
 
     def term(self) -> Expr:
         if self._at_number():
             value = self._signed_number()
-            if self.peek().kind == "*":
-                self.next()
+            if self.tokens[self.i] == "*":
+                self.i += 1
                 return self.node(Scale, value, self.factor())
             return self.number(value)
         return self.factor()
 
     def factor(self) -> Expr:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if self._at_number():
             return self.number(self._signed_number())
-        if tok.kind == "proj":
-            self.next()
-            index = int(tok.text[1:])
-            if index < 1:
-                raise MPLangSyntaxError("projection index must be >= 1", tok.pos)
-            return self.node(Proj, index)
-        if tok.kind == "ident":
-            self.next()
-            if tok.text not in _FUNCTIONS:
-                raise MPLangSyntaxError(f"unknown function {tok.text!r}", tok.pos)
-            self.expect("(")
-            arg = self.expr()
-            self.expect(")")
-            return self.node(Apply, _FUNCTIONS[tok.text], arg)
-        if tok.kind == "diamond":
-            self.next()
+        if tok[:1] in _LETTERS:
+            if tok[0] == "P" and tok[1:].isdigit():
+                index = int(tok[1:])
+                if index < 1:
+                    raise self.error("projection index must be >= 1")
+                self.i += 1
+                return self.node(Proj, index)
+            if tok not in _FUNCTIONS:
+                raise self.error(f"unknown function {tok!r}")
+            self.i += 1
+            return self.node(Apply, _FUNCTIONS[tok], self.group())
+        if tok == "<>":
+            self.i += 1
             return self.node(Diamond, self.factor())
-        if tok.kind == "(":
-            self.next()
-            e = self.expr()
-            self.expect(")")
-            return e
-        raise MPLangSyntaxError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
+        if tok == "(":
+            return self.group()
+        raise self.error(f"unexpected {tok or 'end of input'!r}")
+
+    def group(self) -> Expr:
+        """The expression in the group that opens at the cursor; the cursor moves past it."""
+        start = self.i
+        self.expect("(")
+        # An unmatched "(" keys the rest of the input, end of input included,
+        # which no group holds; the descent below then fails on it.
+        end = self.close.get(start)
+        key = self.tokens[self.i:end]
+        found = self.groups.get(key)
+        if found is not None:
+            self.i = end + 1
+            return found
+        e = self.expr()
+        self.expect(")")
+        self.groups[key] = e
+        return e
 
 
 def parse(text: str) -> Expr:
@@ -175,8 +217,7 @@ def parse(text: str) -> Expr:
     try:
         e = p.expr()
     except RecursionError:
-        raise MPLangSyntaxError("expression nested too deeply", p.peek().pos) from None
-    trailing = p.peek()
-    if trailing.kind != "eof":
-        raise MPLangSyntaxError(f"unexpected {trailing.text!r} after expression", trailing.pos)
+        raise p.error("expression nested too deeply") from None
+    if p.tokens[p.i]:
+        raise p.error(f"unexpected {p.tokens[p.i]!r} after expression")
     return e

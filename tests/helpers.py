@@ -2,13 +2,31 @@
 
 import numpy as np
 
+from mplangc.activations import ABS, RELU, SIGMOID, SIN, TANH
 from mplangc.graphs import random_union
+from mplangc.mpnn import Layer, Mpnn
 
 
 def batch_instances(p, box, trials, seed, max_nodes=8):
     """One union graph + feature map covering `trials` random instances."""
     batch = random_union(p, box, trials, seed, max_nodes)
     return batch.graph, batch.features
+
+
+def deep_mpnn(seed, layers=5, width=3, input_arity=2):
+    """A dense network of `layers` layers of `width` rows, no id-layers.
+
+    Its translation's text grows about sixfold per layer, its DAG linearly.
+    """
+    rng = np.random.default_rng(seed)
+    arities = [input_arity] + [width] * layers
+    activations = (RELU, TANH, SIGMOID, SIN, ABS)
+    return Mpnn(tuple(
+        Layer(rng.uniform(-2.0, 2.0, (arities[k + 1], arities[k])),
+              rng.uniform(-2.0, 2.0, (arities[k + 1], arities[k])),
+              rng.uniform(-1.0, 1.0, arities[k + 1]),
+              activations[k % len(activations)])
+        for k in range(layers)))
 
 
 def assert_close(actual, expected, rtol=1e-9, floor=1e-12, context=""):

@@ -300,10 +300,22 @@ def test_check_malformed_network_file_is_input_error(tmp_path, capsys, net):
 @pytest.mark.parametrize("flags", [
     ["--tolerance", "nan"], ["--tolerance", "inf"], ["--tolerance=-1e-9"],
     ["--trials", "0"], ["--trials", "-2"],
+    ["--abs-tolerance", "nan"], ["--abs-tolerance", "inf"], ["--abs-tolerance=-1"],
 ])
 def test_check_rejects_a_vacuous_configuration(capsys, flags):
     assert main(["check", "P1", "P1 + 1", "--trials", "20", *flags]) == 3
     assert "PASS" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("abs_tolerance, code", [("2e-3", 0), ("5e-4", 5)])
+def test_check_absolute_tolerance(capsys, abs_tolerance, code):
+    # A relative tolerance alone cannot pass a constant offset near zero.
+    argv = ["check", "P1", "P1 + 1.0e-3", "--box", "[[-1,1]]", "--tolerance", "1e-2",
+            "--trials", "50"]
+    assert main(argv) == 5
+    capsys.readouterr()
+    assert main([*argv, "--abs-tolerance", abs_tolerance]) == code
+    assert ("PASS" if code == 0 else "FAIL") in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("trials", ["0", "-2"])

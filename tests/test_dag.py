@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_close, batch_instances
+from helpers import assert_close, batch_instances, deep_mpnn
 from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH, Merged
 from mplangc.approx import image_bounds
 from mplangc.compiler import (
@@ -29,6 +29,7 @@ from mplangc.expressions import (
     Scale,
     classify,
     fold,
+    fold_all,
     format_expr,
     max_projection,
 )
@@ -259,6 +260,36 @@ def test_fold_visits_each_distinct_node_once_children_first():
     fold(Add(x, Diamond(x)), lambda node, kids: calls.append((node, kids)) or len(calls))
     assert [type(node) for node, _ in calls] == [Proj, Scale, Diamond, Add]
     assert [kids for _, kids in calls] == [(), (1,), (2,), (2, 3)]
+
+
+def test_fold_all_shares_nodes_across_roots():
+    x = Scale(2.0, Proj(1))
+    inner = Diamond(x)
+    calls = []
+    results = fold_all([Add(x, inner), inner, x, inner],
+                       lambda node, kids: calls.append(node) or len(calls))
+    assert [type(node) for node in calls] == [Proj, Scale, Diamond, Add]
+    # A root that is also a child keeps its result for the list.
+    assert results == [4, 3, 2, 3]
+    assert fold_all([], lambda node, kids: 0) == []
+
+
+def test_eval_tuple_evaluates_shared_layers_once(monkeypatch):
+    import mplangc.interpreter as interpreter
+
+    t = mpnn_to_mplang(deep_mpnn(seed=3))
+    applications = set()
+    for c in t.components:
+        fold(c, lambda node, kids: applications.add(id(node)) if isinstance(node, Apply) else None)
+    union, fm = batch_instances(P, BOX, 4, 11)
+    separately = np.stack([eval_expr(c, union, fm) for c in t.components], axis=1)
+    calls = []
+    apply_vec = interpreter.apply_vec
+    monkeypatch.setattr(interpreter, "apply_vec", lambda f, x: calls.append(f) or apply_vec(f, x))
+    together = eval_tuple(t, union, fm).values
+    # 5 layers of 3 rows: every component reads all 3 rows of the layer below.
+    assert len(calls) == len(applications) == 15
+    assert np.array_equal(together, separately)
 
 
 def test_walks_are_linear_in_dag_size():

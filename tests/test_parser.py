@@ -1,6 +1,12 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import deep_mpnn
 from mplangc.activations import RELU, SIN, TANH, Named
 from mplangc.expressions import (
     Add,
@@ -11,11 +17,13 @@ from mplangc.expressions import (
     Scale,
     arity_check,
     classify,
+    fold,
     format_expr,
     max_projection,
 )
 from mplangc.generate import random_expr
-from mplangc.parser import MPLangSyntaxError, parse
+from mplangc.parser import MPLangSyntaxError, _Parser, parse
+from mplangc.translate import mpnn_to_mplang
 
 
 def test_parse_max_expression():
@@ -58,13 +66,48 @@ def test_whitespace_insignificant():
     assert parse(" relu( P1 ) ") == parse("relu(P1)")
 
 
-@pytest.mark.parametrize(
-    "bad",
-    ["P0", "foo(P1)", "P1 +", "(P1", "P1 P2", "", "relu P1", "P1 - P2", "$"],
-)
+# Bad input -> the exact message and position parse reports for it.
+SYNTAX_ERRORS = {
+    "P0": ("projection index must be >= 1", 0),
+    "foo(P1)": ("unknown function 'foo'", 0),
+    "P1 +": ("unexpected 'end of input'", 4),
+    "(P1": ("expected ')', found 'end of input'", 3),
+    "P1 P2": ("unexpected 'P2' after expression", 3),
+    "": ("unexpected 'end of input'", 0),
+    "relu P1": ("expected '(', found 'P1'", 5),
+    "P1 - P2": ("unexpected '-' after expression", 3),
+    "$": ("unexpected character '$'", 0),
+    "relu(P1) + $": ("unexpected character '$'", 11),
+    # The bad character is reported before the grammar error before it.
+    "P1 P2 $": ("unexpected character '$'", 6),
+    "sin(P1) + sin(P1 P2)": ("expected ')', found 'P2'", 17),
+    "sin(P1)+sin(P1)+sin(P1 +)": ("unexpected ')'", 24),
+    "((P1)": ("expected ')', found 'end of input'", 5),
+    "tanh(())": ("unexpected ')'", 6),
+    "abs(P1,P2)": ("unexpected character ','", 6),
+    "sin(P1 + $) + sin(P1 + $)": ("unexpected character '$'", 9),
+    "<": ("unexpected character '<'", 0),
+    ".": ("unexpected character '.'", 0),
+    "1e5x": ("unexpected 'x' after expression", 3),
+    "P1e3": ("unexpected 'e3' after expression", 2),
+    "<>+P1": ("unexpected '+'", 2),
+    "3 P1": ("unexpected 'P1' after expression", 2),
+    "relu(P1))": ("unexpected ')' after expression", 8),
+    "P1 + \n $": ("unexpected character '$'", 7),
+}
+
+
+@pytest.mark.parametrize("bad", list(SYNTAX_ERRORS))
 def test_syntax_errors(bad):
-    with pytest.raises(MPLangSyntaxError):
+    message, pos = SYNTAX_ERRORS[bad]
+    with pytest.raises(MPLangSyntaxError) as err:
         parse(bad)
+    assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
+
+
+def test_too_deep_nesting_is_a_syntax_error():
+    with pytest.raises(MPLangSyntaxError, match="nested too deeply"):
+        parse("sin(" * 400 + "P1" + ")" * 400)
 
 
 def test_syntax_error_carries_position():
@@ -72,6 +115,66 @@ def test_syntax_error_carries_position():
         parse("relu(P1) + $")
     assert err.value.pos == 11
     assert "position 11" in str(err.value)
+
+
+# The lexemes of the grammar, for putting whitespace between them.
+LEXEME = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
+                    r"|P\d+|[A-Za-z_]\w*|<>|[-+*()]")
+
+
+def _spaced(text, gaps):
+    lexemes = LEXEME.findall(text)
+    assert "".join(lexemes) == text.replace(" ", "")
+    return "".join(lex + gaps[k % len(gaps)] for k, lex in enumerate(lexemes))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gaps=st.lists(st.sampled_from(["", " ", "\t", "\n  ", "   "]), min_size=1, max_size=60),
+    other_gaps=st.lists(st.sampled_from(["", " ", "\r\n"]), min_size=1, max_size=60),
+)
+def test_whitespace_between_lexemes_changes_nothing(seed, gaps, other_gaps):
+    rng = np.random.default_rng(seed)
+    e = random_expr(rng, depth=int(rng.integers(0, 6)), d=int(rng.integers(1, 4)))
+    text = format_expr(e)
+    assert format_expr(parse(_spaced(text, gaps))) == text
+    # Two spellings of one group are one node.
+    both = parse(f"sin({_spaced(text, gaps)}) + <>({_spaced(text, other_gaps)})")
+    assert both.left.arg is both.right.arg
+    assert format_expr(both.left.arg) == text
+
+
+def test_repeated_groups_are_one_node():
+    e = parse("sin(P1+P2) + sin( P1 + P2 ) + (P1 +P2)")
+    assert e.left.left is e.left.right
+    assert e.right is e.left.left.arg
+
+
+def test_signed_zero_factors_stay_apart_in_repeated_groups():
+    e = parse("sin(-0.0*P1) + sin(0.0*P1) + sin(-0.0*P1) + (0.0*P1) + sin(0.0*P1)")
+    negative, positive = e.left.left.left.left, e.left.left.left.right
+    assert e.left.left.right is negative and e.right is positive
+    assert e.left.right is positive.arg
+    assert negative is not positive and negative.arg.arg is positive.arg.arg
+    assert math.copysign(1.0, negative.arg.factor) == -1.0
+    assert math.copysign(1.0, positive.arg.factor) == 1.0
+
+
+def test_parse_descends_once_per_distinct_group(monkeypatch):
+    # Each component's text repeats the groups of the layers below it
+    # thousands of times; the descent enters each distinct one once.
+    texts = [format_expr(c) for c in mpnn_to_mplang(deep_mpnn(seed=5)).components]
+    calls = []
+    expr = _Parser.expr
+    monkeypatch.setattr(_Parser, "expr", lambda self: calls.append(1) or expr(self))
+    for text in texts:
+        calls.clear()
+        e = parse(text)
+        nodes = []
+        fold(e, lambda node, kids: nodes.append(node))
+        assert len(text) > 100 * len(nodes)
+        assert len(calls) <= len(nodes)
 
 
 def test_unknown_function_reported():
