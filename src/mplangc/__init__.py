@@ -22,7 +22,13 @@ from .activations import (
     pl_to_relu_sum,
     relu_approximate,
 )
-from .approx import approximate, image_bounds, uniform_distance_estimate
+from .approx import (
+    ApproxReport,
+    approximate,
+    approximate_all,
+    image_bounds,
+    uniform_distance_estimate,
+)
 from .compiler import (
     CompileEnv,
     CompileReport,
@@ -81,7 +87,7 @@ from .mpnn import (
     pad_relu,
     parallel_layers,
 )
-from .parser import MPLangSyntaxError, parse
+from .parser import MPLangSyntaxError, parse, parse_lines
 from .translate import mpnn_to_mplang
 
 __version__ = "0.1.0"

@@ -42,7 +42,11 @@ __all__ = [
     "merge",
     "pl_to_relu_sum",
     "relu_approximate",
+    "interpolation_knots",
+    "curvature",
+    "lipschitz",
     "modulus_delta",
+    "activation_label",
     "activation_to_json",
     "activation_from_json",
 ]
@@ -290,27 +294,39 @@ def relu_approximate(f: Activation, y: Interval, eps: float, *, max_points: int 
         return pl_to_relu_sum(f)
     if isinstance(f, Merged):
         raise ValueError("merged activations have no closed-form approximant")
-    if not math.isfinite(y.width):
-        raise CertificateError(f"no {eps:g}-certificate on the unbounded interval {y}")
-    if f == ABS:
-        xs = np.unique([y.lo, min(max(y.lo, 0.0), y.hi), y.hi])
-    else:
-        cells = y.width / math.sqrt(8.0 * eps / _CURVATURE[f.name])
-        if not cells <= max_points - 1:
-            raise CertificateError(
-                f"a {eps:g}-certificate on {y} needs {cells:.4g} grid cells,"
-                f" more than {max_points - 1}"
-            )
-        xs = np.linspace(y.lo, y.hi, math.ceil(cells) + 1)
-        if not (np.diff(xs) > 0.0).all():
-            raise CertificateError(
-                f"a {eps:g}-certificate on {y} needs a grid step below the float spacing"
-            )
+    xs = interpolation_knots(f, y, eps, max_points=max_points)
     pl = PiecewiseLinear(tuple(zip(xs.tolist(), apply_vec(f, xs).tolist())))
     return pl_to_relu_sum(pl)
 
 
-def _lipschitz(f: Activation, y: Interval) -> float:
+def interpolation_knots(f: Named, y: Interval, eps: float, *,
+                        max_points: int = 4097) -> np.ndarray:
+    """The knots at which relu_approximate interpolates abs, sin, tanh or sigmoid on y."""
+    if not math.isfinite(y.width):
+        raise CertificateError(f"no {eps:g}-certificate on the unbounded interval {y}")
+    if f == ABS:
+        return np.unique([y.lo, min(max(y.lo, 0.0), y.hi), y.hi])
+    cells = y.width / math.sqrt(8.0 * eps / _CURVATURE[f.name])
+    if not cells <= max_points - 1:
+        raise CertificateError(
+            f"a {eps:g}-certificate on {y} needs {cells:.4g} grid cells,"
+            f" more than {max_points - 1}"
+        )
+    xs = np.linspace(y.lo, y.hi, math.ceil(cells) + 1)
+    if not (np.diff(xs) > 0.0).all():
+        raise CertificateError(
+            f"a {eps:g}-certificate on {y} needs a grid step below the float spacing"
+        )
+    return xs
+
+
+def curvature(f: Activation) -> float:
+    """The sup|f''| that relu_approximate sizes f's grid by; 0 for a function
+    it returns exactly (relu, id, abs, ReluSum, PiecewiseLinear)."""
+    return _CURVATURE.get(f.name, 0.0) if isinstance(f, Named) else 0.0
+
+
+def lipschitz(f: Activation, y: Interval) -> float:
     """A Lipschitz constant of f on y: global for a named f, and for ReluSum and
     PiecewiseLinear the exact one, the largest |slope| of a piece meeting y."""
     if isinstance(f, Named):
@@ -338,11 +354,22 @@ def modulus_delta(f: Activation, y: Interval, eps: float) -> float:
         raise ValueError("eps must be positive")
     if y.width == 0.0:
         return eps / 2.0
-    lip = _lipschitz(f, y)
+    lip = lipschitz(f, y)
     return (min(eps / lip, y.width) if lip > 0.0 else y.width) / 2.0
 
 
 # -- JSON interchange ----------------------------------------------------------
+
+def activation_label(f: Activation) -> str:
+    """A short name: the catalog name, or the kind of a structured form."""
+    if isinstance(f, Named):
+        return f.name
+    if isinstance(f, PiecewiseLinear):
+        return "pl"
+    if isinstance(f, ReluSum):
+        return "relusum"
+    return "merged"
+
 
 def activation_to_json(f: Activation) -> dict:
     if isinstance(f, Named):

@@ -1,42 +1,79 @@
 """Uniform approximation of arbitrary expressions by ReLU-only ones.
 
 Every function application is replaced by a finite ReLU combination accurate
-on an interval covering the argument's image, and the error budget is split
-down the tree: halves across +, |a|-scaled through scaling, p-way through the
-neighbor sum, and through an application via the approximant's Lipschitz
-constant.  Each step is a bound, so the result is within eps on every graph of
-degree <= p with features in the box, up to floating-point rounding.
+on an interval covering its argument's image.  The error budget ε is split
+over the shared DAG in two passes.  A top-down pass, parents before children,
+gives each distinct node the smallest ε that any of its parents demands:
+
+* a maximal + spine is one sum of terms.  An exact (ReLU-only) subtree is one
+  term, and an Add with another parent ends the spine.  Exact terms get no
+  share, and each of the k others gets ε/k;
+* a*e gives e ε/|a|, and <>e gives e ε/p (0*e and, at p = 0, <>e are 0);
+* f(e) with e exact interpolates f on e's image with the whole ε.  Otherwise
+  f gets ε/2 on the image widened by ε/2, and e gets min(δ, ε/2), with δ from
+  the interpolant's Lipschitz constant.
+
+A bottom-up fold then builds each node's approximant once, so shared subterms
+stay shared.  Each step is a bound, so the result is within ε on every graph
+of degree <= p with features in the box, up to floating-point rounding.  The
+``ApproxReport`` records every application and the bound proven bottom-up from
+the grids actually used.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 
-from .activations import RELU, ReluSum, interval_image, modulus_delta, relu_approximate
+from .activations import (
+    RELU,
+    ReluSum,
+    activation_label,
+    curvature,
+    interpolation_knots,
+    interval_image,
+    lipschitz,
+    modulus_delta,
+    relu_approximate,
+)
 from .errors import ArityError
 from .expressions import (
     Add,
     Apply,
     Diamond,
     Expr,
+    ExprTuple,
     One,
     Proj,
     Scale,
-    arity_check,
+    children,
     const,
     fold,
+    fold_all,
+    max_projections,
     scaled,
     sum_terms,
 )
 from .graphs import random_union
 from .intervals import DomainBox, Interval
-from .interpreter import eval_expr
+from .interpreter import eval_tuple
 
-__all__ = ["image_bounds", "approximate", "uniform_distance_estimate"]
+__all__ = [
+    "ApplyRecord",
+    "ApproxReport",
+    "image_bounds",
+    "approximate",
+    "approximate_all",
+    "uniform_distance_estimate",
+    "uniform_distance_estimates",
+]
 
 
-def image_bounds(e: Expr, p: int, box: DomainBox) -> Interval:
-    """Interval containing every value of e over degree-<=p graphs and box."""
+def _bound(p: int, box: DomainBox):
+    """The image_bounds combine: a node's interval from its children's."""
 
     def bound(node: Expr, kids: tuple[Interval, ...]) -> Interval:
         if isinstance(node, One):
@@ -56,7 +93,12 @@ def image_bounds(e: Expr, p: int, box: DomainBox) -> Interval:
         # Sum of up to p values from the image (or none at all).
         return Interval(p * min(0.0, kids[0].lo), p * max(0.0, kids[0].hi))
 
-    return fold(e, bound)
+    return bound
+
+
+def image_bounds(e: Expr, p: int, box: DomainBox) -> Interval:
+    """Interval containing every value of e over degree-<=p graphs and box."""
+    return fold(e, _bound(p, box))
 
 
 def _relu_sum_expr(rs: ReluSum, arg: Expr) -> Expr:
@@ -72,51 +114,202 @@ def _relu_sum_expr(rs: ReluSum, arg: Expr) -> Expr:
     return sum_terms(terms)
 
 
-def approximate(e: Expr, p: int, box: DomainBox, eps: float) -> Expr:
-    """ReLU-only expression within eps of e over degree-<=p graphs and box."""
+@dataclass(frozen=True)
+class ApplyRecord:
+    """How one application f(e) was approximated."""
+
+    function: str
+    interval: Interval  # where f was interpolated
+    eps: float  # the interpolant's share of the node's ε
+    knots: int  # breakpoints of the interpolant
+    m2: float  # the sup|f''| its grid was sized by; 0 when it is exact
+    lipschitz: float  # the interpolant's Lipschitz constant on the interval
+    delta: float | None  # e's budget, None when e is exact
+    proven: float  # the interpolation error at the grid step + L * e's proven error
+
+    def to_json(self) -> dict:
+        return {
+            "function": self.function,
+            "interval": [self.interval.lo, self.interval.hi],
+            "eps": self.eps,
+            "knots": self.knots,
+            "m2": self.m2,
+            "lipschitz": self.lipschitz,
+            "delta": self.delta,
+            "proven": self.proven,
+        }
+
+
+@dataclass(frozen=True)
+class ApproxReport:
+    """The applications in bottom-up order, and per root the proven error:
+    applications add their records' bounds, sums add, a*e multiplies by |a|
+    and <>e by p."""
+
+    eps: float
+    applications: tuple[ApplyRecord, ...]
+    proven_eps: tuple[float, ...]
+
+    def to_json(self) -> dict:
+        return {
+            "eps": self.eps,
+            "proven_eps": list(self.proven_eps),
+            "applications": [r.to_json() for r in self.applications],
+        }
+
+
+def _interpolation_error(f, y: Interval, eps: float) -> tuple[float, float]:
+    """(sup|f''|, a bound on |f - g| on y) for g = relu_approximate(f, y, eps).
+
+    g interpolates f on a grid and is linear between its knots, so with h the
+    largest step it errs by at most h²/8 · sup|f''|, which the grid's size
+    keeps at or below eps: the bound is the smaller of the two, since
+    computing it in floats can round above eps.  A g with sup|f''| = 0 is exact.
+    """
+    m2 = curvature(f)
+    if m2 == 0.0:
+        return 0.0, 0.0
+    h = float(np.diff(interpolation_knots(f, y, eps)).max(initial=0.0))
+    return m2, min(eps, h * h / 8.0 * m2)
+
+
+def approximate_all(
+    roots: Sequence[Expr], p: int, box: DomainBox, eps: float
+) -> tuple[list[Expr], ApproxReport]:
+    """ReLU-only expressions, each within eps of its root over degree-<=p
+    graphs and box, built over the roots' shared DAG; and the report."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not arity_check(e, box.dimension):
+    roots = tuple(roots)
+    if max(max_projections(roots), default=0) > box.dimension:
         raise ArityError(f"expression needs arity > {box.dimension}")
-    relu_only: dict[int, bool] = {}
 
-    def mark(node: Expr, kids: tuple[bool, ...]) -> bool:
+    # One fold: each node's exactness, the post-order, and how many parents
+    # (or root slots) read each node; then one fold for the images of the
+    # arguments that get interpolants.
+    exact: dict[int, bool] = {}
+    readers: dict[int, int] = {}
+    order: list[Expr] = []
+
+    def survey(node: Expr, kids: tuple[bool, ...]) -> bool:
         ok = all(kids) and not (isinstance(node, Apply) and node.func != RELU)
-        relu_only[id(node)] = ok
+        exact[id(node)] = ok
+        for c in children(node):
+            readers[id(c)] = readers.get(id(c), 0) + 1
+        order.append(node)
         return ok
 
-    fold(e, mark)
+    fold_all(roots, survey)
+    for r in roots:
+        readers[id(r)] = readers.get(id(r), 0) + 1
+    args = [node.arg for node in order if isinstance(node, Apply) and not exact[id(node)]]
+    image = dict(zip(map(id, args), fold_all(args, _bound(p, box))))
 
-    def split(node: Expr, eps: float) -> Expr:
-        if relu_only[id(node)]:
-            return node
+    # Top-down: the smallest ε any parent demands of a node, and each
+    # application's interpolant.
+    demand: dict[int, float] = {}
+    spine: set[int] = set()  # Adds that are inner nodes of a parent's sum
+    plans: dict[int, tuple[ReluSum, Interval, float, float | None]] = {}
+
+    def need(node: Expr, budget: float) -> None:
+        if not exact[id(node)]:
+            demand[id(node)] = min(demand.get(id(node), math.inf), budget)
+
+    for r in roots:
+        need(r, eps)
+    for node in reversed(order):
+        budget = demand.get(id(node))
+        if budget is None:
+            continue
+        if isinstance(node, Scale):
+            if node.factor != 0.0:
+                need(node.arg, budget / abs(node.factor))
+        elif isinstance(node, Diamond):
+            if p:
+                need(node.arg, budget / p)
+        elif isinstance(node, Add):
+            terms: list[Expr] = []
+            stack = [node.right, node.left]
+            while stack:
+                c = stack.pop()
+                if isinstance(c, Add) and not exact[id(c)] and readers[id(c)] == 1:
+                    spine.add(id(c))
+                    stack += [c.right, c.left]
+                elif not exact[id(c)]:
+                    terms.append(c)
+            for t in terms:
+                need(t, budget / len(terms))
+        else:  # Apply
+            arg = node.arg
+            if exact[id(arg)]:
+                y = image[id(arg)]
+                g, delta = relu_approximate(node.func, y, budget), None
+            else:
+                budget /= 2.0
+                y = image[id(arg)].widen(budget)
+                g = relu_approximate(node.func, y, budget)
+                delta = modulus_delta(g, y, budget)
+                need(arg, min(delta, budget))
+            plans[id(node)] = (g, y, budget, delta)
+
+    # Bottom-up: each demanded node's approximant and proven error, once.
+    records: list[ApplyRecord] = []
+
+    def build(node: Expr, kids: tuple) -> tuple[Expr, float] | None:
+        if exact[id(node)]:
+            return node, 0.0
+        if id(node) not in demand and id(node) not in spine:
+            return None  # read only under 0*e or <>e at p = 0
         if isinstance(node, Scale):
             if node.factor == 0.0:
-                return const(0.0)
-            return Scale(node.factor, split(node.arg, eps / abs(node.factor)))
-        if isinstance(node, Add):
-            # Down a sum's left spine in a loop, so a long sum adds no depth.
-            rights: list[tuple[Expr, float]] = []
-            while isinstance(node, Add) and not relu_only[id(node)]:
-                eps /= 2.0
-                rights.append((node.right, eps))
-                node = node.left
-            out = split(node, eps)
-            for right, right_eps in reversed(rights):
-                out = Add(out, split(right, right_eps))
-            return out
+                return const(0.0), 0.0
+            return Scale(node.factor, kids[0][0]), abs(node.factor) * kids[0][1]
         if isinstance(node, Diamond):
             if p == 0:
                 # No graph of degree 0 has neighbors, so the sum is identically 0.
-                return const(0.0)
-            return Diamond(split(node.arg, eps / p))
-        image = image_bounds(node.arg, p, box)
-        widened = image.widen(eps / 2.0)
-        approximant = relu_approximate(node.func, widened, eps / 2.0)
-        delta = modulus_delta(approximant, widened, eps / 2.0)
-        return _relu_sum_expr(approximant, split(node.arg, min(delta, eps / 2.0)))
+                return const(0.0), 0.0
+            return Diamond(kids[0][0]), p * kids[0][1]
+        if isinstance(node, Add):
+            return Add(kids[0][0], kids[1][0]), kids[0][1] + kids[1][1]
+        g, y, budget, delta = plans[id(node)]
+        arg, arg_error = kids[0]
+        m2, interpolation = _interpolation_error(node.func, y, budget)
+        lip = lipschitz(g, y)
+        proven = interpolation + lip * arg_error
+        records.append(ApplyRecord(activation_label(node.func), y, budget,
+                                   sum(a != 0.0 for a, _, _ in g.terms), m2, lip, delta,
+                                   proven))
+        return _relu_sum_expr(g, arg), proven
 
-    return split(e, eps)
+    built = fold_all(roots, build)
+    report = ApproxReport(eps, tuple(records), tuple(b[1] for b in built))
+    return [b[0] for b in built], report
+
+
+def approximate(e: Expr, p: int, box: DomainBox, eps: float) -> Expr:
+    """ReLU-only expression within eps of e over degree-<=p graphs and box."""
+    (out,), _ = approximate_all((e,), p, box, eps)
+    return out
+
+
+def uniform_distance_estimates(
+    lefts: Sequence[Expr],
+    rights: Sequence[Expr],
+    p: int,
+    box: DomainBox,
+    trials: int,
+    seed: int,
+) -> list[float]:
+    """Per pair, max |left - right| over sampled (graph, features, node)
+    triples: one sample, and one evaluation of each side's tuple.
+
+    Lower bounds on the true suprema; deterministic given the seed.
+    """
+    left, right = (ExprTuple(tuple(side), box.dimension) for side in (lefts, rights))
+    batch = random_union(p, box, trials, seed)
+    va = eval_tuple(left, batch.graph, batch.features).values
+    vb = eval_tuple(right, batch.graph, batch.features).values
+    return np.max(np.abs(va - vb), axis=0, initial=0.0).tolist()
 
 
 def uniform_distance_estimate(
@@ -131,10 +324,4 @@ def uniform_distance_estimate(
 
     A lower bound on the true supremum; deterministic given the seed.
     """
-    d = box.dimension
-    if not (arity_check(e1, d) and arity_check(e2, d)):
-        raise ArityError(f"expressions need arity > {d}")
-    batch = random_union(p, box, trials, seed)
-    va = eval_expr(e1, batch.graph, batch.features)
-    vb = eval_expr(e2, batch.graph, batch.features)
-    return float(np.max(np.abs(va - vb), initial=0.0))
+    return uniform_distance_estimates((e1,), (e2,), p, box, trials, seed)[0]

@@ -31,10 +31,10 @@ from typing import Callable
 
 import numpy as np
 
-from .approx import approximate, image_bounds, uniform_distance_estimate
+from .approx import approximate_all, image_bounds, uniform_distance_estimates
 from .compiler import CompileEnv, compile_expr, compile_relu, compile_relu_tuple
 from .errors import ArityError, CertificateError, ModeError
-from .expressions import Expr, ExprTuple, format_expr, max_projection, max_projections
+from .expressions import Expr, ExprTuple, format_expr, max_projections
 from .graphs import (
     FeatureMap,
     Graph,
@@ -48,7 +48,7 @@ from .graphs import (
 from .intervals import DomainBox
 from .interpreter import eval_expr, eval_tuple
 from .mpnn import InvalidNetworkError, eval_mpnn, mpnn_from_json, mpnn_to_json
-from .parser import MPLangSyntaxError, parse
+from .parser import MPLangSyntaxError, parse_lines
 
 DEFAULT_TRIALS = 1000
 DEFAULT_TOLERANCE = 1e-9
@@ -57,14 +57,19 @@ ABS_FLOOR = 1e-12
 
 # -- input loading ---------------------------------------------------------------
 
+def _read_lines(path: str) -> list[str]:
+    with open(path) as fh:
+        return [ln.strip() for ln in fh if ln.strip()]
+
+
 def _read_exprs(args) -> list[Expr]:
+    """The --expr literal, or the lines of --expr-file parsed over one node table."""
     if getattr(args, "expr", None) is not None:
-        return [parse(args.expr)]
-    with open(args.expr_file) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        return parse_lines([args.expr])
+    lines = _read_lines(args.expr_file)
     if not lines:
         raise MPLangSyntaxError("expression file is empty", 0)
-    return [parse(ln) for ln in lines]
+    return parse_lines(lines)
 
 
 def _read_graph(path: str) -> Graph:
@@ -89,6 +94,15 @@ def _parse_box(text: str, expected_dim: int | None = None) -> DomainBox:
         raise ArityError(
             f"--box has dimension {box.dimension}, expected {expected_dim}"
         )
+    return box
+
+
+def _covering_box(text: str, exprs: list[Expr]) -> DomainBox:
+    """The --box, which must cover every projection of the expressions."""
+    box = _parse_box(text)
+    need = max(max_projections(exprs))
+    if box.dimension < need:
+        raise ArityError(f"--box has dimension {box.dimension}, expression needs {need}")
     return box
 
 
@@ -126,12 +140,9 @@ def _load_operand(spec: str) -> Operand:
                 net.output_arity,
                 lambda g, fm: eval_mpnn(net, g, fm).values,
             )
-        with open(spec) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        exprs = [parse(ln) for ln in lines]
+        components = tuple(parse_lines(_read_lines(spec)))
     else:
-        exprs = [parse(spec)]
-    components = tuple(exprs)
+        components = tuple(parse_lines([spec]))
 
     def run(g: Graph, fm: FeatureMap) -> np.ndarray:
         return eval_tuple(ExprTuple(components, fm.dimension), g, fm).values
@@ -178,30 +189,30 @@ def cmd_compile(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    (expr,) = _read_exprs(args)
+    exprs = _read_exprs(args)
     if args.epsilon is None or args.epsilon <= 0:
         raise ModeError("--epsilon must be a positive real")
     _check_trials(args.trials)
     if args.degree_bound is None or args.box is None:
         raise ModeError("approx needs --degree-bound and --box")
-    box = _parse_box(args.box, expected_dim=None)
-    if box.dimension < max_projection(expr):
-        raise ArityError(
-            f"--box has dimension {box.dimension}, expression needs {max_projection(expr)}"
-        )
-    result = approximate(expr, args.degree_bound, box, args.epsilon)
-    rho = uniform_distance_estimate(
-        expr, result, args.degree_bound, box, args.trials, args.seed
-    )
-    text = format_expr(result)
+    box = _covering_box(args.box, exprs)
+    results, report = approximate_all(exprs, args.degree_bound, box, args.epsilon)
+    rho = max(uniform_distance_estimates(
+        exprs, results, args.degree_bound, box, args.trials, args.seed))
+    text = "\n".join(format_expr(r) for r in results)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
+        _write_json(report.to_json(), args.out + ".report.json")
     else:
         print(text)
-    print(f"rho_hat = {rho!r} (sampled over {args.trials} instances, eps = {args.epsilon!r})")
+    print(f"rho_hat = {rho!r} (sampled over {args.trials} instances, eps = {args.epsilon!r}),"
+          f" proven eps = {max(report.proven_eps)!r}")
     if args.compile:
-        net = compile_relu(result, box.dimension)
+        if len(results) == 1:
+            net = compile_relu(results[0], box.dimension)
+        else:
+            net = compile_relu_tuple(ExprTuple(tuple(results), box.dimension))
         _write_json(mpnn_to_json(net), args.compile)
     return 0
 
@@ -255,16 +266,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    (expr,) = _read_exprs(args)
+    exprs = _read_exprs(args)
     if args.degree_bound is None or args.box is None:
         raise ModeError("bounds needs --degree-bound and --box")
-    box = _parse_box(args.box)
-    if box.dimension < max_projection(expr):
-        raise ArityError(
-            f"--box has dimension {box.dimension}, expression needs {max_projection(expr)}"
-        )
-    iv = image_bounds(expr, args.degree_bound, box)
-    print(json.dumps([iv.lo, iv.hi], allow_nan=False))
+    box = _covering_box(args.box, exprs)
+    for e in exprs:
+        iv = image_bounds(e, args.degree_bound, box)
+        print(json.dumps([iv.lo, iv.hi], allow_nan=False))
     return 0
 
 
@@ -315,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--epsilon", type=float, required=True)
     pa.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     pa.add_argument("--seed", type=int, default=0)
-    pa.add_argument("--out", help="output path for the approximating expression")
+    pa.add_argument("--out", help="output path for the approximants, one per line "
+                                  "(report goes to <out>.report.json)")
     pa.add_argument("--compile", metavar="MPNN_OUT",
                     help="also compile the result and write the MPNN here")
     pa.set_defaults(func=cmd_approx)

@@ -37,7 +37,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .activations import ABS, ID, RELU, SIGMOID, Activation, Merged, apply, interval_image, merge
+from .activations import (
+    ABS,
+    ID,
+    RELU,
+    SIGMOID,
+    Activation,
+    Merged,
+    activation_label,
+    apply,
+    interval_image,
+    merge,
+)
 from .errors import ArityError, ModeError
 from .expressions import (
     Add,
@@ -49,7 +60,9 @@ from .expressions import (
     Scale,
     arity_check,
     classify,
-    fold,
+    classify_all,
+    fold_all,
+    max_projections,
 )
 from .intervals import DomainBox, Interval
 from .mpnn import Layer, Mpnn, concat_layers
@@ -356,15 +369,14 @@ def _matrix_layer(rows: list[_Row], position: list[int], width: int,
 def _schedule(roots: tuple[Expr, ...], d: int, carrier: Activation,
               p: int | None = None, box: DomainBox | None = None) -> Mpnn:
     channels = _Channels(d, carrier)
-    return channels.network([fold(e, channels.form) for e in roots], p, box)
+    return channels.network(fold_all(roots, channels.form), p, box)
 
 
 def _compile_relu_roots(roots: tuple[Expr, ...], d: int) -> Mpnn:
-    for e in roots:
-        if not arity_check(e, d):
-            raise ArityError(f"expression uses projections beyond arity {d}")
-        if not classify(e).relu_only:
-            raise ModeError("expression applies functions other than relu")
+    if max(max_projections(roots)) > d:
+        raise ArityError(f"expression uses projections beyond arity {d}")
+    if not classify_all(roots).relu_only:
+        raise ModeError("expression applies functions other than relu")
     return _schedule(roots, d, RELU)
 
 
@@ -468,18 +480,6 @@ class CompileReport:
         }
 
 
-def _activation_label(act) -> str:
-    from .activations import Named, PiecewiseLinear, ReluSum
-
-    if isinstance(act, Named):
-        return act.name
-    if isinstance(act, PiecewiseLinear):
-        return "pl"
-    if isinstance(act, ReluSum):
-        return "relusum"
-    return "merged"
-
-
 def _shifts(act: Activation) -> list[float]:
     """The bias shift of each function a merged activation embeds, left to right."""
     if not isinstance(act, Merged):
@@ -495,7 +495,7 @@ def _report(mode: str, net: Mpnn, boxes: list[DomainBox] | None) -> CompileRepor
         mode=mode,
         layers=len(net.layers),
         max_width=max(lyr.output_arity for lyr in net.layers),
-        activations=sorted({_activation_label(lyr.activation) for lyr in net.layers}),
+        activations=sorted({activation_label(lyr.activation) for lyr in net.layers}),
         merged_activations=sum(
             isinstance(lyr.activation, Merged) for lyr in net.layers
         ),

@@ -32,6 +32,8 @@ __all__ = [
     "max_projection",
     "max_projections",
     "classify",
+    "classify_all",
+    "children",
     "format_expr",
     "const",
     "scaled",
@@ -101,7 +103,8 @@ class ExprTuple:
         return len(self.components)
 
 
-def _children(e: Expr) -> tuple[Expr, ...]:
+def children(e: Expr) -> tuple[Expr, ...]:
+    """The operands of e, left to right."""
     if isinstance(e, (Scale, Apply, Diamond)):
         return (e.arg,)
     if isinstance(e, Add):
@@ -136,7 +139,7 @@ def fold_all(roots: Sequence[Expr], combine: Callable[[Expr, tuple], T]) -> list
         if id(node) in expanded:
             continue
         expanded.add(id(node))
-        kids = _children(node)
+        kids = children(node)
         stack.append((node, kids))
         for c in reversed(kids):
             parents[id(c)] = parents.get(id(c), 0) + 1
@@ -182,6 +185,11 @@ class ExprTraits:
 
 
 def classify(e: Expr) -> ExprTraits:
+    return classify_all((e,))
+
+
+def classify_all(roots: Sequence[Expr]) -> ExprTraits:
+    """The traits of the roots taken together, in one fold over their DAG."""
     functions: set[Activation] = set()
     kinds: set[type] = set()
 
@@ -190,7 +198,7 @@ def classify(e: Expr) -> ExprTraits:
         if isinstance(node, Apply):
             functions.add(node.func)
 
-    fold(e, visit)
+    fold_all(roots, visit)
     return ExprTraits(
         relu_only=functions <= {RELU},
         addition_free=Add not in kinds,

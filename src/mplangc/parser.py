@@ -11,7 +11,10 @@ insignificant.  The literal ``1`` denotes the unit constant; any other number
 
 ``parse`` returns a shared DAG: within one call, every repeated subterm is one
 node object, so the walks over the result (see ``expressions.fold``) visit it
-once.
+once.  ``parse_lines`` parses several texts, the lines of an expression file,
+over one node table, so their results share nodes too.  Each text gets its own
+group memo: the memo's keys hold the text's tokens, so keeping it across texts
+would keep every text's tokens alive until the last is parsed.
 
 Parsing costs one scan of the text plus one descent per *distinct*
 parenthesised group.  The scan is a single ``findall``: it yields the tokens
@@ -38,11 +41,12 @@ import math
 import re
 import string
 from itertools import compress, count
+from typing import Iterable
 
 from .activations import Named, _NAMED
 from .expressions import Add, Apply, Diamond, Expr, One, Proj, Scale
 
-__all__ = ["parse", "MPLangSyntaxError"]
+__all__ = ["parse", "parse_lines", "MPLangSyntaxError"]
 
 
 _NODE_TYPES = (One, Proj, Scale, Add, Apply, Diamond)
@@ -103,19 +107,19 @@ def _match_parens(tokens: tuple[str, ...]) -> dict[int, int]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, nodes: dict[tuple, Expr]):
         self.text = text
         self.tokens = _tokenize(text)
         self.close = _match_parens(self.tokens)
         self.i = 0
-        self.nodes: dict[tuple, Expr] = {}
+        self.nodes = nodes
         self.groups: dict[tuple[str, ...], Expr] = {}
 
     def error(self, message: str) -> MPLangSyntaxError:
         return MPLangSyntaxError(message, _position(self.text, self.i))
 
     def node(self, cls: type, *fields) -> Expr:
-        """The one node of this parse with this type and these fields.
+        """The one node of the node table with this type and these fields.
 
         Children are keyed by id, a factor by its value and its sign bit, so
         -0.0 stays apart from 0.0.
@@ -212,8 +216,8 @@ class _Parser:
         return e
 
 
-def parse(text: str) -> Expr:
-    p = _Parser(text)
+def _parse(text: str, nodes: dict[tuple, Expr]) -> Expr:
+    p = _Parser(text, nodes)
     try:
         e = p.expr()
     except RecursionError:
@@ -221,3 +225,16 @@ def parse(text: str) -> Expr:
     if p.tokens[p.i]:
         raise p.error(f"unexpected {p.tokens[p.i]!r} after expression")
     return e
+
+
+def parse_lines(texts: Iterable[str]) -> list[Expr]:
+    """parse of each text, over one node table: a subterm that several texts
+    hold is one node, as within one text.  An error reports its position in
+    the text that holds it."""
+    nodes: dict[tuple, Expr] = {}
+    return [_parse(text, nodes) for text in texts]
+
+
+def parse(text: str) -> Expr:
+    """The shared DAG of one expression text."""
+    return parse_lines((text,))[0]

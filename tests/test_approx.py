@@ -1,15 +1,27 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from helpers import batch_instances
-from mplangc.approx import approximate, image_bounds, uniform_distance_estimate
-from mplangc.errors import ArityError
-from mplangc.expressions import One, Scale, classify
+from helpers import batch_instances, deep_mpnn
+from mplangc.activations import SIN, relu_approximate
+from mplangc.approx import (
+    approximate,
+    approximate_all,
+    image_bounds,
+    uniform_distance_estimate,
+    uniform_distance_estimates,
+)
+from mplangc.errors import ArityError, CertificateError
+from mplangc.expressions import Apply, Diamond, One, Scale, classify, classify_all, fold_all
 from mplangc.generate import random_expr
 from mplangc.graphs import Graph
 from mplangc.intervals import DomainBox, Interval
 from mplangc.interpreter import eval_expr
-from mplangc.parser import parse
+from mplangc.parser import parse, parse_lines
+from mplangc.translate import mpnn_to_mplang
 
 
 # -- image_bounds ----------------------------------------------------------------
@@ -130,6 +142,113 @@ def test_approximation_is_deterministic():
     e = parse("sin(<>tanh(P1)) + 0.5*P1")
     box = DomainBox.cube(-1, 1, 1)
     assert approximate(e, 3, box, 0.2) == approximate(e, 3, box, 0.2)
+
+
+def _dag_size(roots) -> int:
+    nodes = []
+    fold_all(roots, lambda node, kids: nodes.append(node))
+    return len(nodes)
+
+
+# Evaluating the sources and approximants here rounds by far less.
+ROUNDING = 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(1, 5),
+    p=st.integers(0, 3),
+    eps=st.sampled_from([0.5, 0.1, 0.02]),
+)
+def test_approximants_are_relu_only_and_within_their_proven_eps(seed, depth, p, eps):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 3))
+    e = random_expr(rng, depth, d)
+    box = DomainBox.cube(-1, 1, d)
+    try:
+        (out,), report = approximate_all([e], p, box, eps)
+    except CertificateError:
+        reject()  # an image too wide for a 4097-knot grid at its share of eps
+    assert classify(out).relu_only
+    (proven,) = report.proven_eps
+    assert proven <= eps
+    rho = uniform_distance_estimate(e, out, p, box, 300, seed % 1000)
+    assert rho <= eps
+    assert rho <= proven + ROUNDING
+
+
+def test_twenty_term_sin_sum_certifies():
+    # Halving eps at every binary + would leave the leftmost term eps / 2**19,
+    # more than a 4097-knot grid resolves.
+    e = parse(" + ".join(f"sin(P{1 + k % 3})" for k in range(20)))
+    box = DomainBox.cube(-1, 1, 3)
+    (out,), report = approximate_all([e], 2, box, 0.01)
+    assert classify(out).relu_only
+    assert report.proven_eps[0] <= 0.01
+    assert {r.eps for r in report.applications} == {0.01 / 20}
+    assert uniform_distance_estimate(e, out, 2, box, 2000, 3) <= 0.01
+
+
+def test_translated_three_layer_network_stays_small():
+    t = mpnn_to_mplang(deep_mpnn(0, layers=3))
+    box = DomainBox.cube(-1, 1, t.input_arity)
+    outs, report = approximate_all(t.components, 3, box, 0.1)
+    assert classify_all(outs).relu_only
+    assert _dag_size(outs) <= 8000  # 44,552 if each path is approximated on its own
+    assert max(report.proven_eps) <= 0.1
+    assert max(uniform_distance_estimates(t.components, outs, 3, box, 300, 4)) <= 0.1
+
+
+def test_an_exact_argument_gets_the_whole_eps_on_its_image():
+    eps = 0.1
+    (out,), report = approximate_all([parse("sin(P1)")], 2, DomainBox.cube(-1, 1, 1), eps)
+    (record,) = report.applications
+    assert (record.eps, record.interval, record.delta) == (eps, Interval(-1.0, 1.0), None)
+    full = relu_approximate(SIN, Interval(-1.0, 1.0), eps)
+    assert record.knots == sum(a != 0.0 for a, _, _ in full.terms)
+    assert out == approximate(parse("sin(P1)"), 2, DomainBox.cube(-1, 1, 1), eps)
+    halved = relu_approximate(SIN, Interval(-1.0, 1.0).widen(eps / 2), eps / 2)
+    assert record.knots < sum(a != 0.0 for a, _, _ in halved.terms)
+
+
+def test_exact_terms_of_a_sum_take_no_share():
+    box = DomainBox.cube(-1, 1, 2)
+    _, report = approximate_all([parse("relu(P2) + sin(P1) + 0.5*P2 + tanh(P2)")], 1, box, 0.2)
+    assert [r.eps for r in report.applications] == [0.1, 0.1]
+    # Under a nonlinear argument the interpolant keeps half, on the widened image.
+    _, report = approximate_all([parse("sin(<>tanh(P1)) + 0.5*P1")], 3, box, 0.2)
+    tanh, sin = report.applications
+    assert (sin.eps, sin.interval) == (0.1, image_bounds(parse("<>tanh(P1)"), 3, box).widen(0.1))
+    assert tanh.eps == min(sin.delta, 0.1) / 3 and tanh.delta is None
+
+
+def test_a_shared_subterm_has_one_approximant():
+    box = DomainBox.cube(-1, 1, 1)
+    e = parse("sin(P1) + <>sin(P1)")
+    (out,), report = approximate_all([e], 2, box, 0.1)
+    assert isinstance(out.right, Diamond) and out.right.arg is out.left
+    (record,) = report.applications
+    assert record.eps == 0.1 / 2 / 2  # the smaller of its two demands
+    # Across roots too: the lines of a file share their parsed nodes.
+    roots = parse_lines(["tanh(P1) + 1", "-3*tanh(P1)"])
+    (first, second), report = approximate_all(roots, 2, box, 0.3)
+    assert first.left is second.arg and len(report.applications) == 1
+    assert report.applications[0].eps == 0.3 / 3
+    assert report.proven_eps[1] == 3 * report.proven_eps[0]
+
+
+def test_long_sin_sum_approximates_without_recursion():
+    e = parse(" + ".join(f"sin(P{1 + k % 2})" for k in range(1200)))
+    box = DomainBox.cube(-1, 1, 2)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        (out,), report = approximate_all([e], 1, box, 1.0)
+        assert classify(out).relu_only and len(report.applications) == 2
+    finally:
+        sys.setrecursionlimit(old)
+    assert uniform_distance_estimate(e, out, 1, box, 200, 5) <= 1.0
 
 
 # -- uniform_distance_estimate -------------------------------------------------------

@@ -5,11 +5,12 @@ import pytest
 
 from helpers import assert_close
 from mplangc.cli import main
+from mplangc.expressions import ExprTuple
 from mplangc.graphs import FeatureMap, Graph, features_from_json, graph_from_json, random_union
-from mplangc.interpreter import eval_expr
+from mplangc.interpreter import eval_expr, eval_tuple
 from mplangc.intervals import DomainBox
 from mplangc.mpnn import eval_mpnn, mpnn_from_json
-from mplangc.parser import parse
+from mplangc.parser import parse, parse_lines
 
 
 def _graph_file(tmp_path, nodes, edges, name="graph.json"):
@@ -216,6 +217,49 @@ def test_approx_compile_of_a_nested_function_at_a_small_epsilon(tmp_path, capsys
         eval_mpnn(net, batch.graph, batch.features).values[:, 0],
         eval_expr(approximant, batch.graph, batch.features),
     )
+
+
+def test_approx_prints_the_proven_eps_and_writes_the_report(tmp_path, capsys):
+    out = tmp_path / "approx.mplang"
+    rc = main(["approx", "--expr", "sin(<>tanh(P1)) + 0.5*P1", "--degree-bound", "3",
+               "--box", "[[-1,1]]", "--epsilon", "0.1", "--trials", "100", "--out", str(out)])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    rho = float(printed.split("rho_hat = ")[1].split()[0])
+    proven = float(printed.split("proven eps = ")[1])
+    assert rho <= proven <= 0.1
+    report = json.loads((tmp_path / "approx.mplang.report.json").read_text())
+    assert report["eps"] == 0.1 and report["proven_eps"] == [proven]
+    assert [r["function"] for r in report["applications"]] == ["tanh", "sin"]
+    assert set(report["applications"][0]) == {
+        "function", "interval", "eps", "knots", "m2", "lipschitz", "delta", "proven"}
+
+
+def test_approx_and_bounds_of_a_multi_line_file(tmp_path, capsys):
+    lines = ["sin(P1) + tanh(P2)", "<>sin(P1) + 0.5*P2"]
+    path = tmp_path / "two.mplang"
+    path.write_text("\n".join(lines) + "\n")
+    box = "[[-1,1],[-1,1]]"
+    net_out = tmp_path / "two.json"
+    rc = main(["approx", "--expr-file", str(path), "--degree-bound", "2", "--box", box,
+               "--epsilon", "0.1", "--trials", "200", "--compile", str(net_out)])
+    assert rc == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3 and printed[2].startswith("rho_hat = ")
+    approximants = ExprTuple(tuple(parse_lines(printed[:2])), 2)
+    batch = random_union(2, DomainBox.cube(-1.0, 1.0, 2), 100, 9)
+    want = eval_tuple(approximants, batch.graph, batch.features).values
+    net = mpnn_from_json(json.loads(net_out.read_text()))
+    assert_close(eval_mpnn(net, batch.graph, batch.features).values, want)
+    sources = eval_tuple(ExprTuple(tuple(parse_lines(lines)), 2), batch.graph, batch.features)
+    assert np.abs(sources.values - want).max() <= 0.1
+
+    rc = main(["bounds", "--expr-file", str(path), "--degree-bound", "2", "--box", box])
+    assert rc == 0
+    intervals = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    assert len(intervals) == 2
+    for (lo, hi), column in zip(intervals, sources.values.T):
+        assert lo <= column.min() and column.max() <= hi
 
 
 # -- check ---------------------------------------------------------------------

@@ -37,7 +37,7 @@ from mplangc.generate import MIXED_FUNCTIONS, random_expr, random_relu_expr
 from mplangc.graphs import FeatureMap, Graph
 from mplangc.interpreter import eval_expr, eval_tuple
 from mplangc.intervals import DomainBox, Interval
-from mplangc.mpnn import eval_mpnn
+from mplangc.mpnn import Layer, Mpnn, eval_mpnn
 from mplangc.parser import parse
 from mplangc.translate import mpnn_to_mplang
 
@@ -290,6 +290,29 @@ def test_eval_tuple_evaluates_shared_layers_once(monkeypatch):
     # 5 layers of 3 rows: every component reads all 3 rows of the layer below.
     assert len(calls) == len(applications) == 15
     assert np.array_equal(together, separately)
+
+
+def test_compile_relu_tuple_forms_each_distinct_node_once(monkeypatch):
+    rng = np.random.default_rng(4)
+    net = Mpnn(tuple(Layer(rng.uniform(-2.0, 2.0, (3, a)), rng.uniform(-2.0, 2.0, (3, a)),
+                           rng.uniform(-1.0, 1.0, 3), RELU) for a in (2, 3, 3, 3)))
+    t = mpnn_to_mplang(net)
+    nodes = []
+    fold_all(t.components, lambda node, kids: nodes.append(node))
+    # Folding each root on its own gives the same channels, in the same order.
+    channels = _Channels(t.input_arity, RELU)
+    per_root = channels.network([fold(c, channels.form) for c in t.components])
+    calls = []
+    form = _Channels.form
+    monkeypatch.setattr(_Channels, "form",
+                        lambda self, node, kids: calls.append(node) or form(self, node, kids))
+    together = compile_relu_tuple(t)
+    assert len(calls) == len(nodes) == 203  # 501 if each root is folded on its own
+    assert len(together.layers) == len(per_root.layers)
+    for a, b in zip(together.layers, per_root.layers):
+        assert a.activation == b.activation
+        for x, y in ((a.w_self, b.w_self), (a.w_neigh, b.w_neigh), (a.bias, b.bias)):
+            assert np.array_equal(x, y)
 
 
 def test_walks_are_linear_in_dag_size():

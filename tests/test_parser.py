@@ -18,11 +18,12 @@ from mplangc.expressions import (
     arity_check,
     classify,
     fold,
+    fold_all,
     format_expr,
     max_projection,
 )
 from mplangc.generate import random_expr
-from mplangc.parser import MPLangSyntaxError, _Parser, parse
+from mplangc.parser import MPLangSyntaxError, _Parser, parse, parse_lines
 from mplangc.translate import mpnn_to_mplang
 
 
@@ -175,6 +176,39 @@ def test_parse_descends_once_per_distinct_group(monkeypatch):
         fold(e, lambda node, kids: nodes.append(node))
         assert len(text) > 100 * len(nodes)
         assert len(calls) <= len(nodes)
+
+
+def test_parse_lines_shares_nodes_across_lines():
+    first, second = parse_lines(["sin(P1 + <>P2) + 1", "<>(P1 + <>P2) + -3*sin(P1 + <>P2)"])
+    assert second.right.arg is first.left
+    assert second.left.arg is first.left.arg
+    assert [format_expr(e) for e in (first, second)] == [
+        "sin(P1 + <>P2) + 1", "<>(P1 + <>P2) + -3.0*sin(P1 + <>P2)"]
+
+
+def test_a_translation_file_parses_to_one_dag():
+    t = mpnn_to_mplang(deep_mpnn(seed=5))
+    texts = [format_expr(c) for c in t.components]
+
+    def size(roots):
+        nodes = []
+        fold_all(roots, lambda node, kids: nodes.append(node))
+        return len(nodes)
+
+    together = parse_lines(texts)
+    assert [format_expr(e) for e in together] == texts
+    # 3 x 187 nodes when each line is parsed on its own; 257 in the translation.
+    assert size([parse(text) for text in texts]) == 561
+    assert size(together) == 215
+
+
+@pytest.mark.parametrize("bad", ["sin(P1", "relu(P1) + @", "(P1 + P2)) ", "2*<>"])
+def test_parse_lines_reports_an_error_in_its_own_line(bad):
+    with pytest.raises(MPLangSyntaxError) as alone:
+        parse(bad)
+    with pytest.raises(MPLangSyntaxError) as among:
+        parse_lines(["relu(P1 + P2)", "sin(P1)", bad, "P1"])
+    assert str(among.value) == str(alone.value) and among.value.pos == alone.value.pos
 
 
 def test_unknown_function_reported():
