@@ -42,7 +42,7 @@ __all__ = [
     "merge",
     "pl_to_relu_sum",
     "relu_approximate",
-    "interpolation_knots",
+    "interpolation_error",
     "curvature",
     "lipschitz",
     "modulus_delta",
@@ -294,30 +294,44 @@ def relu_approximate(f: Activation, y: Interval, eps: float, *, max_points: int 
         return pl_to_relu_sum(f)
     if isinstance(f, Merged):
         raise ValueError("merged activations have no closed-form approximant")
-    xs = interpolation_knots(f, y, eps, max_points=max_points)
+    if not math.isfinite(y.width):
+        raise CertificateError(f"no {eps:g}-certificate on the unbounded interval {y}")
+    if f == ABS:
+        xs = np.unique([y.lo, min(max(y.lo, 0.0), y.hi), y.hi])
+    else:
+        xs = np.linspace(y.lo, y.hi, _grid_cells(f, y, eps, max_points) + 1)
+        if not (np.diff(xs) > 0.0).all():
+            raise CertificateError(
+                f"a {eps:g}-certificate on {y} needs a grid step below the float spacing"
+            )
     pl = PiecewiseLinear(tuple(zip(xs.tolist(), apply_vec(f, xs).tolist())))
     return pl_to_relu_sum(pl)
 
 
-def interpolation_knots(f: Named, y: Interval, eps: float, *,
-                        max_points: int = 4097) -> np.ndarray:
-    """The knots at which relu_approximate interpolates abs, sin, tanh or sigmoid on y."""
-    if not math.isfinite(y.width):
-        raise CertificateError(f"no {eps:g}-certificate on the unbounded interval {y}")
-    if f == ABS:
-        return np.unique([y.lo, min(max(y.lo, 0.0), y.hi), y.hi])
+def _grid_cells(f: Named, y: Interval, eps: float, max_points: int) -> int:
+    """The cells of the uniform grid relu_approximate interpolates sin, tanh or sigmoid on."""
     cells = y.width / math.sqrt(8.0 * eps / _CURVATURE[f.name])
     if not cells <= max_points - 1:
         raise CertificateError(
             f"a {eps:g}-certificate on {y} needs {cells:.4g} grid cells,"
             f" more than {max_points - 1}"
         )
-    xs = np.linspace(y.lo, y.hi, math.ceil(cells) + 1)
-    if not (np.diff(xs) > 0.0).all():
-        raise CertificateError(
-            f"a {eps:g}-certificate on {y} needs a grid step below the float spacing"
-        )
-    return xs
+    return math.ceil(cells)
+
+
+def interpolation_error(f: Activation, y: Interval, eps: float, *,
+                        max_points: int = 4097) -> float:
+    """The bound on |f - relu_approximate(f, y, eps)| on y that its grid proves.
+
+    With h the grid's step it is h^2/8 * sup|f''|, which the grid's size keeps
+    at or below eps: the bound is the smaller of the two, since computing it in
+    floats can round above eps.  0 for a function returned exactly.
+    """
+    m2 = curvature(f)
+    if m2 == 0.0:
+        return 0.0
+    h = y.width / max(_grid_cells(f, y, eps, max_points), 1)
+    return min(eps, h * h / 8.0 * m2)
 
 
 def curvature(f: Activation) -> float:
@@ -347,14 +361,16 @@ def lipschitz(f: Activation, y: Interval) -> float:
     return float(np.abs(slopes).max(initial=0.0))
 
 
-def modulus_delta(f: Activation, y: Interval, eps: float) -> float:
+def modulus_delta(f: Activation, y: Interval, eps: float, *, lip: float | None = None) -> float:
     """A delta with |f(x) - f(x')| < eps for x, x' in y at most delta apart:
-    min(eps / L, width) / 2, with L the Lipschitz constant of f on y."""
+    min(eps / L, width) / 2, with L the Lipschitz constant of f on y (computed
+    by lipschitz unless given)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if y.width == 0.0:
         return eps / 2.0
-    lip = lipschitz(f, y)
+    if lip is None:
+        lip = lipschitz(f, y)
     return (min(eps / lip, y.width) if lip > 0.0 else y.width) / 2.0
 
 

@@ -33,7 +33,7 @@ from .activations import (
     ReluSum,
     activation_label,
     curvature,
-    interpolation_knots,
+    interpolation_error,
     interval_image,
     lipschitz,
     modulus_delta,
@@ -158,21 +158,6 @@ class ApproxReport:
         }
 
 
-def _interpolation_error(f, y: Interval, eps: float) -> tuple[float, float]:
-    """(sup|f''|, a bound on |f - g| on y) for g = relu_approximate(f, y, eps).
-
-    g interpolates f on a grid and is linear between its knots, so with h the
-    largest step it errs by at most h²/8 · sup|f''|, which the grid's size
-    keeps at or below eps: the bound is the smaller of the two, since
-    computing it in floats can round above eps.  A g with sup|f''| = 0 is exact.
-    """
-    m2 = curvature(f)
-    if m2 == 0.0:
-        return 0.0, 0.0
-    h = float(np.diff(interpolation_knots(f, y, eps)).max(initial=0.0))
-    return m2, min(eps, h * h / 8.0 * m2)
-
-
 def approximate_all(
     roots: Sequence[Expr], p: int, box: DomainBox, eps: float
 ) -> tuple[list[Expr], ApproxReport]:
@@ -202,14 +187,22 @@ def approximate_all(
     fold_all(roots, survey)
     for r in roots:
         readers[id(r)] = readers.get(id(r), 0) + 1
-    args = [node.arg for node in order if isinstance(node, Apply) and not exact[id(node)]]
+    # Parents before children: the inexact nodes that some root reads other
+    # than under 0*e or, at p = 0, <>e.  Only the applications among them get
+    # interpolants, so only their arguments are bounded.
+    live = {id(r) for r in roots if not exact[id(r)]}
+    for node in reversed(order):
+        zero = (isinstance(node, Scale) and node.factor == 0.0) or (
+            isinstance(node, Diamond) and p == 0)
+        if id(node) in live and not zero:
+            live.update(id(c) for c in children(node) if not exact[id(c)])
+    args = [node.arg for node in order if isinstance(node, Apply) and id(node) in live]
     image = dict(zip(map(id, args), fold_all(args, _bound(p, box))))
 
     # Top-down: the smallest ε any parent demands of a node, and each
-    # application's interpolant.
+    # application's interpolant and its Lipschitz constant.
     demand: dict[int, float] = {}
-    spine: set[int] = set()  # Adds that are inner nodes of a parent's sum
-    plans: dict[int, tuple[ReluSum, Interval, float, float | None]] = {}
+    plans: dict[int, tuple[ReluSum, Interval, float, float | None, float]] = {}
 
     def need(node: Expr, budget: float) -> None:
         if not exact[id(node)]:
@@ -233,7 +226,6 @@ def approximate_all(
             while stack:
                 c = stack.pop()
                 if isinstance(c, Add) and not exact[id(c)] and readers[id(c)] == 1:
-                    spine.add(id(c))
                     stack += [c.right, c.left]
                 elif not exact[id(c)]:
                     terms.append(c)
@@ -243,22 +235,24 @@ def approximate_all(
             arg = node.arg
             if exact[id(arg)]:
                 y = image[id(arg)]
-                g, delta = relu_approximate(node.func, y, budget), None
+                g = relu_approximate(node.func, y, budget)
+                lip, delta = lipschitz(g, y), None
             else:
                 budget /= 2.0
                 y = image[id(arg)].widen(budget)
                 g = relu_approximate(node.func, y, budget)
-                delta = modulus_delta(g, y, budget)
+                lip = lipschitz(g, y)
+                delta = modulus_delta(g, y, budget, lip=lip)
                 need(arg, min(delta, budget))
-            plans[id(node)] = (g, y, budget, delta)
+            plans[id(node)] = (g, y, budget, delta, lip)
 
-    # Bottom-up: each demanded node's approximant and proven error, once.
+    # Bottom-up: each live node's approximant and proven error, once.
     records: list[ApplyRecord] = []
 
     def build(node: Expr, kids: tuple) -> tuple[Expr, float] | None:
         if exact[id(node)]:
             return node, 0.0
-        if id(node) not in demand and id(node) not in spine:
+        if id(node) not in live:
             return None  # read only under 0*e or <>e at p = 0
         if isinstance(node, Scale):
             if node.factor == 0.0:
@@ -271,14 +265,12 @@ def approximate_all(
             return Diamond(kids[0][0]), p * kids[0][1]
         if isinstance(node, Add):
             return Add(kids[0][0], kids[1][0]), kids[0][1] + kids[1][1]
-        g, y, budget, delta = plans[id(node)]
+        g, y, budget, delta, lip = plans[id(node)]
         arg, arg_error = kids[0]
-        m2, interpolation = _interpolation_error(node.func, y, budget)
-        lip = lipschitz(g, y)
-        proven = interpolation + lip * arg_error
+        proven = interpolation_error(node.func, y, budget) + lip * arg_error
         records.append(ApplyRecord(activation_label(node.func), y, budget,
-                                   sum(a != 0.0 for a, _, _ in g.terms), m2, lip, delta,
-                                   proven))
+                                   sum(a != 0.0 for a, _, _ in g.terms), curvature(node.func),
+                                   lip, delta, proven))
         return _relu_sum_expr(g, arg), proven
 
     built = fold_all(roots, build)

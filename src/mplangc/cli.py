@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .approx import approximate_all, image_bounds, uniform_distance_estimates
-from .compiler import CompileEnv, compile_expr, compile_relu, compile_relu_tuple
+from .compiler import CompileEnv, compile_expr, compile_relu_tuple
 from .errors import ArityError, CertificateError, ModeError
 from .expressions import Expr, ExprTuple, format_expr, max_projections
 from .graphs import (
@@ -209,10 +209,7 @@ def cmd_approx(args) -> int:
     print(f"rho_hat = {rho!r} (sampled over {args.trials} instances, eps = {args.epsilon!r}),"
           f" proven eps = {max(report.proven_eps)!r}")
     if args.compile:
-        if len(results) == 1:
-            net = compile_relu(results[0], box.dimension)
-        else:
-            net = compile_relu_tuple(ExprTuple(tuple(results), box.dimension))
+        net = compile_relu_tuple(ExprTuple(tuple(results), box.dimension))
         _write_json(mpnn_to_json(net), args.compile)
     return 0
 

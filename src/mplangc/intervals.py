@@ -39,7 +39,9 @@ class Interval:
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
     def scale(self, a: float) -> "Interval":
-        if a >= 0:
+        if a == 0:
+            return Interval(0.0, 0.0)  # 0 times any finite value, also on an unbounded interval
+        if a > 0:
             return Interval(a * self.lo, a * self.hi)
         return Interval(a * self.hi, a * self.lo)
 

@@ -20,6 +20,7 @@ from mplangc.activations import (
     activation_to_json,
     apply,
     apply_vec,
+    interpolation_error,
     interval_image,
     merge,
     modulus_delta,
@@ -357,6 +358,29 @@ def test_relu_approximate_and_modulus_delta_are_proven(f, lo, width, eps, seed):
     assert delta > 0.0
     xs = np.random.default_rng(seed).uniform(y.lo, max(y.lo, y.hi - delta), 500)
     assert np.abs(apply_vec(g, xs + delta) - apply_vec(g, xs)).max() < eps
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    f=st.sampled_from([SIN, TANH, SIGMOID, ABS]),
+    lo=st.floats(-50.0, 50.0),
+    width=st.floats(1e-3, 50.0),
+    eps=st.floats(1e-4, 1.0),
+)
+def test_interpolation_error_bounds_the_interpolant(f, lo, width, eps):
+    y = Interval(lo, lo + width)
+    g = relu_approximate(f, y, eps)
+    bound = interpolation_error(f, y, eps)
+    assert 0.0 <= bound <= eps
+    probes = np.linspace(y.lo, y.hi, 2001)
+    assert np.abs(apply_vec(g, probes) - apply_vec(f, probes)).max() <= bound + ROUNDING
+
+
+def test_interpolation_error_is_the_bound_at_the_grid_step():
+    # sin on [-1, 1] at eps = 0.01 takes ceil(2 / sqrt(0.08)) = 8 cells of 0.25.
+    assert interpolation_error(SIN, Interval(-1.0, 1.0), 0.01) == 0.25**2 / 8
+    assert interpolation_error(ABS, Interval(-1.0, 1.0), 0.01) == 0.0
+    assert interpolation_error(SIN, Interval(0.5, 0.5), 0.01) == 0.0
 
 
 # -- serialization --------------------------------------------------------------------

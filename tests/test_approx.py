@@ -133,6 +133,19 @@ def test_diamond_at_degree_zero_collapses_to_zero():
     assert out == Scale(0.0, One())
 
 
+def test_arguments_no_parent_reads_are_not_bounded(monkeypatch):
+    # Under 0*e and, at p = 0, <>e nothing is approximated, so nothing is bounded:
+    # the image of 0*(1e300*(1e300*P1)) would scale [-inf, inf] by 0.
+    box = DomainBox.cube(-1, 1, 1)
+    assert approximate(parse("0*sin(0*(1e300*(1e300*P1)))"), 1, box, 0.1) == Scale(0.0, One())
+    images = []
+    monkeypatch.setattr("mplangc.approx.interval_image",
+                        lambda f, y: images.append(f) or Interval(-1.0, 1.0))
+    for text, p in (("0*sin(tanh(P1))", 2), ("<>sin(tanh(P1)) + relu(P1)", 0)):
+        approximate(parse(text), p, box, 0.1)
+    assert images == []
+
+
 def test_rejects_nonpositive_eps():
     with pytest.raises(ValueError):
         approximate(parse("sin(P1)"), 1, DomainBox.cube(-1, 1, 1), 0.0)

@@ -391,6 +391,13 @@ def test_bounds_affine(capsys):
     assert json.loads(capsys.readouterr().out) == [-1.0, 3.0]
 
 
+def test_bounds_of_zero_times_an_overflowing_term(capsys):
+    rc = main(["bounds", "--expr", "0*(1e300*(1e300*P1))", "--degree-bound", "1",
+               "--box", "[[-1,1]]"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == [0.0, 0.0]
+
+
 def test_fmt_canonicalizes(capsys):
     rc = main(["fmt", "--expr", "  relu( P1 )+ P2 "])
     assert rc == 0
@@ -458,7 +465,7 @@ def test_out_of_memory_is_a_configuration_error(monkeypatch, tmp_path, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr("mplangc.cli.compile_relu", exhausted)
+    monkeypatch.setattr("mplangc.cli.compile_relu_tuple", exhausted)
     rc = main(["approx", "--expr", "tanh(P1)", "--degree-bound", "1", "--box", "[[-1,1]]",
                "--epsilon", "0.1", "--trials", "10", "--compile", str(tmp_path / "net.json")])
     assert rc == 3

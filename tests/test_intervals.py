@@ -14,6 +14,11 @@ def test_scale_negative_swaps_endpoints():
     assert Interval(-1.0, 3.0).scale(-2.0) == Interval(-6.0, 2.0)
 
 
+def test_scale_by_zero_is_zero_also_when_unbounded():
+    assert Interval(-float("inf"), float("inf")).scale(0.0) == Interval(0.0, 0.0)
+    assert Interval(-1.0, 3.0).scale(-0.0) == Interval(0.0, 0.0)
+
+
 def test_add_is_minkowski():
     assert Interval(0.0, 1.0).add(Interval(-2.0, 5.0)) == Interval(-2.0, 6.0)
 
