@@ -232,15 +232,18 @@ def cmd_check(args) -> int:
             f"--box has dimension {box.dimension}, operands need {max(a.input_arity, b.input_arity)}"
         )
     batch = random_union(args.degree_bound, box, args.trials, args.seed)
-    va = a.run(batch.graph, batch.features)
-    vb = b.run(batch.graph, batch.features)
     # A non-finite value (NaN, or an overflow) cannot be judged: the check fails on
-    # the finite values, or else it exits 3, never passes.
-    finite = np.isfinite(va) & np.isfinite(vb)
-    dev = np.where(finite, np.abs(va - vb), 0.0)
-    allowed = np.maximum(max(ABS_FLOOR, args.abs_tolerance),
-                         args.tolerance * np.maximum(np.abs(va), np.abs(vb)))
-    excess = np.where(finite, dev / allowed, 0.0)
+    # the finite values, or else it exits 3, never passes.  It reports that case
+    # itself, so numpy's overflow warnings are silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        va = a.run(batch.graph, batch.features)
+        vb = b.run(batch.graph, batch.features)
+        finite = np.isfinite(va) & np.isfinite(vb)
+        dev = np.zeros(va.shape)
+        dev[finite] = np.abs(va[finite] - vb[finite])
+        allowed = np.maximum(max(ABS_FLOOR, args.abs_tolerance),
+                             args.tolerance * np.maximum(np.abs(va), np.abs(vb)))
+        excess = np.where(finite, dev / allowed, 0.0)
     failed = float(excess.max(initial=0.0)) > 1.0
     if not (failed or finite.all()):
         print("check error: operand values are not finite (NaN or overflow)", file=sys.stderr)
@@ -250,7 +253,7 @@ def cmd_check(args) -> int:
     if failed:
         node = int(np.unravel_index(np.argmax(excess), excess.shape)[0])
         k = int(np.searchsorted(batch.offsets, node, side="right")) - 1
-        g, fm = batch.instances[k]
+        g, fm = batch.instance(k)
         print(json.dumps({
             "graph": graph_to_json(g),
             "features": features_to_json(fm),

@@ -3,12 +3,22 @@
 Node ids are dense naturals 0..n-1. Neighbor iteration is always in
 ascending id order so that every neighbor sum downstream is reproducible
 bit-for-bit at a fixed seed.
+
+Random instances come from one batch sampler, `_sample`: a few numpy calls
+draw every instance's node count, candidate edges and features, and the
+degree-bounded rejection is one short loop vectorized across instances.
+Each instance follows `random_graph`'s process, so the distribution is
+`random_graph`'s; the seeded stream is the batch's own.  `random_union`
+builds the disjoint union straight from the batch, and `random_instances`
+yields its instances one by one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -45,8 +55,16 @@ class Graph:
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        canonical = sorted({(min(u, v), max(u, v)) for u, v in self.edges})
+        canonical = sorted({(u, v) if u < v else (v, u) for u, v in self.edges})
         object.__setattr__(self, "edges", tuple(canonical))
+
+    @classmethod
+    def _from_sorted(cls, node_count: int, edges: tuple[tuple[int, int], ...]) -> Graph:
+        """A graph whose edges are already canonical, distinct and sorted."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "node_count", node_count)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     def validate(self) -> None:
         """Raise InvalidGraphError on the first violated invariant."""
@@ -182,24 +200,39 @@ def random_instances(
     seed: int,
     max_nodes: int = 8,
 ) -> Iterator[tuple[Graph, FeatureMap]]:
-    """Stream of (graph, features) samples; p=None means no degree bound."""
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        n = int(rng.integers(1, max_nodes + 1))
-        bound = n - 1 if p is None else p
-        g = random_graph(n, bound, int(rng.integers(0, 2**63)))
-        fm = random_features(g, box, int(rng.integers(0, 2**63)))
-        yield g, fm
+    """Stream of (graph, features) samples; p=None means no degree bound.
+
+    The instances of `random_union` at the same arguments, one at a time.
+    """
+    # Sliced from the arrays: the union's edge tuples are never built.
+    offsets, edges, values = _sample(p, box, trials, seed, max_nodes)
+    bounds = np.append(offsets, len(values)).tolist()
+    cuts = np.searchsorted(edges[:, 0], bounds).tolist()
+    for k in range(trials):
+        lo, hi = bounds[k], bounds[k + 1]
+        local = (edges[cuts[k]:cuts[k + 1]] - lo).tolist()
+        yield Graph._from_sorted(hi - lo, tuple(map(tuple, local))), FeatureMap(values[lo:hi])
 
 
 class RandomUnion(NamedTuple):
-    """Random instances, their disjoint union with its features, and the
+    """The disjoint union of random instances with its features, and the
     union node id at which each instance starts."""
 
-    instances: list[tuple[Graph, FeatureMap]]
     graph: Graph
     features: FeatureMap
     offsets: list[int]
+
+    def instance(self, k: int) -> tuple[Graph, FeatureMap]:
+        """The k-th instance on its own, with its nodes renumbered from 0."""
+        if not 0 <= k < len(self.offsets):
+            raise IndexError(f"instance {k} outside 0..{len(self.offsets) - 1}")
+        lo = self.offsets[k]
+        hi = self.offsets[k + 1] if k + 1 < len(self.offsets) else self.graph.node_count
+        edges = self.graph.edges
+        # Union edges are sorted, and an instance's edges start at its own nodes.
+        first, last = bisect_left(edges, (lo,)), bisect_left(edges, (hi,))
+        local = tuple((u - lo, v - lo) for u, v in edges[first:last])
+        return Graph._from_sorted(hi - lo, local), FeatureMap(self.features.values[lo:hi])
 
 
 def random_union(
@@ -209,23 +242,106 @@ def random_union(
     seed: int,
     max_nodes: int = 8,
 ) -> RandomUnion:
-    """The `random_instances` stream as one union graph and feature map."""
-    instances = list(random_instances(p, box, trials, seed, max_nodes))
-    graph, offsets = disjoint_union(g for g, _ in instances)
-    values = [fm.values for _, fm in instances] or [np.zeros((0, box.dimension))]
-    return RandomUnion(instances, graph, FeatureMap(np.concatenate(values)), offsets)
+    """`trials` random instances as one union graph and feature map."""
+    offsets, edges, values = _sample(p, box, trials, seed, max_nodes)
+    graph = Graph._from_sorted(len(values), _pairs(edges))
+    return RandomUnion(graph, FeatureMap(values), offsets.tolist())
+
+
+def _sample(
+    p: int | None, box: DomainBox, trials: int, seed: int, max_nodes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(node offsets, union edges, union features) of `trials` instances.
+
+    Instance i has n_i nodes, uniform in 1..max_nodes, and the graph that
+    `random_graph(n_i, bound_i, .)` draws, bound_i being p or, for p=None,
+    n_i - 1.  The instances are drawn in runs of at most _DRAW_PAIRS
+    candidate pairs, which bounds the memory.  The edges are canonical pairs
+    of union ids in sorted order.
+    """
+    if p is not None and p < 0:
+        raise ValueError("degree bound must be nonnegative")
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, max_nodes + 1, size=trials)
+    bound = counts - 1 if p is None else np.full(trials, p)
+    attempts = 2 * counts * np.maximum(bound, 1)
+    offsets = np.cumsum(counts) - counts
+    step = max(1, _DRAW_PAIRS // int(attempts.max(initial=1)))
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    for lo in range(0, trials, step):
+        run = slice(lo, lo + step)
+        inst, u, v = _edges(rng, counts[run], bound[run], attempts[run], max_nodes)
+        edges.append(np.stack([u, v], axis=1) + offsets[run][inst, None])
+    values = box.lows + rng.random((int(counts.sum()), box.dimension)) * (box.highs - box.lows)
+    return offsets, np.concatenate(edges), values
+
+
+# Candidate pairs drawn per numpy call in the sampler.
+_DRAW_PAIRS = 1 << 13
+
+
+def _edges(
+    rng: np.random.Generator,
+    counts: np.ndarray,
+    bound: np.ndarray,
+    attempts: np.ndarray,
+    max_nodes: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(instance, u, v) of the edges of instances with counts[i] nodes, sorted.
+
+    Instance i draws attempts[i] uniform ordered candidate pairs, each
+    rejected in order if it is a loop, an edge already chosen, or has an
+    endpoint of degree bound[i].  Degrees only grow, so a pair is taken at its
+    first draw or never: the process is the greedy pass over the distinct
+    pairs in order of first draw.  That pass runs once per rank, vectorized
+    across instances, and only where bound[i] < counts[i] - 1:
+    a node of degree counts[i] - 1 is adjacent to every other, so otherwise
+    every distinct pair is taken.
+    """
+    m = max_nodes
+    inst = np.repeat(np.arange(len(counts)), attempts)
+    a, b = rng.integers(0, counts[inst][:, None], size=(len(inst), 2)).T
+    u, v = np.minimum(a, b), np.maximum(a, b)
+    key = (inst * m + u) * m + v
+    # The first draw of each distinct non-loop pair, in draw order.
+    first = np.full(len(counts) * m * m, len(inst))
+    pair = np.flatnonzero(u != v)
+    np.minimum.at(first, key[pair], pair)
+    pair = pair[first[key[pair]] == pair]
+    inst, u, v = inst[pair], u[pair], v[pair]
+    take = bound[inst] >= counts[inst] - 1
+    # The greedy pass: the r-th distinct pair of every bounded instance at once.
+    bounded = np.flatnonzero(~take)
+    rank = np.arange(len(bounded)) - np.searchsorted(inst[bounded], inst[bounded])
+    degree = np.zeros(len(counts) * m, dtype=np.int64)
+    for r in range(rank.max(initial=-1) + 1):
+        at = bounded[rank == r]
+        du, dv = inst[at] * m + u[at], inst[at] * m + v[at]
+        ok = (degree[du] < bound[inst[at]]) & (degree[dv] < bound[inst[at]])
+        take[at[ok]] = True
+        degree[du[ok]] += 1
+        degree[dv[ok]] += 1
+    # The taken pairs in (instance, u, v) order.
+    chosen = np.zeros(len(first), dtype=bool)
+    chosen[key[pair[take]]] = True
+    inst, rest = np.divmod(np.flatnonzero(chosen), m * m)
+    return (inst, *np.divmod(rest, m))
 
 
 def disjoint_union(graphs: Iterable[Graph]) -> tuple[Graph, list[int]]:
     """Union graph plus the node-id offset of each component."""
-    offsets: list[int] = []
-    edges: list[tuple[int, int]] = []
-    total = 0
-    for g in graphs:
-        offsets.append(total)
-        edges.extend((u + total, v + total) for u, v in g.edges)
-        total += g.node_count
-    return Graph(total, tuple(edges)), offsets
+    graphs = list(graphs)
+    counts = np.array([g.node_count for g in graphs], dtype=np.int64)
+    offsets = np.cumsum(counts) - counts
+    edges = np.array(list(chain.from_iterable(g.edges for g in graphs)),
+                     dtype=np.int64).reshape(-1, 2)
+    edges += np.repeat(offsets, [len(g.edges) for g in graphs])[:, None]
+    return Graph(int(counts.sum()), _pairs(edges)), offsets.tolist()
+
+
+def _pairs(edges: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """An (E, 2) edge array as a tuple of int pairs, with no per-edge list."""
+    return tuple(zip(edges[:, 0].tolist(), edges[:, 1].tolist()))
 
 
 # -- JSON interchange ---------------------------------------------------------

@@ -283,6 +283,7 @@ def concat_mpnns(a: Mpnn, b: Mpnn) -> Mpnn:
 
 def mpnn_to_json(net: Mpnn) -> dict:
     return {
+        "input_arity": net.input_arity,
         "layers": [
             {
                 "W1": lyr.w_self.tolist(),
@@ -303,14 +304,19 @@ def mpnn_from_json(obj: dict) -> Mpnn:
     """The network of an mpnn_to_json object; InvalidNetworkError if obj is none."""
     layers: list[Layer] = []
     try:
+        # Files written before the input arity was recorded have none.
+        arity = obj["input_arity"] if "input_arity" in obj else None
+        if not (arity is None or type(arity) is int and arity >= 0):
+            raise ValueError(f"input_arity must be a nonnegative integer, got {arity!r}")
         for spec in obj["layers"]:
             w1, w2 = (np.asarray(spec[key], dtype=float) for key in ("W1", "W2"))
             if w1.shape == (0,) and w2.shape == (0,):
                 # A layer with no rows is written as []: its columns are the
-                # rows of the layer before, which the first layer lacks.
-                if not layers:
+                # rows of the layer before, or the input arity for the first.
+                columns = layers[-1].output_arity if layers else arity
+                if columns is None:
                     raise ValueError("a first layer with no rows has no input arity")
-                w1 = w2 = np.zeros((0, layers[-1].output_arity))
+                w1 = w2 = np.zeros((0, columns))
             layers.append(Layer(w1, w2, np.asarray(spec["b"], dtype=float),
                                 activation_from_json(spec["sigma"])))
     except KeyError as exc:
@@ -319,4 +325,8 @@ def mpnn_from_json(obj: dict) -> Mpnn:
         raise InvalidNetworkError(f"malformed network: {exc}") from exc
     if not layers:
         raise InvalidNetworkError("malformed network: no layers")
+    if arity is not None and arity != layers[0].input_arity:
+        raise InvalidNetworkError(
+            f"malformed network: input_arity {arity} but the first layer "
+            f"has {layers[0].input_arity} columns")
     return Mpnn(tuple(layers))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +333,7 @@ _LAYER = {"W1": [[1.0]], "W2": [[0.0]], "b": [0.0], "sigma": {"kind": "named", "
     {"layers": [dict(_LAYER, W1=[[1.0], [1.0, 2.0]])]},
     [_LAYER],  # a top-level list
     {"layers": [dict(_LAYER, W1=[], W2=[], b=[])]},  # no rows: no input arity
+    {"input_arity": 2, "layers": [_LAYER]},  # disagrees with W1
 ])
 def test_check_malformed_network_file_is_input_error(tmp_path, capsys, net):
     path = tmp_path / "net.json"
@@ -441,7 +443,6 @@ def test_non_finite_result_is_never_written(pair_instance, capsys):
     assert "Infinity" not in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_check_nan_deviation_does_not_hide_a_failure(capsys):
     # Where P1 > 0 both sides overflow to inf and deviate by NaN; where P1 < 0
     # they differ by relu(-P1).
@@ -454,9 +455,13 @@ def test_check_nan_deviation_does_not_hide_a_failure(capsys):
 
 def test_check_with_overflowing_operands_is_not_a_pass(capsys):
     # Both sides overflow to inf, so every deviation is NaN and nothing is judged.
-    rc = main(["check", "1e308*P1 + 1e308*P1", "1e308*P1 + 1e308*P1 + -1e308*P1",
-               "--box", "[[1,2]]", "--trials", "20"])
+    # The command says so itself, with no numpy warning on the side.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["check", "1e308*P1 + 1e308*P1", "1e308*P1 + 1e308*P1 + -1e308*P1",
+                   "--box", "[[1,2]]", "--trials", "20"])
     assert rc == 3
+    assert [str(w.message) for w in caught] == []
     out, err = capsys.readouterr()
     assert "PASS" not in out and "not finite" in err
 

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from mplangc.graphs import (
     FeatureMap,
     Graph,
     InvalidGraphError,
+    RandomUnion,
     disjoint_union,
     features_from_json,
     features_to_json,
@@ -12,6 +15,8 @@ from mplangc.graphs import (
     graph_to_json,
     random_features,
     random_graph,
+    random_instances,
+    random_union,
 )
 from mplangc.intervals import DomainBox
 
@@ -167,3 +172,146 @@ def test_disjoint_union_offsets():
     assert offsets == [0, 3]
     assert union.neighbors(3) == [4]
     assert union.neighbors(0) == [1, 2]
+
+
+def test_disjoint_union_offsets_edges_as_before():
+    graphs = [Graph(0, ()), TRIANGLE, Graph(3, ()), Graph(0, ()), random_graph(9, 3, 4),
+              Graph(1, ()), Graph(2, ((1, 0),))]
+    # The union as it was built edge by edge, for comparison.
+    edges, offsets, total = [], [], 0
+    for g in graphs:
+        offsets.append(total)
+        edges.extend((u + total, v + total) for u, v in g.edges)
+        total += g.node_count
+    union, got = disjoint_union(iter(graphs))
+    assert union == Graph(total, tuple(edges)) and got == offsets
+    assert all(type(x) is int for pair in union.edges for x in pair)
+    assert all(type(x) is int for x in got)
+    assert disjoint_union([]) == (Graph(0, ()), [])
+
+
+# -- the batch sampler -------------------------------------------------------------
+
+BOX = DomainBox.from_pairs([[-1.0, 1.0], [2.0, 3.0]])
+
+
+def _instance_sizes(batch: RandomUnion) -> tuple[np.ndarray, np.ndarray]:
+    """Node and edge count of each instance of the union."""
+    bounds = np.array(batch.offsets + [batch.graph.node_count])
+    edges = np.array(batch.graph.edges, dtype=np.int64).reshape(-1, 2)
+    owner = np.searchsorted(bounds, edges[:, 0], side="right") - 1
+    return np.diff(bounds), np.bincount(owner, minlength=len(batch.offsets))
+
+
+@pytest.mark.parametrize("max_nodes", [1, 2, 8, 13])
+def test_sampled_node_counts_lie_in_range(max_nodes):
+    counts, _ = _instance_sizes(random_union(2, BOX, 400, 3, max_nodes))
+    assert counts.min() >= 1 and counts.max() <= max_nodes
+    assert set(counts.tolist()) == set(range(1, max_nodes + 1))  # 400 draws see each
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 5, None])
+def test_sampled_graphs_are_canonical_and_degree_bounded(p):
+    batch = random_union(p, BOX, 500, 11)
+    g = batch.graph
+    g.validate()
+    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    assert (edges[:, 0] < edges[:, 1]).all()
+    keys = edges[:, 0] * g.node_count + edges[:, 1]
+    assert (np.diff(keys) > 0).all()  # sorted and distinct
+    counts, edge_counts = _instance_sizes(batch)
+    bounds = np.array(batch.offsets + [g.node_count])
+    # no edge leaves its instance
+    assert (np.searchsorted(bounds, edges[:, 1], side="right")
+            == np.searchsorted(bounds, edges[:, 0], side="right")).all()
+    degrees = np.bincount(edges.ravel(), minlength=g.node_count)
+    owner_size = np.repeat(counts, counts)
+    assert (degrees <= owner_size - 1).all()
+    if p is not None:
+        assert degrees.max(initial=0) <= p
+    if p == 0:
+        assert g.edges == ()
+    else:
+        assert edge_counts.sum() > 0
+
+
+@pytest.mark.parametrize("box", [BOX, DomainBox.cube(0.5, 0.5, 3)])
+def test_sampled_features_lie_in_the_box(box):
+    values = random_union(3, box, 300, 5).features.values
+    assert values.shape[1] == box.dimension
+    assert (values >= box.lows).all() and (values <= box.highs).all()
+    if box.lows[0] == box.highs[0]:
+        assert (values == 0.5).all()
+
+
+def test_sampler_is_deterministic_in_the_seed():
+    a, b, c = (random_union(3, BOX, 200, seed) for seed in (7, 7, 8))
+    assert a.graph == b.graph and a.offsets == b.offsets
+    assert np.array_equal(a.features.values, b.features.values)
+    assert a.graph != c.graph or not np.array_equal(a.features.values, c.features.values)
+
+
+def test_sampler_rejects_a_negative_degree_bound_and_allows_no_trials():
+    with pytest.raises(ValueError, match="nonnegative"):
+        random_union(-1, BOX, 5, 0)
+    empty = random_union(2, BOX, 0, 0)
+    assert empty.graph == Graph(0, ()) and empty.offsets == []
+    assert empty.features.values.shape == (0, 2)
+    assert list(random_instances(2, BOX, 0, 0)) == []
+
+
+@pytest.mark.parametrize("p", [0, 2, None])
+def test_random_union_is_the_union_of_random_instances(p):
+    batch = random_union(p, BOX, 150, 21, 6)
+    parts = list(random_instances(p, BOX, 150, 21, 6))
+    graph, offsets = disjoint_union(g for g, _ in parts)
+    assert graph == batch.graph and offsets == batch.offsets
+    assert np.array_equal(np.concatenate([fm.values for _, fm in parts]),
+                          batch.features.values)
+
+
+def test_instance_accessor_returns_the_union_slice():
+    batch = random_union(3, BOX, 120, 4)
+    bounds = batch.offsets + [batch.graph.node_count]
+    for k in range(len(batch.offsets)):
+        g, fm = batch.instance(k)
+        lo, hi = bounds[k], bounds[k + 1]
+        assert g.node_count == hi - lo
+        assert tuple((u + lo, v + lo) for u, v in g.edges) == tuple(
+            (u, v) for u, v in batch.graph.edges if lo <= u < hi)
+        assert g == Graph(g.node_count, g.edges)  # canonical as built
+        assert np.array_equal(fm.values, batch.features.values[lo:hi])
+    with pytest.raises(IndexError):
+        batch.instance(len(batch.offsets))
+
+
+@pytest.mark.parametrize("p", [0, 1, 3, None])
+def test_sampled_edge_counts_follow_random_graph(p):
+    # Each instance of n nodes runs random_graph's process, so its mean edge
+    # count matches random_graph(n, bound) over many seeds.  Deterministic;
+    # the allowed gap is 4.5 standard errors of the difference of the means.
+    counts, edge_counts = _instance_sizes(random_union(p, BOX, 8_000, 99))
+    for n in range(1, 9):
+        batch = edge_counts[counts == n]
+        bound = n - 1 if p is None else p
+        single = np.array([len(random_graph(n, bound, 10_000 * n + s).edges)
+                           for s in range(600)])
+        gap = abs(batch.mean() - single.mean())
+        stderr = np.sqrt(batch.var() / len(batch) + single.var() / len(single))
+        assert gap <= 4.5 * stderr + 1e-12, (n, batch.mean(), single.mean(), stderr)
+
+
+# -- the sampling API the benchmark calls ------------------------------------------
+
+def test_sampling_api_used_by_the_benchmark():
+    assert inspect.isgeneratorfunction(random_instances)
+    params = inspect.signature(random_instances).parameters
+    assert list(params) == ["p", "box", "trials", "seed", "max_nodes"]
+    assert params["max_nodes"].default == 8
+    assert list(inspect.signature(random_union).parameters) == list(params)
+    union, offsets = disjoint_union(g for g in (TRIANGLE, Graph(2, ((0, 1),))))
+    assert union.node_count == 5 and offsets == [0, 3]
+    batch = random_union(1, BOX, 3, 0)
+    assert {"graph", "features", "offsets"} <= set(RandomUnion._fields)
+    assert isinstance(batch.graph, Graph) and isinstance(batch.features, FeatureMap)
+    assert isinstance(batch.offsets, list)

@@ -326,10 +326,30 @@ def test_mpnn_json_roundtrip():
 
 def test_mpnn_json_roundtrip_of_a_layer_with_no_rows():
     # The empty layer is written as W1 = []; its two columns are read back
-    # from the layer before it.
+    # from the layer before it, or for a first layer from the input arity.
     net = Mpnn((layer([[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)), [0.0, 0.0], RELU),
                 Layer(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), RELU),
                 Layer(np.zeros((1, 0)), np.zeros((1, 0)), np.ones(1), ID)))
     assert mpnn_from_json(mpnn_to_json(net)) == net
+    headless = Mpnn(net.layers[1:])
+    assert mpnn_to_json(headless)["input_arity"] == 2
+    again = mpnn_from_json(mpnn_to_json(headless))
+    assert again == headless and again.input_arity == 2
+    # A file without the input arity has no column count for an empty first layer.
+    old = {"layers": mpnn_to_json(headless)["layers"]}
     with pytest.raises(InvalidNetworkError, match="no input arity"):
-        mpnn_from_json(mpnn_to_json(Mpnn(net.layers[1:])))
+        mpnn_from_json(old)
+
+
+def test_mpnn_json_without_an_input_arity_still_loads():
+    net = Mpnn((layer([[1.0, -2.0]], [[0.5, 0.0]], [0.25], RELU), layer(2.0, 0.0, 0.0, ID)))
+    layers = mpnn_to_json(net)["layers"]
+    assert mpnn_from_json({"layers": layers}) == net
+    assert mpnn_from_json({"input_arity": None, "layers": layers}) == net
+
+
+@pytest.mark.parametrize("arity", [1, 3, -1, 2.0, "2", True])
+def test_mpnn_json_input_arity_must_match_the_first_layer(arity):
+    net = Mpnn((layer([[1.0, -2.0]], [[0.5, 0.0]], [0.25], RELU),))
+    with pytest.raises(InvalidNetworkError, match="input_arity"):
+        mpnn_from_json(dict(mpnn_to_json(net), input_arity=arity))
