@@ -87,7 +87,7 @@ from .mpnn import (
     pad_relu,
     parallel_layers,
 )
-from .parser import MPLangSyntaxError, parse, parse_lines
+from .parser import MPLangSyntaxError, parse
 from .translate import mpnn_to_mplang
 
 __version__ = "0.1.0"

@@ -206,6 +206,8 @@ def interval_image(f: Activation, y: Interval) -> Interval:
 
 
 def _sin_interval(y: Interval) -> Interval:
+    if math.isnan(y.width):  # both ends at the same infinity: an overflowed argument
+        raise ValueError(f"the argument of sin has the non-finite bound {y!r}")
     if y.width >= 2.0 * math.pi:
         return Interval(-1.0, 1.0)
     candidates = [math.sin(y.lo), math.sin(y.hi)]

@@ -48,7 +48,7 @@ from .graphs import (
 from .intervals import DomainBox
 from .interpreter import eval_expr, eval_tuple
 from .mpnn import InvalidNetworkError, eval_mpnn, mpnn_from_json, mpnn_to_json
-from .parser import MPLangSyntaxError, parse_lines
+from .parser import MPLangSyntaxError, parse
 
 DEFAULT_TRIALS = 1000
 DEFAULT_TOLERANCE = 1e-9
@@ -63,13 +63,13 @@ def _read_lines(path: str) -> list[str]:
 
 
 def _read_exprs(args) -> list[Expr]:
-    """The --expr literal, or the lines of --expr-file parsed over one node table."""
+    """The --expr literal, or the lines of --expr-file (sharing their subterms)."""
     if getattr(args, "expr", None) is not None:
-        return parse_lines([args.expr])
+        return [parse(args.expr)]
     lines = _read_lines(args.expr_file)
     if not lines:
         raise MPLangSyntaxError("expression file is empty", 0)
-    return parse_lines(lines)
+    return [parse(line) for line in lines]
 
 
 def _read_graph(path: str) -> Graph:
@@ -111,8 +111,12 @@ def _check_trials(trials: int) -> None:
         raise ModeError(f"--trials must be at least 1, got {trials}")
 
 
-def _write_json(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, allow_nan=False)
+def _write_json(obj, path: str | None, indent: int | None = 2) -> None:
+    """Write obj as strict JSON; a NaN or infinity in it is an error of its own."""
+    try:
+        text = json.dumps(obj, indent=indent, allow_nan=False)
+    except ValueError:
+        raise ValueError("the result is not finite, so it has no JSON form") from None
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -140,9 +144,9 @@ def _load_operand(spec: str) -> Operand:
                 net.output_arity,
                 lambda g, fm: eval_mpnn(net, g, fm).values,
             )
-        components = tuple(parse_lines(_read_lines(spec)))
+        components = tuple(parse(line) for line in _read_lines(spec))
     else:
-        components = tuple(parse_lines([spec]))
+        components = (parse(spec),)
 
     def run(g: Graph, fm: FeatureMap) -> np.ndarray:
         return eval_tuple(ExprTuple(components, fm.dimension), g, fm).values
@@ -156,7 +160,10 @@ def cmd_eval(args) -> int:
     exprs = _read_exprs(args)
     g = _read_graph(args.graph)
     fm = _read_features(args.features)
-    cols = [eval_expr(e, g, fm) for e in exprs]
+    # A non-finite result is reported where it is written, so numpy's overflow
+    # warnings are silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cols = [eval_expr(e, g, fm) for e in exprs]
     _write_json(features_to_json(FeatureMap(np.stack(cols, axis=1))), args.out)
     return 0
 
@@ -272,7 +279,7 @@ def cmd_bounds(args) -> int:
     box = _covering_box(args.box, exprs)
     for e in exprs:
         iv = image_bounds(e, args.degree_bound, box)
-        print(json.dumps([iv.lo, iv.hi], allow_nan=False))
+        _write_json([iv.lo, iv.hi], None, indent=None)
     return 0
 
 

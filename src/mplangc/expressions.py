@@ -1,8 +1,8 @@
 """MPLang abstract syntax: six constructors, arity checks, syntactic traits.
 
-Expressions are DAGs: the parser and the MPNN translation share repeated
-subterms.  Every walk over them is a ``fold``, one iterative post-order pass
-that handles each distinct node once.
+Expressions are hash-consed DAGs: a constructor returns the one live node with
+its fields, whoever calls it, so equal subterms are one object.  Every walk
+over them is a ``fold``, one iterative post-order pass over distinct nodes.
 
 The concrete text form (see parser) writes the neighbor-sum operator as
 ``<>``, scaling as ``a*e``, and a bare number ``a`` as shorthand for ``a*1``.
@@ -10,6 +10,9 @@ The concrete text form (see parser) writes the neighbor-sum operator as
 
 from __future__ import annotations
 
+import math
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar, Union
 
@@ -41,13 +44,43 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class One:
+# (class, fields) -> the live node with them.  Children are keyed by identity
+# (nodes hash by id), an activation by value, a factor by its value and its
+# sign bit, so Scale(2, e) is Scale(2.0, e) but -0.0 stays apart from 0.0.
+# Values are weak, so the table keeps no expression alive; a key holds the
+# node's children, which the node holds anyway.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Held only to store a new node, so threads building equal nodes at once get one.
+_STORE = threading.Lock()
+
+
+class _Interned(type):
+    """Node classes whose call returns the table's node for the fields, if any,
+    and else validates a new node and stores it."""
+
+    def __call__(cls, *fields):
+        key = (cls, *fields)
+        if cls is Scale:
+            key += (math.copysign(1.0, fields[0]),)
+        node = _NODES.get(key)
+        if node is None:
+            new = super().__call__(*fields)
+            with _STORE:
+                node = _NODES.setdefault(key, new)
+        return node
+
+
+class _Node(metaclass=_Interned):
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class One(_Node):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Proj:
+@dataclass(frozen=True, slots=True, eq=False)
+class Proj(_Node):
     index: int  # 1-based
 
     def __post_init__(self):
@@ -55,8 +88,8 @@ class Proj:
             raise ValueError("projection index must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
-class Scale:
+@dataclass(frozen=True, slots=True, eq=False)
+class Scale(_Node):
     factor: float
     arg: "Expr"
 
@@ -64,20 +97,20 @@ class Scale:
         object.__setattr__(self, "factor", float(self.factor))
 
 
-@dataclass(frozen=True, slots=True)
-class Add:
+@dataclass(frozen=True, slots=True, eq=False)
+class Add(_Node):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
-class Apply:
+@dataclass(frozen=True, slots=True, eq=False)
+class Apply(_Node):
     func: Activation
     arg: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
-class Diamond:
+@dataclass(frozen=True, slots=True, eq=False)
+class Diamond(_Node):
     arg: "Expr"
 
 
@@ -120,9 +153,8 @@ def fold_all(roots: Sequence[Expr], combine: Callable[[Expr, tuple], T]) -> list
     combine(node, child_results) runs once per distinct node object, with the
     results of its children left to right, however many roots share it; the
     result is the list of the roots' results.  Nodes are told apart by id,
-    never by ==/hash: those recurse over the whole subtree, so on a shared DAG
-    they cost time exponential in its depth.  A result is dropped once the
-    node's last parent has read it; a root's is kept.
+    which for hash-consed nodes is structural equality.  A result is dropped
+    once the node's last parent has read it; a root's is kept.
     """
     parents: dict[int, int] = {}
     expanded: set[int] = set()

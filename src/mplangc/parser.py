@@ -9,12 +9,12 @@ Numbers are decimal with optional sign, fraction, and exponent; whitespace is
 insignificant.  The literal ``1`` denotes the unit constant; any other number
 ``a`` is shorthand for ``a*1``.
 
-``parse`` returns a shared DAG: within one call, every repeated subterm is one
-node object, so the walks over the result (see ``expressions.fold``) visit it
-once.  ``parse_lines`` parses several texts, the lines of an expression file,
-over one node table, so their results share nodes too.  Each text gets its own
-group memo: the memo's keys hold the text's tokens, so keeping it across texts
-would keep every text's tokens alive until the last is parsed.
+``parse`` returns a shared DAG: the node constructors hash-cons (see
+``expressions``), so every repeated subterm is one node object, within one
+text and across texts, and the walks over the result (see
+``expressions.fold``) visit it once.  Each call has its own group memo: the
+memo's keys hold the text's tokens, so keeping it across texts would keep
+every text's tokens alive.
 
 Parsing costs one scan of the text plus one descent per *distinct*
 parenthesised group.  The scan is a single ``findall``: it yields the tokens
@@ -37,19 +37,15 @@ syntax error.
 
 from __future__ import annotations
 
-import math
 import re
 import string
 from itertools import compress, count
-from typing import Iterable
 
 from .activations import Named, _NAMED
-from .expressions import Add, Apply, Diamond, Expr, One, Proj, Scale
+from .expressions import Add, Apply, Diamond, Expr, Proj, Scale, const
 
-__all__ = ["parse", "parse_lines", "MPLangSyntaxError"]
+__all__ = ["parse", "MPLangSyntaxError"]
 
-
-_NODE_TYPES = (One, Proj, Scale, Add, Apply, Diamond)
 # One activation object per catalog name, shared by every parse, so a parsed
 # expression holds no copy of it per application.
 _FUNCTIONS = {name: Named(name) for name in _NAMED}
@@ -107,33 +103,15 @@ def _match_parens(tokens: tuple[str, ...]) -> dict[int, int]:
 
 
 class _Parser:
-    def __init__(self, text: str, nodes: dict[tuple, Expr]):
+    def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.close = _match_parens(self.tokens)
         self.i = 0
-        self.nodes = nodes
         self.groups: dict[tuple[str, ...], Expr] = {}
 
     def error(self, message: str) -> MPLangSyntaxError:
         return MPLangSyntaxError(message, _position(self.text, self.i))
-
-    def node(self, cls: type, *fields) -> Expr:
-        """The one node of the node table with this type and these fields.
-
-        Children are keyed by id, a factor by its value and its sign bit, so
-        -0.0 stays apart from 0.0.
-        """
-        key = (cls, *[id(f) if isinstance(f, _NODE_TYPES) else f for f in fields])
-        if cls is Scale:
-            key += (math.copysign(1.0, fields[0]),)
-        found = self.nodes.get(key)
-        if found is None:
-            found = self.nodes[key] = cls(*fields)
-        return found
-
-    def number(self, value: float) -> Expr:
-        return self.node(One) if value == 1.0 else self.node(Scale, value, self.node(One))
 
     def expect(self, token: str) -> None:
         found = self.tokens[self.i]
@@ -147,7 +125,7 @@ class _Parser:
         e = self.term()
         while self.tokens[self.i] == "+":
             self.i += 1
-            e = self.node(Add, e, self.term())
+            e = Add(e, self.term())
         return e
 
     def _at_number(self) -> bool:
@@ -172,28 +150,28 @@ class _Parser:
             value = self._signed_number()
             if self.tokens[self.i] == "*":
                 self.i += 1
-                return self.node(Scale, value, self.factor())
-            return self.number(value)
+                return Scale(value, self.factor())
+            return const(value)
         return self.factor()
 
     def factor(self) -> Expr:
         tok = self.tokens[self.i]
         if self._at_number():
-            return self.number(self._signed_number())
+            return const(self._signed_number())
         if tok[:1] in _LETTERS:
             if tok[0] == "P" and tok[1:].isdigit():
                 index = int(tok[1:])
                 if index < 1:
                     raise self.error("projection index must be >= 1")
                 self.i += 1
-                return self.node(Proj, index)
+                return Proj(index)
             if tok not in _FUNCTIONS:
                 raise self.error(f"unknown function {tok!r}")
             self.i += 1
-            return self.node(Apply, _FUNCTIONS[tok], self.group())
+            return Apply(_FUNCTIONS[tok], self.group())
         if tok == "<>":
             self.i += 1
-            return self.node(Diamond, self.factor())
+            return Diamond(self.factor())
         if tok == "(":
             return self.group()
         raise self.error(f"unexpected {tok or 'end of input'!r}")
@@ -216,8 +194,9 @@ class _Parser:
         return e
 
 
-def _parse(text: str, nodes: dict[tuple, Expr]) -> Expr:
-    p = _Parser(text, nodes)
+def parse(text: str) -> Expr:
+    """The shared DAG of one expression text."""
+    p = _Parser(text)
     try:
         e = p.expr()
     except RecursionError:
@@ -225,16 +204,3 @@ def _parse(text: str, nodes: dict[tuple, Expr]) -> Expr:
     if p.tokens[p.i]:
         raise p.error(f"unexpected {p.tokens[p.i]!r} after expression")
     return e
-
-
-def parse_lines(texts: Iterable[str]) -> list[Expr]:
-    """parse of each text, over one node table: a subterm that several texts
-    hold is one node, as within one text.  An error reports its position in
-    the text that holds it."""
-    nodes: dict[tuple, Expr] = {}
-    return [_parse(text, nodes) for text in texts]
-
-
-def parse(text: str) -> Expr:
-    """The shared DAG of one expression text."""
-    return parse_lines((text,))[0]

@@ -20,7 +20,7 @@ from mplangc.generate import random_expr
 from mplangc.graphs import Graph
 from mplangc.intervals import DomainBox, Interval
 from mplangc.interpreter import eval_expr
-from mplangc.parser import parse, parse_lines
+from mplangc.parser import parse
 from mplangc.translate import mpnn_to_mplang
 
 
@@ -244,7 +244,7 @@ def test_a_shared_subterm_has_one_approximant():
     (record,) = report.applications
     assert record.eps == 0.1 / 2 / 2  # the smaller of its two demands
     # Across roots too: the lines of a file share their parsed nodes.
-    roots = parse_lines(["tanh(P1) + 1", "-3*tanh(P1)"])
+    roots = [parse("tanh(P1) + 1"), parse("-3*tanh(P1)")]
     (first, second), report = approximate_all(roots, 2, box, 0.3)
     assert first.left is second.arg and len(report.applications) == 1
     assert report.applications[0].eps == 0.3 / 3

@@ -11,7 +11,7 @@ from mplangc.graphs import FeatureMap, Graph, features_from_json, graph_from_jso
 from mplangc.interpreter import eval_expr, eval_tuple
 from mplangc.intervals import DomainBox
 from mplangc.mpnn import eval_mpnn, mpnn_from_json
-from mplangc.parser import parse, parse_lines
+from mplangc.parser import parse
 
 
 def _graph_file(tmp_path, nodes, edges, name="graph.json"):
@@ -247,12 +247,13 @@ def test_approx_and_bounds_of_a_multi_line_file(tmp_path, capsys):
     assert rc == 0
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 3 and printed[2].startswith("rho_hat = ")
-    approximants = ExprTuple(tuple(parse_lines(printed[:2])), 2)
+    approximants = ExprTuple(tuple(parse(text) for text in printed[:2]), 2)
     batch = random_union(2, DomainBox.cube(-1.0, 1.0, 2), 100, 9)
     want = eval_tuple(approximants, batch.graph, batch.features).values
     net = mpnn_from_json(json.loads(net_out.read_text()))
     assert_close(eval_mpnn(net, batch.graph, batch.features).values, want)
-    sources = eval_tuple(ExprTuple(tuple(parse_lines(lines)), 2), batch.graph, batch.features)
+    sources = eval_tuple(ExprTuple(tuple(parse(text) for text in lines), 2),
+                         batch.graph, batch.features)
     assert np.abs(sources.values - want).max() <= 0.1
 
     rc = main(["bounds", "--expr-file", str(path), "--degree-bound", "2", "--box", box])
@@ -435,12 +436,40 @@ def test_box_must_be_finite_with_finite_width(capsys, box):
     assert "PASS" not in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+NOT_FINITE = "configuration error: the result is not finite, so it has no JSON form\n"
+
+
 def test_non_finite_result_is_never_written(pair_instance, capsys):
     g, f = pair_instance
-    rc = main(["eval", "--expr", "1e308*P1 + 1e308*P1", "--graph", g, "--features", f])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["eval", "--expr", "1e308*P1 + 1e308*P1", "--graph", g, "--features", f])
     assert rc == 3
-    assert "Infinity" not in capsys.readouterr().out
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert "Infinity" not in out
+    assert err == NOT_FINITE
+
+
+def test_non_finite_bounds_are_never_written(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["bounds", "--expr", "1e308*P1 + 1e308*P1", "--degree-bound", "1",
+                   "--box", "[[1,2]]"])
+    assert rc == 3
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert out == "" and err == NOT_FINITE
+
+
+def test_bounds_names_an_overflowed_argument(capsys):
+    # The argument's interval overflows to [inf, inf], whose width is NaN.
+    rc = main(["bounds", "--expr", "sin(1e308*P1 + 1e308*P1)", "--degree-bound", "1",
+               "--box", "[[1,2]]"])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "configuration error: the argument of sin has the non-finite bound [inf, inf]\n"
 
 
 def test_check_nan_deviation_does_not_hide_a_failure(capsys):

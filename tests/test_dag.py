@@ -1,7 +1,10 @@
 """The shared expression core: one fold over a DAG, and parsing into a DAG."""
 
+import gc
 import math
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_close, batch_instances, deep_mpnn
-from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH, Merged
-from mplangc.approx import image_bounds
+from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH, Merged, Named
+from mplangc.approx import approximate_all, image_bounds
 from mplangc.compiler import (
     _Channels,
     compile_addition_free,
@@ -27,6 +30,7 @@ from mplangc.expressions import (
     One,
     Proj,
     Scale,
+    _NODES,
     classify,
     fold,
     fold_all,
@@ -48,16 +52,18 @@ PATH_FEATURES = FeatureMap(np.array([[0.5, -1.0], [2.0, 0.25], [-1.5, 3.0]]))
 
 
 def _tree_copy(e):
-    """The same expression with no node object shared."""
+    """The same expression with no node object shared, its nodes built past
+    the intern table."""
+    fresh = type.__call__
     if isinstance(e, Add):
-        return Add(_tree_copy(e.left), _tree_copy(e.right))
+        return fresh(Add, _tree_copy(e.left), _tree_copy(e.right))
     if isinstance(e, Scale):
-        return Scale(e.factor, _tree_copy(e.arg))
+        return fresh(Scale, e.factor, _tree_copy(e.arg))
     if isinstance(e, Apply):
-        return Apply(e.func, _tree_copy(e.arg))
+        return fresh(Apply, e.func, _tree_copy(e.arg))
     if isinstance(e, Diamond):
-        return Diamond(_tree_copy(e.arg))
-    return Proj(e.index) if isinstance(e, Proj) else One()
+        return fresh(Diamond, _tree_copy(e.arg))
+    return fresh(Proj, e.index) if isinstance(e, Proj) else fresh(One)
 
 
 def _networks(e):
@@ -307,7 +313,7 @@ def test_compile_relu_tuple_forms_each_distinct_node_once(monkeypatch):
     monkeypatch.setattr(_Channels, "form",
                         lambda self, node, kids: calls.append(node) or form(self, node, kids))
     together = compile_relu_tuple(t)
-    assert len(calls) == len(nodes) == 203  # 501 if each root is folded on its own
+    assert len(calls) == len(nodes) == 170  # 426 if each root is folded on its own
     assert len(together.layers) == len(per_root.layers)
     for a, b in zip(together.layers, per_root.layers):
         assert a.activation == b.activation
@@ -343,6 +349,91 @@ def test_parse_shares_repeated_subterms():
     negative_zero, zero = e.left.right, e.right
     assert negative_zero is not zero and negative_zero.arg is zero.arg
     assert math.copysign(1.0, negative_zero.factor) == -1.0
+
+
+# -- the intern table ----------------------------------------------------------------
+
+def _dag_size(roots):
+    nodes = []
+    fold_all(roots, lambda node, kids: nodes.append(node))
+    return len(nodes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 5), d=st.integers(0, 3))
+def test_parse_of_the_text_is_the_expression_itself(seed, depth, d):
+    e = random_expr(np.random.default_rng(seed), depth, d)
+    assert parse(format_expr(e)) is e
+
+
+def test_translations_and_approximants_are_as_small_as_their_reparsed_text():
+    deep = mpnn_to_mplang(deep_mpnn(0, 3))
+    approximants, _ = approximate_all(deep.components, 3, BOX, 0.1)
+    for roots, size in ((mpnn_to_mplang(deep_mpnn(0, 5)).components, 215),
+                        (deep.components, 125), (approximants, 4549)):
+        reparsed = [parse(format_expr(e)) for e in roots]
+        assert _dag_size(roots) == _dag_size(reparsed) == size
+        assert all(a is b for a, b in zip(roots, reparsed))
+
+
+def test_a_factor_is_keyed_by_its_value_and_sign():
+    assert Scale(-0.0, One()) is not Scale(0.0, One())
+    assert Scale(2, Proj(1)) is Scale(2.0, Proj(1))
+    assert Apply(Named("relu"), Proj(1)) is Apply(RELU, Proj(1))
+
+
+def test_a_rejected_node_is_not_stored():
+    with pytest.raises(ValueError):
+        Proj(0)
+    assert not any(isinstance(n, Proj) and n.index == 0 for n in _NODES.values())
+
+
+def test_the_table_keeps_no_expression_alive():
+    gc.collect()
+    before = len(_NODES)
+    t = mpnn_to_mplang(deep_mpnn(0, 3))
+    approximants, _ = approximate_all(t.components, 3, BOX, 0.1)
+    assert len(_NODES) > before + 4000
+    del t, approximants
+    gc.collect()
+    assert len(_NODES) == before
+
+
+def test_hash_and_equality_do_not_walk_the_expression():
+    def tower():
+        # 41 distinct nodes; read as a tree it would have 2**41 - 1.
+        x = Proj(1)
+        for _ in range(40):
+            x = Add(x, x)
+        return x
+
+    start = time.perf_counter()
+    a, b = tower(), tower()
+    assert hash(a) == hash(b)
+    assert a == b and a is b
+    assert time.perf_counter() - start < 1.0
+
+
+def test_threads_building_equal_nodes_get_one_node():
+    def build(out):
+        x = Proj(7)
+        for k in range(300):
+            x = Add(x, Scale(k, x))
+        out.append(x)
+
+    results = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(results,)) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8 and all(r is results[0] for r in results)
 
 
 LONG_TERMS = [f"{0.5 + k % 5}*P{1 + k % 2}" for k in range(3000)]

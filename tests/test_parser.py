@@ -23,7 +23,7 @@ from mplangc.expressions import (
     max_projection,
 )
 from mplangc.generate import random_expr
-from mplangc.parser import MPLangSyntaxError, _Parser, parse, parse_lines
+from mplangc.parser import MPLangSyntaxError, _Parser, parse
 from mplangc.translate import mpnn_to_mplang
 
 
@@ -179,7 +179,8 @@ def test_parse_descends_once_per_distinct_group(monkeypatch):
 
 
 def test_parse_lines_shares_nodes_across_lines():
-    first, second = parse_lines(["sin(P1 + <>P2) + 1", "<>(P1 + <>P2) + -3*sin(P1 + <>P2)"])
+    first, second = [parse(text) for text in
+                     ["sin(P1 + <>P2) + 1", "<>(P1 + <>P2) + -3*sin(P1 + <>P2)"]]
     assert second.right.arg is first.left
     assert second.left.arg is first.left.arg
     assert [format_expr(e) for e in (first, second)] == [
@@ -195,10 +196,11 @@ def test_a_translation_file_parses_to_one_dag():
         fold_all(roots, lambda node, kids: nodes.append(node))
         return len(nodes)
 
-    together = parse_lines(texts)
+    together = [parse(text) for text in texts]
     assert [format_expr(e) for e in together] == texts
-    # 3 x 187 nodes when each line is parsed on its own; 257 in the translation.
-    assert size([parse(text) for text in texts]) == 561
+    # The lines share their nodes, as the translation's components do: 215
+    # distinct nodes, not the 3 x 187 of three unshared parses.
+    assert size([parse(text) for text in texts]) == 215
     assert size(together) == 215
 
 
@@ -207,7 +209,7 @@ def test_parse_lines_reports_an_error_in_its_own_line(bad):
     with pytest.raises(MPLangSyntaxError) as alone:
         parse(bad)
     with pytest.raises(MPLangSyntaxError) as among:
-        parse_lines(["relu(P1 + P2)", "sin(P1)", bad, "P1"])
+        [parse(text) for text in ["relu(P1 + P2)", "sin(P1)", bad, "P1"]]
     assert str(among.value) == str(alone.value) and among.value.pos == alone.value.pos
 
 
