@@ -1,9 +1,12 @@
 """Uniform approximation of arbitrary expressions by ReLU-only ones.
 
 Every function application is replaced by a finite ReLU combination accurate
-on an interval covering its argument's image.  The error budget ε is split
-over the shared DAG in two passes.  A top-down pass, parents before children,
-gives each distinct node the smallest ε that any of its parents demands:
+on an interval covering its argument's image.  A first fold over the shared
+DAG marks its exact (ReLU-only) nodes and checks every projection against the
+box, and a second bounds the arguments that get interpolants.  The error
+budget ε is then split in two passes.  A top-down pass, parents before
+children, gives each distinct node the smallest ε that any of its parents
+demands:
 
 * a maximal + spine is one sum of terms.  An exact (ReLU-only) subtree is one
   term, and an Add with another parent ends the spine.  Exact terms get no
@@ -13,11 +16,11 @@ gives each distinct node the smallest ε that any of its parents demands:
   f gets ε/2 on the image widened by ε/2, and e gets min(δ, ε/2), with δ from
   the interpolant's Lipschitz constant.
 
-A bottom-up fold then builds each node's approximant once, so shared subterms
-stay shared.  Each step is a bound, so the result is within ε on every graph
-of degree <= p with features in the box, up to floating-point rounding.  The
-``ApproxReport`` records every application and the bound proven bottom-up from
-the grids actually used.
+A bottom-up fold, the third and last, then builds each node's approximant
+once, so shared subterms stay shared.  Each step is a bound, so the result is
+within ε on every graph of degree <= p with features in the box, up to
+floating-point rounding.  The ``ApproxReport`` records every application and
+the bound proven bottom-up from the grids actually used.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .expressions import (
     const,
     fold,
     fold_all,
-    max_projections,
     scaled,
     sum_terms,
 )
@@ -72,6 +74,11 @@ __all__ = [
 ]
 
 
+def _check_projection(node: Proj, box: DomainBox) -> None:
+    if node.index > box.dimension:
+        raise ArityError(f"projection {node.index} outside box of dimension {box.dimension}")
+
+
 def _bound(p: int, box: DomainBox):
     """The image_bounds combine: a node's interval from its children's."""
 
@@ -79,10 +86,7 @@ def _bound(p: int, box: DomainBox):
         if isinstance(node, One):
             return Interval(1.0, 1.0)
         if isinstance(node, Proj):
-            if node.index > box.dimension:
-                raise ArityError(
-                    f"projection {node.index} outside box of dimension {box.dimension}"
-                )
+            _check_projection(node, box)
             return box.intervals[node.index - 1]
         if isinstance(node, Scale):
             return kids[0].scale(node.factor)
@@ -98,6 +102,8 @@ def _bound(p: int, box: DomainBox):
 
 def image_bounds(e: Expr, p: int, box: DomainBox) -> Interval:
     """Interval containing every value of e over degree-<=p graphs and box."""
+    if p < 0:
+        raise ValueError("degree bound must be nonnegative")
     return fold(e, _bound(p, box))
 
 
@@ -165,18 +171,20 @@ def approximate_all(
     graphs and box, built over the roots' shared DAG; and the report."""
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if p < 0:
+        raise ValueError("degree bound must be nonnegative")
     roots = tuple(roots)
-    if max(max_projections(roots), default=0) > box.dimension:
-        raise ArityError(f"expression needs arity > {box.dimension}")
 
     # One fold: each node's exactness, the post-order, and how many parents
-    # (or root slots) read each node; then one fold for the images of the
-    # arguments that get interpolants.
+    # (or root slots) read each node, checking every projection against the
+    # box; then one fold for the images of the arguments that get interpolants.
     exact: dict[int, bool] = {}
     readers: dict[int, int] = {}
     order: list[Expr] = []
 
     def survey(node: Expr, kids: tuple[bool, ...]) -> bool:
+        if isinstance(node, Proj):
+            _check_projection(node, box)
         ok = all(kids) and not (isinstance(node, Apply) and node.func != RELU)
         exact[id(node)] = ok
         for c in children(node):

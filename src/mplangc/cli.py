@@ -9,9 +9,10 @@ Exit codes (fixed for scripting):
   2  arity or dimension mismatch
   3  mode or configuration error (inapplicable mode, bad --box, a --box
      endpoint or width that is not finite, eps <= 0, --trials < 1, a
-     --tolerance or --abs-tolerance that is negative or not finite, a result
-     with no JSON form because it is not finite, a check with non-finite
-     operand values and no finite failure, out of memory, ...)
+     negative --degree-bound, a --tolerance or --abs-tolerance that is
+     negative or not finite, a result with no JSON form because it is not
+     finite, a check with non-finite operand values and no finite failure,
+     out of memory, ...)
   4  no approximation certificate (an unbounded argument image, a grid of
      more than 4097 knots, or a grid step below the float spacing)
   5  equivalence check failed (a witness instance is printed)
@@ -82,7 +83,7 @@ def _read_features(path: str) -> FeatureMap:
         return features_from_json(json.load(fh))
 
 
-def _parse_box(text: str, expected_dim: int | None = None) -> DomainBox:
+def _parse_box(text: str) -> DomainBox:
     try:
         pairs = json.loads(text)
         box = DomainBox.from_pairs(pairs)
@@ -90,19 +91,6 @@ def _parse_box(text: str, expected_dim: int | None = None) -> DomainBox:
         raise ModeError(f'invalid --box (want "[[lo,hi],...]"): {exc}') from exc
     if not all(math.isfinite(iv.width) for iv in box.intervals):
         raise ModeError("--box endpoints and widths must be finite")
-    if expected_dim is not None and box.dimension != expected_dim:
-        raise ArityError(
-            f"--box has dimension {box.dimension}, expected {expected_dim}"
-        )
-    return box
-
-
-def _covering_box(text: str, exprs: list[Expr]) -> DomainBox:
-    """The --box, which must cover every projection of the expressions."""
-    box = _parse_box(text)
-    need = max(max_projections(exprs))
-    if box.dimension < need:
-        raise ArityError(f"--box has dimension {box.dimension}, expression needs {need}")
     return box
 
 
@@ -200,9 +188,7 @@ def cmd_approx(args) -> int:
     if args.epsilon is None or args.epsilon <= 0:
         raise ModeError("--epsilon must be a positive real")
     _check_trials(args.trials)
-    if args.degree_bound is None or args.box is None:
-        raise ModeError("approx needs --degree-bound and --box")
-    box = _covering_box(args.box, exprs)
+    box = _parse_box(args.box)
     results, report = approximate_all(exprs, args.degree_bound, box, args.epsilon)
     rho = max(uniform_distance_estimates(
         exprs, results, args.degree_bound, box, args.trials, args.seed))
@@ -233,7 +219,7 @@ def cmd_check(args) -> int:
             f"output arities differ: {a.output_arity} vs {b.output_arity}"
         )
     d = max(a.input_arity, b.input_arity, 1)
-    box = _parse_box(args.box, expected_dim=None) if args.box else DomainBox.cube(-1.0, 1.0, d)
+    box = _parse_box(args.box) if args.box else DomainBox.cube(-1.0, 1.0, d)
     if box.dimension < max(a.input_arity, b.input_arity):
         raise ArityError(
             f"--box has dimension {box.dimension}, operands need {max(a.input_arity, b.input_arity)}"
@@ -274,11 +260,9 @@ def cmd_check(args) -> int:
 
 def cmd_bounds(args) -> int:
     exprs = _read_exprs(args)
-    if args.degree_bound is None or args.box is None:
-        raise ModeError("bounds needs --degree-bound and --box")
-    box = _covering_box(args.box, exprs)
-    for e in exprs:
-        iv = image_bounds(e, args.degree_bound, box)
+    box = _parse_box(args.box)
+    # Every line is bounded before any is written, so an error writes none.
+    for iv in [image_bounds(e, args.degree_bound, box) for e in exprs]:
         _write_json([iv.lo, iv.hi], None, indent=None)
     return 0
 

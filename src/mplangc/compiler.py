@@ -9,7 +9,9 @@ neighbour weights.  Rows are stored once per level, so a tree and its shared
 DAG give the same network: one layer per level, then an id-layer reading out
 each root.  Rows that no root reads are dropped.  If every root is exactly
 one channel of the top level, the read-out is fused away and the last layer
-is returned with its rows in root order.
+is returned with its rows in root order.  The fold also checks the route:
+it raises ArityError at a projection beyond the input arity, and what it
+records decides the route's ModeError, so each route walks the DAG once.
 
 A carrier row only carries a value up a level: a lift, or the constant
 channel that a bias under <> reads.  Its activation is fixed by the route:
@@ -53,16 +55,14 @@ from .errors import ArityError, ModeError
 from .expressions import (
     Add,
     Apply,
+    Diamond,
     Expr,
     ExprTuple,
     One,
     Proj,
     Scale,
-    arity_check,
     classify,
-    classify_all,
     fold_all,
-    max_projections,
 )
 from .intervals import DomainBox, Interval
 from .mpnn import Layer, Mpnn, concat_layers
@@ -202,6 +202,7 @@ class _Channels:
     index[k] finds one by content; a row's index is its channel at level k + 1.
     A carrier row only carries a value up a level: a lift, or the constant
     channel under <>.  Its activation is the route's carrier, relu or id.
+    kinds and functions record the node types and the activations folded.
     """
 
     def __init__(self, d: int, carrier: Activation):
@@ -209,6 +210,8 @@ class _Channels:
         self.carrier = carrier
         self.rows: list[list[_Row]] = []
         self.index: list[dict[_Row, int]] = []
+        self.kinds: set[type] = set()
+        self.functions: set[Activation] = set()
 
     def emit(self, f: _Form, activation: Activation) -> int:
         """The channel of level f.level + 1 that holds activation(f)."""
@@ -258,9 +261,12 @@ class _Channels:
 
     def form(self, node: Expr, kids: tuple[_Form, ...]) -> _Form:
         """The form of one expression node, from its children's."""
+        self.kinds.add(type(node))
         if isinstance(node, One):
             return _Form(0, {}, {}, 1.0)
         if isinstance(node, Proj):
+            if node.index > self.d:
+                raise ArityError(f"expression uses projections beyond arity {self.d}")
             return _Form(0, {node.index - 1: 1.0}, {}, 0.0)
         if isinstance(node, Scale):
             return _scaled(node.factor, kids[0])
@@ -271,6 +277,7 @@ class _Channels:
             return _Form(level if self_w or neigh_w else 0, self_w, neigh_w, f.bias + g.bias)
         (f,) = kids
         if isinstance(node, Apply):
+            self.functions.add(node.func)
             if node.func == ID:
                 return f
             if not (f.self_w or f.neigh_w):
@@ -366,18 +373,20 @@ def _matrix_layer(rows: list[_Row], position: list[int], width: int,
     return Layer(w_self, w_neigh, bias, activation)
 
 
-def _schedule(roots: tuple[Expr, ...], d: int, carrier: Activation,
+def _schedule(roots: tuple[Expr, ...], d: int, mode: str,
               p: int | None = None, box: DomainBox | None = None) -> Mpnn:
-    channels = _Channels(d, carrier)
-    return channels.network(fold_all(roots, channels.form), p, box)
-
-
-def _compile_relu_roots(roots: tuple[Expr, ...], d: int) -> Mpnn:
-    if max(max_projections(roots)) > d:
-        raise ArityError(f"expression uses projections beyond arity {d}")
-    if not classify_all(roots).relu_only:
+    """The roots' network on the route named by mode, from one fold over their
+    DAG; the mode is checked after the fold's ArityError, before network()."""
+    chained = mode in ("addition-free", "pointwise")
+    channels = _Channels(d, ID if chained else RELU)
+    forms = fold_all(roots, channels.form)
+    if mode == "relu" and not channels.functions <= {RELU}:
         raise ModeError("expression applies functions other than relu")
-    return _schedule(roots, d, RELU)
+    if chained and Add in channels.kinds:
+        raise ModeError("expression uses +")
+    if mode == "pointwise" and Diamond in channels.kinds:
+        raise ModeError("expression uses the neighbor-sum operator")
+    return channels.network(forms, p, box)
 
 
 def compile_relu(e: Expr, d: int) -> Mpnn:
@@ -388,12 +397,12 @@ def compile_relu(e: Expr, d: int) -> Mpnn:
     has one ReLU layer per level above the input and ends in an id-layer,
     unless the read-out fuses into the last ReLU layer.
     """
-    return _compile_relu_roots((e,), d)
+    return _schedule((e,), d, "relu")
 
 
 def compile_relu_tuple(t: ExprTuple) -> Mpnn:
     """compile_relu of every component at once: one network, one output per component."""
-    return _compile_relu_roots(t.components, t.input_arity)
+    return _schedule(t.components, t.input_arity, "relu")
 
 
 def compile_mixed(e: Expr, d: int, p: int, box: DomainBox) -> Mpnn:
@@ -404,11 +413,9 @@ def compile_mixed(e: Expr, d: int, p: int, box: DomainBox) -> Mpnn:
     """
     if box.dimension != d:
         raise ArityError(f"box dimension {box.dimension} != input arity {d}")
-    if not arity_check(e, d):
-        raise ArityError(f"expression uses projections beyond arity {d}")
     if p < 0:
         raise ValueError("degree bound must be nonnegative")
-    return _schedule((e,), d, RELU, p, box)
+    return _schedule((e,), d, "mixed", p, box)
 
 
 def compile_addition_free(e: Expr, d: int) -> Mpnn:
@@ -417,11 +424,7 @@ def compile_addition_free(e: Expr, d: int) -> Mpnn:
     The scheduler with id carrier rows: the network uses only the
     expression's own functions plus the identity, and no merged activation.
     """
-    if not arity_check(e, d):
-        raise ArityError(f"expression uses projections beyond arity {d}")
-    if not classify(e).addition_free:
-        raise ModeError("expression uses +")
-    return _schedule((e,), d, ID)
+    return _schedule((e,), d, "addition-free")
 
 
 def compile_pointwise(e: Expr, d: int) -> Mpnn:
@@ -430,14 +433,7 @@ def compile_pointwise(e: Expr, d: int) -> Mpnn:
     Every layer applies one of the expression's functions, except that the
     last may be an id read-out.
     """
-    if not arity_check(e, d):
-        raise ArityError(f"expression uses projections beyond arity {d}")
-    traits = classify(e)
-    if not traits.addition_free:
-        raise ModeError("expression uses +")
-    if not traits.summation_free:
-        raise ModeError("expression uses the neighbor-sum operator")
-    return _schedule((e,), d, ID)
+    return _schedule((e,), d, "pointwise")
 
 
 # -- mode dispatch -----------------------------------------------------------------
@@ -537,12 +533,10 @@ def compile_expr(e: Expr, d: int, env: CompileEnv) -> tuple[Mpnn, CompileReport]
                 "no exact mode applies everywhere; supply --degree-bound and "
                 "--box for bounded compilation, or approximate first"
             )
-    if mode == "pointwise":
-        net = compile_pointwise(e, d)
-    elif mode == "addition-free":
-        net = compile_addition_free(e, d)
-    elif mode == "relu":
-        net = compile_relu(e, d)
+    exact = {"pointwise": compile_pointwise, "addition-free": compile_addition_free,
+             "relu": compile_relu}
+    if mode in exact:
+        net = exact[mode](e, d)
     elif mode == "mixed":
         if env.degree_bound is None or env.box is None:
             raise ModeError("mixed mode needs a degree bound and a feature box")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence, TypeVar, Union
 
 from .activations import Activation, Named, RELU
@@ -70,16 +70,33 @@ class _Interned(type):
         return node
 
 
+# The longest text repr gives a node, subterms included.
+_REPR_WIDTH = 80
+
+
 class _Node(metaclass=_Interned):
     __slots__ = ("__weakref__",)
 
+    def __repr__(self) -> str:
+        """The constructor call, each node's text cut to _REPR_WIDTH characters,
+        so a shared DAG's repr costs time linear in its distinct nodes.  A
+        node's children are its last fields."""
 
-@dataclass(frozen=True, slots=True, eq=False)
+        def text(node: Expr, kids: tuple[str, ...]) -> str:
+            own = [repr(v) for f in fields(node)
+                   if not isinstance(v := getattr(node, f.name), _Node)]
+            out = f"{type(node).__name__}({', '.join([*own, *kids])})"
+            return out if len(out) <= _REPR_WIDTH else out[:_REPR_WIDTH - 3] + "..."
+
+        return fold(self, text)
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class One(_Node):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Proj(_Node):
     index: int  # 1-based
 
@@ -88,7 +105,7 @@ class Proj(_Node):
             raise ValueError("projection index must be >= 1")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Scale(_Node):
     factor: float
     arg: "Expr"
@@ -97,19 +114,19 @@ class Scale(_Node):
         object.__setattr__(self, "factor", float(self.factor))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Add(_Node):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Apply(_Node):
     func: Activation
     arg: "Expr"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Diamond(_Node):
     arg: "Expr"
 

@@ -146,6 +146,22 @@ def test_arguments_no_parent_reads_are_not_bounded(monkeypatch):
     assert images == []
 
 
+@pytest.mark.parametrize("text", ["P1", "<>P1", "sin(<>P1)"])
+def test_image_bounds_and_approximate_reject_a_negative_degree_bound(text):
+    box = DomainBox.cube(0, 1, 1)
+    with pytest.raises(ValueError, match="degree bound must be nonnegative"):
+        image_bounds(parse(text), -1, box)
+    with pytest.raises(ValueError, match="degree bound must be nonnegative"):
+        approximate_all([parse(text)], -1, box, 0.1)
+
+
+def test_approximate_all_checks_every_projection_against_the_box():
+    box = DomainBox.cube(-1, 1, 1)
+    for text in ("relu(P2)", "0*sin(P2)", "sin(P1) + <>P2"):
+        with pytest.raises(ArityError):
+            approximate_all([parse("sin(P1)"), parse(text)], 1, box, 0.1)
+
+
 def test_rejects_nonpositive_eps():
     with pytest.raises(ValueError):
         approximate(parse("sin(P1)"), 1, DomainBox.cube(-1, 1, 1), 0.0)

@@ -94,6 +94,12 @@ def test_compile_auto_without_bounds_hints_exit_3(capsys):
     assert "--degree-bound" in err and "--box" in err
 
 
+def test_compile_arity_error_comes_before_mode_error(capsys):
+    rc = main(["compile", "--mode", "relu", "--arity", "1", "--expr", "tanh(P2)"])
+    assert rc == 2
+    assert "arity error" in capsys.readouterr().err
+
+
 def test_compile_auto_sum_layer(capsys):
     rc = main(["compile", "--expr", "<>P1"])
     assert rc == 0
@@ -262,6 +268,45 @@ def test_approx_and_bounds_of_a_multi_line_file(tmp_path, capsys):
     assert len(intervals) == 2
     for (lo, hi), column in zip(intervals, sources.values.T):
         assert lo <= column.min() and column.max() <= hi
+
+
+@pytest.mark.parametrize("text", ["sin(P2)", "relu(P2)", "0*sin(P2)", "sin(P1) + 0*<>P2"])
+def test_approx_and_bounds_reject_a_projection_beyond_the_box(capsys, text):
+    # relu(P2) has no interpolant and 0*sin(P2) bounds no argument, so only
+    # the survey of the whole DAG sees their projection.
+    box = ["--degree-bound", "1", "--box", "[[-1,1]]"]
+    assert main(["approx", "--expr", text, *box, "--epsilon", "0.1"]) == 2
+    assert main(["bounds", "--expr", text, *box]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("arity error") == 2
+
+
+def test_bounds_of_a_file_writes_no_line_when_one_is_beyond_the_box(tmp_path, capsys):
+    path = tmp_path / "two.mplang"
+    path.write_text("sin(P1)\nP1 + P2\n")
+    assert main(["bounds", "--expr-file", str(path), "--degree-bound", "1",
+                 "--box", "[[-1,1]]"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("text", ["P1", "<>P1"])
+def test_bounds_rejects_a_negative_degree_bound(capsys, text):
+    rc = main(["bounds", "--expr", text, "--degree-bound", "-1", "--box", "[[0,1]]"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: degree bound must be nonnegative\n"
+
+
+def test_approx_rejects_a_negative_degree_bound(capsys, monkeypatch):
+    # Refused at entry, before any function is interpolated.
+    monkeypatch.setattr("mplangc.approx.relu_approximate", None)
+    rc = main(["approx", "--expr", "sin(P1)", "--degree-bound", "-2", "--box", "[[-1,1]]",
+               "--epsilon", "0.1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: degree bound must be nonnegative\n"
 
 
 # -- check ---------------------------------------------------------------------

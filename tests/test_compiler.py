@@ -80,6 +80,27 @@ def test_compile_relu_rejects_arity_violation():
         compile_relu(parse("P2"), 1)
 
 
+def test_compile_relu_rejects_foreign_functions_before_merging_a_level():
+    # Without a box a level holds one activation, so relu and tanh rows of one
+    # level must be refused before the network is built.
+    with pytest.raises(ModeError, match="other than relu"):
+        compile_relu(parse("relu(P1) + tanh(P1)"), 1)
+
+
+@pytest.mark.parametrize("route", [compile_relu, compile_pointwise, compile_addition_free])
+def test_arity_error_comes_before_mode_error(route):
+    with pytest.raises(ArityError):
+        route(parse("tanh(P2)"), 1)
+
+
+def test_pointwise_arity_error_comes_before_its_mode_errors():
+    with pytest.raises(ArityError):
+        compile_pointwise(parse("P1 + <>P3"), 2)
+    for mode in ("relu", "addition-free", "pointwise"):
+        with pytest.raises(ArityError):
+            compile_expr(parse("P1 + <>tanh(P3)"), 2, CompileEnv(mode))
+
+
 def test_compile_relu_structural_id_only_final():
     rng = np.random.default_rng(8)
     from mplangc.generate import random_relu_expr

@@ -15,8 +15,10 @@ from helpers import assert_close, batch_instances, deep_mpnn
 from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH, Merged, Named
 from mplangc.approx import approximate_all, image_bounds
 from mplangc.compiler import (
+    CompileEnv,
     _Channels,
     compile_addition_free,
+    compile_expr,
     compile_mixed,
     compile_pointwise,
     compile_relu,
@@ -298,6 +300,38 @@ def test_eval_tuple_evaluates_shared_layers_once(monkeypatch):
     assert np.array_equal(together, separately)
 
 
+def test_each_route_folds_the_dag_once(monkeypatch):
+    # The checks of arity and mode ride on the fold that builds the network;
+    # compile_expr adds only its classify, and approximate_all folds to survey,
+    # to bound the interpolated arguments and to build.
+    relu, mixed, chain, point = (parse(text) for text in (
+        "relu(P1 + <>P2) + P1", "tanh(P1) + sin(<>P2)", "<>tanh(2*<>P1)", "tanh(2*relu(P2))"))
+    t = ExprTuple((relu, Diamond(relu)), D)
+    calls = []
+
+    def counted(roots, combine):
+        calls.append(roots)
+        return fold_all(roots, combine)
+
+    for module in ("expressions", "compiler", "approx"):
+        monkeypatch.setattr(f"mplangc.{module}.fold_all", counted)
+
+    def folds(route, *args):
+        calls.clear()
+        route(*args)
+        return len(calls)
+
+    assert folds(compile_relu, relu, D) == 1
+    assert folds(compile_relu_tuple, t) == 1
+    assert folds(compile_mixed, mixed, D, P, BOX) == 1
+    assert folds(compile_addition_free, chain, D) == 1
+    assert folds(compile_pointwise, point, D) == 1
+    for e, env in ((relu, CompileEnv()), (mixed, CompileEnv("mixed", P, BOX)),
+                   (chain, CompileEnv()), (point, CompileEnv())):
+        assert folds(compile_expr, e, D, env) == 2
+    assert folds(approximate_all, [mixed, relu], P, BOX, 0.1) <= 3
+
+
 def test_compile_relu_tuple_forms_each_distinct_node_once(monkeypatch):
     rng = np.random.default_rng(4)
     net = Mpnn(tuple(Layer(rng.uniform(-2.0, 2.0, (3, a)), rng.uniform(-2.0, 2.0, (3, a)),
@@ -412,6 +446,19 @@ def test_hash_and_equality_do_not_walk_the_expression():
     assert hash(a) == hash(b)
     assert a == b and a is b
     assert time.perf_counter() - start < 1.0
+
+
+def test_repr_is_short_and_does_not_walk_the_expression():
+    x = Proj(1)
+    for _ in range(40):
+        x = Add(x, x)
+    start = time.perf_counter()
+    text = repr(x)
+    assert time.perf_counter() - start < 1.0
+    assert text.startswith("Add(Add(Add(") and len(text) <= 80
+    assert repr(Proj(1)) == "Proj(1)"
+    assert repr(Scale(2, Diamond(One()))) == "Scale(2.0, Diamond(One()))"
+    assert repr(Apply(Merged(TANH, 1.0, SIN, -1.0), One())).startswith("Apply(Merged(")
 
 
 def test_threads_building_equal_nodes_get_one_node():
