@@ -1,12 +1,12 @@
 """Uniform approximation of arbitrary expressions by ReLU-only ones.
 
 Every function application is replaced by a finite ReLU combination accurate
-on an interval covering its argument's image.  A first fold over the shared
-DAG marks its exact (ReLU-only) nodes and checks every projection against the
-box, and a second bounds the arguments that get interpolants.  The error
-budget ε is then split in two passes.  A top-down pass, parents before
-children, gives each distinct node the smallest ε that any of its parents
-demands:
+on an interval covering its argument's image.  The nodes' traits tell the
+exact (ReLU-only) ones and the roots' largest projection, checked against the
+box first.  A first fold over the shared DAG gives its post-order, a second
+bounds the arguments that get interpolants.  The error budget ε is then split
+in two passes.  A top-down pass, parents before children, gives each distinct
+node the smallest ε that any of its parents demands:
 
 * a maximal + spine is one sum of terms.  An exact (ReLU-only) subtree is one
   term, and an Add with another parent ends the spine.  Exact terms get no
@@ -26,6 +26,7 @@ the bound proven bottom-up from the grids actually used.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,6 +57,7 @@ from .expressions import (
     const,
     fold,
     fold_all,
+    max_projections,
     scaled,
     sum_terms,
 )
@@ -74,9 +76,10 @@ __all__ = [
 ]
 
 
-def _check_projection(node: Proj, box: DomainBox) -> None:
-    if node.index > box.dimension:
-        raise ArityError(f"projection {node.index} outside box of dimension {box.dimension}")
+def _check_projections(roots: Sequence[Expr], box: DomainBox) -> None:
+    index = max(max_projections(roots), default=0)
+    if index > box.dimension:
+        raise ArityError(f"projection {index} outside box of dimension {box.dimension}")
 
 
 def _bound(p: int, box: DomainBox):
@@ -86,7 +89,6 @@ def _bound(p: int, box: DomainBox):
         if isinstance(node, One):
             return Interval(1.0, 1.0)
         if isinstance(node, Proj):
-            _check_projection(node, box)
             return box.intervals[node.index - 1]
         if isinstance(node, Scale):
             return kids[0].scale(node.factor)
@@ -104,6 +106,7 @@ def image_bounds(e: Expr, p: int, box: DomainBox) -> Interval:
     """Interval containing every value of e over degree-<=p graphs and box."""
     if p < 0:
         raise ValueError("degree bound must be nonnegative")
+    _check_projections((e,), box)
     return fold(e, _bound(p, box))
 
 
@@ -174,36 +177,23 @@ def approximate_all(
     if p < 0:
         raise ValueError("degree bound must be nonnegative")
     roots = tuple(roots)
+    _check_projections(roots, box)
 
-    # One fold: each node's exactness, the post-order, and how many parents
-    # (or root slots) read each node, checking every projection against the
-    # box; then one fold for the images of the arguments that get interpolants.
-    exact: dict[int, bool] = {}
-    readers: dict[int, int] = {}
+    # One fold for the post-order, then how many parents (or root slots) read
+    # each node; then one fold for the images of the arguments that get
+    # interpolants.  A node is exact when it is ReLU-only.
     order: list[Expr] = []
-
-    def survey(node: Expr, kids: tuple[bool, ...]) -> bool:
-        if isinstance(node, Proj):
-            _check_projection(node, box)
-        ok = all(kids) and not (isinstance(node, Apply) and node.func != RELU)
-        exact[id(node)] = ok
-        for c in children(node):
-            readers[id(c)] = readers.get(id(c), 0) + 1
-        order.append(node)
-        return ok
-
-    fold_all(roots, survey)
-    for r in roots:
-        readers[id(r)] = readers.get(id(r), 0) + 1
+    fold_all(roots, lambda node, _: order.append(node))
+    readers = Counter([id(c) for node in order for c in children(node)] + list(map(id, roots)))
     # Parents before children: the inexact nodes that some root reads other
     # than under 0*e or, at p = 0, <>e.  Only the applications among them get
     # interpolants, so only their arguments are bounded.
-    live = {id(r) for r in roots if not exact[id(r)]}
+    live = {id(r) for r in roots if not r.traits.relu_only}
     for node in reversed(order):
         zero = (isinstance(node, Scale) and node.factor == 0.0) or (
             isinstance(node, Diamond) and p == 0)
         if id(node) in live and not zero:
-            live.update(id(c) for c in children(node) if not exact[id(c)])
+            live.update(id(c) for c in children(node) if not c.traits.relu_only)
     args = [node.arg for node in order if isinstance(node, Apply) and id(node) in live]
     image = dict(zip(map(id, args), fold_all(args, _bound(p, box))))
 
@@ -213,7 +203,7 @@ def approximate_all(
     plans: dict[int, tuple[ReluSum, Interval, float, float | None, float]] = {}
 
     def need(node: Expr, budget: float) -> None:
-        if not exact[id(node)]:
+        if not node.traits.relu_only:
             demand[id(node)] = min(demand.get(id(node), math.inf), budget)
 
     for r in roots:
@@ -233,15 +223,15 @@ def approximate_all(
             stack = [node.right, node.left]
             while stack:
                 c = stack.pop()
-                if isinstance(c, Add) and not exact[id(c)] and readers[id(c)] == 1:
+                if isinstance(c, Add) and not c.traits.relu_only and readers[id(c)] == 1:
                     stack += [c.right, c.left]
-                elif not exact[id(c)]:
+                elif not c.traits.relu_only:
                     terms.append(c)
             for t in terms:
                 need(t, budget / len(terms))
         else:  # Apply
             arg = node.arg
-            if exact[id(arg)]:
+            if arg.traits.relu_only:
                 y = image[id(arg)]
                 g = relu_approximate(node.func, y, budget)
                 lip, delta = lipschitz(g, y), None
@@ -258,7 +248,7 @@ def approximate_all(
     records: list[ApplyRecord] = []
 
     def build(node: Expr, kids: tuple) -> tuple[Expr, float] | None:
-        if exact[id(node)]:
+        if node.traits.relu_only:
             return node, 0.0
         if id(node) not in live:
             return None  # read only under 0*e or <>e at p = 0

@@ -4,8 +4,9 @@ Subcommands: eval, compile, approx, check, bounds, fmt.
 
 Exit codes (fixed for scripting):
   0  success / check passed
-  1  parse or input error (expression text, nesting too deep, input file,
-     NaN or infinite feature values, a malformed network file)
+  1  parse or input error (expression text, an empty expression file,
+     nesting too deep, input file, NaN or infinite feature values, a
+     malformed graph, feature or network file)
   2  arity or dimension mismatch
   3  mode or configuration error (inapplicable mode, bad --box, a --box
      endpoint or width that is not finite, eps <= 0, --trials < 1, a
@@ -58,19 +59,20 @@ ABS_FLOOR = 1e-12
 
 # -- input loading ---------------------------------------------------------------
 
-def _read_lines(path: str) -> list[str]:
+def _read_expr_file(path: str) -> list[Expr]:
+    """The expressions on the nonblank lines of a file (sharing their subterms)."""
     with open(path) as fh:
-        return [ln.strip() for ln in fh if ln.strip()]
-
-
-def _read_exprs(args) -> list[Expr]:
-    """The --expr literal, or the lines of --expr-file (sharing their subterms)."""
-    if getattr(args, "expr", None) is not None:
-        return [parse(args.expr)]
-    lines = _read_lines(args.expr_file)
+        lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise MPLangSyntaxError("expression file is empty", 0)
     return [parse(line) for line in lines]
+
+
+def _read_exprs(args) -> list[Expr]:
+    """The --expr literal, or the lines of --expr-file."""
+    if getattr(args, "expr", None) is not None:
+        return [parse(args.expr)]
+    return _read_expr_file(args.expr_file)
 
 
 def _read_graph(path: str) -> Graph:
@@ -132,7 +134,7 @@ def _load_operand(spec: str) -> Operand:
                 net.output_arity,
                 lambda g, fm: eval_mpnn(net, g, fm).values,
             )
-        components = tuple(parse(line) for line in _read_lines(spec))
+        components = tuple(_read_expr_file(spec))
     else:
         components = (parse(spec),)
 

@@ -9,9 +9,9 @@ neighbour weights.  Rows are stored once per level, so a tree and its shared
 DAG give the same network: one layer per level, then an id-layer reading out
 each root.  Rows that no root reads are dropped.  If every root is exactly
 one channel of the top level, the read-out is fused away and the last layer
-is returned with its rows in root order.  The fold also checks the route:
-it raises ArityError at a projection beyond the input arity, and what it
-records decides the route's ModeError, so each route walks the DAG once.
+is returned with its rows in root order.  Before the fold, the roots' traits
+(see ``expressions.ExprTraits``) decide the route's ArityError and then its
+ModeError, so each route walks the DAG once, to build.
 
 A carrier row only carries a value up a level: a lift, or the constant
 channel that a bias under <> reads.  Its activation is fixed by the route:
@@ -55,13 +55,13 @@ from .errors import ArityError, ModeError
 from .expressions import (
     Add,
     Apply,
-    Diamond,
     Expr,
     ExprTuple,
     One,
     Proj,
     Scale,
     classify,
+    classify_all,
     fold_all,
 )
 from .intervals import DomainBox, Interval
@@ -202,7 +202,6 @@ class _Channels:
     index[k] finds one by content; a row's index is its channel at level k + 1.
     A carrier row only carries a value up a level: a lift, or the constant
     channel under <>.  Its activation is the route's carrier, relu or id.
-    kinds and functions record the node types and the activations folded.
     """
 
     def __init__(self, d: int, carrier: Activation):
@@ -210,8 +209,6 @@ class _Channels:
         self.carrier = carrier
         self.rows: list[list[_Row]] = []
         self.index: list[dict[_Row, int]] = []
-        self.kinds: set[type] = set()
-        self.functions: set[Activation] = set()
 
     def emit(self, f: _Form, activation: Activation) -> int:
         """The channel of level f.level + 1 that holds activation(f)."""
@@ -261,12 +258,9 @@ class _Channels:
 
     def form(self, node: Expr, kids: tuple[_Form, ...]) -> _Form:
         """The form of one expression node, from its children's."""
-        self.kinds.add(type(node))
         if isinstance(node, One):
             return _Form(0, {}, {}, 1.0)
         if isinstance(node, Proj):
-            if node.index > self.d:
-                raise ArityError(f"expression uses projections beyond arity {self.d}")
             return _Form(0, {node.index - 1: 1.0}, {}, 0.0)
         if isinstance(node, Scale):
             return _scaled(node.factor, kids[0])
@@ -277,7 +271,6 @@ class _Channels:
             return _Form(level if self_w or neigh_w else 0, self_w, neigh_w, f.bias + g.bias)
         (f,) = kids
         if isinstance(node, Apply):
-            self.functions.add(node.func)
             if node.func == ID:
                 return f
             if not (f.self_w or f.neigh_w):
@@ -376,17 +369,19 @@ def _matrix_layer(rows: list[_Row], position: list[int], width: int,
 def _schedule(roots: tuple[Expr, ...], d: int, mode: str,
               p: int | None = None, box: DomainBox | None = None) -> Mpnn:
     """The roots' network on the route named by mode, from one fold over their
-    DAG; the mode is checked after the fold's ArityError, before network()."""
+    DAG; their traits are checked first, the arity before the mode."""
+    traits = classify_all(roots)
+    if traits.max_projection > d:
+        raise ArityError(f"expression uses projections beyond arity {d}")
     chained = mode in ("addition-free", "pointwise")
-    channels = _Channels(d, ID if chained else RELU)
-    forms = fold_all(roots, channels.form)
-    if mode == "relu" and not channels.functions <= {RELU}:
+    if mode == "relu" and not traits.relu_only:
         raise ModeError("expression applies functions other than relu")
-    if chained and Add in channels.kinds:
+    if chained and not traits.addition_free:
         raise ModeError("expression uses +")
-    if mode == "pointwise" and Diamond in channels.kinds:
+    if mode == "pointwise" and not traits.summation_free:
         raise ModeError("expression uses the neighbor-sum operator")
-    return channels.network(forms, p, box)
+    channels = _Channels(d, ID if chained else RELU)
+    return channels.network(fold_all(roots, channels.form), p, box)
 
 
 def compile_relu(e: Expr, d: int) -> Mpnn:

@@ -1,8 +1,10 @@
 """MPLang abstract syntax: six constructors, arity checks, syntactic traits.
 
 Expressions are hash-consed DAGs: a constructor returns the one live node with
-its fields, whoever calls it, so equal subterms are one object.  Every walk
-over them is a ``fold``, one iterative post-order pass over distinct nodes.
+its fields, whoever calls it, so equal subterms are one object.  A new node
+gets its ``ExprTraits`` (class and arity) in O(1) from its children's, so no
+walk exists only to find them.  Every walk over expressions is a ``fold``,
+one iterative post-order pass over distinct nodes.
 
 The concrete text form (see parser) writes the neighbor-sum operator as
 ``<>``, scaling as ``a*e``, and a bare number ``a`` as shorthand for ``a*1``.
@@ -14,7 +16,8 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence, TypeVar, Union
+from functools import reduce
+from typing import Callable, NamedTuple, Sequence, TypeVar, Union
 
 from .activations import Activation, Named, RELU
 from .errors import ArityError
@@ -54,6 +57,30 @@ _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _STORE = threading.Lock()
 
 
+class ExprTraits(NamedTuple):
+    """The syntactic class and the input arity, which decide a compile route."""
+
+    relu_only: bool
+    addition_free: bool
+    summation_free: bool
+    functions_used: frozenset
+    max_projection: int = 0  # the largest projection index, 0 if none
+
+
+def _join(a: ExprTraits, b: ExprTraits) -> ExprTraits:
+    """The traits of two expressions taken together; a or b itself if it has them."""
+    t = ExprTraits(a.relu_only and b.relu_only, a.addition_free and b.addition_free,
+                   a.summation_free and b.summation_free, a.functions_used | b.functions_used,
+                   max(a.max_projection, b.max_projection))
+    return a if t == a else b if t == b else t
+
+
+# The traits of One, and what a + or a <> adds to its operands' traits.
+_NO_TRAITS = ExprTraits(True, True, True, frozenset())
+_PLUS = ExprTraits(True, False, True, frozenset())
+_NEIGHBOR_SUM = ExprTraits(True, True, False, frozenset())
+
+
 class _Interned(type):
     """Node classes whose call returns the table's node for the fields, if any,
     and else validates a new node and stores it."""
@@ -75,7 +102,11 @@ _REPR_WIDTH = 80
 
 
 class _Node(metaclass=_Interned):
-    __slots__ = ("__weakref__",)
+    """Each class's __post_init__ sets the node's traits from its children's,
+    in a slot that is in neither its fields, the intern key nor equality."""
+
+    __slots__ = ("__weakref__", "traits")
+    traits: ExprTraits
 
     def __repr__(self) -> str:
         """The constructor call, each node's text cut to _REPR_WIDTH characters,
@@ -93,7 +124,8 @@ class _Node(metaclass=_Interned):
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class One(_Node):
-    pass
+    def __post_init__(self):
+        object.__setattr__(self, "traits", _NO_TRAITS)
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -103,6 +135,7 @@ class Proj(_Node):
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("projection index must be >= 1")
+        object.__setattr__(self, "traits", ExprTraits(True, True, True, frozenset(), self.index))
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -112,6 +145,7 @@ class Scale(_Node):
 
     def __post_init__(self):
         object.__setattr__(self, "factor", float(self.factor))
+        object.__setattr__(self, "traits", self.arg.traits)
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -119,16 +153,26 @@ class Add(_Node):
     left: "Expr"
     right: "Expr"
 
+    def __post_init__(self):
+        object.__setattr__(self, "traits", _join(_join(self.left.traits, self.right.traits), _PLUS))
+
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Apply(_Node):
     func: Activation
     arg: "Expr"
 
+    def __post_init__(self):
+        own = ExprTraits(self.func == RELU, True, True, frozenset((self.func,)))
+        object.__setattr__(self, "traits", _join(self.arg.traits, own))
+
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Diamond(_Node):
     arg: "Expr"
+
+    def __post_init__(self):
+        object.__setattr__(self, "traits", _join(self.arg.traits, _NEIGHBOR_SUM))
 
 
 Expr = Union[One, Proj, Scale, Add, Apply, Diamond]
@@ -211,13 +255,12 @@ def fold(e: Expr, combine: Callable[[Expr, tuple], T]) -> T:
 
 def max_projection(e: Expr) -> int:
     """Largest projection index used, 0 if none."""
-    return max_projections((e,))[0]
+    return e.traits.max_projection
 
 
 def max_projections(roots: Sequence[Expr]) -> list[int]:
-    """max_projection of each root, in one fold over their shared DAG."""
-    return fold_all(roots, lambda node, kids: node.index if isinstance(node, Proj)
-                    else max(kids, default=0))
+    """max_projection of each root."""
+    return [r.traits.max_projection for r in roots]
 
 
 def arity_check(e: Expr, d: int) -> bool:
@@ -225,35 +268,13 @@ def arity_check(e: Expr, d: int) -> bool:
     return max_projection(e) <= d
 
 
-@dataclass(frozen=True)
-class ExprTraits:
-    relu_only: bool
-    addition_free: bool
-    summation_free: bool
-    functions_used: frozenset
-
-
 def classify(e: Expr) -> ExprTraits:
-    return classify_all((e,))
+    return e.traits
 
 
 def classify_all(roots: Sequence[Expr]) -> ExprTraits:
-    """The traits of the roots taken together, in one fold over their DAG."""
-    functions: set[Activation] = set()
-    kinds: set[type] = set()
-
-    def visit(node: Expr, _) -> None:
-        kinds.add(type(node))
-        if isinstance(node, Apply):
-            functions.add(node.func)
-
-    fold_all(roots, visit)
-    return ExprTraits(
-        relu_only=functions <= {RELU},
-        addition_free=Add not in kinds,
-        summation_free=Diamond not in kinds,
-        functions_used=frozenset(functions),
-    )
+    """The traits of the roots taken together."""
+    return reduce(_join, (r.traits for r in roots), _NO_TRAITS)
 
 
 # -- text form -----------------------------------------------------------------

@@ -96,14 +96,18 @@ class Graph:
         counts = np.bincount(src, minlength=self.node_count)
         return np.concatenate([[0], np.cumsum(counts)])
 
-    def neighbors(self, v: int) -> list[int]:
-        """Neighbors of v in ascending id order."""
+    def _check_node(self, v: int) -> None:
         if not (0 <= v < self.node_count):
             raise InvalidGraphError(f"node id {v} outside 0..{self.node_count - 1}")
+
+    def neighbors(self, v: int) -> list[int]:
+        """Neighbors of v in ascending id order."""
+        self._check_node(v)
         _, dst = self._csr
         return dst[self._indptr[v]:self._indptr[v + 1]].tolist()
 
     def degree(self, v: int) -> int:
+        self._check_node(v)
         return int(self._indptr[v + 1] - self._indptr[v])
 
     def max_degree(self) -> int:
@@ -351,7 +355,19 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(obj: dict) -> Graph:
-    g = Graph(int(obj["nodes"]), tuple((int(u), int(v)) for u, v in obj["edges"]))
+    """The graph of a graph_to_json object; InvalidGraphError if obj is none."""
+    try:
+        nodes, edges = obj["nodes"], [tuple(e) for e in obj["edges"]]
+    except KeyError as exc:
+        raise InvalidGraphError(f"malformed graph: no {exc} field") from exc
+    except TypeError as exc:
+        raise InvalidGraphError(f"malformed graph: {exc}") from exc
+    if type(nodes) is not int:
+        raise InvalidGraphError(f"malformed graph: nodes must be an integer, got {nodes!r}")
+    for e in edges:
+        if len(e) != 2 or not all(type(u) is int for u in e):
+            raise InvalidGraphError(f"malformed graph: edge {list(e)!r} is not two integers")
+    g = Graph(nodes, tuple(edges))
     g.validate()
     return g
 
@@ -361,9 +377,18 @@ def features_to_json(fm: FeatureMap) -> dict:
 
 
 def features_from_json(obj: dict) -> FeatureMap:
-    fm = FeatureMap(np.asarray(obj["values"], dtype=float).reshape(-1, int(obj["dim"])))
-    if fm.dimension != int(obj["dim"]):
-        raise ValueError("feature rows do not match declared dimension")
-    if not np.isfinite(fm.values).all():
+    """The feature map of a features_to_json object; InvalidGraphError if obj is none."""
+    try:
+        dim, values = obj["dim"], np.asarray(obj["values"])
+    except KeyError as exc:
+        raise InvalidGraphError(f"malformed features: no {exc} field") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidGraphError(f"malformed features: {exc}") from exc
+    if type(dim) is not int or dim < 1:
+        raise InvalidGraphError(f"malformed features: dim must be a positive integer, got {dim!r}")
+    rows = values.shape == (0,) or values.ndim == 2 and values.shape[1] == dim
+    if values.dtype.kind not in "iuf" or not rows:
+        raise InvalidGraphError(f"malformed features: values must be rows of {dim} numbers")
+    if not np.isfinite(values).all():
         raise InvalidGraphError("feature values must be finite (no NaN or infinity)")
-    return fm
+    return FeatureMap(values.astype(float).reshape(-1, dim))

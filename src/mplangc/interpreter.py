@@ -1,10 +1,10 @@
 """Reference interpreter: the ground truth every compiler is checked against.
 
 Evaluation is one bottom-up fold over the expression DAG, one for all of a
-tuple's components (see ``expressions.fold_all``): each distinct node is
-evaluated once, vectorized over the graph's nodes, and no recursion depth
-grows with the expression.  The neighbor sum follows the graph's
-deterministic edge order.
+tuple's components (see ``expressions.fold_all``), after one arity check from
+the roots' traits: each distinct node is evaluated once, vectorized over the
+graph's nodes, and no recursion depth grows with the expression.  The
+neighbor sum follows the graph's deterministic edge order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .activations import apply_vec
 from .errors import ArityError
-from .expressions import Add, Apply, Expr, ExprTuple, One, Proj, Scale, fold_all
+from .expressions import Add, Apply, Expr, ExprTuple, One, Proj, Scale, fold_all, max_projections
 from .graphs import FeatureMap, Graph
 
 __all__ = ["eval_expr", "eval_tuple"]
@@ -45,14 +45,14 @@ def _evaluate(roots: Sequence[Expr], g: Graph, chi: FeatureMap) -> list[np.ndarr
         raise ArityError(
             f"feature map covers {chi.node_count} nodes, graph has {g.node_count}"
         )
+    if max(max_projections(roots), default=0) > chi.dimension:
+        raise ArityError(f"expression needs arity > {chi.dimension}")
     values = chi.values
 
     def ev(node: Expr, kids: tuple[np.ndarray, ...]) -> np.ndarray:
         if isinstance(node, One):
             return np.ones(values.shape[0])
         if isinstance(node, Proj):
-            if node.index > chi.dimension:
-                raise ArityError(f"expression needs arity > {chi.dimension}")
             return values[:, node.index - 1]
         if isinstance(node, Scale):
             return node.factor * kids[0]

@@ -474,6 +474,41 @@ def test_eval_rejects_non_finite_features(tmp_path, capsys, bad):
     assert "input error" in captured.err and captured.out == ""
 
 
+_GOOD_GRAPH = {"nodes": 2, "edges": [[0, 1]]}
+_GOOD_FEATURES = {"dim": 1, "values": [[1.0], [2.0]]}
+
+
+@pytest.mark.parametrize("graph, features", [
+    ({"nodes": 2}, _GOOD_FEATURES),  # no edges
+    (_GOOD_GRAPH, {"values": [[1.0], [2.0]]}),  # no dim
+    (_GOOD_GRAPH, [[1.0], [2.0]]),  # a top-level list
+    ({"nodes": 2, "edges": [[0, 1, 2]]}, _GOOD_FEATURES),
+    ({"nodes": 2, "edges": [[0, 1.5]]}, _GOOD_FEATURES),
+    ({"nodes": 2, "edges": [[0, True]]}, _GOOD_FEATURES),
+    ({"nodes": 2.7, "edges": [[0, 1]]}, _GOOD_FEATURES),
+    (_GOOD_GRAPH, {"dim": 1, "values": [[1.0, 2.0]]}),  # rows wider than dim
+    (_GOOD_GRAPH, {"dim": 1, "values": [["1"], [2.0]]}),
+])
+def test_eval_malformed_graph_or_features_is_input_error(tmp_path, capsys, graph, features):
+    g, f = tmp_path / "graph.json", tmp_path / "features.json"
+    g.write_text(json.dumps(graph))
+    f.write_text(json.dumps(features))
+    assert main(["eval", "--expr", "P1", "--graph", str(g), "--features", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("other", ["empty", "P1"])
+def test_check_of_an_empty_expression_file_is_a_parse_error(tmp_path, capsys, other):
+    empty = tmp_path / "empty.mplang"
+    empty.write_text("\n  \n")
+    assert main(["check", str(empty), str(empty) if other == "empty" else other]) == 1
+    assert main(["check", "P1", str(empty)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("parse error: expression file is empty") == 2
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("box", ["[[-1e400,1]]", "[[-1,Infinity]]", "[[-1e308,1e308]]"])
 def test_box_must_be_finite_with_finite_width(capsys, box):
     assert main(["check", "P1", "relu(P1)", "--box", box]) == 3

@@ -399,6 +399,22 @@ def test_auto_mode_requires_bounds_for_mixed():
     assert report.bounds is not None and len(report.bounds) == report.layers
 
 
+@pytest.mark.parametrize("text, mode", [
+    ("0.5*tanh(P1 + <>P2) + -1.5*sin(2*P2) + abs(<>P1 + -0.5) + sigmoid(3*P1) + relu(P2)",
+     "mixed"),
+    ("relu(P1 + -1*<>P2) + -2*relu(<>relu(P2) + 0.5) + 3*<>P1 + -1", "relu"),
+])
+def test_compile_report_bounds_contain_every_layer_output(text, mode):
+    p, box = 2, DomainBox.from_pairs([[-1.0, 2.0], [-0.5, 0.5]])
+    net, report = compile_expr(parse(text), 2, CompileEnv(degree_bound=p, box=box))
+    assert report.mode == mode
+    union, fm = batch_instances(p, box, 300, 9)
+    for lyr, bounds in zip(net.layers, report.bounds, strict=True):
+        fm = eval_layer(lyr, union, fm)
+        lo, hi = np.array(bounds).T
+        assert np.all(lo <= fm.values.min(axis=0)) and np.all(fm.values.max(axis=0) <= hi)
+
+
 def test_auto_mode_sum_layer_shape():
     net, _ = compile_expr(parse("<>P1"), 1, CompileEnv())
     assert len(net.layers) == 1

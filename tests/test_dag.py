@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import assert_close, batch_instances, deep_mpnn
 from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH, Merged, Named
-from mplangc.approx import approximate_all, image_bounds
+from mplangc.approx import approximate_all, image_bounds, uniform_distance_estimates
 from mplangc.compiler import (
     CompileEnv,
     _Channels,
@@ -28,16 +29,20 @@ from mplangc.expressions import (
     Add,
     Apply,
     Diamond,
+    ExprTraits,
     ExprTuple,
     One,
     Proj,
     Scale,
     _NODES,
+    arity_check,
     classify,
+    classify_all,
     fold,
     fold_all,
     format_expr,
     max_projection,
+    max_projections,
 )
 from mplangc.generate import MIXED_FUNCTIONS, random_expr, random_relu_expr
 from mplangc.graphs import FeatureMap, Graph
@@ -109,6 +114,61 @@ def test_tree_and_shared_dag_agree_on_every_walk(seed, depth, relu, form):
         assert image_bounds(dag, P, BOX) == image_bounds(tree, P, BOX)
         assert np.array_equal(eval_expr(dag, union, fm), want)
         assert _networks(dag) == _networks(tree)
+
+
+def _oracle_traits(roots):
+    """The roots' traits from folds over their DAG: the bodies classify_all
+    and max_projections had before nodes carried their traits."""
+    functions, kinds = set(), set()
+
+    def visit(node, _):
+        kinds.add(type(node))
+        if isinstance(node, Apply):
+            functions.add(node.func)
+
+    fold_all(roots, visit)
+    highest = fold_all(roots, lambda node, kids: node.index if isinstance(node, Proj)
+                       else max(kids, default=0))
+    return ExprTraits(
+        relu_only=functions <= {RELU},
+        addition_free=Add not in kinds,
+        summation_free=Diamond not in kinds,
+        functions_used=frozenset(functions),
+        max_projection=max(highest, default=0),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(0, 4),
+    relu=st.booleans(),
+    form=st.sampled_from(range(len(SHARING_FORMS))),
+    tree=st.booleans(),
+)
+def test_every_node_carries_the_traits_of_its_subterm(seed, depth, relu, form, tree):
+    rng = np.random.default_rng(seed)
+    e = SHARING_FORMS[form]((random_relu_expr if relu else random_expr)(rng, depth, 3))
+    if tree:
+        e = _tree_copy(e)
+    nodes = []
+    fold(e, lambda node, kids: nodes.append(node))
+    for node in nodes:
+        assert node.traits == _oracle_traits([node])
+        assert classify(node) is node.traits
+        assert max_projection(node) == node.traits.max_projection
+    assert classify_all(nodes) == _oracle_traits(nodes)
+    assert classify_all([]) == _oracle_traits([])
+
+
+def test_traits_are_shared_where_nothing_changes_and_kept_out_of_the_fields():
+    e = Add(Apply(SIN, Proj(2)), Diamond(Proj(1)))
+    for node in (Scale(2.0, e), Apply(SIN, e), Diamond(e), Add(e, Proj(1))):
+        assert node.traits is e.traits
+    assert Apply(RELU, e).traits == ExprTraits(False, False, False, frozenset({SIN, RELU}), 2)
+    assert e.traits == ExprTraits(False, False, False, frozenset({SIN}), 2)
+    assert [f.name for f in fields(e)] == ["left", "right"]
+    assert "traits" not in repr(e)
 
 
 RELU_SHARING_FORMS = SHARING_FORMS[:2] + [lambda e: Add(Apply(RELU, e), Diamond(e))]
@@ -301,9 +361,10 @@ def test_eval_tuple_evaluates_shared_layers_once(monkeypatch):
 
 
 def test_each_route_folds_the_dag_once(monkeypatch):
-    # The checks of arity and mode ride on the fold that builds the network;
-    # compile_expr adds only its classify, and approximate_all folds to survey,
-    # to bound the interpolated arguments and to build.
+    # Arity and mode are read from the roots' traits, so only the walks that
+    # produce values fold: a compile route folds to build, approximate_all to
+    # survey, to bound the interpolated arguments and to build, and
+    # uniform_distance_estimates evaluates each side once.
     relu, mixed, chain, point = (parse(text) for text in (
         "relu(P1 + <>P2) + P1", "tanh(P1) + sin(<>P2)", "<>tanh(2*<>P1)", "tanh(2*relu(P2))"))
     t = ExprTuple((relu, Diamond(relu)), D)
@@ -313,7 +374,7 @@ def test_each_route_folds_the_dag_once(monkeypatch):
         calls.append(roots)
         return fold_all(roots, combine)
 
-    for module in ("expressions", "compiler", "approx"):
+    for module in ("expressions", "compiler", "approx", "interpreter"):
         monkeypatch.setattr(f"mplangc.{module}.fold_all", counted)
 
     def folds(route, *args):
@@ -326,9 +387,15 @@ def test_each_route_folds_the_dag_once(monkeypatch):
     assert folds(compile_mixed, mixed, D, P, BOX) == 1
     assert folds(compile_addition_free, chain, D) == 1
     assert folds(compile_pointwise, point, D) == 1
-    for e, env in ((relu, CompileEnv()), (mixed, CompileEnv("mixed", P, BOX)),
-                   (chain, CompileEnv()), (point, CompileEnv())):
-        assert folds(compile_expr, e, D, env) == 2
+    for e, env in ((relu, CompileEnv()), (relu, CompileEnv("relu")),
+                   (mixed, CompileEnv("mixed", P, BOX)), (chain, CompileEnv()),
+                   (point, CompileEnv())):
+        assert folds(compile_expr, e, D, env) == 1
+    for walk in ((classify, mixed), (classify_all, t.components), (max_projection, mixed),
+                 (max_projections, t.components), (arity_check, mixed, D),
+                 (ExprTuple, (relu, mixed, chain), D)):
+        assert folds(*walk) == 0
+    assert folds(uniform_distance_estimates, [mixed, relu], [chain, point], P, BOX, 5, 0) == 2
     assert folds(approximate_all, [mixed, relu], P, BOX, 0.1) <= 3
 
 

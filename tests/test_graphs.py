@@ -55,6 +55,15 @@ def test_neighbors_invalid_node():
         TRIANGLE.neighbors(7)
 
 
+@pytest.mark.parametrize("v", [-1, 3])
+def test_degree_checks_the_node_as_neighbors_does(v):
+    g = Graph(3, ((0, 1),))
+    assert [g.degree(u) for u in range(3)] == [1, 1, 0]
+    for query in (g.degree, g.neighbors):
+        with pytest.raises(InvalidGraphError, match="outside 0..2"):
+            query(v)
+
+
 def test_edges_canonicalized_and_symmetric():
     g = Graph(3, ((1, 0), (0, 1), (2, 1)))
     assert g.edges == ((0, 1), (1, 2))
