@@ -7,13 +7,13 @@ Exit codes (fixed for scripting):
   1  parse or input error (expression text, an empty expression file,
      nesting too deep, input file, NaN or infinite feature values, a
      malformed graph, feature or network file)
-  2  arity or dimension mismatch
+  2  arity or dimension mismatch (a negative --arity too)
   3  mode or configuration error (inapplicable mode, bad --box, a --box
-     endpoint or width that is not finite, eps <= 0, --trials < 1, a
-     negative --degree-bound, a --tolerance or --abs-tolerance that is
-     negative or not finite, a result with no JSON form because it is not
-     finite, a check with non-finite operand values and no finite failure,
-     out of memory, ...)
+     endpoint or width that is not finite, eps <= 0, --trials < 1,
+     --seed < 0, a negative --degree-bound, a --tolerance or
+     --abs-tolerance that is negative or not finite, a result with no JSON
+     form because it is not finite, a check with non-finite operand values
+     and no finite failure, out of memory, ...)
   4  no approximation certificate (an unbounded argument image, a grid of
      more than 4097 knots, or a grid step below the float spacing)
   5  equivalence check failed (a witness instance is printed)
@@ -48,7 +48,7 @@ from .graphs import (
     random_union,
 )
 from .intervals import DomainBox
-from .interpreter import eval_expr, eval_tuple
+from .interpreter import eval_tuple
 from .mpnn import InvalidNetworkError, eval_mpnn, mpnn_from_json, mpnn_to_json
 from .parser import MPLangSyntaxError, parse
 
@@ -96,9 +96,9 @@ def _parse_box(text: str) -> DomainBox:
     return box
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ModeError(f"--trials must be at least 1, got {trials}")
+def _check_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ModeError(f"{flag} must be at least {low}, got {value}")
 
 
 def _write_json(obj, path: str | None, indent: int | None = 2) -> None:
@@ -116,7 +116,6 @@ def _write_json(obj, path: str | None, indent: int | None = 2) -> None:
 
 @dataclass
 class Operand:
-    label: str
     input_arity: int
     output_arity: int
     run: Callable[[Graph, FeatureMap], np.ndarray]  # returns (n, r)
@@ -129,7 +128,6 @@ def _load_operand(spec: str) -> Operand:
             with open(spec) as fh:
                 net = mpnn_from_json(json.load(fh))
             return Operand(
-                spec,
                 net.input_arity,
                 net.output_arity,
                 lambda g, fm: eval_mpnn(net, g, fm).values,
@@ -141,7 +139,7 @@ def _load_operand(spec: str) -> Operand:
     def run(g: Graph, fm: FeatureMap) -> np.ndarray:
         return eval_tuple(ExprTuple(components, fm.dimension), g, fm).values
 
-    return Operand(spec, max(max_projections(components), default=0), len(components), run)
+    return Operand(max(max_projections(components), default=0), len(components), run)
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -153,8 +151,8 @@ def cmd_eval(args) -> int:
     # A non-finite result is reported where it is written, so numpy's overflow
     # warnings are silenced.
     with np.errstate(over="ignore", invalid="ignore"):
-        cols = [eval_expr(e, g, fm) for e in exprs]
-    _write_json(features_to_json(FeatureMap(np.stack(cols, axis=1))), args.out)
+        values = eval_tuple(ExprTuple(tuple(exprs), fm.dimension), g, fm)
+    _write_json(features_to_json(values), args.out)
     return 0
 
 
@@ -164,6 +162,8 @@ def cmd_compile(args) -> int:
     d = args.arity
     if d is None:
         d = box.dimension if box else max(max_projections(exprs))
+    elif d < 0:
+        raise ArityError(f"--arity must be nonnegative, got {d}")
     env = CompileEnv(mode=args.mode, degree_bound=args.degree_bound, box=box)
     if len(exprs) == 1:
         net, report = compile_expr(exprs[0], d, env)
@@ -189,7 +189,8 @@ def cmd_approx(args) -> int:
     exprs = _read_exprs(args)
     if args.epsilon is None or args.epsilon <= 0:
         raise ModeError("--epsilon must be a positive real")
-    _check_trials(args.trials)
+    _check_at_least("--trials", args.trials, 1)
+    _check_at_least("--seed", args.seed, 0)
     box = _parse_box(args.box)
     results, report = approximate_all(exprs, args.degree_bound, box, args.epsilon)
     rho = max(uniform_distance_estimates(
@@ -210,7 +211,8 @@ def cmd_approx(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _check_trials(args.trials)
+    _check_at_least("--trials", args.trials, 1)
+    _check_at_least("--seed", args.seed, 0)
     for flag, value in (("--tolerance", args.tolerance), ("--abs-tolerance", args.abs_tolerance)):
         if not 0.0 <= value < math.inf:
             raise ModeError(f"{flag} must be finite and nonnegative, got {value!r}")

@@ -1,24 +1,22 @@
 """Finite undirected loop-free graphs, feature maps, and random instances.
 
-Node ids are dense naturals 0..n-1. Neighbor iteration is always in
-ascending id order so that every neighbor sum downstream is reproducible
-bit-for-bit at a fixed seed.
+Node ids are dense naturals 0..n-1. Edges are one read-only (E, 2) int64
+array of distinct pairs u < v, sorted, so neighbor iteration is in ascending
+id order and every neighbor sum downstream is reproducible bit-for-bit.
 
 Random instances come from one batch sampler, `_sample`: a few numpy calls
 draw every instance's node count, candidate edges and features, and the
 degree-bounded rejection is one short loop vectorized across instances.
 Each instance follows `random_graph`'s process, so the distribution is
 `random_graph`'s; the seeded stream is the batch's own.  `random_union`
-builds the disjoint union straight from the batch, and `random_instances`
-yields its instances one by one.
+keeps the batch's edge array as the union's, and every single instance,
+those `random_instances` yields included, is a slice of that union.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -47,30 +45,40 @@ class InvalidGraphError(ValueError):
     """A graph or feature map read from outside breaks an invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected graph on nodes 0..node_count-1 with canonicalized edge pairs."""
+    """Undirected graph on nodes 0..node_count-1, built from any iterable of
+    node-id pairs; `edges` keeps them as the canonical array described above."""
 
     node_count: int
-    edges: tuple[tuple[int, int], ...] = ()
+    edges: np.ndarray = ()
 
     def __post_init__(self):
-        canonical = sorted({(u, v) if u < v else (v, u) for u, v in self.edges})
-        object.__setattr__(self, "edges", tuple(canonical))
+        pairs = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
+        # The reshape fails unless there are exactly two ids per pair.
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+        edges = np.unique(np.sort(pairs, axis=1), axis=0)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
-    def _from_sorted(cls, node_count: int, edges: tuple[tuple[int, int], ...]) -> Graph:
-        """A graph whose edges are already canonical, distinct and sorted."""
+    def _from_sorted(cls, node_count: int, edges: np.ndarray) -> Graph:
+        """A graph whose (E, 2) int64 edges are already canonical, distinct and sorted."""
         g = object.__new__(cls)
         object.__setattr__(g, "node_count", node_count)
+        edges.flags.writeable = False
         object.__setattr__(g, "edges", edges)
         return g
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Graph) and self.node_count == other.node_count
+                and np.array_equal(self.edges, other.edges))
 
     def validate(self) -> None:
         """Raise InvalidGraphError on the first violated invariant."""
         if self.node_count < 0:
             raise InvalidGraphError("node_count must be nonnegative")
-        for u, v in self.edges:
+        for u, v in self.edges.tolist():
             if u == v:
                 raise InvalidGraphError(f"loop edge ({u}, {v})")
             if not (0 <= u < self.node_count) or not (0 <= v < self.node_count):
@@ -81,12 +89,9 @@ class Graph:
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, dst) over both edge directions, sorted by (src, dst)."""
-        if not self.edges:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        e = np.asarray(self.edges, dtype=np.int64)
-        src = np.concatenate([e[:, 0], e[:, 1]])
-        dst = np.concatenate([e[:, 1], e[:, 0]])
+        u, v = self.edges.T
+        src = np.concatenate([u, v])
+        dst = np.concatenate([v, u])
         order = np.lexsort((dst, src))
         return src[order], dst[order]
 
@@ -111,10 +116,7 @@ class Graph:
         return int(self._indptr[v + 1] - self._indptr[v])
 
     def max_degree(self) -> int:
-        if self.node_count == 0 or not self.edges:
-            return 0
-        src, _ = self._csr
-        return int(np.bincount(src, minlength=self.node_count).max())
+        return int(np.diff(self._indptr).max(initial=0))
 
     def neighbor_sum(self, values: np.ndarray) -> np.ndarray:
         """Per node, the sum of `values` rows over its neighbors.
@@ -185,7 +187,7 @@ def random_graph(n: int, p: int, seed: int) -> Graph:
         chosen.add(edge)
         degree[u] += 1
         degree[v] += 1
-    return Graph(n, tuple(sorted(chosen)))
+    return Graph._from_sorted(n, np.array(sorted(chosen), dtype=np.int64).reshape(-1, 2))
 
 
 def random_features(g: Graph, box: DomainBox, seed: int) -> FeatureMap:
@@ -208,14 +210,9 @@ def random_instances(
 
     The instances of `random_union` at the same arguments, one at a time.
     """
-    # Sliced from the arrays: the union's edge tuples are never built.
-    offsets, edges, values = _sample(p, box, trials, seed, max_nodes)
-    bounds = np.append(offsets, len(values)).tolist()
-    cuts = np.searchsorted(edges[:, 0], bounds).tolist()
+    batch = random_union(p, box, trials, seed, max_nodes)
     for k in range(trials):
-        lo, hi = bounds[k], bounds[k + 1]
-        local = (edges[cuts[k]:cuts[k + 1]] - lo).tolist()
-        yield Graph._from_sorted(hi - lo, tuple(map(tuple, local))), FeatureMap(values[lo:hi])
+        yield batch.instance(k)
 
 
 class RandomUnion(NamedTuple):
@@ -234,9 +231,9 @@ class RandomUnion(NamedTuple):
         hi = self.offsets[k + 1] if k + 1 < len(self.offsets) else self.graph.node_count
         edges = self.graph.edges
         # Union edges are sorted, and an instance's edges start at its own nodes.
-        first, last = bisect_left(edges, (lo,)), bisect_left(edges, (hi,))
-        local = tuple((u - lo, v - lo) for u, v in edges[first:last])
-        return Graph._from_sorted(hi - lo, local), FeatureMap(self.features.values[lo:hi])
+        first, last = np.searchsorted(edges[:, 0], (lo, hi)).tolist()
+        local = Graph._from_sorted(hi - lo, edges[first:last] - lo)
+        return local, FeatureMap(self.features.values[lo:hi])
 
 
 def random_union(
@@ -248,7 +245,7 @@ def random_union(
 ) -> RandomUnion:
     """`trials` random instances as one union graph and feature map."""
     offsets, edges, values = _sample(p, box, trials, seed, max_nodes)
-    graph = Graph._from_sorted(len(values), _pairs(edges))
+    graph = Graph._from_sorted(len(values), edges)
     return RandomUnion(graph, FeatureMap(values), offsets.tolist())
 
 
@@ -333,29 +330,27 @@ def _edges(
 
 
 def disjoint_union(graphs: Iterable[Graph]) -> tuple[Graph, list[int]]:
-    """Union graph plus the node-id offset of each component."""
+    """Union of valid graphs plus the node-id offset of each component."""
     graphs = list(graphs)
     counts = np.array([g.node_count for g in graphs], dtype=np.int64)
     offsets = np.cumsum(counts) - counts
-    edges = np.array(list(chain.from_iterable(g.edges for g in graphs)),
-                     dtype=np.int64).reshape(-1, 2)
+    edges = np.concatenate([np.zeros((0, 2), dtype=np.int64), *(g.edges for g in graphs)])
     edges += np.repeat(offsets, [len(g.edges) for g in graphs])[:, None]
-    return Graph(int(counts.sum()), _pairs(edges)), offsets.tolist()
-
-
-def _pairs(edges: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """An (E, 2) edge array as a tuple of int pairs, with no per-edge list."""
-    return tuple(zip(edges[:, 0].tolist(), edges[:, 1].tolist()))
+    # Each component's edges are sorted and inside its own nodes, so the
+    # shifted concatenation is sorted too.
+    return Graph._from_sorted(int(counts.sum()), edges), offsets.tolist()
 
 
 # -- JSON interchange ---------------------------------------------------------
 
 def graph_to_json(g: Graph) -> dict:
-    return {"nodes": g.node_count, "edges": [[u, v] for u, v in g.edges]}
+    return {"nodes": g.node_count, "edges": g.edges.tolist()}
 
 
 def graph_from_json(obj: dict) -> Graph:
     """The graph of a graph_to_json object; InvalidGraphError if obj is none."""
+    if not isinstance(obj, dict):
+        raise InvalidGraphError("malformed graph: the top level must be a JSON object")
     try:
         nodes, edges = obj["nodes"], [tuple(e) for e in obj["edges"]]
     except KeyError as exc:
@@ -367,7 +362,10 @@ def graph_from_json(obj: dict) -> Graph:
     for e in edges:
         if len(e) != 2 or not all(type(u) is int for u in e):
             raise InvalidGraphError(f"malformed graph: edge {list(e)!r} is not two integers")
-    g = Graph(nodes, tuple(edges))
+    try:
+        g = Graph(nodes, edges)
+    except OverflowError:  # an endpoint beyond int64
+        raise InvalidGraphError(f"an edge has an endpoint outside 0..{nodes - 1}") from None
     g.validate()
     return g
 
@@ -378,6 +376,8 @@ def features_to_json(fm: FeatureMap) -> dict:
 
 def features_from_json(obj: dict) -> FeatureMap:
     """The feature map of a features_to_json object; InvalidGraphError if obj is none."""
+    if not isinstance(obj, dict):
+        raise InvalidGraphError("malformed features: the top level must be a JSON object")
     try:
         dim, values = obj["dim"], np.asarray(obj["values"])
     except KeyError as exc:

@@ -410,6 +410,25 @@ def test_check_absolute_tolerance(capsys, abs_tolerance, code):
     assert ("PASS" if code == 0 else "FAIL") in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "P1", "P1", "--seed", "-1"],
+    ["approx", "--expr", "sin(P1)", "--degree-bound", "1", "--box", "[[-1,1]]",
+     "--epsilon", "0.1", "--seed", "-1"],
+])
+def test_a_negative_seed_is_a_configuration_error_that_names_the_flag(capsys, argv):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "mode error: --seed must be at least 0, got -1\n"
+    assert captured.out == ""
+
+
+def test_compile_names_a_negative_arity(capsys):
+    assert main(["compile", "--expr", "2", "--arity", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "arity error: --arity must be nonnegative, got -1\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_approx_rejects_fewer_than_one_trial(capsys, trials):
     rc = main(["approx", "--expr", "sin(P1)", "--degree-bound", "1", "--box", "[[-1,1]]",
@@ -488,6 +507,7 @@ _GOOD_FEATURES = {"dim": 1, "values": [[1.0], [2.0]]}
     ({"nodes": 2.7, "edges": [[0, 1]]}, _GOOD_FEATURES),
     (_GOOD_GRAPH, {"dim": 1, "values": [[1.0, 2.0]]}),  # rows wider than dim
     (_GOOD_GRAPH, {"dim": 1, "values": [["1"], [2.0]]}),
+    ({"nodes": 2, "edges": [[0, 99999999999999999999999]]}, _GOOD_FEATURES),  # beyond int64
 ])
 def test_eval_malformed_graph_or_features_is_input_error(tmp_path, capsys, graph, features):
     g, f = tmp_path / "graph.json", tmp_path / "features.json"
@@ -496,6 +516,17 @@ def test_eval_malformed_graph_or_features_is_input_error(tmp_path, capsys, graph
     assert main(["eval", "--expr", "P1", "--graph", str(g), "--features", str(f)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("input error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("what", ["graph", "features"])
+def test_eval_names_a_top_level_that_is_not_an_object(tmp_path, capsys, what):
+    files = {"graph": _GOOD_GRAPH, "features": _GOOD_FEATURES, what: [_GOOD_GRAPH]}
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    assert main(["eval", "--expr", "P1", "--graph", str(tmp_path / "graph.json"),
+                 "--features", str(tmp_path / "features.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"input error: malformed {what}: the top level must be a JSON object\n"
 
 
 @pytest.mark.parametrize("other", ["empty", "P1"])

@@ -1,6 +1,7 @@
 """The shared expression core: one fold over a DAG, and parsing into a DAG."""
 
 import gc
+import json
 import math
 import sys
 import threading
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from helpers import assert_close, batch_instances, deep_mpnn
 from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH, Merged, Named
 from mplangc.approx import approximate_all, image_bounds, uniform_distance_estimates
+from mplangc.cli import main
 from mplangc.compiler import (
     CompileEnv,
     _Channels,
@@ -45,7 +47,7 @@ from mplangc.expressions import (
     max_projections,
 )
 from mplangc.generate import MIXED_FUNCTIONS, random_expr, random_relu_expr
-from mplangc.graphs import FeatureMap, Graph
+from mplangc.graphs import FeatureMap, Graph, features_to_json, graph_to_json
 from mplangc.interpreter import eval_expr, eval_tuple
 from mplangc.intervals import DomainBox, Interval
 from mplangc.mpnn import Layer, Mpnn, eval_mpnn
@@ -360,7 +362,7 @@ def test_eval_tuple_evaluates_shared_layers_once(monkeypatch):
     assert np.array_equal(together, separately)
 
 
-def test_each_route_folds_the_dag_once(monkeypatch):
+def test_each_route_folds_the_dag_once(monkeypatch, tmp_path):
     # Arity and mode are read from the roots' traits, so only the walks that
     # produce values fold: a compile route folds to build, approximate_all to
     # survey, to bound the interpolated arguments and to build, and
@@ -397,6 +399,14 @@ def test_each_route_folds_the_dag_once(monkeypatch):
         assert folds(*walk) == 0
     assert folds(uniform_distance_estimates, [mixed, relu], [chain, point], P, BOX, 5, 0) == 2
     assert folds(approximate_all, [mixed, relu], P, BOX, 0.1) <= 3
+    # `eval` of a 2-line file evaluates both lines in one fold.
+    (tmp_path / "two.mplang").write_text("relu(P1 + <>P2) + P1\n<>(relu(P1 + <>P2) + P1)\n")
+    (tmp_path / "g.json").write_text(json.dumps(graph_to_json(PATH)))
+    (tmp_path / "f.json").write_text(json.dumps(features_to_json(PATH_FEATURES)))
+    argv = ["eval", "--expr-file", str(tmp_path / "two.mplang"), "--graph",
+            str(tmp_path / "g.json"), "--features", str(tmp_path / "f.json"),
+            "--out", str(tmp_path / "out.json")]
+    assert folds(main, argv) == 1
 
 
 def test_compile_relu_tuple_forms_each_distinct_node_once(monkeypatch):

@@ -66,10 +66,50 @@ def test_degree_checks_the_node_as_neighbors_does(v):
 
 def test_edges_canonicalized_and_symmetric():
     g = Graph(3, ((1, 0), (0, 1), (2, 1)))
-    assert g.edges == ((0, 1), (1, 2))
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
     for v in range(3):
         for u in g.neighbors(v):
             assert v in g.neighbors(u)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_edges_match_the_sorted_set_of_canonical_pairs(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    pairs = [tuple(e) for e in rng.integers(0, n, size=(int(rng.integers(0, 30)), 2)).tolist()]
+    pairs += [(v, u) for u, v in pairs[:5]] + pairs[:3]  # reversed and repeated pairs
+    # The canonical form as it was computed on tuples, kept as the oracle.
+    oracle = sorted({(u, v) if u < v else (v, u) for u, v in pairs})
+    assert Graph(n, pairs).edges.tolist() == [list(e) for e in oracle]
+
+
+def test_edges_are_a_read_only_int64_array():
+    batch = random_union(0, BOX, 3, 0)
+    union, _ = disjoint_union([Graph(2, ()), Graph(1, ())])
+    for g in (Graph(3, ()), Graph(0, []), batch.graph, batch.instance(1)[0], union):
+        assert g.edges.shape == (0, 2)
+    for g in (TRIANGLE, random_graph(9, 3, 1), random_union(3, BOX, 20, 0).instance(2)[0],
+              disjoint_union([TRIANGLE, TRIANGLE])[0]):
+        assert g.edges.dtype == np.int64 and g.edges.ndim == 2 and g.edges.shape[1] == 2
+        with pytest.raises(ValueError):
+            g.edges[0, 0] = 1
+
+
+def test_graphs_from_tuples_arrays_and_slices_are_equal():
+    pairs = ((0, 1), (2, 1), (1, 0))
+    union, _ = disjoint_union([Graph(1, ()), Graph(3, pairs)])
+    sliced = RandomUnion(union, FeatureMap(np.zeros((4, 1))), [0, 1]).instance(1)[0]
+    forms = [Graph(3, pairs), Graph(3, list(pairs)), Graph(3, iter(pairs)),
+             Graph(3, np.array(pairs)), Graph(3, np.array(pairs)[::-1]), sliced]
+    assert all(g == forms[0] for g in forms)
+    assert forms[0] != Graph(4, pairs) and forms[0] != Graph(3, pairs[:1])
+    assert forms[0] != pairs
+
+
+def test_edges_must_be_pairs():
+    for bad in ([(0, 1, 2)], [(0, 1, 2), (1, 2, 0)], [0, 1]):
+        with pytest.raises(ValueError):
+            Graph(3, bad)
 
 
 @pytest.mark.parametrize(
@@ -86,7 +126,7 @@ def test_max_degree(g, expected):
 
 def test_random_graph_single_node():
     g = random_graph(1, 0, seed=3)
-    assert g.node_count == 1 and g.edges == ()
+    assert g.node_count == 1 and g.edges.shape == (0, 2)
 
 
 def test_random_graph_deterministic():
@@ -194,7 +234,7 @@ def test_disjoint_union_offsets_edges_as_before():
         total += g.node_count
     union, got = disjoint_union(iter(graphs))
     assert union == Graph(total, tuple(edges)) and got == offsets
-    assert all(type(x) is int for pair in union.edges for x in pair)
+    assert union.edges.dtype == np.int64
     assert all(type(x) is int for x in got)
     assert disjoint_union([]) == (Graph(0, ()), [])
 
@@ -239,7 +279,7 @@ def test_sampled_graphs_are_canonical_and_degree_bounded(p):
     if p is not None:
         assert degrees.max(initial=0) <= p
     if p == 0:
-        assert g.edges == ()
+        assert g.edges.shape == (0, 2)
     else:
         assert edge_counts.sum() > 0
 
@@ -277,6 +317,10 @@ def test_random_union_is_the_union_of_random_instances(p):
     assert graph == batch.graph and offsets == batch.offsets
     assert np.array_equal(np.concatenate([fm.values for _, fm in parts]),
                           batch.features.values)
+    assert len(parts) == len(batch.offsets)
+    for k, (g, fm) in enumerate(parts):
+        want_g, want_fm = batch.instance(k)
+        assert g == want_g and np.array_equal(fm.values, want_fm.values)
 
 
 def test_instance_accessor_returns_the_union_slice():
