@@ -8,7 +8,8 @@ Exit codes (fixed for scripting):
      nesting too deep, input file, NaN or infinite feature values, a
      malformed graph, feature or network file)
   2  arity or dimension mismatch (a negative --arity too)
-  3  mode or configuration error (inapplicable mode, bad --box, a --box
+  3  mode or configuration error (inapplicable mode, pointwise or
+     addition-free mode for more than one expression, bad --box, a --box
      endpoint or width that is not finite, eps <= 0, --trials < 1,
      --seed < 0, a negative --degree-bound, a --tolerance or
      --abs-tolerance that is negative or not finite, a result with no JSON
@@ -34,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .approx import approximate_all, image_bounds, uniform_distance_estimates
-from .compiler import CompileEnv, compile_expr, compile_relu_tuple
+from .compiler import CompileEnv, CompileReport, compile_all
 from .errors import ArityError, CertificateError, ModeError
 from .expressions import Expr, ExprTuple, format_expr, max_projections
 from .graphs import (
@@ -49,7 +50,7 @@ from .graphs import (
 )
 from .intervals import DomainBox
 from .interpreter import eval_tuple
-from .mpnn import InvalidNetworkError, eval_mpnn, mpnn_from_json, mpnn_to_json
+from .mpnn import InvalidNetworkError, Mpnn, eval_mpnn, mpnn_from_json, mpnn_to_json
 from .parser import MPLangSyntaxError, parse
 
 DEFAULT_TRIALS = 1000
@@ -114,6 +115,15 @@ def _write_json(obj, path: str | None, indent: int | None = 2) -> None:
         print(text)
 
 
+def _write_network(net: Mpnn, report: CompileReport, path: str | None) -> None:
+    """The network at path and its report at path.report.json, or both to stdout."""
+    if path:
+        _write_json(mpnn_to_json(net), path)
+        _write_json(report.to_json(), path + ".report.json")
+    else:
+        _write_json({"mpnn": mpnn_to_json(net), "report": report.to_json()}, None)
+
+
 @dataclass
 class Operand:
     input_arity: int
@@ -165,23 +175,7 @@ def cmd_compile(args) -> int:
     elif d < 0:
         raise ArityError(f"--arity must be nonnegative, got {d}")
     env = CompileEnv(mode=args.mode, degree_bound=args.degree_bound, box=box)
-    if len(exprs) == 1:
-        net, report = compile_expr(exprs[0], d, env)
-    else:
-        if args.mode not in ("relu", "auto"):
-            raise ModeError("expression tuples compile in relu mode only")
-        net = compile_relu_tuple(ExprTuple(tuple(exprs), d))
-        report = None
-    payload = mpnn_to_json(net)
-    if args.out:
-        _write_json(payload, args.out)
-        if report is not None:
-            _write_json(report.to_json(), args.out + ".report.json")
-    else:
-        combined = {"mpnn": payload}
-        if report is not None:
-            combined["report"] = report.to_json()
-        _write_json(combined, None)
+    _write_network(*compile_all(exprs, d, env), args.out)
     return 0
 
 
@@ -205,8 +199,8 @@ def cmd_approx(args) -> int:
     print(f"rho_hat = {rho!r} (sampled over {args.trials} instances, eps = {args.epsilon!r}),"
           f" proven eps = {max(report.proven_eps)!r}")
     if args.compile:
-        net = compile_relu_tuple(ExprTuple(tuple(results), box.dimension))
-        _write_json(mpnn_to_json(net), args.compile)
+        # The approximants are ReLU-only, so relu mode needs no bounds.
+        _write_network(*compile_all(results, box.dimension, CompileEnv("relu")), args.compile)
     return 0
 
 

@@ -13,29 +13,38 @@ is returned with its rows in root order.  Before the fold, the roots' traits
 (see ``expressions.ExprTraits``) decide the route's ArityError and then its
 ModeError, so each route walks the DAG once, to build.
 
+``compile_all`` is the one entry: any number of roots, one network with an
+output per root, and its ``CompileReport``.  Given a degree bound p and an
+input box, each finished layer is bounded once, after its merge, from the box
+of the layer below; that box sizes the next level's merge shifts and is the
+report's bound for the layer.  The per-route functions below are its
+single-root cases without a report.
+
 A carrier row only carries a value up a level: a lift, or the constant
 channel that a bias under <> reads.  Its activation is fixed by the route:
 
-* ``compile_relu`` / ``compile_relu_tuple``: ReLU-only expressions, valid on
-  every graph and every feature map.  Relu carriers: a lift is
-  x = relu(x) - relu(-x), one row for a nonnegative x.
-* ``compile_mixed``: arbitrary catalog activations, valid over graphs of
-  degree at most p and features inside a box.  Relu carriers.  A level whose
-  rows use k > 1 activations gets one merged activation, a left fold of
-  merge_layers over its activation groups, with shifts from the level's
-  channel box propagated from the input box; its merge depth is k - 1, so a
-  flat n-term sum is one hidden layer of width n and the read-out.
-* ``compile_addition_free`` / ``compile_pointwise``: expressions without +
-  (and without the neighbor sum), valid everywhere.  Id carriers: a lift is
-  one id row, so the network uses only the expression's own functions and
-  id, one row per layer, and never a merged activation.
+* ``relu`` (``compile_relu`` / ``compile_relu_tuple``): ReLU-only
+  expressions, valid on every graph and every feature map.  Relu carriers: a
+  lift is x = relu(x) - relu(-x), one row for a nonnegative x.
+* ``mixed`` (``compile_mixed``): arbitrary catalog activations, valid over
+  graphs of degree at most p and features inside a box.  Relu carriers.  A
+  level whose rows use k > 1 activations gets one merged activation, a left
+  fold of merge_layers over its activation groups, with shifts from the box of
+  the layer below; its merge depth is k - 1, so a flat n-term sum is one hidden
+  layer of width n and the read-out.
+* ``addition-free`` / ``pointwise`` (``compile_addition_free`` /
+  ``compile_pointwise``): one expression without + (and without the neighbor
+  sum), valid everywhere.  Id carriers: a lift is one id row, so the network
+  uses only the expression's own functions and id, one row per layer, and
+  never a merged activation.  Several roots could put two activations on one
+  level, so these routes take one root.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import asdict, dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -60,7 +69,6 @@ from .expressions import (
     One,
     Proj,
     Scale,
-    classify,
     classify_all,
     fold_all,
 )
@@ -79,6 +87,7 @@ __all__ = [
     "compile_addition_free",
     "compile_pointwise",
     "compile_expr",
+    "compile_all",
 ]
 
 
@@ -127,6 +136,12 @@ def layer_output_bounds(lyr: Layer, p: int, box: DomainBox) -> LayerBounds:
         max(iv.hi for iv in comps),
         min(iv.lo for iv in comps),
     )
+
+
+def _image_box(lyr: Layer, p: int, box: DomainBox) -> DomainBox:
+    """A box holding the layer's outputs over degree-<=p graphs and inputs in box."""
+    return DomainBox(tuple(interval_image(lyr.activation, iv)
+                           for iv in layer_output_bounds(lyr, p, box).components))
 
 
 def merge_layers(
@@ -308,47 +323,50 @@ class _Channels:
         return live[::-1]
 
     def network(self, roots: list[_Form], p: int | None = None,
-                box: DomainBox | None = None) -> Mpnn:
-        """One layer per level, then an id-layer with a row per root.
+                box: DomainBox | None = None) -> tuple[Mpnn, list[DomainBox] | None]:
+        """One layer per level, then an id-layer with a row per root, and
+        given a degree bound p and an input box, the box of each layer's
+        outputs (None without them).
 
-        Only live rows are kept.  Given a degree bound p and an input box, a
-        level whose rows use several activations gets one merged activation:
-        a left fold of merge_layers over its activation groups, with shifts
-        from the level's propagated channel box.  If every root is one channel
-        of the top level, the read-out is fused away: the last layer is
-        returned with its rows picked in root order.
+        Only live rows are kept.  A level whose rows use several activations
+        gets one merged activation: a left fold of merge_layers over its
+        activation groups, with shifts from the box of the level below.  Each
+        finished layer is bounded once, after its merge.  If every root is
+        one channel of the top level, the read-out is fused away: the last
+        layer and its box are returned with their rows picked in root order.
         """
         top = max(f.level for f in roots)
         roots = [self.lifted(f, top) for f in roots]
         position, width = list(range(self.d)), self.d
-        layers = []
+        layers, boxes = [], None if box is None else []
         for level, chans in enumerate(self._live(roots, top)):
             rows = self.rows[level]
-            groups = [
+            merged, *parts = [
                 _matrix_layer([rows[c] for c in group], position, width, act)
                 for act, group in itertools.groupby(chans, key=lambda c: rows[c].activation)
             ]
-            if box is None:
-                (merged,) = groups  # without a box every level has one activation
-            else:
-                merged = groups[0]
-                for part in groups[1:]:
-                    merged = concat_layers(*merge_layers(merged, part, p, box, box))
-                box = DomainBox(tuple(
-                    interval_image(part.activation, iv)
-                    for part in groups for iv in layer_output_bounds(part, p, box).components
-                ))
+            for part in parts:  # only a route with a box has several activations
+                merged = concat_layers(*merge_layers(merged, part, p, box, box))
             layers.append(merged)
+            if box is not None:
+                box = _image_box(merged, p, box)
+                boxes.append(box)
             position, width = [0] * len(rows), len(chans)
             for i, c in enumerate(chans):
                 position[c] = i
         if top and all(list(f.self_w.values()) == [1.0] and not f.neigh_w and f.bias == 0.0
                        for f in roots):
             last, picks = layers.pop(), [position[c] for f in roots for c in f.self_w]
-            return Mpnn((*layers, Layer(last.w_self[picks], last.w_neigh[picks],
-                                        last.bias[picks], last.activation)))
-        out = [_Row(tuple(f.self_w.items()), tuple(f.neigh_w.items()), f.bias, ID) for f in roots]
-        return Mpnn(tuple(layers) + (_matrix_layer(out, position, width, ID),))
+            layers.append(Layer(last.w_self[picks], last.w_neigh[picks], last.bias[picks],
+                                last.activation))
+            if box is not None:
+                boxes[-1] = DomainBox(tuple(box.intervals[i] for i in picks))
+        else:
+            out = [_Row(tuple(f.self_w.items()), tuple(f.neigh_w.items()), f.bias, ID) for f in roots]
+            layers.append(_matrix_layer(out, position, width, ID))
+            if box is not None:
+                boxes.append(_image_box(layers[-1], p, box))
+        return Mpnn(tuple(layers)), boxes
 
 
 def _matrix_layer(rows: list[_Row], position: list[int], width: int,
@@ -366,16 +384,29 @@ def _matrix_layer(rows: list[_Row], position: list[int], width: int,
     return Layer(w_self, w_neigh, bias, activation)
 
 
-def _schedule(roots: tuple[Expr, ...], d: int, mode: str,
-              p: int | None = None, box: DomainBox | None = None) -> Mpnn:
+def _schedule(roots: tuple[Expr, ...], d: int, mode: str, p: int | None = None,
+              box: DomainBox | None = None) -> tuple[Mpnn, list[DomainBox] | None]:
     """The roots' network on the route named by mode, from one fold over their
-    DAG; their traits are checked first, the arity before the mode."""
+    DAG, and its layers' boxes if p and box are given.  The arguments are
+    checked first: the arity, then the bounds, then the mode."""
     traits = classify_all(roots)
     if traits.max_projection > d:
         raise ArityError(f"expression uses projections beyond arity {d}")
+    if p is None or box is None:
+        if mode == "mixed":
+            raise ModeError("mixed mode needs a degree bound and a feature box")
+        p = box = None
+    elif box.dimension != d:
+        raise ArityError(f"box dimension {box.dimension} != input arity {d}")
+    elif p < 0:
+        raise ValueError("degree bound must be nonnegative")
     chained = mode in ("addition-free", "pointwise")
+    if mode not in ("relu", "mixed") and not chained:
+        raise ModeError(f"unknown mode {mode!r}")
     if mode == "relu" and not traits.relu_only:
         raise ModeError("expression applies functions other than relu")
+    if chained and len(roots) != 1:
+        raise ModeError(f"{mode} mode compiles one expression, not {len(roots)}")
     if chained and not traits.addition_free:
         raise ModeError("expression uses +")
     if mode == "pointwise" and not traits.summation_free:
@@ -392,12 +423,12 @@ def compile_relu(e: Expr, d: int) -> Mpnn:
     has one ReLU layer per level above the input and ends in an id-layer,
     unless the read-out fuses into the last ReLU layer.
     """
-    return _schedule((e,), d, "relu")
+    return _schedule((e,), d, "relu")[0]
 
 
 def compile_relu_tuple(t: ExprTuple) -> Mpnn:
     """compile_relu of every component at once: one network, one output per component."""
-    return _schedule(t.components, t.input_arity, "relu")
+    return _schedule(t.components, t.input_arity, "relu")[0]
 
 
 def compile_mixed(e: Expr, d: int, p: int, box: DomainBox) -> Mpnn:
@@ -406,11 +437,7 @@ def compile_mixed(e: Expr, d: int, p: int, box: DomainBox) -> Mpnn:
     The same scheduler as compile_relu, with each application emitting a row
     with its own activation; each level merges its activations into one.
     """
-    if box.dimension != d:
-        raise ArityError(f"box dimension {box.dimension} != input arity {d}")
-    if p < 0:
-        raise ValueError("degree bound must be nonnegative")
-    return _schedule((e,), d, "mixed", p, box)
+    return _schedule((e,), d, "mixed", p, box)[0]
 
 
 def compile_addition_free(e: Expr, d: int) -> Mpnn:
@@ -419,7 +446,7 @@ def compile_addition_free(e: Expr, d: int) -> Mpnn:
     The scheduler with id carrier rows: the network uses only the
     expression's own functions plus the identity, and no merged activation.
     """
-    return _schedule((e,), d, "addition-free")
+    return _schedule((e,), d, "addition-free")[0]
 
 
 def compile_pointwise(e: Expr, d: int) -> Mpnn:
@@ -428,7 +455,7 @@ def compile_pointwise(e: Expr, d: int) -> Mpnn:
     Every layer applies one of the expression's functions, except that the
     last may be an id read-out.
     """
-    return _schedule((e,), d, "pointwise")
+    return _schedule((e,), d, "pointwise")[0]
 
 
 # -- mode dispatch -----------------------------------------------------------------
@@ -445,11 +472,13 @@ class CompileReport:
     mode: str
     layers: int
     max_width: int
-    activations: list[str]
-    merged_activations: int
-    bounds: list[list[list[float]]] | None
     widths: list[int]  # output width of each layer
     nonzero: list[int]  # non-zero weights and biases of each layer
+    activations: list[str]
+    merged_activations: int
+    # Per layer, the box of its outputs, one [lo, hi] pair per row (None
+    # without a degree bound and a box).
+    bounds: list[list[list[float]]] | None
     # Per layer, the bias shift each function of its merged activation got,
     # left to right ([] without a merge), and the ulp of the largest |shift|:
     # a bound on the rounding each shift adds to a pre-activation value.
@@ -457,18 +486,8 @@ class CompileReport:
     shift_ulps: list[float]
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "layers": self.layers,
-            "max_width": self.max_width,
-            "widths": self.widths,
-            "nonzero": self.nonzero,
-            "activations": self.activations,
-            "merged_activations": self.merged_activations,
-            "bounds": self.bounds,
-            "shifts": self.shifts,
-            "shift_ulps": self.shift_ulps,
-        }
+        """The fields in their declared order."""
+        return asdict(self)
 
 
 def _shifts(act: Activation) -> list[float]:
@@ -487,10 +506,8 @@ def _report(mode: str, net: Mpnn, boxes: list[DomainBox] | None) -> CompileRepor
         layers=len(net.layers),
         max_width=max(lyr.output_arity for lyr in net.layers),
         activations=sorted({activation_label(lyr.activation) for lyr in net.layers}),
-        merged_activations=sum(
-            isinstance(lyr.activation, Merged) for lyr in net.layers
-        ),
-        bounds=None if boxes is None else [b.to_pairs() for b in boxes[1:]],
+        merged_activations=sum(isinstance(lyr.activation, Merged) for lyr in net.layers),
+        bounds=None if boxes is None else [b.to_pairs() for b in boxes],
         widths=[lyr.output_arity for lyr in net.layers],
         nonzero=[
             int(np.count_nonzero(lyr.w_self) + np.count_nonzero(lyr.w_neigh)
@@ -502,23 +519,19 @@ def _report(mode: str, net: Mpnn, boxes: list[DomainBox] | None) -> CompileRepor
     )
 
 
-def _propagated_boxes(net: Mpnn, p: int, box: DomainBox) -> list[DomainBox]:
-    boxes = [box]
-    for lyr in net.layers:
-        pre = layer_output_bounds(lyr, p, boxes[-1])
-        boxes.append(DomainBox(tuple(interval_image(lyr.activation, iv) for iv in pre.components)))
-    return boxes
+def compile_all(roots: Iterable[Expr], d: int, env: CompileEnv) -> tuple[Mpnn, CompileReport]:
+    """One network with an output per root, and its report.
 
-
-def compile_expr(e: Expr, d: int, env: CompileEnv) -> tuple[Mpnn, CompileReport]:
-    """Dispatch on mode; auto picks the strongest applicable exact route."""
-    traits = classify(e)
+    Auto picks the strongest applicable exact route; the chained routes carry
+    one row per layer, so they take a single root.  With a degree bound and a
+    box, the report bounds every layer's outputs.
+    """
+    roots = tuple(roots)
     mode = env.mode
     if mode == "auto":
-        if traits.addition_free and traits.summation_free:
-            mode = "pointwise"
-        elif traits.addition_free:
-            mode = "addition-free"
+        traits = classify_all(roots)
+        if len(roots) == 1 and traits.addition_free:
+            mode = "pointwise" if traits.summation_free else "addition-free"
         elif traits.relu_only:
             mode = "relu"
         elif env.degree_bound is not None and env.box is not None:
@@ -528,17 +541,10 @@ def compile_expr(e: Expr, d: int, env: CompileEnv) -> tuple[Mpnn, CompileReport]
                 "no exact mode applies everywhere; supply --degree-bound and "
                 "--box for bounded compilation, or approximate first"
             )
-    exact = {"pointwise": compile_pointwise, "addition-free": compile_addition_free,
-             "relu": compile_relu}
-    if mode in exact:
-        net = exact[mode](e, d)
-    elif mode == "mixed":
-        if env.degree_bound is None or env.box is None:
-            raise ModeError("mixed mode needs a degree bound and a feature box")
-        net = compile_mixed(e, d, env.degree_bound, env.box)
-    else:
-        raise ModeError(f"unknown mode {mode!r}")
-    boxes = None
-    if env.degree_bound is not None and env.box is not None:
-        boxes = _propagated_boxes(net, env.degree_bound, env.box)
+    net, boxes = _schedule(roots, d, mode, env.degree_bound, env.box)
     return net, _report(mode, net, boxes)
+
+
+def compile_expr(e: Expr, d: int, env: CompileEnv) -> tuple[Mpnn, CompileReport]:
+    """compile_all of the single root e."""
+    return compile_all((e,), d, env)

@@ -15,6 +15,7 @@ those `random_instances` yields included, is a slice of that union.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
@@ -56,8 +57,12 @@ class Graph:
     def __post_init__(self):
         pairs = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
         # The reshape fails unless there are exactly two ids per pair.
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
-        edges = np.unique(np.sort(pairs, axis=1), axis=0)
+        pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2), axis=1)
+        edges = pairs[np.lexsort(pairs.T[::-1])]
+        # Sorted, so a repeated pair follows its first copy.
+        first = np.ones(len(edges), dtype=bool)
+        first[1:] = (edges[1:] != edges[:-1]).any(axis=1)
+        edges = edges[first]
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
 
@@ -78,13 +83,16 @@ class Graph:
         """Raise InvalidGraphError on the first violated invariant."""
         if self.node_count < 0:
             raise InvalidGraphError("node_count must be nonnegative")
-        for u, v in self.edges.tolist():
+        edges = self.edges
+        bad = np.flatnonzero((edges[:, 0] == edges[:, 1])
+                             | ((edges < 0) | (edges >= self.node_count)).any(axis=1))
+        if len(bad):
+            u, v = edges[bad[0]].tolist()
             if u == v:
                 raise InvalidGraphError(f"loop edge ({u}, {v})")
-            if not (0 <= u < self.node_count) or not (0 <= v < self.node_count):
-                raise InvalidGraphError(
-                    f"edge ({u}, {v}) has an endpoint outside 0..{self.node_count - 1}"
-                )
+            raise InvalidGraphError(
+                f"edge ({u}, {v}) has an endpoint outside 0..{self.node_count - 1}"
+            )
 
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -352,16 +360,18 @@ def graph_from_json(obj: dict) -> Graph:
     if not isinstance(obj, dict):
         raise InvalidGraphError("malformed graph: the top level must be a JSON object")
     try:
-        nodes, edges = obj["nodes"], [tuple(e) for e in obj["edges"]]
+        nodes, edges = obj["nodes"], obj["edges"]
+        lengths = set(map(len, edges))
+        kinds = set(map(type, itertools.chain.from_iterable(edges)))
     except KeyError as exc:
         raise InvalidGraphError(f"malformed graph: no {exc} field") from exc
     except TypeError as exc:
         raise InvalidGraphError(f"malformed graph: {exc}") from exc
     if type(nodes) is not int:
         raise InvalidGraphError(f"malformed graph: nodes must be an integer, got {nodes!r}")
-    for e in edges:
-        if len(e) != 2 or not all(type(u) is int for u in e):
-            raise InvalidGraphError(f"malformed graph: edge {list(e)!r} is not two integers")
+    if not (lengths <= {2} and kinds <= {int}):
+        bad = next(e for e in edges if len(e) != 2 or not all(type(u) is int for u in e))
+        raise InvalidGraphError(f"malformed graph: edge {list(bad)!r} is not two integers")
     try:
         g = Graph(nodes, edges)
     except OverflowError:  # an endpoint beyond int64

@@ -156,6 +156,37 @@ def test_compile_report_gives_each_layers_width_and_nonzero_count(tmp_path):
     assert report["widths"] == [3, 1] and report["nonzero"] == [4, 3]
 
 
+def test_compile_of_an_expression_file_in_mixed_mode_passes_check(tmp_path, capsys):
+    src, out = tmp_path / "tuple.mplang", tmp_path / "tuple.json"
+    src.write_text("tanh(P1) + sin(<>P2)\nrelu(P1 + -1*P2)\nsigmoid(<>P1) + 0.5*P2\n")
+    box = ["--degree-bound", "2", "--box", "[[-1,1],[-1,1]]"]
+    assert main(["compile", "--expr-file", str(src), "--mode", "mixed", *box,
+                 "--out", str(out)]) == 0
+    report = json.loads((tmp_path / "tuple.json.report.json").read_text())
+    assert report["mode"] == "mixed" and report["merged_activations"] >= 1
+    assert report["widths"][-1] == len(report["bounds"][-1]) == 3
+    assert main(["check", str(src), str(out), *box, "--trials", "500"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["pointwise", "addition-free"])
+def test_compile_of_a_tuple_in_a_chained_mode_exits_3(tmp_path, capsys, mode):
+    src = tmp_path / "tuple.mplang"
+    src.write_text("tanh(P1)\nP1\n")
+    assert main(["compile", "--expr-file", str(src), "--mode", mode]) == 3
+    assert "one expression" in capsys.readouterr().err
+
+
+def test_compile_of_a_tuple_to_stdout_carries_its_report(tmp_path, capsys):
+    src = tmp_path / "tuple.mplang"
+    src.write_text("relu(P1 + -1*P2)\n<>P1\n")
+    assert main(["compile", "--expr-file", str(src)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    report, layers = payload["report"], payload["mpnn"]["layers"]
+    assert report["mode"] == "relu" and report["bounds"] is None
+    assert report["widths"] == [len(lyr["b"]) for lyr in layers] and report["widths"][-1] == 2
+
+
 def test_compile_of_a_3000_term_sum(pair_instance, tmp_path):
     text = " + ".join(f"{0.5 + k % 5}*P{1 + k % 2}" for k in range(3000))
     path = tmp_path / "long.mplang"
@@ -224,6 +255,20 @@ def test_approx_compile_of_a_nested_function_at_a_small_epsilon(tmp_path, capsys
         eval_mpnn(net, batch.graph, batch.features).values[:, 0],
         eval_expr(approximant, batch.graph, batch.features),
     )
+
+
+def test_approx_compile_writes_the_networks_report(tmp_path, capsys):
+    src, net_out = tmp_path / "pair.mplang", tmp_path / "net.json"
+    src.write_text("tanh(P1)\nsin(<>P1) + P1\n")
+    assert main(["approx", "--expr-file", str(src), "--degree-bound", "2", "--box", "[[-1,1]]",
+                 "--epsilon", "0.1", "--trials", "50", "--compile", str(net_out)]) == 0
+    layers = json.loads(net_out.read_text())["layers"]
+    report = json.loads((tmp_path / "net.json.report.json").read_text())
+    assert report["mode"] == "relu" and report["bounds"] is None
+    assert report["widths"] == [len(lyr["b"]) for lyr in layers] and report["widths"][-1] == 2
+    assert report["nonzero"] == [
+        sum(int(np.count_nonzero(lyr[key])) for key in ("W1", "W2", "b")) for lyr in layers
+    ]
 
 
 def test_approx_prints_the_proven_eps_and_writes_the_report(tmp_path, capsys):
@@ -610,7 +655,7 @@ def test_out_of_memory_is_a_configuration_error(monkeypatch, tmp_path, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr("mplangc.cli.compile_relu_tuple", exhausted)
+    monkeypatch.setattr("mplangc.cli.compile_all", exhausted)
     rc = main(["approx", "--expr", "tanh(P1)", "--degree-bound", "1", "--box", "[[-1,1]]",
                "--epsilon", "0.1", "--trials", "10", "--compile", str(tmp_path / "net.json")])
     assert rc == 3

@@ -6,6 +6,7 @@ from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH, Merged, apply
 from mplangc.compiler import (
     CompileEnv,
     compile_addition_free,
+    compile_all,
     compile_expr,
     compile_mixed,
     compile_pointwise,
@@ -403,16 +404,90 @@ def test_auto_mode_requires_bounds_for_mixed():
     ("0.5*tanh(P1 + <>P2) + -1.5*sin(2*P2) + abs(<>P1 + -0.5) + sigmoid(3*P1) + relu(P2)",
      "mixed"),
     ("relu(P1 + -1*<>P2) + -2*relu(<>relu(P2) + 0.5) + 3*<>P1 + -1", "relu"),
+    # Tuples, one root per line.
+    ("tanh(P1 + <>P2) + sin(<>relu(P2))\nrelu(P1) + -1*abs(P2)\n2*<>P1 + -0.5", "mixed"),
+    ("relu(P1 + -1*<>P2)\nrelu(<>relu(P2) + 0.5) + P1", "relu"),
 ])
 def test_compile_report_bounds_contain_every_layer_output(text, mode):
     p, box = 2, DomainBox.from_pairs([[-1.0, 2.0], [-0.5, 0.5]])
-    net, report = compile_expr(parse(text), 2, CompileEnv(degree_bound=p, box=box))
-    assert report.mode == mode
+    roots = [parse(line) for line in text.split("\n")]
+    net, report = compile_all(roots, 2, CompileEnv(degree_bound=p, box=box))
+    assert report.mode == mode and net.output_arity == len(roots)
     union, fm = batch_instances(p, box, 300, 9)
     for lyr, bounds in zip(net.layers, report.bounds, strict=True):
         fm = eval_layer(lyr, union, fm)
         lo, hi = np.array(bounds).T
         assert np.all(lo <= fm.values.min(axis=0)) and np.all(fm.values.max(axis=0) <= hi)
+
+
+def _propagated(net, p, box):
+    """Each layer's output box from the box of the layer below, from the input
+    box on: the network's bounds, one layer at a time."""
+    pairs = []
+    for lyr in net.layers:
+        pre = layer_output_bounds(lyr, p, box)
+        box = DomainBox(tuple(interval_image(lyr.activation, iv) for iv in pre.components))
+        pairs.append(box.to_pairs())
+    return pairs
+
+
+BOUNDED_ROOTS = {
+    "mixed": ("0.5*tanh(P1 + <>P2) + -1.5*sin(2*P2) + abs(<>P1 + -0.5) + sigmoid(3*P1)",),
+    "mixed nested": ("tanh(sin(P1) + <>abs(P2)) + sigmoid(<>P1 + -1*P2) + relu(P2)",),
+    "relu": ("relu(P1 + -1*<>P2) + -2*relu(<>relu(P2) + 0.5) + 3*<>P1 + -1",),
+    # Fused read-outs: rows regrouped by activation, and a repeated root.
+    "mixed fused": ("tanh(P1 + <>P2)", "sin(P2)", "tanh(P2)"),
+    "mixed tuple": ("tanh(P1) + sin(<>P2)", "relu(P1) + sigmoid(<>relu(P2))", "-1*P2 + 2"),
+    "relu fused": ("relu(P1)", "relu(<>P2 + -1)", "relu(P1)"),
+    "relu tuple": ("relu(P1 + <>P2)", "relu(P1 + <>P2) + -1*<>relu(P2)", "P1"),
+}
+
+
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("texts", BOUNDED_ROOTS.values(), ids=BOUNDED_ROOTS.keys())
+def test_report_bounds_equal_the_networks_layer_by_layer_bounds(texts, p):
+    box = DomainBox.from_pairs([[-1.0, 2.0], [-0.5, 0.5]])
+    net, report = compile_all([parse(t) for t in texts], 2, CompileEnv(degree_bound=p, box=box))
+    assert report.mode in ("mixed", "relu") and net.output_arity == len(texts)
+    assert report.bounds == _propagated(net, p, box)
+
+
+def test_each_layer_is_bounded_once_and_each_merge_twice(monkeypatch):
+    bounded, merged = [], []
+
+    def count(calls, route):
+        return lambda *args: calls.append(args) or route(*args)
+
+    monkeypatch.setattr("mplangc.compiler.layer_output_bounds", count(bounded, layer_output_bounds))
+    monkeypatch.setattr("mplangc.compiler.merge_layers", count(merged, merge_layers))
+
+    def counts(texts, env):
+        """(layers, layer_output_bounds calls, merge_layers calls) of one compile."""
+        bounded.clear()
+        merged.clear()
+        net, _ = compile_all([parse(t) for t in texts], 2, env)
+        return len(net.layers), len(bounded), len(merged)
+
+    box = DomainBox.cube(-1.0, 1.0, 2)
+    for texts in BOUNDED_ROOTS.values():
+        layers, bounds, merges = counts(texts, CompileEnv(degree_bound=2, box=box))
+        assert bounds == layers + 2 * merges
+    # One hidden layer of three activation groups, merged twice, and the read-out.
+    assert counts(["tanh(P1) + sin(P2) + sigmoid(<>P1)"], CompileEnv("mixed", 2, box)) == (2, 6, 2)
+    assert counts(["relu(P1) + <>P2"], CompileEnv("relu"))[1] == 0
+
+
+def test_auto_mode_sends_a_tuple_past_the_chained_routes():
+    # One chained layer per level cannot hold relu(P1) and the id carrier of P1.
+    roots = (parse("relu(P1)"), parse("P1"))
+    net, report = compile_all(roots, 1, CompileEnv())
+    assert report.mode == "relu"
+    union, fm = batch_instances(None, DomainBox.cube(-2.0, 2.0, 1), 50, 5)
+    for j, e in enumerate(roots):
+        assert_close(eval_mpnn(net, union, fm).values[:, j], eval_expr(e, union, fm))
+    for mode in ("pointwise", "addition-free"):
+        with pytest.raises(ModeError, match="one expression"):
+            compile_all(roots, 1, CompileEnv(mode))
 
 
 def test_auto_mode_sum_layer_shape():

@@ -418,7 +418,7 @@ def test_compile_relu_tuple_forms_each_distinct_node_once(monkeypatch):
     fold_all(t.components, lambda node, kids: nodes.append(node))
     # Folding each root on its own gives the same channels, in the same order.
     channels = _Channels(t.input_arity, RELU)
-    per_root = channels.network([fold(c, channels.form) for c in t.components])
+    per_root, _ = channels.network([fold(c, channels.form) for c in t.components])
     calls = []
     form = _Channels.form
     monkeypatch.setattr(_Channels, "form",
