@@ -34,6 +34,7 @@ from .compiler import (
     CompileReport,
     LayerBounds,
     compile_addition_free,
+    compile_all,
     compile_expr,
     compile_mixed,
     compile_pointwise,

@@ -407,14 +407,22 @@ def activation_to_json(f: Activation) -> dict:
     raise TypeError(f"not an activation: {f!r}")
 
 
+def _finite_rows(rows) -> tuple[tuple[float, ...], ...]:
+    """rows as tuples of floats, none NaN or infinite (JSON readers accept both)."""
+    rows = tuple(tuple(map(float, row)) for row in rows)
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise ValueError("activation numbers must be finite (no NaN or infinity)")
+    return rows
+
+
 def activation_from_json(obj: dict) -> Activation:
     kind = obj["kind"]
     if kind == "named":
         return Named(obj["name"])
     if kind == "pl":
-        return PiecewiseLinear(tuple((x, y) for x, y in obj["points"]))
+        return PiecewiseLinear(_finite_rows(obj["points"]))
     if kind == "relusum":
-        return ReluSum(tuple((a, b, c) for a, b, c in obj["terms"]))
+        return ReluSum(_finite_rows(obj["terms"]))
     if kind == "merged":
         return Merged(
             activation_from_json(obj["left"]),

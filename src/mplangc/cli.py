@@ -4,9 +4,10 @@ Subcommands: eval, compile, approx, check, bounds, fmt.
 
 Exit codes (fixed for scripting):
   0  success / check passed
-  1  parse or input error (expression text, an empty expression file,
-     nesting too deep, input file, NaN or infinite feature values, a
-     malformed graph, feature or network file)
+  1  parse, input or file error (expression text, an empty expression
+     file, nesting too deep, a file that cannot be opened, read or written,
+     an input file that is not UTF-8, NaN or infinite feature values or
+     network numbers, a malformed graph, feature or network file)
   2  arity or dimension mismatch (a negative --arity too)
   3  mode or configuration error (inapplicable mode, pointwise or
      addition-free mode for more than one expression, bad --box, a --box
@@ -14,7 +15,8 @@ Exit codes (fixed for scripting):
      --seed < 0, a negative --degree-bound, a --tolerance or
      --abs-tolerance that is negative or not finite, a result with no JSON
      form because it is not finite, a check with non-finite operand values
-     and no finite failure, out of memory, ...)
+     and no finite failure, compile bounds that are not finite, out of
+     memory, ...)
   4  no approximation certificate (an unbounded argument image, a grid of
      more than 4097 knots, or a grid step below the float spacing)
   5  equivalence check failed (a witness instance is printed)
@@ -60,10 +62,19 @@ ABS_FLOOR = 1e-12
 
 # -- input loading ---------------------------------------------------------------
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; other bytes are a decode error naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            exc.reason += f" in {path}"
+            raise
+
+
 def _read_expr_file(path: str) -> list[Expr]:
     """The expressions on the nonblank lines of a file (sharing their subterms)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(path).split("\n") if ln.strip()]
     if not lines:
         raise MPLangSyntaxError("expression file is empty", 0)
     return [parse(line) for line in lines]
@@ -77,13 +88,11 @@ def _read_exprs(args) -> list[Expr]:
 
 
 def _read_graph(path: str) -> Graph:
-    with open(path) as fh:
-        return graph_from_json(json.load(fh))
+    return graph_from_json(json.loads(_read_text(path)))
 
 
 def _read_features(path: str) -> FeatureMap:
-    with open(path) as fh:
-        return features_from_json(json.load(fh))
+    return features_from_json(json.loads(_read_text(path)))
 
 
 def _parse_box(text: str) -> DomainBox:
@@ -135,8 +144,7 @@ def _load_operand(spec: str) -> Operand:
     """Expression literal, expression text file, or MPNN .json file."""
     if os.path.isfile(spec):
         if spec.endswith(".json"):
-            with open(spec) as fh:
-                net = mpnn_from_json(json.load(fh))
+            net = mpnn_from_json(json.loads(_read_text(spec)))
             return Operand(
                 net.input_arity,
                 net.output_arity,
@@ -352,11 +360,11 @@ def main(argv=None) -> int:
     except MPLangSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, InvalidGraphError, InvalidNetworkError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, InvalidGraphError, InvalidNetworkError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    except OSError as exc:  # a file that cannot be opened, read or written
+        print(f"file error: {exc}", file=sys.stderr)
         return 1
     except ArityError as exc:
         print(f"arity error: {exc}", file=sys.stderr)

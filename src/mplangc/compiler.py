@@ -14,11 +14,12 @@ is returned with its rows in root order.  Before the fold, the roots' traits
 ModeError, so each route walks the DAG once, to build.
 
 ``compile_all`` is the one entry: any number of roots, one network with an
-output per root, and its ``CompileReport``.  Given a degree bound p and an
-input box, each finished layer is bounded once, after its merge, from the box
-of the layer below; that box sizes the next level's merge shifts and is the
-report's bound for the layer.  The per-route functions below are its
-single-root cases without a report.
+output per root, and its ``CompileReport``; the per-route functions below are
+its single-root cases without a report.  Given a degree bound p and an input
+box, each layer is bounded in one array pass over its rows, from the box of
+the layer below: the pass sizes the layer's merge shifts and gives its output
+box, the report's bound for the layer and the next layer's input box.  Bounds
+that are not finite are a ModeError naming the layer.
 
 A carrier row only carries a value up a level: a lift, or the constant
 channel that a bias under <> reads.  Its activation is fixed by the route:
@@ -28,21 +29,19 @@ channel that a bias under <> reads.  Its activation is fixed by the route:
   lift is x = relu(x) - relu(-x), one row for a nonnegative x.
 * ``mixed`` (``compile_mixed``): arbitrary catalog activations, valid over
   graphs of degree at most p and features inside a box.  Relu carriers.  A
-  level whose rows use k > 1 activations gets one merged activation, a left
-  fold of merge_layers over its activation groups, with shifts from the box of
-  the layer below; its merge depth is k - 1, so a flat n-term sum is one hidden
-  layer of width n and the read-out.
+  level whose rows use k > 1 activations gets one merged activation of merge
+  depth k - 1, so a flat n-term sum is one hidden layer of width n and the
+  read-out.
 * ``addition-free`` / ``pointwise`` (``compile_addition_free`` /
   ``compile_pointwise``): one expression without + (and without the neighbor
   sum), valid everywhere.  Id carriers: a lift is one id row, so the network
-  uses only the expression's own functions and id, one row per layer, and
-  never a merged activation.  Several roots could put two activations on one
-  level, so these routes take one root.
+  uses only the expression's own functions and id, one row per layer.
+  Several roots could put two activations on one level, so these routes take
+  one root.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple
 
@@ -73,7 +72,7 @@ from .expressions import (
     fold_all,
 )
 from .intervals import DomainBox, Interval
-from .mpnn import Layer, Mpnn, concat_layers
+from .mpnn import Layer, Mpnn
 
 __all__ = [
     "LayerBounds",
@@ -93,22 +92,32 @@ __all__ = [
 
 # -- interval bound analysis -----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerBounds:
-    """Pre-activation interval per output component, with the global extremes."""
+    """Pre-activation bounds per output row, as arrays, with the global extremes."""
 
-    components: tuple[Interval, ...]
+    lo: np.ndarray
+    hi: np.ndarray
     upper_max: float
     lower_min: float
 
+    @property
+    def components(self) -> tuple[Interval, ...]:
+        return tuple(map(Interval, self.lo.tolist(), self.hi.tolist()))
 
-def _dot_interval(row: np.ndarray, box: DomainBox) -> Interval:
-    lo = hi = 0.0
-    for w, iv in zip(row, box.intervals):
-        t = iv.scale(float(w))
-        lo += t.lo
-        hi += t.hi
-    return Interval(lo, hi)
+
+def _require_finite(*holds: np.ndarray) -> None:
+    if not all(h.all() for h in holds):
+        raise ModeError("pre-activation bounds are not finite; shrink the box or the weights")
+
+
+def _dot_bounds(w: np.ndarray, box: DomainBox) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of w, the least and greatest w.x over x in box, column by column."""
+    lo, hi = np.zeros(len(w)), np.zeros(len(w))
+    for col, iv in zip(w.T, box.intervals):
+        lo += np.where(col == 0.0, 0.0, np.where(col > 0.0, col * iv.lo, col * iv.hi))
+        hi += np.where(col == 0.0, 0.0, np.where(col > 0.0, col * iv.hi, col * iv.lo))
+    return lo, hi
 
 
 def layer_output_bounds(lyr: Layer, p: int, box: DomainBox) -> LayerBounds:
@@ -116,51 +125,60 @@ def layer_output_bounds(lyr: Layer, p: int, box: DomainBox) -> LayerBounds:
 
     A node of degree k contributes w1*x0 + w2*(x1+...+xk) + b with each xi in
     the box; the union over k in 0..p is the hull of k-fold sums, including
-    the isolated-node case k=0.
+    the isolated-node case k=0.  Bounds that are not finite are a ModeError.
     """
     if box.dimension != lyr.input_arity:
-        raise ArityError(
-            f"box dimension {box.dimension} != layer input arity {lyr.input_arity}"
-        )
-    comps = []
-    for i in range(lyr.output_arity):
-        own = _dot_interval(lyr.w_self[i], box)
-        nb = _dot_interval(lyr.w_neigh[i], box)
-        neigh = Interval(min(0.0, p * nb.lo), max(0.0, p * nb.hi))
-        b = float(lyr.bias[i])
-        comps.append(Interval(own.lo + neigh.lo + b, own.hi + neigh.hi + b))
-    if not all(iv.is_finite() for iv in comps):
-        raise RuntimeError("bound analysis produced an unbounded interval")
-    return LayerBounds(
-        tuple(comps),
-        max(iv.hi for iv in comps),
-        min(iv.lo for iv in comps),
-    )
+        raise ArityError(f"box dimension {box.dimension} != layer input arity {lyr.input_arity}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        (own_lo, own_hi), (nb_lo, nb_hi) = _dot_bounds(lyr.w_self, box), _dot_bounds(lyr.w_neigh, box)
+        lo = own_lo + np.where(p * nb_lo < 0.0, p * nb_lo, 0.0) + lyr.bias
+        hi = own_hi + np.where(p * nb_hi > 0.0, p * nb_hi, 0.0) + lyr.bias
+    # A NaN neighbour sum is an error even where p = 0 hides it.
+    _require_finite(np.isfinite(lo), np.isfinite(hi), ~np.isnan(nb_lo), ~np.isnan(nb_hi))
+    return LayerBounds(lo, hi, float(hi.max()), float(lo.min()))
 
 
-def _image_box(lyr: Layer, p: int, box: DomainBox) -> DomainBox:
-    """A box holding the layer's outputs over degree-<=p graphs and inputs in box."""
-    return DomainBox(tuple(interval_image(lyr.activation, iv)
-                           for iv in layer_output_bounds(lyr, p, box).components))
+def _merge_shift(a: Activation, a_bias: np.ndarray, upper: float, b: Activation,
+                 b_bias: np.ndarray, lower: float) -> tuple[np.ndarray, np.ndarray, Merged]:
+    """The merge rule: with upper the largest pre-activation value rows of a
+    see and lower the smallest rows of b see, a's biases drop by upper+1
+    (inputs land at or below -1, where the merged activation plays a) and b's
+    rise by 1-lower (inputs land at or above +1, the piece playing b)."""
+    _require_finite(np.isfinite([upper, lower]))
+    return a_bias - (upper + 1.0), b_bias + (1.0 - lower), merge(a, upper, b, lower)
 
 
-def merge_layers(
-    a: Layer, b: Layer, p: int, box_a: DomainBox, box_b: DomainBox
-) -> tuple[Layer, Layer]:
-    """Rewrite two layers to share one merged activation.
+def merge_layers(a: Layer, b: Layer, p: int, box_a: DomainBox,
+                 box_b: DomainBox) -> tuple[Layer, Layer]:
+    """Rewrite two layers to share one merged activation, with a's largest and
+    b's smallest pre-activation value bounded over degree-<=p graphs and each
+    layer's box.  Each rewritten layer is equivalent to its original there."""
+    bias_a, bias_b, shared = _merge_shift(
+        a.activation, a.bias, layer_output_bounds(a, p, box_a).upper_max,
+        b.activation, b.bias, layer_output_bounds(b, p, box_b).lower_min)
+    return Layer(a.w_self, a.w_neigh, bias_a, shared), Layer(b.w_self, b.w_neigh, bias_b, shared)
 
-    With M the largest pre-activation value a can see and m the smallest b can
-    see, a's bias drops by M+1 (inputs land at or below -1, where the merged
-    activation plays a's function) and b's bias rises by 1-m (inputs land at
-    or above +1, the piece playing b's function).  Each rewritten layer is
-    equivalent to its original over degree-<=p graphs and its box.
-    """
-    upper = layer_output_bounds(a, p, box_a).upper_max
-    lower = layer_output_bounds(b, p, box_b).lower_min
-    shared = merge(a.activation, upper, b.activation, lower)
-    shifted_a = Layer(a.w_self, a.w_neigh, a.bias - (upper + 1.0), shared)
-    shifted_b = Layer(b.w_self, b.w_neigh, b.bias + (1.0 - lower), shared)
-    return shifted_a, shifted_b
+
+def _merged_layer(lyr: Layer, groups: list[tuple[Activation, int]], p: int | None,
+                  box: DomainBox | None) -> tuple[Layer, DomainBox | None]:
+    """lyr with its row groups' activations (each with the row its group ends
+    before) merged into one by a left fold, and given p and a box, the box of
+    its outputs.  One bound pass gives each row's weighted sum without bias;
+    each fold step and the box read their bounds off it and the biases."""
+    (act, start), *rest = groups
+    if box is None:  # only a route with a box has several activations
+        return Layer(lyr.w_self, lyr.w_neigh, lyr.bias, act), None
+    sums = layer_output_bounds(Layer(lyr.w_self, lyr.w_neigh, np.zeros(len(lyr.bias)), ID), p, box)
+    bias = lyr.bias
+    for f, end in rest:
+        upper = float(np.max(sums.hi[:start] + bias[:start]))
+        lower = float(np.min(sums.lo[start:end] + bias[start:end]))
+        head, tail, act = _merge_shift(act, bias[:start], upper, f, bias[start:end], lower)
+        bias, start = np.concatenate([head, tail, bias[end:]]), end
+    lo, hi = sums.lo + bias, sums.hi + bias
+    _require_finite(np.isfinite(lo), np.isfinite(hi))
+    images = (interval_image(act, Interval(a, b)) for a, b in zip(lo.tolist(), hi.tolist()))
+    return Layer(lyr.w_self, lyr.w_neigh, bias, act), DomainBox(tuple(images))
 
 
 # -- the levelled channel scheduler -------------------------------------------------------
@@ -326,52 +344,46 @@ class _Channels:
                 box: DomainBox | None = None) -> tuple[Mpnn, list[DomainBox] | None]:
         """One layer per level, then an id-layer with a row per root, and
         given a degree bound p and an input box, the box of each layer's
-        outputs (None without them).
-
-        Only live rows are kept.  A level whose rows use several activations
-        gets one merged activation: a left fold of merge_layers over its
-        activation groups, with shifts from the box of the level below.  Each
-        finished layer is bounded once, after its merge.  If every root is
+        outputs (None without them).  Only live rows are kept, and a level's
+        activations are merged into one (see _merged_layer).  If every root is
         one channel of the top level, the read-out is fused away: the last
-        layer and its box are returned with their rows picked in root order.
+        layer and its box keep their rows picked in root order.
         """
         top = max(f.level for f in roots)
         roots = [self.lifted(f, top) for f in roots]
         position, width = list(range(self.d)), self.d
-        layers, boxes = [], None if box is None else []
+        levels = []
         for level, chans in enumerate(self._live(roots, top)):
             rows = self.rows[level]
-            merged, *parts = [
-                _matrix_layer([rows[c] for c in group], position, width, act)
-                for act, group in itertools.groupby(chans, key=lambda c: rows[c].activation)
-            ]
-            for part in parts:  # only a route with a box has several activations
-                merged = concat_layers(*merge_layers(merged, part, p, box, box))
-            layers.append(merged)
-            if box is not None:
-                box = _image_box(merged, p, box)
-                boxes.append(box)
+            levels.append(_matrix_layer([rows[c] for c in chans], position, width))
             position, width = [0] * len(rows), len(chans)
             for i, c in enumerate(chans):
                 position[c] = i
-        if top and all(list(f.self_w.values()) == [1.0] and not f.neigh_w and f.bias == 0.0
-                       for f in roots):
+        fused = top and all(list(f.self_w.values()) == [1.0] and not f.neigh_w
+                            and f.bias == 0.0 for f in roots)
+        if not fused:
+            out = [_Row(tuple(f.self_w.items()), tuple(f.neigh_w.items()), f.bias, ID) for f in roots]
+            levels.append(_matrix_layer(out, position, width))
+        layers, boxes = [], []
+        for k, (lyr, groups) in enumerate(levels, 1):
+            try:
+                lyr, box = _merged_layer(lyr, groups, p, box)
+            except ModeError as exc:
+                raise ModeError(f"layer {k}: {exc}") from None
+            layers.append(lyr)
+            boxes.append(box)
+        if fused:
             last, picks = layers.pop(), [position[c] for f in roots for c in f.self_w]
             layers.append(Layer(last.w_self[picks], last.w_neigh[picks], last.bias[picks],
                                 last.activation))
-            if box is not None:
-                boxes[-1] = DomainBox(tuple(box.intervals[i] for i in picks))
-        else:
-            out = [_Row(tuple(f.self_w.items()), tuple(f.neigh_w.items()), f.bias, ID) for f in roots]
-            layers.append(_matrix_layer(out, position, width, ID))
-            if box is not None:
-                boxes.append(_image_box(layers[-1], p, box))
-        return Mpnn(tuple(layers)), boxes
+            boxes[-1] = box and DomainBox(tuple(box.intervals[i] for i in picks))
+        return Mpnn(tuple(layers)), None if box is None else boxes
 
 
-def _matrix_layer(rows: list[_Row], position: list[int], width: int,
-                  activation: Activation) -> Layer:
-    """The layer whose rows are the given rows, channel c in column position[c]."""
+def _matrix_layer(rows: list[_Row], position: list[int],
+                  width: int) -> tuple[Layer, list[tuple[Activation, int]]]:
+    """The id-layer of the given rows, channel c in column position[c], and
+    each run of rows with one activation: it and the row the run ends before."""
     w_self = np.zeros((len(rows), width))
     w_neigh = np.zeros((len(rows), width))
     bias = np.zeros(len(rows))
@@ -381,7 +393,9 @@ def _matrix_layer(rows: list[_Row], position: list[int], width: int,
         for c, w in row.neigh_w:
             w_neigh[i, position[c]] = w
         bias[i] = row.bias
-    return Layer(w_self, w_neigh, bias, activation)
+    acts = [row.activation for row in rows]
+    groups = [(f, i + 1) for i, f in enumerate(acts) if acts[i + 1:i + 2] != [f]]
+    return Layer(w_self, w_neigh, bias, ID), groups
 
 
 def _schedule(roots: tuple[Expr, ...], d: int, mode: str, p: int | None = None,
@@ -416,13 +430,8 @@ def _schedule(roots: tuple[Expr, ...], d: int, mode: str, p: int | None = None,
 
 
 def compile_relu(e: Expr, d: int) -> Mpnn:
-    """ReLU-MPNN equivalent to e on all graphs and all feature maps.
-
-    Each distinct node is compiled once into an affine form over the channels
-    of one level; relu and lifting emit rows of the next level.  The network
-    has one ReLU layer per level above the input and ends in an id-layer,
-    unless the read-out fuses into the last ReLU layer.
-    """
+    """ReLU-MPNN equivalent to e on all graphs and all feature maps: one ReLU
+    layer per level, then an id read-out unless it fuses into the last."""
     return _schedule((e,), d, "relu")[0]
 
 
@@ -432,29 +441,20 @@ def compile_relu_tuple(t: ExprTuple) -> Mpnn:
 
 
 def compile_mixed(e: Expr, d: int, p: int, box: DomainBox) -> Mpnn:
-    """MPNN equivalent to e over graphs of degree <= p and features in box.
-
-    The same scheduler as compile_relu, with each application emitting a row
-    with its own activation; each level merges its activations into one.
-    """
+    """MPNN equivalent to e over graphs of degree <= p and features in box;
+    each level merges the activations of its rows into one."""
     return _schedule((e,), d, "mixed", p, box)[0]
 
 
 def compile_addition_free(e: Expr, d: int) -> Mpnn:
-    """MPNN for an addition-free expression, exact on all graphs and features.
-
-    The scheduler with id carrier rows: the network uses only the
-    expression's own functions plus the identity, and no merged activation.
-    """
+    """MPNN for an addition-free expression, exact on all graphs and features,
+    with only the expression's own functions and id (id carrier rows)."""
     return _schedule((e,), d, "addition-free")[0]
 
 
 def compile_pointwise(e: Expr, d: int) -> Mpnn:
-    """MPNN for an addition- and summation-free expression.
-
-    Every layer applies one of the expression's functions, except that the
-    last may be an id read-out.
-    """
+    """MPNN for an addition- and summation-free expression: every layer applies
+    one of its functions, except that the last may be an id read-out."""
     return _schedule((e,), d, "pointwise")[0]
 
 

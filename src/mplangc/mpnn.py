@@ -325,6 +325,9 @@ def mpnn_from_json(obj: dict) -> Mpnn:
         raise InvalidNetworkError(f"malformed network: {exc}") from exc
     if not layers:
         raise InvalidNetworkError("malformed network: no layers")
+    if not all(np.isfinite(a).all() for lyr in layers for a in (lyr.w_self, lyr.w_neigh, lyr.bias)):
+        raise InvalidNetworkError("malformed network: weights and biases must be finite "
+                                  "(no NaN or infinity)")
     if arity is not None and arity != layers[0].input_arity:
         raise InvalidNetworkError(
             f"malformed network: input_arity {arity} but the first layer "

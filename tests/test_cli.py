@@ -141,6 +141,21 @@ def test_compile_explicit_mode_mismatch_exit_3(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("expr, box", [
+    ("tanh(1e300*P1) + sin(P1)", "[[-1e300,1e300]]"),  # infinite bounds
+    ("tanh(1e300*P1 + -1e300*<>P1) + sin(P1)", "[[1e300,1e300]]"),  # inf - inf: NaN
+    ("relu(P1) + tanh(1e300*relu(1e300*P1))", "[[0,1]]"),  # finite layer 1, infinite layer 2
+])
+def test_compile_with_bounds_that_are_not_finite_is_a_mode_error_naming_the_layer(capsys, expr, box):
+    argv = ["compile", "--expr", expr, "--mode", "mixed", "--degree-bound", "2", "--box", box]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    layer = 2 if "relu(1e300" in expr else 1
+    assert captured.err == (f"mode error: layer {layer}: pre-activation bounds are not finite; "
+                            "shrink the box or the weights\n")
+    assert captured.out == ""
+
+
 def test_compile_report_gives_each_layers_width_and_nonzero_count(tmp_path):
     out = tmp_path / "max.json"
     assert main(["compile", "--expr", "relu(P2 + -1*P1) + P1", "--mode", "relu",
@@ -432,6 +447,62 @@ def test_check_malformed_network_file_is_input_error(tmp_path, capsys, net):
     assert main(["check", str(path), "P1"]) == 1
     captured = capsys.readouterr()
     assert "input error" in captured.err and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("layer", [
+    '{"W1": [[NaN]], "W2": [[0.0]], "b": [0.0], "sigma": {"kind": "named", "name": "relu"}}',
+    '{"W1": [[1.0]], "W2": [[0.0]], "b": [-Infinity], "sigma": {"kind": "named", "name": "relu"}}',
+    '{"W1": [[1.0]], "W2": [[0.0]], "b": [0.0], "sigma": {"kind": "relusum", "terms": [[1.0, Infinity, 1.0]]}}',
+    '{"W1": [[1.0]], "W2": [[0.0]], "b": [0.0], "sigma": {"kind": "pl", "points": [[0.0, 0.0], [1.0, NaN]]}}',
+])
+def test_check_network_file_with_non_finite_numbers_is_input_error(tmp_path, capsys, layer):
+    # Python's json reads NaN and Infinity; a network holds neither.
+    path = tmp_path / "net.json"
+    path.write_text(f'{{"input_arity": 1, "layers": [{layer}]}}')
+    assert main(["check", str(path), "relu(P1)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: malformed network: ") and "finite" in captured.err
+    assert "PASS" not in captured.out
+
+
+def _unreadable(tmp_path, what):
+    """A directory, or a file that is not UTF-8."""
+    path = tmp_path / what
+    if what == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"nodes": 1, "edges": [], "x": "\xff"}')
+    return str(path)
+
+
+@pytest.mark.parametrize("what", ["directory", "latin-1"])
+@pytest.mark.parametrize("flag", ["--graph", "--features", "--expr-file"])
+def test_eval_of_an_unreadable_file_exits_1_naming_it(pair_instance, tmp_path, capsys, what, flag):
+    g, f = pair_instance
+    bad = _unreadable(tmp_path, what)
+    files = {"--graph": g, "--features": f, flag: bad}
+    source = [] if flag == "--expr-file" else ["--expr", "P1"]
+    assert main(["eval", *source, *(x for pair in files.items() for x in pair)]) == 1
+    captured = capsys.readouterr()
+    prefix = "file error: " if what == "directory" else "input error: "
+    assert captured.err.startswith(prefix) and bad in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("what", ["directory", "latin-1"])
+def test_compile_of_an_unreadable_expression_file_exits_1_naming_it(tmp_path, capsys, what):
+    bad = _unreadable(tmp_path, what)
+    assert main(["compile", "--expr-file", bad]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("file error: " if what == "directory" else "input error: ")
+    assert bad in err
+
+
+def test_compile_to_an_unwritable_path_is_a_file_error(tmp_path, capsys):
+    out = tmp_path / "directory"
+    out.mkdir()
+    assert main(["compile", "--expr", "relu(P1)", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"file error: [Errno 21] Is a directory: '{out}'\n"
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,8 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from helpers import assert_close, batch_instances
-from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH, Merged, apply_vec, interval_image
+from mplangc.activations import (
+    ABS, ID, RELU, SIGMOID, SIN, TANH, Merged, apply_vec, interval_image, merge,
+)
 from mplangc.compiler import (
     CompileEnv,
     compile_addition_free,
@@ -181,6 +185,48 @@ def test_bounds_contain_sampled_preactivations():
 def test_bounds_dimension_mismatch():
     with pytest.raises(ArityError):
         layer_output_bounds(layer(1.0, 0.0, 0.0, ID), 2, DomainBox.cube(0, 1, 2))
+
+
+def _interval_bounds(lyr, p, box):
+    """The bounds by Interval arithmetic, one weight at a time, left to right."""
+    comps = []
+    for w1, w2, b in zip(lyr.w_self, lyr.w_neigh, lyr.bias):
+        own, nb = (functools.reduce(Interval.add, map(Interval.scale, box.intervals, map(float, w)),
+                                    Interval(0.0, 0.0)) for w in (w1, w2))
+        comps.append((own.lo + min(0.0, p * nb.lo) + b, own.hi + max(0.0, p * nb.hi) + b))
+    return comps
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bounds_equal_interval_arithmetic_bit_for_bit(seed):
+    rng = np.random.default_rng(900 + seed)
+    for _ in range(20):
+        d, r, p = int(rng.integers(1, 13)), int(rng.integers(1, 6)), int(rng.integers(0, 4))
+        lyr = _rand_layer(rng, d, r, ID)
+        zeros = rng.random((2, r, d)) < 0.3
+        lyr = Layer(np.where(zeros[0], 0.0, lyr.w_self), np.where(zeros[1], 0.0, lyr.w_neigh),
+                    lyr.bias, ID)
+        pairs = np.sort(rng.uniform(-3, 3, (d, 2)), axis=1)
+        pairs[rng.random((d, 2)) < 0.2] = 0.0
+        box = DomainBox.from_pairs(np.sort(pairs, axis=1).tolist())
+        lb = layer_output_bounds(lyr, p, box)
+        want = np.array(_interval_bounds(lyr, p, box))
+        assert np.array([lb.lo, lb.hi]).T.tobytes() == want.tobytes()
+        assert (lb.upper_max, lb.lower_min) == (want[:, 1].max(), want[:, 0].min())
+
+
+def test_bounds_that_are_not_finite_are_a_mode_error():
+    box = DomainBox.from_pairs([[-1e300, 1e300]])
+    with pytest.raises(ModeError, match="not finite"):
+        layer_output_bounds(layer(1e300, 0.0, 0.0, ID), 1, box)
+    # inf - inf: a NaN bound, also in the neighbour part at p = 0
+    with pytest.raises(ModeError, match="not finite"):
+        layer_output_bounds(Layer([[1e300, -1e300]], [[0.0, 0.0]], [0.0], ID), 0,
+                            DomainBox.from_pairs([[1e300, 1e300]] * 2))
+    with pytest.raises(ModeError, match="not finite"):
+        layer_output_bounds(Layer([[0.0]], [[np.inf]], [0.0], ID), 0, DomainBox.cube(0, 1, 1))
+    with pytest.raises(ModeError, match="not finite"):
+        merge_layers(layer(1e300, 0.0, 0.0, TANH), layer(1.0, 0.0, 0.0, SIN), 1, box, box)
 
 
 # -- merge_layers -------------------------------------------------------------------------
@@ -452,29 +498,37 @@ def test_report_bounds_equal_the_networks_layer_by_layer_bounds(texts, p):
     assert report.bounds == _propagated(net, p, box)
 
 
-def test_each_layer_is_bounded_once_and_each_merge_twice(monkeypatch):
-    bounded, merged = [], []
+def test_each_layer_is_bounded_once_in_one_pass(monkeypatch):
+    bounded, merges = [], []
+    monkeypatch.setattr("mplangc.compiler.layer_output_bounds",
+                        lambda *args: bounded.append(args[0]) or layer_output_bounds(*args))
+    monkeypatch.setattr("mplangc.compiler.merge_layers",
+                        lambda *args: pytest.fail("the scheduler re-bounds a merged layer"))
+    monkeypatch.setattr("mplangc.compiler.merge", lambda *args: merges.append(args) or merge(*args))
 
-    def count(calls, route):
-        return lambda *args: calls.append(args) or route(*args)
-
-    monkeypatch.setattr("mplangc.compiler.layer_output_bounds", count(bounded, layer_output_bounds))
-    monkeypatch.setattr("mplangc.compiler.merge_layers", count(merged, merge_layers))
-
-    def counts(texts, env):
-        """(layers, layer_output_bounds calls, merge_layers calls) of one compile."""
+    def compiled(texts, env):
         bounded.clear()
-        merged.clear()
-        net, _ = compile_all([parse(t) for t in texts], 2, env)
-        return len(net.layers), len(bounded), len(merged)
+        merges.clear()
+        return compile_all([parse(t) for t in texts], 2, env)[0]
 
     box = DomainBox.cube(-1.0, 1.0, 2)
     for texts in BOUNDED_ROOTS.values():
-        layers, bounds, merges = counts(texts, CompileEnv(degree_bound=2, box=box))
-        assert bounds == layers + 2 * merges
+        net = compiled(texts, CompileEnv(degree_bound=2, box=box))
+        # One pass per layer, over the layer's weighted sums without the bias.
+        assert len(bounded) == len(net.layers)
+        assert all(not seen.bias.any() for seen in bounded)
+        rows = [np.hstack([lyr.w_self, lyr.w_neigh]).tolist() for lyr in (*bounded, *net.layers)]
+        seen, built = rows[:len(bounded)], rows[len(bounded):]
+        assert seen[:-1] == built[:-1]
+        # A fused read-out picks the last layer's rows in root order.
+        assert {*map(tuple, seen[-1])} == {*map(tuple, built[-1])}
     # One hidden layer of three activation groups, merged twice, and the read-out.
-    assert counts(["tanh(P1) + sin(P2) + sigmoid(<>P1)"], CompileEnv("mixed", 2, box)) == (2, 6, 2)
-    assert counts(["relu(P1) + <>P2"], CompileEnv("relu"))[1] == 0
+    net = compiled(["tanh(P1) + sin(P2) + sigmoid(<>P1)"], CompileEnv("mixed", 2, box))
+    assert (len(net.layers), len(bounded), len(merges)) == (2, 2, 2)
+    assert [lyr.output_arity for lyr in bounded] == [3, 1]
+    for texts, env in ((["relu(P1) + <>P2"], CompileEnv("relu")), (["tanh(<>P1)"], CompileEnv())):
+        compiled(texts, env)
+        assert bounded == [] and merges == []
 
 
 def test_auto_mode_sends_a_tuple_past_the_chained_routes():
