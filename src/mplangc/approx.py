@@ -172,8 +172,8 @@ def approximate_all(
 ) -> tuple[list[Expr], ApproxReport]:
     """ReLU-only expressions, each within eps of its root over degree-<=p
     graphs and box, built over the roots' shared DAG; and the report."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if p < 0:
         raise ValueError("degree bound must be nonnegative")
     roots = tuple(roots)

@@ -5,18 +5,20 @@ Subcommands: eval, compile, approx, check, bounds, fmt.
 Exit codes (fixed for scripting):
   0  success / check passed
   1  parse, input or file error (expression text, an empty expression
-     file, nesting too deep, a file that cannot be opened, read or written,
-     an input file that is not UTF-8, NaN or infinite feature values or
+     file, nesting too deep, a name used unbound or bound twice, a file
+     that cannot be opened, read or written, a check operand that ends in
+     .json or names an existing path and cannot be read as a file, an
+     input file that is not UTF-8, NaN or infinite feature values or
      network numbers, a malformed graph, feature or network file)
   2  arity or dimension mismatch (a negative --arity too)
   3  mode or configuration error (inapplicable mode, pointwise or
      addition-free mode for more than one expression, bad --box, a --box
-     endpoint or width that is not finite, eps <= 0, --trials < 1,
-     --seed < 0, a negative --degree-bound, a --tolerance or
-     --abs-tolerance that is negative or not finite, a result with no JSON
-     form because it is not finite, a check with non-finite operand values
-     and no finite failure, compile bounds that are not finite, out of
-     memory, ...)
+     endpoint or width that is not finite, an --epsilon that is not
+     positive and finite, --trials < 1, --seed < 0, a negative
+     --degree-bound, a --tolerance or --abs-tolerance that is negative or
+     not finite, a result with no JSON form because it is not finite, a
+     check with non-finite operand values and no finite failure, compile
+     bounds that are not finite, out of memory, ...)
   4  no approximation certificate (an unbounded argument image, a grid of
      more than 4097 knots, or a grid step below the float spacing)
   5  equivalence check failed (a witness instance is printed)
@@ -73,7 +75,10 @@ def _read_text(path: str) -> str:
 
 
 def _read_expr_file(path: str) -> list[Expr]:
-    """The expressions on the nonblank lines of a file (sharing their subterms)."""
+    """The expressions on the nonblank lines of a file (sharing their subterms).
+
+    Each line is one text, its bindings included.
+    """
     lines = [ln.strip() for ln in _read_text(path).split("\n") if ln.strip()]
     if not lines:
         raise MPLangSyntaxError("expression file is empty", 0)
@@ -141,15 +146,19 @@ class Operand:
 
 
 def _load_operand(spec: str) -> Operand:
-    """Expression literal, expression text file, or MPNN .json file."""
-    if os.path.isfile(spec):
-        if spec.endswith(".json"):
-            net = mpnn_from_json(json.loads(_read_text(spec)))
-            return Operand(
-                net.input_arity,
-                net.output_arity,
-                lambda g, fm: eval_mpnn(net, g, fm).values,
-            )
+    """MPNN .json file, expression text file, or expression literal.
+
+    A spec ending in .json, or naming anything that exists, is a file, so a
+    missing or unreadable one is a file error, not a parse error.
+    """
+    if spec.endswith(".json"):
+        net = mpnn_from_json(json.loads(_read_text(spec)))
+        return Operand(
+            net.input_arity,
+            net.output_arity,
+            lambda g, fm: eval_mpnn(net, g, fm).values,
+        )
+    if os.path.exists(spec):
         components = tuple(_read_expr_file(spec))
     else:
         components = (parse(spec),)
@@ -189,8 +198,8 @@ def cmd_compile(args) -> int:
 
 def cmd_approx(args) -> int:
     exprs = _read_exprs(args)
-    if args.epsilon is None or args.epsilon <= 0:
-        raise ModeError("--epsilon must be a positive real")
+    if not 0.0 < args.epsilon < math.inf:
+        raise ModeError(f"--epsilon must be positive and finite, got {args.epsilon!r}")
     _check_at_least("--trials", args.trials, 1)
     _check_at_least("--seed", args.seed, 0)
     box = _parse_box(args.box)

@@ -7,7 +7,9 @@ walk exists only to find them.  Every walk over expressions is a ``fold``,
 one iterative post-order pass over distinct nodes.
 
 The concrete text form (see parser) writes the neighbor-sum operator as
-``<>``, scaling as ``a*e``, and a bare number ``a`` as shorthand for ``a*1``.
+``<>``, scaling as ``a*e``, a bare number ``a`` as shorthand for ``a*1``, and
+a long subterm read more than once as one binding ``$k = e;`` that is read as
+``$k``.
 """
 
 from __future__ import annotations
@@ -283,9 +285,45 @@ def _num(a: float) -> str:
     return repr(float(a))
 
 
+# A subterm read more than once is named if its text has at least this many
+# characters: its binding and names then take fewer characters than its
+# repeated text, and short ones such as 0.5*P1 stay inline.
+_NAME_WIDTH = 24
+
+
+class _Name(str):
+    """The text ``$k`` that stands for a named subterm; a factor, so it needs no
+    parentheses whatever the subterm is."""
+
+
 def format_expr(e: Expr) -> str:
-    """Concrete text for e; parse(format_expr(e)) reproduces e exactly."""
-    return fold(e, _format_node)
+    """Concrete text for e; parse(format_expr(e)) reproduces e exactly.
+
+    Each subterm that is read more than once and whose text has at least
+    _NAME_WIDTH characters is printed once, as a binding ``$k = text;`` before
+    the root, and read as ``$k``; so the text grows with e's DAG, not with its
+    tree.  Any other subterm is printed inline, so an expression without a long
+    shared subterm prints as a tree.
+    """
+    readers: dict[int, int] = {}
+
+    def count(node: Expr, _) -> None:
+        for c in children(node):
+            readers[id(c)] = readers.get(id(c), 0) + 1
+
+    fold(e, count)
+    bindings: list[str] = []
+
+    def text(node: Expr, kids: tuple[str, ...]) -> str:
+        out = _format_node(node, kids)
+        if readers.get(id(node), 0) < 2 or len(out) < _NAME_WIDTH:
+            return out
+        name = _Name(f"${len(bindings) + 1}")
+        bindings.append(f"{name} = {out}; ")
+        return name
+
+    root = fold(e, text)
+    return "".join(bindings) + root
 
 
 def _format_node(e: Expr, kids: tuple[str, ...]) -> str:
@@ -310,7 +348,7 @@ def _format_node(e: Expr, kids: tuple[str, ...]) -> str:
 
 def _parenthesized(e: Expr, text: str, needs_parens) -> str:
     """e's text as a term (parens around a sum) or a factor (also around a scaling)."""
-    return f"({text})" if isinstance(e, needs_parens) else text
+    return f"({text})" if isinstance(e, needs_parens) and not isinstance(text, _Name) else text
 
 
 # -- smart constructors ---------------------------------------------------------

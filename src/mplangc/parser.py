@@ -1,13 +1,22 @@
 """Recursive-descent parser for the MPLang text grammar.
 
+    text   := { name "=" expr ";" } expr
     expr   := term { "+" term }
     term   := number "*" factor | factor
-    factor := number | "P" digits | ident "(" expr ")" | "<>" factor | "(" expr ")"
+    factor := number | "P" digits | name | ident "(" expr ")" | "<>" factor | "(" expr ")"
+    name   := "$" digits
     ident  := "relu" | "id" | "tanh" | "sigmoid" | "sin" | "abs"
 
-Numbers are decimal with optional sign, fraction, and exponent; whitespace is
-insignificant.  The literal ``1`` denotes the unit constant; any other number
-``a`` is shorthand for ``a*1``.
+Numbers are decimal with optional sign, fraction, and exponent; whitespace,
+newlines included, is insignificant.  The literal ``1`` denotes the unit
+constant; any other number ``a`` is shorthand for ``a*1``.
+
+A binding ``$k = e;`` names e for the rest of its text, where ``$k`` reads as
+e itself; this is how ``format_expr`` prints a long subterm that is read more
+than once, so printed text grows with the DAG.  A name is bound at most once,
+and only before it is used, so it means one node throughout its text.
+Bindings are local to one text, so texts (the lines of an expression file) can
+be parsed, and concatenated, on their own.
 
 ``parse`` returns a shared DAG: the node constructors hash-cons (see
 ``expressions``), so every repeated subterm is one node object, within one
@@ -27,8 +36,10 @@ is context-free, so a group whose tokens were parsed before is not descended
 into again: the descent jumps past its ``)`` and returns the node built the
 first time.  The descent's work is thus linear in the tokens the distinct
 groups hold outside their own subgroups, not in the text, which for a
-translated network grows about sixfold per layer.  Keying a group copies and
-hashes its tokens at C speed, at most the text length times the nesting depth.
+translated network printed as a tree grows about sixfold per layer.  A group
+that holds a name is keyed by it, which is sound because the name means one
+node throughout the text.  Keying a group copies and hashes its tokens at C
+speed, at most the text length times the nesting depth.
 
 The descent is the one walk whose recursion depth grows with the input's
 nesting; as before, nesting deeper than the interpreter's recursion limit is a
@@ -57,13 +68,15 @@ class MPLangSyntaxError(ValueError):
         self.pos = pos
 
 
-# Alternatives in order of preference: number, projection, identifier, <>, operator.
+# Alternatives in order of preference: number, projection, identifier, name, <>,
+# operator.
 _TOKEN_RE = re.compile(
     r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
     r"|P\d+"
     r"|[A-Za-z_][A-Za-z_0-9]*"
+    r"|\$\d+"
     r"|<>"
-    r"|[+\-*()]"
+    r"|[+\-*()=;]"
 )
 # A token, or else an unexpected character together with the rest of the text,
 # so the scan stops at the first one.
@@ -109,6 +122,7 @@ class _Parser:
         self.close = _match_parens(self.tokens)
         self.i = 0
         self.groups: dict[tuple[str, ...], Expr] = {}
+        self.names: dict[str, Expr] = {}
 
     def error(self, message: str) -> MPLangSyntaxError:
         return MPLangSyntaxError(message, _position(self.text, self.i))
@@ -120,6 +134,18 @@ class _Parser:
         self.i += 1
 
     # ---- grammar ----
+
+    def bound_text(self) -> Expr:
+        """The bindings at the cursor, then the one expression they are for."""
+        while self.tokens[self.i][:1] == "$" and self.tokens[self.i + 1] == "=":
+            name = self.tokens[self.i]
+            if name in self.names:
+                raise self.error(f"name {name!r} is bound twice")
+            self.i += 2
+            value = self.expr()
+            self.expect(";")
+            self.names[name] = value
+        return self.expr()
 
     def expr(self) -> Expr:
         e = self.term()
@@ -169,6 +195,11 @@ class _Parser:
                 raise self.error(f"unknown function {tok!r}")
             self.i += 1
             return Apply(_FUNCTIONS[tok], self.group())
+        if tok[:1] == "$":
+            if tok not in self.names:
+                raise self.error(f"unbound name {tok!r}")
+            self.i += 1
+            return self.names[tok]
         if tok == "<>":
             self.i += 1
             return Diamond(self.factor())
@@ -195,10 +226,10 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    """The shared DAG of one expression text."""
+    """The shared DAG of one expression text, bindings and all."""
     p = _Parser(text)
     try:
-        e = p.expr()
+        e = p.bound_text()
     except RecursionError:
         raise p.error("expression nested too deeply") from None
     if p.tokens[p.i]:

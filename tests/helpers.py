@@ -3,8 +3,24 @@
 import numpy as np
 
 from mplangc.activations import ABS, RELU, SIGMOID, SIN, TANH
+from mplangc.expressions import Add, Apply, Diamond, One, Proj, Scale
 from mplangc.graphs import random_union
 from mplangc.mpnn import Layer, Mpnn
+
+
+def tree_copy(e):
+    """The same expression with no node object shared, its nodes built past
+    the intern table."""
+    fresh = type.__call__
+    if isinstance(e, Add):
+        return fresh(Add, tree_copy(e.left), tree_copy(e.right))
+    if isinstance(e, Scale):
+        return fresh(Scale, e.factor, tree_copy(e.arg))
+    if isinstance(e, Apply):
+        return fresh(Apply, e.func, tree_copy(e.arg))
+    if isinstance(e, Diamond):
+        return fresh(Diamond, tree_copy(e.arg))
+    return fresh(Proj, e.index) if isinstance(e, Proj) else fresh(One)
 
 
 def batch_instances(p, box, trials, seed, max_nodes=8):

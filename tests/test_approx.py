@@ -167,6 +167,12 @@ def test_rejects_nonpositive_eps():
         approximate(parse("sin(P1)"), 1, DomainBox.cube(-1, 1, 1), 0.0)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
+def test_rejects_an_eps_that_is_not_finite(eps):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        approximate_all([parse("sin(P1)")], 1, DomainBox.cube(-1, 1, 1), eps)
+
+
 def test_approximation_is_deterministic():
     e = parse("sin(<>tanh(P1)) + 0.5*P1")
     box = DomainBox.cube(-1, 1, 1)

@@ -4,14 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import assert_close
+from helpers import assert_close, deep_mpnn, tree_copy
+from mplangc.approx import approximate_all
 from mplangc.cli import main
-from mplangc.expressions import ExprTuple
+from mplangc.expressions import ExprTuple, format_expr
 from mplangc.graphs import FeatureMap, Graph, features_from_json, graph_from_json, random_union
 from mplangc.interpreter import eval_expr, eval_tuple
 from mplangc.intervals import DomainBox
 from mplangc.mpnn import eval_mpnn, mpnn_from_json
 from mplangc.parser import parse
+from mplangc.translate import mpnn_to_mplang
 
 
 def _graph_file(tmp_path, nodes, edges, name="graph.json"):
@@ -244,6 +246,31 @@ def test_approx_zero_epsilon_is_config_error(capsys):
     rc = main(["approx", "--expr", "sin(P1)", "--degree-bound", "1",
                "--box", "[[-1,1]]", "--epsilon", "0"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+def test_approx_rejects_an_epsilon_that_is_not_finite(capsys, eps):
+    rc = main(["approx", "--expr", "sin(P1)", "--degree-bound", "2",
+               "--box", "[[-1,1]]", f"--epsilon={eps}"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"mode error: --epsilon must be positive and finite, got {float(eps)!r}\n"
+    assert captured.out == ""
+
+
+def test_approx_of_a_translation_file_writes_its_approximants_in_the_dags_size(tmp_path, capsys):
+    roots = mpnn_to_mplang(deep_mpnn(0, 3)).components
+    source, out = tmp_path / "net.mplang", tmp_path / "approx.mplang"
+    source.write_text("".join(format_expr(c) + "\n" for c in roots))
+    rc = main(["approx", "--expr-file", str(source), "--degree-bound", "3",
+               "--box", "[[-1,1],[-1,1]]", "--epsilon", "0.1", "--trials", "5", "--out", str(out)])
+    assert rc == 0
+    # Printed as a tree, the approximants take 73.4 MB.
+    assert out.stat().st_size < 1_000_000
+    approximants, _ = approximate_all(roots, 3, DomainBox.cube(-1.0, 1.0, 2), 0.1)
+    lines = out.read_text().splitlines()
+    assert len(lines) == len(approximants)
+    assert all(parse(line) is a for line, a in zip(lines, approximants))
 
 
 def test_approx_with_compile_writes_network(tmp_path, capsys):
@@ -587,6 +614,21 @@ def test_fmt_canonicalizes(capsys):
     assert capsys.readouterr().out.strip() == "relu(P1) + P2"
 
 
+def test_fmt_rewrites_a_tree_form_file_in_the_named_form(tmp_path, capsys):
+    roots = mpnn_to_mplang(deep_mpnn(0, 3)).components
+    old = tmp_path / "old.mplang"
+    # A copy that shares no node prints as a tree, as files were written before
+    # shared subterms were named.
+    old.write_text("".join(format_expr(tree_copy(c)) + "\n" for c in roots))
+    assert main(["fmt", "--expr-file", str(old)]) == 0
+    new = capsys.readouterr().out
+    assert "$" not in old.read_text() and "$1 = " in new
+    assert len(new) < len(old.read_text()) / 4
+    lines = new.splitlines()
+    assert len(lines) == len(roots)
+    assert all(parse(line) is c for line, c in zip(lines, roots))
+
+
 def test_fmt_parse_error_exit_1(capsys):
     assert main(["fmt", "--expr", "relu("]) == 1
 
@@ -653,6 +695,21 @@ def test_check_of_an_empty_expression_file_is_a_parse_error(tmp_path, capsys, ot
     assert main(["check", "P1", str(empty)]) == 1
     captured = capsys.readouterr()
     assert captured.err.count("parse error: expression file is empty") == 2
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("what", ["missing", "directory"])
+def test_check_of_a_missing_or_unreadable_operand_is_a_file_error_naming_it(tmp_path, capsys, what):
+    path = tmp_path / "net.json"
+    if what == "directory":
+        path = tmp_path / "dd"
+        path.mkdir()
+    assert main(["check", str(path), "P1"]) == 1
+    assert main(["check", "P1", str(path)]) == 1
+    captured = capsys.readouterr()
+    errors = captured.err.splitlines()
+    assert len(errors) == 2
+    assert all(e.startswith("file error: ") and str(path) in e for e in errors)
     assert captured.out == ""
 
 

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_close, batch_instances, deep_mpnn
+from helpers import assert_close, batch_instances, deep_mpnn, tree_copy
 from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH, Merged, Named
 from mplangc.approx import approximate_all, image_bounds, uniform_distance_estimates
 from mplangc.cli import main
@@ -60,21 +61,6 @@ PATH = Graph(3, ((0, 1), (1, 2)))
 PATH_FEATURES = FeatureMap(np.array([[0.5, -1.0], [2.0, 0.25], [-1.5, 3.0]]))
 
 
-def _tree_copy(e):
-    """The same expression with no node object shared, its nodes built past
-    the intern table."""
-    fresh = type.__call__
-    if isinstance(e, Add):
-        return fresh(Add, _tree_copy(e.left), _tree_copy(e.right))
-    if isinstance(e, Scale):
-        return fresh(Scale, e.factor, _tree_copy(e.arg))
-    if isinstance(e, Apply):
-        return fresh(Apply, e.func, _tree_copy(e.arg))
-    if isinstance(e, Diamond):
-        return fresh(Diamond, _tree_copy(e.arg))
-    return fresh(Proj, e.index) if isinstance(e, Proj) else fresh(One)
-
-
 def _networks(e):
     """The network of every compile mode that applies to e."""
     traits = classify(e)
@@ -106,12 +92,14 @@ def test_tree_and_shared_dag_agree_on_every_walk(seed, depth, relu, form):
     rng = np.random.default_rng(seed)
     e = (random_relu_expr if relu else random_expr)(rng, depth, D)
     shared = SHARING_FORMS[form](e)
-    tree = _tree_copy(shared)
+    tree = tree_copy(shared)
     parsed = parse(format_expr(tree))
     union, fm = batch_instances(P, BOX, 20, seed)
     want = eval_expr(tree, union, fm)
     for dag in (shared, parsed):
-        assert format_expr(dag) == format_expr(tree)
+        # The tree copy shares no node, so its text is a tree; the DAG's text names
+        # its long shared subterms.  Both read back as one node.
+        assert parse(format_expr(dag)) is parsed
         assert classify(dag) == classify(tree)
         assert image_bounds(dag, P, BOX) == image_bounds(tree, P, BOX)
         assert np.array_equal(eval_expr(dag, union, fm), want)
@@ -152,7 +140,7 @@ def test_every_node_carries_the_traits_of_its_subterm(seed, depth, relu, form, t
     rng = np.random.default_rng(seed)
     e = SHARING_FORMS[form]((random_relu_expr if relu else random_expr)(rng, depth, 3))
     if tree:
-        e = _tree_copy(e)
+        e = tree_copy(e)
     nodes = []
     fold(e, lambda node, kids: nodes.append(node))
     for node in nodes:
@@ -485,6 +473,36 @@ def test_translations_and_approximants_are_as_small_as_their_reparsed_text():
         reparsed = [parse(format_expr(e)) for e in roots]
         assert _dag_size(roots) == _dag_size(reparsed) == size
         assert all(a is b for a, b in zip(roots, reparsed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(0, 4),
+    forms=st.lists(st.sampled_from(range(len(SHARING_FORMS))), max_size=8),
+)
+def test_shared_subterms_print_once_and_read_back_as_the_same_node(seed, depth, forms):
+    e = random_expr(np.random.default_rng(seed), depth, D)
+    for form in forms:
+        e = SHARING_FORMS[form](e)
+    text = format_expr(e)
+    assert parse(text) is e
+    *bindings, root = text.split("; ")
+    for k, binding in enumerate(bindings, 1):
+        name, value = binding.split(" = ")
+        # Named only where it shortens the text: a long text read twice or more.
+        assert name == f"${k}" and len(value) >= 24
+        later = "; ".join(bindings[k:] + [root])
+        assert len(re.findall(re.escape(name) + r"(?!\d)", later)) >= 2
+
+
+def test_translations_print_in_the_size_of_their_dag():
+    # As trees, the 3- to 6-layer translations take 17,142, 103,351, 620,595
+    # and 3,724,065 characters.
+    sizes = [sum(len(format_expr(c)) for c in mpnn_to_mplang(deep_mpnn(0, layers)).components)
+             for layers in (3, 4, 5, 6)]
+    assert sizes[2] < 10_000
+    assert all(0 < b - a < 2_000 for a, b in zip(sizes, sizes[1:]))
 
 
 def test_a_factor_is_keyed_by_its_value_and_sign():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import deep_mpnn
+from helpers import deep_mpnn, tree_copy
 from mplangc.activations import RELU, SIN, TANH, Named
 from mplangc.expressions import (
     Add,
@@ -95,6 +95,18 @@ SYNTAX_ERRORS = {
     "3 P1": ("unexpected 'P1' after expression", 2),
     "relu(P1))": ("unexpected ')' after expression", 8),
     "P1 + \n $": ("unexpected character '$'", 7),
+    # A name is used only after its one binding, which ends with ";".
+    "$9": ("unbound name '$9'", 0),
+    "$1 = P1; sin($1) + $9": ("unbound name '$9'", 19),
+    "$1 = P1; $1 = P2; $1": ("name '$1' is bound twice", 9),
+    "$1 = sin(P1) $1": ("expected ';', found '$1'", 13),
+    "$1 = sin(P1)": ("expected ';', found 'end of input'", 12),
+    "$1 = $1 + P1; $1": ("unbound name '$1'", 5),
+    "$2 = $1; $1 = P1; $2": ("unbound name '$1'", 5),
+    "$1 = P1;": ("unexpected 'end of input'", 8),
+    "$1 = P1; P1;": ("unexpected ';' after expression", 11),
+    "$1 = P1; P1 + $1 = P1": ("unexpected '=' after expression", 17),
+    "$ 1 = P1; $1": ("unexpected character '$'", 0),
 }
 
 
@@ -104,6 +116,25 @@ def test_syntax_errors(bad):
     with pytest.raises(MPLangSyntaxError) as err:
         parse(bad)
     assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
+
+
+def test_a_name_reads_as_its_bound_expression():
+    e = parse("$1 = sin(P1 + <>P2);\n $2 = $1 + 2*$1 ;$2 + <>(relu($2) + $1)")
+    assert e is parse("sin(P1 + <>P2) + 2*sin(P1 + <>P2) + "
+                      "<>(relu(sin(P1 + <>P2) + 2*sin(P1 + <>P2)) + sin(P1 + <>P2))")
+    # A name is a factor: no parentheses are needed around a sum it names.
+    assert parse("$1 = P1 + P2; 3*$1 + <>$1") is parse("3*(P1 + P2) + <>(P1 + P2)")
+    # A sum that starts with a name is a root, not a binding.
+    assert parse("$1 = P1 + P2; $1 + P1") is parse("(P1 + P2) + P1")
+
+
+def test_a_tree_form_translation_text_parses_to_the_same_roots():
+    roots = mpnn_to_mplang(deep_mpnn(0, 3)).components
+    # A copy that shares no node prints as a tree: the form files had before
+    # shared subterms were named.
+    legacy = [format_expr(tree_copy(c)) for c in roots]
+    assert sum(map(len, legacy)) == 17_142 and "$" not in "".join(legacy)
+    assert all(parse(text) is c for text, c in zip(legacy, roots))
 
 
 def test_too_deep_nesting_is_a_syntax_error():
@@ -163,9 +194,10 @@ def test_signed_zero_factors_stay_apart_in_repeated_groups():
 
 
 def test_parse_descends_once_per_distinct_group(monkeypatch):
-    # Each component's text repeats the groups of the layers below it
-    # thousands of times; the descent enters each distinct one once.
-    texts = [format_expr(c) for c in mpnn_to_mplang(deep_mpnn(seed=5)).components]
+    # Printed from a copy that shares no node, each component's text is a
+    # tree: it repeats the groups of the layers below it thousands of times,
+    # and the descent enters each distinct one once.
+    texts = [format_expr(tree_copy(c)) for c in mpnn_to_mplang(deep_mpnn(seed=5)).components]
     calls = []
     expr = _Parser.expr
     monkeypatch.setattr(_Parser, "expr", lambda self: calls.append(1) or expr(self))
