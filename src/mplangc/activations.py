@@ -284,8 +284,8 @@ def relu_approximate(f: Activation, y: Interval, eps: float, *, max_points: int 
     finite, the grid needs more than max_points knots, or its step is below
     the float spacing, so that two knots round to the same float.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if f == RELU:
         return ReluSum(((1.0, 0.0, 1.0),))
     if f == ID:
@@ -367,8 +367,8 @@ def modulus_delta(f: Activation, y: Interval, eps: float, *, lip: float | None =
     """A delta with |f(x) - f(x')| < eps for x, x' in y at most delta apart:
     min(eps / L, width) / 2, with L the Lipschitz constant of f on y (computed
     by lipschitz unless given)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if y.width == 0.0:
         return eps / 2.0
     if lip is None:

@@ -21,7 +21,8 @@ Exit codes (fixed for scripting):
      bounds that are not finite, out of memory, ...)
   4  no approximation certificate (an unbounded argument image, a grid of
      more than 4097 knots, or a grid step below the float spacing)
-  5  equivalence check failed (a witness instance is printed)
+  5  equivalence check failed (a witness instance is printed; an output
+     value of the witness node that is not finite is written as null)
 
 Output JSON is strict: NaN and infinity are never written.
 """
@@ -262,13 +263,17 @@ def cmd_check(args) -> int:
         node = int(np.unravel_index(np.argmax(excess), excess.shape)[0])
         k = int(np.searchsorted(batch.offsets, node, side="right")) - 1
         g, fm = batch.instance(k)
-        print(json.dumps({
+        # A value that is not finite is written as null: the failure was
+        # found on the finite outputs, and the witness stays strict JSON.
+        left, right = ([x if math.isfinite(x) else None for x in v[node].tolist()]
+                       for v in (va, vb))
+        _write_json({
             "graph": graph_to_json(g),
             "features": features_to_json(fm),
             "node": node - batch.offsets[k],
-            "left": va[node].tolist(),
-            "right": vb[node].tolist(),
-        }, indent=2, allow_nan=False))
+            "left": left,
+            "right": right,
+        }, None)
         return 5
     return 0
 

@@ -21,36 +21,26 @@ be parsed, and concatenated, on their own.
 ``parse`` returns a shared DAG: the node constructors hash-cons (see
 ``expressions``), so every repeated subterm is one node object, within one
 text and across texts, and the walks over the result (see
-``expressions.fold``) visit it once.  Each call has its own group memo: the
-memo's keys hold the text's tokens, so keeping it across texts would keep
-every text's tokens alive.
+``expressions.fold``) visit it once.
 
-Parsing costs one scan of the text plus one descent per *distinct*
-parenthesised group.  The scan is a single ``findall``: it yields the tokens
-as strings, and the descent reads a token's kind from its first character.
-An unexpected character ends the scan as one token holding the rest of the
-text, so it is found (and reported before any grammar error) without a
-per-token loop; token positions are recomputed only for an error message.
-The parentheses are then matched once.  The expression inside ``(``...``)``
-is context-free, so a group whose tokens were parsed before is not descended
-into again: the descent jumps past its ``)`` and returns the node built the
-first time.  The descent's work is thus linear in the tokens the distinct
-groups hold outside their own subgroups, not in the text, which for a
-translated network printed as a tree grows about sixfold per layer.  A group
-that holds a name is keyed by it, which is sound because the name means one
-node throughout the text.  Keying a group copies and hashes its tokens at C
-speed, at most the text length times the nesting depth.
+Parsing costs one scan of the text plus one descent linear in its tokens.  The
+scan is a single ``findall``: it yields the tokens as strings, and the descent
+reads a token's kind from its first character.  An unexpected character ends
+the scan as one token holding the rest of the text, so it is found (and
+reported before any grammar error) without a per-token loop; token positions
+are recomputed only for an error message.  Text the toolkit writes names its
+repeated subterms, so its tokens grow with the DAG; tree-form text, where they
+are spelled out, is descended in full and interned back to the same nodes.
 
 The descent is the one walk whose recursion depth grows with the input's
-nesting; as before, nesting deeper than the interpreter's recursion limit is a
-syntax error.
+nesting; nesting deeper than the interpreter's recursion limit is a syntax
+error.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from itertools import compress, count
 
 from .activations import Named, _NAMED
 from .expressions import Add, Apply, Diamond, Expr, Proj, Scale, const
@@ -82,7 +72,6 @@ _TOKEN_RE = re.compile(
 # so the scan stops at the first one.
 _SCAN_RE = re.compile(_TOKEN_RE.pattern + r"|(?s:\S.*)")
 _LETTERS = frozenset(string.ascii_letters + "_")
-_PARENS = frozenset("()")
 
 
 def _position(text: str, k: int) -> int:
@@ -93,35 +82,21 @@ def _position(text: str, k: int) -> int:
     return len(text)
 
 
-def _tokenize(text: str) -> tuple[str, ...]:
+def _tokenize(text: str) -> list[str]:
     """The tokens of text, then "" for the end of input."""
     tokens = _SCAN_RE.findall(text)
     if tokens and _TOKEN_RE.fullmatch(tokens[-1]) is None:
         raise MPLangSyntaxError(f"unexpected character {tokens[-1][0]!r}",
                                 _position(text, len(tokens) - 1))
     tokens.append("")
-    return tuple(tokens)
-
-
-def _match_parens(tokens: tuple[str, ...]) -> dict[int, int]:
-    """Index of each matched "(" -> index of its ")"."""
-    close: dict[int, int] = {}
-    opened: list[int] = []
-    for i in compress(count(), map(_PARENS.__contains__, tokens)):
-        if tokens[i] == "(":
-            opened.append(i)
-        elif opened:
-            close[opened.pop()] = i
-    return close
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
-        self.close = _match_parens(self.tokens)
         self.i = 0
-        self.groups: dict[tuple[str, ...], Expr] = {}
         self.names: dict[str, Expr] = {}
 
     def error(self, message: str) -> MPLangSyntaxError:
@@ -209,19 +184,9 @@ class _Parser:
 
     def group(self) -> Expr:
         """The expression in the group that opens at the cursor; the cursor moves past it."""
-        start = self.i
         self.expect("(")
-        # An unmatched "(" keys the rest of the input, end of input included,
-        # which no group holds; the descent below then fails on it.
-        end = self.close.get(start)
-        key = self.tokens[self.i:end]
-        found = self.groups.get(key)
-        if found is not None:
-            self.i = end + 1
-            return found
         e = self.expr()
         self.expect(")")
-        self.groups[key] = e
         return e
 
 

@@ -261,8 +261,9 @@ def test_relu_approximate_budget_exhaustion():
 
 
 def test_relu_approximate_rejects_nonpositive_eps():
-    with pytest.raises(ValueError):
-        relu_approximate(SIN, Interval(0.0, 1.0), 0.0)
+    for eps in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            relu_approximate(SIN, Interval(0.0, 1.0), eps)
 
 
 def test_relu_approximate_degenerate_interval():
@@ -271,6 +272,12 @@ def test_relu_approximate_degenerate_interval():
 
 
 # -- modulus_delta -------------------------------------------------------------------
+
+def test_modulus_delta_rejects_an_eps_that_is_not_positive_and_finite():
+    for eps in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            modulus_delta(SIN, Interval(-1.0, 1.0), eps)
+
 
 def _sampled_oscillation(f, iv, delta, n=20_000):
     xs = np.linspace(iv.lo, iv.hi, n)

@@ -766,6 +766,22 @@ def test_check_nan_deviation_does_not_hide_a_failure(capsys):
     assert witness["features"]["values"][witness["node"]][0] < 0
 
 
+def test_check_witness_writes_an_overflowed_output_as_null(tmp_path, capsys):
+    # The first outputs differ by 1; the second overflows to inf on both sides.
+    big = "1e308*(P1 + 3) + 1e308*(P1 + 3)"
+    a, b = tmp_path / "a.mplang", tmp_path / "b.mplang"
+    a.write_text(f"P1\n{big}\n")
+    b.write_text(f"P1 + 1\n{big}\n")
+    rc = main(["check", str(a), str(b), "--trials", "3"])
+    out, err = capsys.readouterr()
+    assert rc == 5 and err == ""
+    verdict, text = out.split("\n", 1)
+    assert verdict.endswith("FAIL (tolerance 1e-09)")
+    witness = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-standard JSON {c}"))
+    assert witness["left"][1] is None and witness["right"][1] is None
+    assert witness["right"][0] == pytest.approx(witness["left"][0] + 1)
+
+
 def test_check_with_overflowing_operands_is_not_a_pass(capsys):
     # Both sides overflow to inf, so every deviation is NaN and nothing is judged.
     # The command says so itself, with no numpy warning on the side.

@@ -17,13 +17,12 @@ from mplangc.expressions import (
     Scale,
     arity_check,
     classify,
-    fold,
     fold_all,
     format_expr,
     max_projection,
 )
 from mplangc.generate import random_expr
-from mplangc.parser import MPLangSyntaxError, _Parser, parse
+from mplangc.parser import MPLangSyntaxError, parse
 from mplangc.translate import mpnn_to_mplang
 
 
@@ -129,12 +128,13 @@ def test_a_name_reads_as_its_bound_expression():
 
 
 def test_a_tree_form_translation_text_parses_to_the_same_roots():
-    roots = mpnn_to_mplang(deep_mpnn(0, 3)).components
-    # A copy that shares no node prints as a tree: the form files had before
-    # shared subterms were named.
-    legacy = [format_expr(tree_copy(c)) for c in roots]
-    assert sum(map(len, legacy)) == 17_142 and "$" not in "".join(legacy)
-    assert all(parse(text) is c for text, c in zip(legacy, roots))
+    for net, length in [(deep_mpnn(0, 3), 17_142), (deep_mpnn(seed=5), 620_800)]:
+        roots = mpnn_to_mplang(net).components
+        # A copy that shares no node prints as a tree: the form files had
+        # before shared subterms were named.
+        legacy = [format_expr(tree_copy(c)) for c in roots]
+        assert sum(map(len, legacy)) == length and "$" not in "".join(legacy)
+        assert all(parse(text) is c for text, c in zip(legacy, roots))
 
 
 def test_too_deep_nesting_is_a_syntax_error():
@@ -193,24 +193,7 @@ def test_signed_zero_factors_stay_apart_in_repeated_groups():
     assert math.copysign(1.0, positive.arg.factor) == 1.0
 
 
-def test_parse_descends_once_per_distinct_group(monkeypatch):
-    # Printed from a copy that shares no node, each component's text is a
-    # tree: it repeats the groups of the layers below it thousands of times,
-    # and the descent enters each distinct one once.
-    texts = [format_expr(tree_copy(c)) for c in mpnn_to_mplang(deep_mpnn(seed=5)).components]
-    calls = []
-    expr = _Parser.expr
-    monkeypatch.setattr(_Parser, "expr", lambda self: calls.append(1) or expr(self))
-    for text in texts:
-        calls.clear()
-        e = parse(text)
-        nodes = []
-        fold(e, lambda node, kids: nodes.append(node))
-        assert len(text) > 100 * len(nodes)
-        assert len(calls) <= len(nodes)
-
-
-def test_parse_lines_shares_nodes_across_lines():
+def test_separate_parses_share_nodes():
     first, second = [parse(text) for text in
                      ["sin(P1 + <>P2) + 1", "<>(P1 + <>P2) + -3*sin(P1 + <>P2)"]]
     assert second.right.arg is first.left
@@ -237,7 +220,7 @@ def test_a_translation_file_parses_to_one_dag():
 
 
 @pytest.mark.parametrize("bad", ["sin(P1", "relu(P1) + @", "(P1 + P2)) ", "2*<>"])
-def test_parse_lines_reports_an_error_in_its_own_line(bad):
+def test_an_error_is_reported_the_same_among_other_texts(bad):
     with pytest.raises(MPLangSyntaxError) as alone:
         parse(bad)
     with pytest.raises(MPLangSyntaxError) as among:
