@@ -53,7 +53,6 @@ from .expressions import (
     One,
     Proj,
     Scale,
-    children,
     const,
     fold,
     fold_all,
@@ -184,32 +183,32 @@ def approximate_all(
     # interpolants.  A node is exact when it is ReLU-only.
     order: list[Expr] = []
     fold_all(roots, lambda node, _: order.append(node))
-    readers = Counter([id(c) for node in order for c in children(node)] + list(map(id, roots)))
+    readers = Counter([c for node in order for c in node.kids] + list(roots))
     # Parents before children: the inexact nodes that some root reads other
     # than under 0*e or, at p = 0, <>e.  Only the applications among them get
     # interpolants, so only their arguments are bounded.
-    live = {id(r) for r in roots if not r.traits.relu_only}
+    live = {r for r in roots if not r.traits.relu_only}
     for node in reversed(order):
         zero = (isinstance(node, Scale) and node.factor == 0.0) or (
             isinstance(node, Diamond) and p == 0)
-        if id(node) in live and not zero:
-            live.update(id(c) for c in children(node) if not c.traits.relu_only)
-    args = [node.arg for node in order if isinstance(node, Apply) and id(node) in live]
-    image = dict(zip(map(id, args), fold_all(args, _bound(p, box))))
+        if node in live and not zero:
+            live.update(c for c in node.kids if not c.traits.relu_only)
+    args = [node.arg for node in order if isinstance(node, Apply) and node in live]
+    image = dict(zip(args, fold_all(args, _bound(p, box))))
 
     # Top-down: the smallest ε any parent demands of a node, and each
     # application's interpolant and its Lipschitz constant.
-    demand: dict[int, float] = {}
-    plans: dict[int, tuple[ReluSum, Interval, float, float | None, float]] = {}
+    demand: dict[Expr, float] = {}
+    plans: dict[Expr, tuple[ReluSum, Interval, float, float | None, float]] = {}
 
     def need(node: Expr, budget: float) -> None:
         if not node.traits.relu_only:
-            demand[id(node)] = min(demand.get(id(node), math.inf), budget)
+            demand[node] = min(demand.get(node, math.inf), budget)
 
     for r in roots:
         need(r, eps)
     for node in reversed(order):
-        budget = demand.get(id(node))
+        budget = demand.get(node)
         if budget is None:
             continue
         if isinstance(node, Scale):
@@ -223,7 +222,7 @@ def approximate_all(
             stack = [node.right, node.left]
             while stack:
                 c = stack.pop()
-                if isinstance(c, Add) and not c.traits.relu_only and readers[id(c)] == 1:
+                if isinstance(c, Add) and not c.traits.relu_only and readers[c] == 1:
                     stack += [c.right, c.left]
                 elif not c.traits.relu_only:
                     terms.append(c)
@@ -232,17 +231,17 @@ def approximate_all(
         else:  # Apply
             arg = node.arg
             if arg.traits.relu_only:
-                y = image[id(arg)]
+                y = image[arg]
                 g = relu_approximate(node.func, y, budget)
                 lip, delta = lipschitz(g, y), None
             else:
                 budget /= 2.0
-                y = image[id(arg)].widen(budget)
+                y = image[arg].widen(budget)
                 g = relu_approximate(node.func, y, budget)
                 lip = lipschitz(g, y)
                 delta = modulus_delta(g, y, budget, lip=lip)
                 need(arg, min(delta, budget))
-            plans[id(node)] = (g, y, budget, delta, lip)
+            plans[node] = (g, y, budget, delta, lip)
 
     # Bottom-up: each live node's approximant and proven error, once.
     records: list[ApplyRecord] = []
@@ -250,7 +249,7 @@ def approximate_all(
     def build(node: Expr, kids: tuple) -> tuple[Expr, float] | None:
         if node.traits.relu_only:
             return node, 0.0
-        if id(node) not in live:
+        if node not in live:
             return None  # read only under 0*e or <>e at p = 0
         if isinstance(node, Scale):
             if node.factor == 0.0:
@@ -263,7 +262,7 @@ def approximate_all(
             return Diamond(kids[0][0]), p * kids[0][1]
         if isinstance(node, Add):
             return Add(kids[0][0], kids[1][0]), kids[0][1] + kids[1][1]
-        g, y, budget, delta, lip = plans[id(node)]
+        g, y, budget, delta, lip = plans[node]
         arg, arg_error = kids[0]
         proven = interpolation_error(node.func, y, budget) + lip * arg_error
         records.append(ApplyRecord(activation_label(node.func), y, budget,

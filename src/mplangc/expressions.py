@@ -1,10 +1,13 @@
 """MPLang abstract syntax: six constructors, arity checks, syntactic traits.
 
 Expressions are hash-consed DAGs: a constructor returns the one live node with
-its fields, whoever calls it, so equal subterms are one object.  A new node
-gets its ``ExprTraits`` (class and arity) in O(1) from its children's, so no
-walk exists only to find them.  Every walk over expressions is a ``fold``,
-one iterative post-order pass over distinct nodes.
+its fields, whoever calls it, so equal subterms are one object.  The lookup is
+in the node classes' ``__new__``; they have no metaclass, so ``isinstance`` on
+a node stays on CPython's fast path.  A new node gets its children, in its
+``kids`` slot, and its ``ExprTraits`` (class and arity), in O(1) from its
+children's, so no walk exists only to find them.  Every walk over expressions
+is a ``fold``, one iterative post-order pass over distinct nodes, keyed by the
+nodes themselves.
 
 The concrete text form (see parser) writes the neighbor-sum operator as
 ``<>``, scaling as ``a*e``, a bare number ``a`` as shorthand for ``a*1``, and
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, NamedTuple, Sequence, TypeVar, Union
 
@@ -57,6 +60,10 @@ __all__ = [
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 # Held only to store a new node, so threads building equal nodes at once get one.
 _STORE = threading.Lock()
+# The table's own dict of weak references.  A lookup reads it directly, which
+# saves WeakValueDictionary.get's Python call on every constructor call; a
+# dead reference reads as a missing node, and stores go through _NODES.
+_REFS = _NODES.data
 
 
 class ExprTraits(NamedTuple):
@@ -83,98 +90,131 @@ _PLUS = ExprTraits(True, False, True, frozenset())
 _NEIGHBOR_SUM = ExprTraits(True, True, False, frozenset())
 
 
-class _Interned(type):
-    """Node classes whose call returns the table's node for the fields, if any,
-    and else validates a new node and stores it."""
-
-    def __call__(cls, *fields):
-        key = (cls, *fields)
-        if cls is Scale:
-            key += (math.copysign(1.0, fields[0]),)
-        node = _NODES.get(key)
-        if node is None:
-            new = super().__call__(*fields)
-            with _STORE:
-                node = _NODES.setdefault(key, new)
-        return node
-
-
 # The longest text repr gives a node, subterms included.
 _REPR_WIDTH = 80
 
 
-class _Node(metaclass=_Interned):
-    """Each class's __post_init__ sets the node's traits from its children's,
-    in a slot that is in neither its fields, the intern key nor equality."""
+class _Node:
+    """A node's class returns the table's node for its fields, if any, and
+    else builds, validates and stores a new one (see _build).  Each node holds
+    its traits and its children (its fields that are nodes, left to right) in
+    slots that are in neither its fields, the intern key nor equality.  A node
+    is immutable: its fields are set once, in _fill."""
 
-    __slots__ = ("__weakref__", "traits")
+    __slots__ = ("__weakref__", "traits", "kids")
     traits: ExprTraits
+    kids: tuple[Expr, ...]
+
+    def __new__(cls, *values):
+        key = (cls, *values)
+        if cls is Scale:
+            key += (math.copysign(1.0, values[0]),)
+        ref = _REFS.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            new = _build(cls, values)
+            with _STORE:
+                node = _NODES.setdefault(key, new)
+        return node
+
+    def __reduce__(self):
+        """copy, deepcopy and pickle rebuild a node from its fields, so they
+        return the interned node."""
+        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __deepcopy__(self, memo) -> Expr:
+        """The node itself, which is immutable: no walk, whatever its depth."""
+        return self
 
     def __repr__(self) -> str:
         """The constructor call, each node's text cut to _REPR_WIDTH characters,
-        so a shared DAG's repr costs time linear in its distinct nodes.  A
-        node's children are its last fields."""
+        so a shared DAG's repr costs time linear in its distinct nodes."""
 
         def text(node: Expr, kids: tuple[str, ...]) -> str:
-            own = [repr(v) for f in fields(node)
-                   if not isinstance(v := getattr(node, f.name), _Node)]
+            own = [repr(v) for name in node.__match_args__
+                   if not isinstance(v := getattr(node, name), _Node)]
             out = f"{type(node).__name__}({', '.join([*own, *kids])})"
             return out if len(out) <= _REPR_WIDTH else out[:_REPR_WIDTH - 3] + "..."
 
         return fold(self, text)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+# Sets a slot of a frozen node past its __setattr__; only _build and _fill do.
+_set = object.__setattr__
+
+
+def _build(cls, values: tuple) -> Expr:
+    """A new node of cls with the field values, past the intern table: its
+    class's _fill validates and sets the fields and gives the node's children
+    and traits."""
+    node = object.__new__(cls)
+    kids, traits = node._fill(*values)
+    _set(node, "kids", kids)
+    _set(node, "traits", traits)
+    return node
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
 class One(_Node):
-    def __post_init__(self):
-        object.__setattr__(self, "traits", _NO_TRAITS)
+    def _fill(self) -> tuple[tuple, ExprTraits]:
+        return (), _NO_TRAITS
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
 class Proj(_Node):
     index: int  # 1-based
 
-    def __post_init__(self):
-        if self.index < 1:
+    def _fill(self, index) -> tuple[tuple, ExprTraits]:
+        if index < 1:
             raise ValueError("projection index must be >= 1")
-        object.__setattr__(self, "traits", ExprTraits(True, True, True, frozenset(), self.index))
+        _set(self, "index", index)
+        return (), ExprTraits(True, True, True, frozenset(), index)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
 class Scale(_Node):
-    factor: float
+    factor: float  # finite
     arg: "Expr"
 
-    def __post_init__(self):
-        object.__setattr__(self, "factor", float(self.factor))
-        object.__setattr__(self, "traits", self.arg.traits)
+    def _fill(self, factor, arg) -> tuple[tuple, ExprTraits]:
+        factor = float(factor)
+        if not math.isfinite(factor):
+            raise ValueError(f"scale factor must be finite, got {factor!r}")
+        _set(self, "factor", factor)
+        _set(self, "arg", arg)
+        return (arg,), arg.traits
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
 class Add(_Node):
     left: "Expr"
     right: "Expr"
 
-    def __post_init__(self):
-        object.__setattr__(self, "traits", _join(_join(self.left.traits, self.right.traits), _PLUS))
+    def _fill(self, left, right) -> tuple[tuple, ExprTraits]:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        return (left, right), _join(_join(left.traits, right.traits), _PLUS)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
 class Apply(_Node):
     func: Activation
     arg: "Expr"
 
-    def __post_init__(self):
-        own = ExprTraits(self.func == RELU, True, True, frozenset((self.func,)))
-        object.__setattr__(self, "traits", _join(self.arg.traits, own))
+    def _fill(self, func, arg) -> tuple[tuple, ExprTraits]:
+        _set(self, "func", func)
+        _set(self, "arg", arg)
+        own = ExprTraits(func == RELU, True, True, frozenset((func,)))
+        return (arg,), _join(arg.traits, own)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
 class Diamond(_Node):
     arg: "Expr"
 
-    def __post_init__(self):
-        object.__setattr__(self, "traits", _join(self.arg.traits, _NEIGHBOR_SUM))
+    def _fill(self, arg) -> tuple[tuple, ExprTraits]:
+        _set(self, "arg", arg)
+        return (arg,), _join(arg.traits, _NEIGHBOR_SUM)
 
 
 Expr = Union[One, Proj, Scale, Add, Apply, Diamond]
@@ -201,12 +241,8 @@ class ExprTuple:
 
 def children(e: Expr) -> tuple[Expr, ...]:
     """The operands of e, left to right."""
-    if isinstance(e, (Scale, Apply, Diamond)):
-        return (e.arg,)
-    if isinstance(e, Add):
-        return (e.left, e.right)
-    if isinstance(e, (One, Proj)):
-        return ()
+    if isinstance(e, _Node):
+        return e.kids
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -215,39 +251,41 @@ def fold_all(roots: Sequence[Expr], combine: Callable[[Expr, tuple], T]) -> list
 
     combine(node, child_results) runs once per distinct node object, with the
     results of its children left to right, however many roots share it; the
-    result is the list of the roots' results.  Nodes are told apart by id,
-    which for hash-consed nodes is structural equality.  A result is dropped
-    once the node's last parent has read it; a root's is kept.
+    result is the list of the roots' results.  Nodes are keyed by themselves:
+    they hash by identity, which for hash-consed nodes is structural equality.
+    A result is dropped once the node's last parent has read it; a root's is
+    kept.
     """
-    parents: dict[int, int] = {}
-    expanded: set[int] = set()
-    order: list[tuple[Expr, tuple]] = []
-    stack: list[tuple[Expr, tuple | None]] = []
+    parents: dict[Expr, int] = {}
+    expanded: set[Expr] = set()
+    order: list[Expr] = []
+    stack: list[tuple[Expr, bool]] = []
     for r in reversed(roots):
-        parents[id(r)] = parents.get(id(r), 0) + 1
-        stack.append((r, None))
+        children(r)  # a TypeError for a root that is not an expression
+        parents[r] = parents.get(r, 0) + 1
+        stack.append((r, False))
     while stack:
-        node, kids = stack.pop()
-        if kids is not None:
-            order.append((node, kids))
+        node, done = stack.pop()
+        if done:
+            order.append(node)
             continue
-        if id(node) in expanded:
+        if node in expanded:
             continue
-        expanded.add(id(node))
-        kids = children(node)
-        stack.append((node, kids))
-        for c in reversed(kids):
-            parents[id(c)] = parents.get(id(c), 0) + 1
-            stack.append((c, None))
-    results: dict[int, T] = {}
-    for node, kids in order:
-        args = tuple([results[id(c)] for c in kids])
+        expanded.add(node)
+        stack.append((node, True))
+        for c in reversed(node.kids):
+            parents[c] = parents.get(c, 0) + 1
+            stack.append((c, False))
+    results: dict[Expr, T] = {}
+    for node in order:
+        kids = node.kids
+        args = tuple([results[c] for c in kids])
         for c in kids:
-            parents[id(c)] -= 1
-            if not parents[id(c)]:
-                del results[id(c)]
-        results[id(node)] = combine(node, args)
-    return [results[id(r)] for r in roots]
+            parents[c] -= 1
+            if not parents[c]:
+                del results[c]
+        results[node] = combine(node, args)
+    return [results[r] for r in roots]
 
 
 def fold(e: Expr, combine: Callable[[Expr, tuple], T]) -> T:
@@ -305,18 +343,18 @@ def format_expr(e: Expr) -> str:
     tree.  Any other subterm is printed inline, so an expression without a long
     shared subterm prints as a tree.
     """
-    readers: dict[int, int] = {}
+    readers: dict[Expr, int] = {}
 
     def count(node: Expr, _) -> None:
-        for c in children(node):
-            readers[id(c)] = readers.get(id(c), 0) + 1
+        for c in node.kids:
+            readers[c] = readers.get(c, 0) + 1
 
     fold(e, count)
     bindings: list[str] = []
 
     def text(node: Expr, kids: tuple[str, ...]) -> str:
         out = _format_node(node, kids)
-        if readers.get(id(node), 0) < 2 or len(out) < _NAME_WIDTH:
+        if readers.get(node, 0) < 2 or len(out) < _NAME_WIDTH:
             return out
         name = _Name(f"${len(bindings) + 1}")
         bindings.append(f"{name} = {out}; ")

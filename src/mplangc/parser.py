@@ -7,9 +7,10 @@
     name   := "$" digits
     ident  := "relu" | "id" | "tanh" | "sigmoid" | "sin" | "abs"
 
-Numbers are decimal with optional sign, fraction, and exponent; whitespace,
-newlines included, is insignificant.  The literal ``1`` denotes the unit
-constant; any other number ``a`` is shorthand for ``a*1``.
+Numbers are decimal with optional sign, fraction, and exponent, and must be
+finite as floats (``1e400`` is an error); whitespace, newlines included, is
+insignificant.  The literal ``1`` denotes the unit constant; any other number
+``a`` is shorthand for ``a*1``.
 
 A binding ``$k = e;`` names e for the rest of its text, where ``$k`` reads as
 e itself; this is how ``format_expr`` prints a long subterm that is read more
@@ -39,6 +40,7 @@ error.
 
 from __future__ import annotations
 
+import math
 import re
 import string
 
@@ -142,9 +144,11 @@ class _Parser:
             if self.tokens[self.i] == "-":
                 sign = -1.0
             self.i += 1
-        value = sign * float(self.tokens[self.i])
+        value = float(self.tokens[self.i])
+        if value == math.inf:
+            raise self.error(f"number {self.tokens[self.i]!r} is out of range")
         self.i += 1
-        return value
+        return sign * value
 
     def term(self) -> Expr:
         if self._at_number():

@@ -3,7 +3,7 @@
 import numpy as np
 
 from mplangc.activations import ABS, RELU, SIGMOID, SIN, TANH
-from mplangc.expressions import Add, Apply, Diamond, One, Proj, Scale
+from mplangc.expressions import Add, Apply, Diamond, One, Proj, Scale, _build
 from mplangc.graphs import random_union
 from mplangc.mpnn import Layer, Mpnn
 
@@ -11,7 +11,10 @@ from mplangc.mpnn import Layer, Mpnn
 def tree_copy(e):
     """The same expression with no node object shared, its nodes built past
     the intern table."""
-    fresh = type.__call__
+
+    def fresh(cls, *values):
+        return _build(cls, values)
+
     if isinstance(e, Add):
         return fresh(Add, tree_copy(e.left), tree_copy(e.right))
     if isinstance(e, Scale):

@@ -633,6 +633,14 @@ def test_fmt_parse_error_exit_1(capsys):
     assert main(["fmt", "--expr", "relu("]) == 1
 
 
+def test_fmt_of_an_overflowing_literal_is_a_parse_error(capsys):
+    # 1e400 reads as inf, which has no text the parser accepts back.
+    assert main(["fmt", "--expr", "1e400*P1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "parse error: number '1e400' is out of range (at position 0)\n"
+
+
 def test_bad_box_is_config_error(capsys):
     rc = main(["check", "P1", "P1", "--box", "not-json"])
     assert rc == 3

@@ -1,8 +1,10 @@
 """The shared expression core: one fold over a DAG, and parsing into a DAG."""
 
+import copy
 import gc
 import json
 import math
+import pickle
 import re
 import sys
 import threading
@@ -39,8 +41,10 @@ from mplangc.expressions import (
     Scale,
     _NODES,
     arity_check,
+    children,
     classify,
     classify_all,
+    const,
     fold,
     fold_all,
     format_expr,
@@ -509,6 +513,49 @@ def test_a_factor_is_keyed_by_its_value_and_sign():
     assert Scale(-0.0, One()) is not Scale(0.0, One())
     assert Scale(2, Proj(1)) is Scale(2.0, Proj(1))
     assert Apply(Named("relu"), Proj(1)) is Apply(RELU, Proj(1))
+
+
+def test_node_classes_have_no_metaclass():
+    # A metaclass would send every isinstance that misses through __instancecheck__.
+    assert all(type(cls) is type for cls in (One, Proj, Scale, Add, Apply, Diamond))
+
+
+@pytest.mark.parametrize("bad", [3, "P1", None, (Proj(1),)])
+def test_children_and_fold_refuse_a_non_expression(bad):
+    for walk in (children, lambda e: fold(e, lambda node, kids: 0),
+                 lambda e: fold_all([Proj(1), e], lambda node, kids: 0)):
+        with pytest.raises(TypeError, match="not an expression"):
+            walk(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(0, 4),
+    form=st.sampled_from(range(len(SHARING_FORMS))),
+)
+def test_copy_deepcopy_and_pickle_return_the_interned_node(seed, depth, form):
+    rng = np.random.default_rng(seed)
+    e = SHARING_FORMS[form](random_expr(rng, depth, D, functions=MIXED_FUNCTIONS))
+    assert copy.copy(e) is e
+    assert copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+    # Unpickling rebuilds each node from its fields, so a copy made past the
+    # table comes back as the interned node.
+    assert pickle.loads(pickle.dumps(tree_copy(e))) is e
+
+
+def test_deepcopy_of_a_deep_expression_does_not_recurse():
+    e = parse(" + ".join(f"{k % 5 + 1}*P1" for k in range(3000)))
+    assert copy.deepcopy([e, e]) == [e, e]
+
+
+@pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_factor_is_refused_and_not_stored(factor):
+    for build in (lambda: Scale(factor, Proj(1)), lambda: const(factor)):
+        with pytest.raises(ValueError, match="scale factor must be finite"):
+            build()
+    assert all(math.isfinite(n.factor) for n in _NODES.values() if isinstance(n, Scale))
 
 
 def test_a_rejected_node_is_not_stored():

@@ -106,6 +106,10 @@ SYNTAX_ERRORS = {
     "$1 = P1; P1;": ("unexpected ';' after expression", 11),
     "$1 = P1; P1 + $1 = P1": ("unexpected '=' after expression", 17),
     "$ 1 = P1; $1": ("unexpected character '$'", 0),
+    # A literal that overflows a float is refused where it stands.
+    "1e400*P1": ("number '1e400' is out of range", 0),
+    "P1 + -2e308": ("number '2e308' is out of range", 6),
+    "<>(P1 + 1e999)": ("number '1e999' is out of range", 8),
 }
 
 
