@@ -77,7 +77,6 @@ from .mpnn import (
     InvalidNetworkError,
     Layer,
     Mpnn,
-    concat_layers,
     concat_mpnns,
     eliminate_id_layer,
     eval_layer,
@@ -86,7 +85,6 @@ from .mpnn import (
     is_sigma_mpnn,
     layer,
     pad_relu,
-    parallel_layers,
 )
 from .parser import MPLangSyntaxError, parse
 from .translate import mpnn_to_mplang

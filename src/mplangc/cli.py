@@ -8,8 +8,9 @@ Exit codes (fixed for scripting):
      file, nesting too deep, a name used unbound or bound twice, a file
      that cannot be opened, read or written, a check operand that ends in
      .json or names an existing path and cannot be read as a file, an
-     input file that is not UTF-8, NaN or infinite feature values or
-     network numbers, a malformed graph, feature or network file)
+     input file that is not UTF-8, a graph, feature or network file whose
+     JSON is nested too deeply, NaN or infinite feature values or network
+     numbers, a malformed graph, feature or network file)
   2  arity or dimension mismatch (a negative --arity too)
   3  mode or configuration error (inapplicable mode, pointwise or
      addition-free mode for more than one expression, bad --box, a --box
@@ -93,12 +94,26 @@ def _read_exprs(args) -> list[Expr]:
     return _read_expr_file(args.expr_file)
 
 
+class _NestedTooDeep(ValueError):
+    """A JSON input file nested deeper than the decoder can recurse."""
+
+
+def _read_json(path: str):
+    """The JSON value of a graph, feature or network file; nesting too deep
+    for the decoder is an input error naming the file."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise _NestedTooDeep(f"{path}: JSON nested too deeply") from None
+
+
 def _read_graph(path: str) -> Graph:
-    return graph_from_json(json.loads(_read_text(path)))
+    return graph_from_json(_read_json(path))
 
 
 def _read_features(path: str) -> FeatureMap:
-    return features_from_json(json.loads(_read_text(path)))
+    return features_from_json(_read_json(path))
 
 
 def _parse_box(text: str) -> DomainBox:
@@ -153,7 +168,7 @@ def _load_operand(spec: str) -> Operand:
     missing or unreadable one is a file error, not a parse error.
     """
     if spec.endswith(".json"):
-        net = mpnn_from_json(json.loads(_read_text(spec)))
+        net = mpnn_from_json(_read_json(spec))
         return Operand(
             net.input_arity,
             net.output_arity,
@@ -374,7 +389,8 @@ def main(argv=None) -> int:
     except MPLangSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, UnicodeDecodeError, InvalidGraphError, InvalidNetworkError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, _NestedTooDeep, InvalidGraphError,
+            InvalidNetworkError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # a file that cannot be opened, read or written

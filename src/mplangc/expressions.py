@@ -18,6 +18,7 @@ a long subterm read more than once as one binding ``$k = e;`` that is read as
 from __future__ import annotations
 
 import math
+import operator
 import threading
 import weakref
 from dataclasses import dataclass
@@ -118,9 +119,22 @@ class _Node:
         return node
 
     def __reduce__(self):
-        """copy, deepcopy and pickle rebuild a node from its fields, so they
-        return the interned node."""
-        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
+        """pickle writes the node's DAG as one flat post-order list of (class,
+        own field values, child positions), which _rebuild reads back through
+        the constructors: no pickle frame nests, whatever the depth, and the
+        result is the interned node."""
+        records: list[tuple] = []
+
+        def record(node: Expr, kids: tuple[int, ...]) -> int:
+            records.append((type(node), _own(node), kids))
+            return len(records) - 1
+
+        fold(self, record)
+        return _rebuild, (records,)
+
+    def __copy__(self) -> Expr:
+        """The node itself, which is immutable."""
+        return self
 
     def __deepcopy__(self, memo) -> Expr:
         """The node itself, which is immutable: no walk, whatever its depth."""
@@ -131,12 +145,27 @@ class _Node:
         so a shared DAG's repr costs time linear in its distinct nodes."""
 
         def text(node: Expr, kids: tuple[str, ...]) -> str:
-            own = [repr(v) for name in node.__match_args__
-                   if not isinstance(v := getattr(node, name), _Node)]
+            own = [repr(v) for v in _own(node)]
             out = f"{type(node).__name__}({', '.join([*own, *kids])})"
             return out if len(out) <= _REPR_WIDTH else out[:_REPR_WIDTH - 3] + "..."
 
         return fold(self, text)
+
+
+def _own(node: Expr) -> tuple:
+    """The node's field values that are not nodes; in every class they come
+    before its children, so cls(*_own(node), *node.kids) is node."""
+    return tuple([v for name in node.__match_args__
+                  if not isinstance(v := getattr(node, name), _Node)])
+
+
+def _rebuild(records: list[tuple]) -> Expr:
+    """The last node of a __reduce__ record list, each built from its class,
+    its own field values and the nodes at its child positions."""
+    built: list[Expr] = []
+    for cls, own, kids in records:
+        built.append(cls(*own, *[built[k] for k in kids]))
+    return built[-1]
 
 
 # Sets a slot of a frozen node past its __setattr__; only _build and _fill do.
@@ -165,6 +194,11 @@ class Proj(_Node):
     index: int  # 1-based
 
     def _fill(self, index) -> tuple[tuple, ExprTraits]:
+        # Proj(3.0) shares Proj(3)'s intern key, so it is Proj(3) whether or
+        # not that is live, and prints P3; any other non-int is a TypeError.
+        if isinstance(index, float) and index.is_integer():
+            index = int(index)
+        index = operator.index(index)
         if index < 1:
             raise ValueError("projection index must be >= 1")
         _set(self, "index", index)

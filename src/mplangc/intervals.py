@@ -54,9 +54,6 @@ class Interval:
     def widen(self, margin: float) -> "Interval":
         return Interval(self.lo - margin, self.hi + margin)
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
-
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 

@@ -1,11 +1,11 @@
-"""MPNN layers and networks, plus the block-matrix combinators.
+"""MPNN layers and networks, and rewrites of ReLU-MPNNs.
 
 A layer (W1, W2, b, sigma) maps a feature map to sigma(W1*x(v) + W2*sum of
-x(u) over neighbors u + b) per node.  The combinators build concatenations
-and parallel compositions out of stacked and block-diagonal matrices, pad
-networks with identity-weight ReLU layers (sound because post-ReLU features
-are nonnegative and ReLU is idempotent), and rewrite an interior id-layer
-into a ReLU pair via x = relu(x) - relu(-x).
+x(u) over neighbors u + b) per node.  ReLU-MPNNs can be padded with
+identity-weight ReLU layers (sound because post-ReLU features are
+nonnegative and ReLU is idempotent), an interior id-layer can be rewritten
+into a ReLU pair via x = relu(x) - relu(-x), and two networks concatenate as
+the relu compile of their translations, one output per root.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .activations import (
     apply_vec,
 )
 from .errors import ArityError
+from .expressions import ExprTuple
 from .graphs import FeatureMap, Graph
 
 __all__ = [
@@ -32,8 +33,6 @@ __all__ = [
     "identity_layer",
     "eval_layer",
     "eval_mpnn",
-    "concat_layers",
-    "parallel_layers",
     "pad_relu",
     "concat_mpnns",
     "eliminate_id_layer",
@@ -159,42 +158,7 @@ def eval_mpnn(net: Mpnn, g: Graph, chi: FeatureMap) -> FeatureMap:
     return out
 
 
-# -- combinators ----------------------------------------------------------------
-
-def concat_layers(a: Layer, b: Layer) -> Layer:
-    """Stack outputs of two layers over the same input: (a | b)."""
-    if a.input_arity != b.input_arity:
-        raise ArityError(
-            f"input arities differ: {a.input_arity} vs {b.input_arity}"
-        )
-    if a.activation != b.activation:
-        raise ValueError("layer concatenation needs a shared activation")
-    return Layer(
-        np.vstack([a.w_self, b.w_self]),
-        np.vstack([a.w_neigh, b.w_neigh]),
-        np.concatenate([a.bias, b.bias]),
-        a.activation,
-    )
-
-
-def parallel_layers(a: Layer, b: Layer) -> Layer:
-    """Run two layers side by side on split inputs: (a || b), block-diagonal."""
-    if a.activation != b.activation:
-        raise ValueError("parallel composition needs a shared activation")
-
-    def block(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-        out = np.zeros((m1.shape[0] + m2.shape[0], m1.shape[1] + m2.shape[1]))
-        out[: m1.shape[0], : m1.shape[1]] = m1
-        out[m1.shape[0]:, m1.shape[1]:] = m2
-        return out
-
-    return Layer(
-        block(a.w_self, b.w_self),
-        block(a.w_neigh, b.w_neigh),
-        np.concatenate([a.bias, b.bias]),
-        a.activation,
-    )
-
+# -- ReLU-MPNNs ----------------------------------------------------------------
 
 def eliminate_id_layer(a: Layer, b: Layer) -> tuple[Layer, Layer]:
     """Rewrite id-layer a followed by b into a ReLU layer and an adjusted b.
@@ -256,27 +220,19 @@ def pad_relu(net: Mpnn, target: int) -> Mpnn:
 
 
 def concat_mpnns(a: Mpnn, b: Mpnn) -> Mpnn:
-    """ReLU-MPNN computing the concatenation of the two networks' outputs."""
-    if not (is_relu_mpnn(a) and is_relu_mpnn(b)):
-        raise ValueError("concatenation is defined for ReLU-MPNNs only")
+    """ReLU-MPNN computing the concatenation of the two networks' outputs: the
+    relu compile of both translations as one tuple, one output per root.  A
+    network that applies a function other than relu is a ModeError."""
+    # Both modules import this one, so they are imported here.
+    from .compiler import compile_relu_tuple
+    from .translate import mpnn_to_mplang
+
     if a.input_arity != b.input_arity:
         raise ArityError(
             f"input arities differ: {a.input_arity} vs {b.input_arity}"
         )
-    # Align final activations so the layerwise zip sees equal ones throughout.
-    a_ends_id = a.layers[-1].activation == ID
-    b_ends_id = b.layers[-1].activation == ID
-    if a_ends_id and not b_ends_id:
-        b = Mpnn(b.layers + (identity_layer(b.output_arity, ID),))
-    elif b_ends_id and not a_ends_id:
-        a = Mpnn(a.layers + (identity_layer(a.output_arity, ID),))
-    n = max(len(a.layers), len(b.layers))
-    a = pad_relu(a, n)
-    b = pad_relu(b, n)
-    combined = [concat_layers(a.layers[0], b.layers[0])]
-    for la, lb in zip(a.layers[1:], b.layers[1:]):
-        combined.append(parallel_layers(la, lb))
-    return Mpnn(tuple(combined))
+    roots = mpnn_to_mplang(a).components + mpnn_to_mplang(b).components
+    return compile_relu_tuple(ExprTuple(roots, a.input_arity))
 
 
 # -- JSON interchange ------------------------------------------------------------

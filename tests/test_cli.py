@@ -492,6 +492,25 @@ def test_check_network_file_with_non_finite_numbers_is_input_error(tmp_path, cap
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("kind", ["graph", "features", "network"])
+def test_a_json_input_nested_too_deeply_is_an_input_error(pair_instance, tmp_path, capsys, kind):
+    g, f = pair_instance
+    deep = tmp_path / "deep.json"
+    if kind == "network":
+        merged = ('{"kind": "merged", "M": 1.0, "right": {"kind": "named", "name": "relu"}, '
+                  '"m": -1.0, "left": ')
+        sigma = merged * 3000 + '{"kind": "named", "name": "relu"}' + "}" * 3000
+        deep.write_text(f'{{"input_arity": 1, "layers": [{{"W1": [[1.0]], "W2": [[0.0]], '
+                        f'"b": [0.0], "sigma": {sigma}}}]}}')
+        argv = ["check", str(deep), "P1"]
+    else:
+        deep.write_text("[" * 100_000)
+        files = {"--graph": g, "--features": f, f"--{kind}": str(deep)}
+        argv = ["eval", "--expr", "P1", *(x for pair in files.items() for x in pair)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"input error: {deep}: JSON nested too deeply\n"
+
+
 def _unreadable(tmp_path, what):
     """A directory, or a file that is not UTF-8."""
     path = tmp_path / what

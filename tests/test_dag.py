@@ -550,6 +550,20 @@ def test_deepcopy_of_a_deep_expression_does_not_recurse():
     assert copy.deepcopy([e, e]) == [e, e]
 
 
+def test_pickle_of_a_deep_expression_does_not_recurse():
+    # A node pickles as one flat list of its DAG's nodes, so no pickle frame
+    # nests: a 5,000-term left-nested sum and a 5,000-level chain.
+    total = Proj(1)
+    for k in range(5_000):
+        total = Add(total, Scale(float(k), Proj(2)))
+    chain = Proj(1)
+    for _ in range(5_000):
+        chain = Apply(TANH, Diamond(Scale(-0.0, chain)))
+    for e in (total, chain):
+        assert pickle.loads(pickle.dumps(e)) is e
+        assert copy.copy(e) is e and copy.deepcopy(e) is e
+
+
 @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_factor_is_refused_and_not_stored(factor):
     for build in (lambda: Scale(factor, Proj(1)), lambda: const(factor)):
@@ -562,6 +576,17 @@ def test_a_rejected_node_is_not_stored():
     with pytest.raises(ValueError):
         Proj(0)
     assert not any(isinstance(n, Proj) and n.index == 0 for n in _NODES.values())
+
+
+def test_a_projection_index_is_an_int():
+    with pytest.raises(TypeError):
+        Proj(2.5)
+    # Proj(3.0) shares Proj(3)'s intern key, so the node stores the int: the
+    # text of any later P3 is then P3, which parses.
+    kept = Proj(3.0), Proj(12345.0)
+    assert all(type(n.index) is int for n in _NODES.values() if isinstance(n, Proj))
+    assert format_expr(parse("P3")) == "P3"
+    assert parse("P12345") is kept[1] and format_expr(kept[1]) == "P12345"
 
 
 def test_the_table_keeps_no_expression_alive():

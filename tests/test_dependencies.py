@@ -1,9 +1,12 @@
-"""The toolkit's dependencies: numpy only, and the names the benchmark traces."""
+"""The toolkit's dependencies: numpy only, the names the benchmark traces, and no
+dead code."""
 
 import ast
+import collections
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -79,3 +82,27 @@ def test_no_unused_imports_or_private_definitions():
     dead = {path.name: found for path in sorted((ROOT / "src" / "mplangc").glob("*.py"))
             if (found := _dead_code(path))}
     assert not dead
+
+
+def test_every_public_definition_is_named_elsewhere():
+    # A public function, class or method that no source, test, bench script
+    # or README names, beyond its definition and its __all__ entry, is dead
+    # code.  Names are matched as words, so a method counts as named if any
+    # method of that name is.
+    modules = sorted((ROOT / "src" / "mplangc").glob("*.py"))
+    defined, listed = collections.Counter(), collections.Counter()
+    for path in modules:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                    for t in node.targets):
+                listed.update(ast.literal_eval(node.value))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] += 1
+            if isinstance(node, ast.ClassDef):
+                defined.update(m.name for m in node.body if isinstance(m, ast.FunctionDef))
+    places = [*modules, *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py"),
+              ROOT / "README.md"]
+    named = collections.Counter(word for path in places
+                                for word in re.findall(r"\w+", path.read_text()))
+    assert sorted(name for name in defined if not name.startswith("_")
+                  and named[name] <= defined[name] + listed[name]) == []

@@ -5,13 +5,13 @@ from helpers import assert_close, batch_instances
 from mplangc.activations import ID, RELU, SIGMOID, TANH, Merged, PiecewiseLinear, ReluSum
 from mplangc.errors import ArityError
 from mplangc.fixtures import max_mpnn, oracle_t2
+from mplangc.generate import random_mpnn
 from mplangc.graphs import FeatureMap, Graph
 from mplangc.intervals import DomainBox
 from mplangc.mpnn import (
     InvalidNetworkError,
     Layer,
     Mpnn,
-    concat_layers,
     concat_mpnns,
     eliminate_id_layer,
     eval_layer,
@@ -23,7 +23,6 @@ from mplangc.mpnn import (
     mpnn_from_json,
     mpnn_to_json,
     pad_relu,
-    parallel_layers,
 )
 
 PATH = Graph(3, ((0, 1), (1, 2)))
@@ -97,70 +96,6 @@ def test_chaining_invariant_enforced():
     wide = Layer(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(1), RELU)
     with pytest.raises(ArityError):
         Mpnn((SUM_LAYER, wide))
-
-
-# -- concat_layers ----------------------------------------------------------------
-
-def test_concat_duplicates_layer():
-    a = layer(1.0, 0.0, 0.0, RELU)
-    out = eval_layer(concat_layers(a, a), Graph(1, ()), FeatureMap(np.array([[2.0]])))
-    assert out.values[0].tolist() == [2.0, 2.0]
-
-
-def test_concat_mixed_signs():
-    a = layer(1.0, 0.0, 0.0, RELU)
-    b = layer(-1.0, 0.0, 0.0, RELU)
-    out = eval_layer(concat_layers(a, b), Graph(1, ()), FeatureMap(np.array([[3.0]])))
-    assert out.values[0].tolist() == [3.0, 0.0]
-
-
-def test_concat_layers_random_oracle():
-    rng = np.random.default_rng(77)
-    a = _rand_layer(rng, 2, 1)
-    b = _rand_layer(rng, 2, 2)
-    union, fm = batch_instances(None, DomainBox.cube(-3, 3, 2), 50, 7)
-    joint = eval_layer(concat_layers(a, b), union, fm).values
-    separate = np.hstack([eval_layer(a, union, fm).values, eval_layer(b, union, fm).values])
-    assert_close(joint, separate)
-
-
-def test_concat_layers_preconditions():
-    rng = np.random.default_rng(3)
-    with pytest.raises(ArityError):
-        concat_layers(_rand_layer(rng, 2, 1), _rand_layer(rng, 3, 1))
-    with pytest.raises(ValueError, match="activation"):
-        concat_layers(_rand_layer(rng, 2, 1, RELU), _rand_layer(rng, 2, 1, TANH))
-
-
-# -- parallel_layers ----------------------------------------------------------------
-
-def test_parallel_identity_layers():
-    out = parallel_layers(layer(1.0, 0.0, 0.0, ID), layer(1.0, 0.0, 0.0, ID))
-    fm = FeatureMap(np.array([[3.0, 4.0]]))
-    assert eval_layer(out, Graph(1, ()), fm).values[0].tolist() == [3.0, 4.0]
-
-
-def test_parallel_layers_random_split_oracle():
-    rng = np.random.default_rng(13)
-    a = _rand_layer(rng, 1, 1, TANH)
-    b = _rand_layer(rng, 2, 1, TANH)
-    union, fm = batch_instances(None, DomainBox.cube(-2, 2, 3), 50, 21)
-    joint = eval_layer(parallel_layers(a, b), union, fm).values
-    fa = FeatureMap(fm.values[:, :1])
-    fb = FeatureMap(fm.values[:, 1:])
-    separate = np.hstack([eval_layer(a, union, fa).values, eval_layer(b, union, fb).values])
-    assert_close(joint, separate)
-
-
-def test_parallel_bias_order():
-    a = layer(1.0, 0.0, 5.0, ID)
-    b = layer(1.0, 0.0, 7.0, ID)
-    assert parallel_layers(a, b).bias.tolist() == [5.0, 7.0]
-
-
-def test_parallel_requires_shared_activation():
-    with pytest.raises(ValueError):
-        parallel_layers(layer(1.0, 0.0, 0.0, RELU), layer(1.0, 0.0, 0.0, ID))
 
 
 # -- eliminate_id_layer ---------------------------------------------------------------
@@ -285,6 +220,32 @@ def test_concat_mpnns_requires_relu_networks():
 def test_concat_mpnns_requires_equal_input_arity():
     with pytest.raises(ArityError):
         concat_mpnns(max_mpnn(), Mpnn((SUM_LAYER,)))
+
+
+def _random_relu_mpnn(rng, d):
+    """A ReLU-MPNN of 1-4 layers whose last layer is relu or id."""
+    net = random_mpnn(rng, d, max_layers=4, activations=(RELU,))
+    last = net.layers[-1]
+    if rng.random() < 0.5:
+        last = Layer(last.w_self, last.w_neigh, last.bias, ID)
+    return Mpnn(net.layers[:-1] + (last,))
+
+
+def test_concat_mpnns_random_oracle():
+    # The concatenation against both networks evaluated side by side.
+    rng = np.random.default_rng(53)
+    worst = 0.0
+    for k in range(120):
+        d = int(rng.integers(1, 4))
+        a, b = _random_relu_mpnn(rng, d), _random_relu_mpnn(rng, d)
+        both = concat_mpnns(a, b)
+        assert is_relu_mpnn(both)
+        union, fm = batch_instances(None, DomainBox.cube(-2, 2, d), 20, k)
+        got = eval_mpnn(both, union, fm).values
+        want = np.hstack([eval_mpnn(a, union, fm).values, eval_mpnn(b, union, fm).values])
+        assert got.shape == want.shape
+        worst = max(worst, np.abs(got - want).max() / max(1.0, np.abs(want).max()))
+    assert worst <= 1e-9
 
 
 def test_relu_layer_outputs_nonnegative():
