@@ -246,27 +246,22 @@ def merge(left: Activation, left_max: float, right: Activation, right_min: float
 
 
 def pl_to_relu_sum(f: PiecewiseLinear) -> ReluSum:
-    """Exact ReLU-combination form of a piecewise-linear function.
+    """Exact ReLU-combination form of a piecewise-linear function."""
+    return _hinges(*np.array(f.points).T)
 
-    The constant level left of the first breakpoint becomes c*relu(0*x + 1);
-    each slope change contributes a hinge term at its breakpoint.
-    """
-    xs = [p[0] for p in f.points]
-    ys = [p[1] for p in f.points]
-    terms: list[tuple[float, float, float]] = []
-    if ys[0] != 0.0:
-        terms.append((0.0, -1.0, ys[0]))
-    prev_slope = 0.0
-    for j in range(len(xs)):
-        if j < len(xs) - 1:
-            slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-        else:
-            slope = 0.0
-        delta = slope - prev_slope
-        if delta != 0.0:
-            terms.append((1.0, xs[j], delta))
-        prev_slope = slope
-    return ReluSum(tuple(terms))
+
+def _hinges(xs: np.ndarray, ys: np.ndarray) -> ReluSum:
+    """The ReLU combination of the broken line through the knots (xs, ys), xs
+    strictly increasing, constant beyond the extremes: the level left of the
+    first knot is c*relu(0*x + 1), and each slope change a hinge at its knot."""
+    # Slices difference the arrays as np.diff would, without its per-call
+    # overhead, which costs more than the arithmetic on a grid of a few knots.
+    slopes = np.zeros(len(xs) + 1)  # 0 beyond the extremes
+    slopes[1:-1] = (ys[1:] - ys[:-1]) / (xs[1:] - xs[:-1])
+    turns = slopes[1:] - slopes[:-1]
+    kinks = turns != 0.0
+    hinges = [(1.0, x, t) for x, t in zip(xs[kinks].tolist(), turns[kinks].tolist())]
+    return ReluSum(([(0.0, -1.0, ys[0])] if ys[0] != 0.0 else []) + hinges)
 
 
 # sup|f''| on the real line: sin'' = -sin; tanh'' = -2 tanh sech^2 peaks at
@@ -274,11 +269,16 @@ def pl_to_relu_sum(f: PiecewiseLinear) -> ReluSum:
 _CURVATURE = {"sin": 1.0, "tanh": 4.0 / math.sqrt(27.0), "sigmoid": 1.0 / math.sqrt(108.0)}
 
 
+# The exact ReLU forms: relu(x); x = relu(x) - relu(-x); |x| = relu(x) + relu(-x).
+_EXACT = {RELU: ((1.0, 0.0, 1.0),), ID: ((1.0, 0.0, 1.0), (-1.0, 0.0, -1.0)),
+          ABS: ((1.0, 0.0, 1.0), (-1.0, 0.0, 1.0))}
+
+
 def relu_approximate(f: Activation, y: Interval, eps: float, *, max_points: int = 4097) -> ReluSum:
     """A ReLU combination within eps of f on y, proven by the interpolation bound.
 
-    relu, id, ReluSum and PiecewiseLinear come back exact, abs is interpolated
-    exactly on {lo, 0, hi}, and sin, tanh and sigmoid on ceil(width / h) + 1
+    relu, id, abs, ReluSum and PiecewiseLinear come back exact, on the whole
+    line, and sin, tanh and sigmoid are interpolated on ceil(width / h) + 1
     uniform knots with h = sqrt(8 eps / sup|f''|), which bounds the error on
     each cell by h^2/8 * sup|f''| = eps.  Raises CertificateError when y is not
     finite, the grid needs more than max_points knots, or its step is below
@@ -286,28 +286,22 @@ def relu_approximate(f: Activation, y: Interval, eps: float, *, max_points: int 
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if f == RELU:
-        return ReluSum(((1.0, 0.0, 1.0),))
-    if f == ID:
-        return ReluSum(((1.0, 0.0, 1.0), (-1.0, 0.0, -1.0)))
     if isinstance(f, ReluSum):
         return f
     if isinstance(f, PiecewiseLinear):
         return pl_to_relu_sum(f)
     if isinstance(f, Merged):
         raise ValueError("merged activations have no closed-form approximant")
+    if f in _EXACT:
+        return ReluSum(_EXACT[f])
     if not math.isfinite(y.width):
         raise CertificateError(f"no {eps:g}-certificate on the unbounded interval {y}")
-    if f == ABS:
-        xs = np.unique([y.lo, min(max(y.lo, 0.0), y.hi), y.hi])
-    else:
-        xs = np.linspace(y.lo, y.hi, _grid_cells(f, y, eps, max_points) + 1)
-        if not (np.diff(xs) > 0.0).all():
-            raise CertificateError(
-                f"a {eps:g}-certificate on {y} needs a grid step below the float spacing"
-            )
-    pl = PiecewiseLinear(tuple(zip(xs.tolist(), apply_vec(f, xs).tolist())))
-    return pl_to_relu_sum(pl)
+    xs = np.linspace(y.lo, y.hi, _grid_cells(f, y, eps, max_points) + 1)
+    if not (np.diff(xs) > 0.0).all():
+        raise CertificateError(
+            f"a {eps:g}-certificate on {y} needs a grid step below the float spacing"
+        )
+    return _hinges(xs, apply_vec(f, xs))
 
 
 def _grid_cells(f: Named, y: Interval, eps: float, max_points: int) -> int:
@@ -415,7 +409,14 @@ def _finite_rows(rows) -> tuple[tuple[float, ...], ...]:
     return rows
 
 
-def activation_from_json(obj: dict) -> Activation:
+# The deepest merged nesting activation_from_json accepts.  Evaluation recurses
+# once per level; the compiler writes at most 4 levels for parsed input, one
+# per catalog function after the first on a level.
+_MERGE_DEPTH_LIMIT = 32
+
+
+def activation_from_json(obj: dict, *, depth: int = 0) -> Activation:
+    """The activation of an activation_to_json object inside depth merged levels."""
     kind = obj["kind"]
     if kind == "named":
         return Named(obj["name"])
@@ -424,10 +425,12 @@ def activation_from_json(obj: dict) -> Activation:
     if kind == "relusum":
         return ReluSum(_finite_rows(obj["terms"]))
     if kind == "merged":
+        if depth == _MERGE_DEPTH_LIMIT:
+            raise ValueError(f"merged activations nest deeper than {_MERGE_DEPTH_LIMIT} levels")
         return Merged(
-            activation_from_json(obj["left"]),
+            activation_from_json(obj["left"], depth=depth + 1),
             obj["M"],
-            activation_from_json(obj["right"]),
+            activation_from_json(obj["right"], depth=depth + 1),
             obj["m"],
         )
     raise ValueError(f"unknown activation kind {kind!r}")

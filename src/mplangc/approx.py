@@ -136,9 +136,12 @@ class ApplyRecord:
     proven: float  # the interpolation error at the grid step + L * e's proven error
 
     def to_json(self) -> dict:
+        # An unbounded end, which only an exact function (relu, id, abs)
+        # accepts, is written as null: the report is strict JSON.
+        lo, hi = (v if math.isfinite(v) else None for v in (self.interval.lo, self.interval.hi))
         return {
             "function": self.function,
-            "interval": [self.interval.lo, self.interval.hi],
+            "interval": [lo, hi],
             "eps": self.eps,
             "knots": self.knots,
             "m2": self.m2,

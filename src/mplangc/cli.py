@@ -10,7 +10,8 @@ Exit codes (fixed for scripting):
      .json or names an existing path and cannot be read as a file, an
      input file that is not UTF-8, a graph, feature or network file whose
      JSON is nested too deeply, NaN or infinite feature values or network
-     numbers, a malformed graph, feature or network file)
+     numbers, a network activation of more than 32 nested merged levels, a
+     malformed graph, feature or network file)
   2  arity or dimension mismatch (a negative --arity too)
   3  mode or configuration error (inapplicable mode, pointwise or
      addition-free mode for more than one expression, bad --box, a --box
@@ -18,10 +19,12 @@ Exit codes (fixed for scripting):
      positive and finite, --trials < 1, --seed < 0, a negative
      --degree-bound, a --tolerance or --abs-tolerance that is negative or
      not finite, a result with no JSON form because it is not finite, a
-     check with non-finite operand values and no finite failure, compile
-     bounds that are not finite, out of memory, ...)
-  4  no approximation certificate (an unbounded argument image, a grid of
-     more than 4097 knots, or a grid step below the float spacing)
+     check with non-finite operand values and no finite failure, an approx
+     whose sampled values are not finite, compile bounds that are not finite,
+     out of memory, ...)
+  4  no approximation certificate for sin, tanh or sigmoid (an unbounded
+     argument image, a grid of more than 4097 knots, or a grid step below the
+     float spacing)
   5  equivalence check failed (a witness instance is printed; an output
      value of the witness node that is not finite is written as null)
 
@@ -220,8 +223,14 @@ def cmd_approx(args) -> int:
     _check_at_least("--seed", args.seed, 0)
     box = _parse_box(args.box)
     results, report = approximate_all(exprs, args.degree_bound, box, args.epsilon)
-    rho = max(uniform_distance_estimates(
-        exprs, results, args.degree_bound, box, args.trials, args.seed))
+    # As in check, a sampled value that is not finite (NaN, or an overflow)
+    # cannot be judged: it exits 3, and numpy's overflow warnings are silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhos = uniform_distance_estimates(
+            exprs, results, args.degree_bound, box, args.trials, args.seed)
+    if not all(map(math.isfinite, rhos)):
+        print("approx error: sampled values are not finite (NaN or overflow)", file=sys.stderr)
+        return 3
     text = "\n".join(format_expr(r) for r in results)
     if args.out:
         with open(args.out, "w") as fh:
@@ -229,7 +238,7 @@ def cmd_approx(args) -> int:
         _write_json(report.to_json(), args.out + ".report.json")
     else:
         print(text)
-    print(f"rho_hat = {rho!r} (sampled over {args.trials} instances, eps = {args.epsilon!r}),"
+    print(f"rho_hat = {max(rhos)!r} (sampled over {args.trials} instances, eps = {args.epsilon!r}),"
           f" proven eps = {max(report.proven_eps)!r}")
     if args.compile:
         # The approximants are ReLU-only, so relu mode needs no bounds.

@@ -160,25 +160,27 @@ def merge_layers(a: Layer, b: Layer, p: int, box_a: DomainBox,
 
 
 def _merged_layer(lyr: Layer, groups: list[tuple[Activation, int]], p: int | None,
-                  box: DomainBox | None) -> tuple[Layer, DomainBox | None]:
+                  box: DomainBox | None) -> tuple[Layer, DomainBox | None, list[float]]:
     """lyr with its row groups' activations (each with the row its group ends
-    before) merged into one by a left fold, and given p and a box, the box of
-    its outputs.  One bound pass gives each row's weighted sum without bias;
-    each fold step and the box read their bounds off it and the biases."""
+    before) merged into one by a left fold; given p and a box, the box of its
+    outputs; and the bias shift each group got, left to right ([] without a
+    merge).  One bound pass gives each row's weighted sum without bias; each
+    fold step and the box read their bounds off it and the biases."""
     (act, start), *rest = groups
     if box is None:  # only a route with a box has several activations
-        return Layer(lyr.w_self, lyr.w_neigh, lyr.bias, act), None
+        return Layer(lyr.w_self, lyr.w_neigh, lyr.bias, act), None, []
     sums = layer_output_bounds(Layer(lyr.w_self, lyr.w_neigh, np.zeros(len(lyr.bias)), ID), p, box)
-    bias = lyr.bias
+    bias, shifts = lyr.bias, [0.0]
     for f, end in rest:
         upper = float(np.max(sums.hi[:start] + bias[:start]))
         lower = float(np.min(sums.lo[start:end] + bias[start:end]))
         head, tail, act = _merge_shift(act, bias[:start], upper, f, bias[start:end], lower)
         bias, start = np.concatenate([head, tail, bias[end:]]), end
+        shifts = [s - (upper + 1.0) for s in shifts] + [1.0 - lower]
     lo, hi = sums.lo + bias, sums.hi + bias
     _require_finite(np.isfinite(lo), np.isfinite(hi))
     images = (interval_image(act, Interval(a, b)) for a, b in zip(lo.tolist(), hi.tolist()))
-    return Layer(lyr.w_self, lyr.w_neigh, bias, act), DomainBox(tuple(images))
+    return Layer(lyr.w_self, lyr.w_neigh, bias, act), DomainBox(tuple(images)), shifts if rest else []
 
 
 # -- the levelled channel scheduler -------------------------------------------------------
@@ -340,14 +342,15 @@ class _Channels:
             read = [c for ch in chans for c, _ in (*rows[ch].self_w, *rows[ch].neigh_w)]
         return live[::-1]
 
-    def network(self, roots: list[_Form], p: int | None = None,
-                box: DomainBox | None = None) -> tuple[Mpnn, list[DomainBox] | None]:
-        """One layer per level, then an id-layer with a row per root, and
-        given a degree bound p and an input box, the box of each layer's
-        outputs (None without them).  Only live rows are kept, and a level's
-        activations are merged into one (see _merged_layer).  If every root is
-        one channel of the top level, the read-out is fused away: the last
-        layer and its box keep their rows picked in root order.
+    def network(self, roots: list[_Form], p: int | None = None, box: DomainBox | None = None
+                ) -> tuple[Mpnn, list[DomainBox] | None, list[list[float]]]:
+        """One layer per level, then an id-layer with a row per root; given a
+        degree bound p and an input box, the box of each layer's outputs (None
+        without them); and each layer's merge shifts.  Only live rows are
+        kept, and a level's activations are merged into one (see
+        _merged_layer).  If every root is one channel of the top level, the
+        read-out is fused away: the last layer and its box keep their rows
+        picked in root order.
         """
         top = max(f.level for f in roots)
         roots = [self.lifted(f, top) for f in roots]
@@ -364,20 +367,21 @@ class _Channels:
         if not fused:
             out = [_Row(tuple(f.self_w.items()), tuple(f.neigh_w.items()), f.bias, ID) for f in roots]
             levels.append(_matrix_layer(out, position, width))
-        layers, boxes = [], []
+        layers, boxes, shifts = [], [], []
         for k, (lyr, groups) in enumerate(levels, 1):
             try:
-                lyr, box = _merged_layer(lyr, groups, p, box)
+                lyr, box, shift = _merged_layer(lyr, groups, p, box)
             except ModeError as exc:
                 raise ModeError(f"layer {k}: {exc}") from None
             layers.append(lyr)
             boxes.append(box)
+            shifts.append(shift)
         if fused:
             last, picks = layers.pop(), [position[c] for f in roots for c in f.self_w]
             layers.append(Layer(last.w_self[picks], last.w_neigh[picks], last.bias[picks],
                                 last.activation))
             boxes[-1] = box and DomainBox(tuple(box.intervals[i] for i in picks))
-        return Mpnn(tuple(layers)), None if box is None else boxes
+        return Mpnn(tuple(layers)), None if box is None else boxes, shifts
 
 
 def _matrix_layer(rows: list[_Row], position: list[int],
@@ -399,10 +403,12 @@ def _matrix_layer(rows: list[_Row], position: list[int],
 
 
 def _schedule(roots: tuple[Expr, ...], d: int, mode: str, p: int | None = None,
-              box: DomainBox | None = None) -> tuple[Mpnn, list[DomainBox] | None]:
+              box: DomainBox | None = None
+              ) -> tuple[Mpnn, list[DomainBox] | None, list[list[float]]]:
     """The roots' network on the route named by mode, from one fold over their
-    DAG, and its layers' boxes if p and box are given.  The arguments are
-    checked first: the arity, then the bounds, then the mode."""
+    DAG, its layers' boxes if p and box are given, and their merge shifts.
+    The arguments are checked first: the arity, then the bounds, then the
+    mode."""
     traits = classify_all(roots)
     if traits.max_projection > d:
         raise ArityError(f"expression uses projections beyond arity {d}")
@@ -490,17 +496,8 @@ class CompileReport:
         return asdict(self)
 
 
-def _shifts(act: Activation) -> list[float]:
-    """The bias shift of each function a merged activation embeds, left to right."""
-    if not isinstance(act, Merged):
-        return [0.0]
-    return ([s - (act.left_max + 1.0) for s in _shifts(act.left)]
-            + [s + (1.0 - act.right_min) for s in _shifts(act.right)])
-
-
-def _report(mode: str, net: Mpnn, boxes: list[DomainBox] | None) -> CompileReport:
-    shifts = [_shifts(lyr.activation) if isinstance(lyr.activation, Merged) else []
-              for lyr in net.layers]
+def _report(mode: str, net: Mpnn, boxes: list[DomainBox] | None,
+            shifts: list[list[float]]) -> CompileReport:
     return CompileReport(
         mode=mode,
         layers=len(net.layers),
@@ -541,8 +538,8 @@ def compile_all(roots: Iterable[Expr], d: int, env: CompileEnv) -> tuple[Mpnn, C
                 "no exact mode applies everywhere; supply --degree-bound and "
                 "--box for bounded compilation, or approximate first"
             )
-    net, boxes = _schedule(roots, d, mode, env.degree_bound, env.box)
-    return net, _report(mode, net, boxes)
+    net, boxes, shifts = _schedule(roots, d, mode, env.degree_bound, env.box)
+    return net, _report(mode, net, boxes, shifts)
 
 
 def compile_expr(e: Expr, d: int, env: CompileEnv) -> tuple[Mpnn, CompileReport]:

@@ -44,14 +44,14 @@ import math
 import re
 import string
 
-from .activations import Named, _NAMED
+from .activations import ABS, ID, RELU, SIGMOID, SIN, TANH
 from .expressions import Add, Apply, Diamond, Expr, Proj, Scale, const
 
 __all__ = ["parse", "MPLangSyntaxError"]
 
 # One activation object per catalog name, shared by every parse, so a parsed
 # expression holds no copy of it per application.
-_FUNCTIONS = {name: Named(name) for name in _NAMED}
+_FUNCTIONS = {f.name: f for f in (ID, RELU, TANH, SIGMOID, SIN, ABS)}
 
 
 class MPLangSyntaxError(ValueError):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from mplangc.activations import ABS, RELU, SIGMOID, SIN, TANH
+from mplangc.activations import ABS, RELU, SIGMOID, SIN, TANH, Merged
 from mplangc.expressions import Add, Apply, Diamond, One, Proj, Scale, _build
 from mplangc.graphs import random_union
 from mplangc.mpnn import Layer, Mpnn
@@ -46,6 +46,20 @@ def deep_mpnn(seed, layers=5, width=3, input_arity=2):
               rng.uniform(-1.0, 1.0, arities[k + 1]),
               activations[k % len(activations)])
         for k in range(layers)))
+
+
+def layer_merge_shifts(net):
+    """Each layer's merge shifts as the compile report gave them before the
+    scheduler reported its own: re-derived from the merged activation's tree,
+    [] for a layer without a merge.  An oracle for CompileReport.shifts."""
+    def shifts(act):
+        if not isinstance(act, Merged):
+            return [0.0]
+        return ([s - (act.left_max + 1.0) for s in shifts(act.left)]
+                + [s + (1.0 - act.right_min) for s in shifts(act.right)])
+
+    return [shifts(lyr.activation) if isinstance(lyr.activation, Merged) else []
+            for lyr in net.layers]
 
 
 def assert_close(actual, expected, rtol=1e-9, floor=1e-12, context=""):

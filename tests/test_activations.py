@@ -27,6 +27,7 @@ from mplangc.activations import (
     pl_to_relu_sum,
     relu_approximate,
 )
+from mplangc.activations import _grid_cells
 from mplangc.errors import CertificateError
 from mplangc.intervals import Interval
 
@@ -236,6 +237,63 @@ def test_pl_to_relu_sum_breakpoints_and_midpoints():
         assert apply(rs, x) == pytest.approx(apply(pl, x), abs=1e-12)
 
 
+def _per_knot_hinges(points):
+    """The per-knot loop that pl_to_relu_sum and relu_approximate ran before
+    their one numpy step, kept as an oracle for their terms, bit for bit."""
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    terms = [(0.0, -1.0, ys[0])] if ys[0] != 0.0 else []
+    prev_slope = 0.0
+    for j in range(len(xs)):
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) if j < len(xs) - 1 else 0.0
+        if slope - prev_slope != 0.0:
+            terms.append((1.0, xs[j], slope - prev_slope))
+        prev_slope = slope
+    return tuple(terms)
+
+
+@pytest.mark.parametrize("points", [
+    ((0.0, 0.0),),  # a single knot at zero: no terms
+    ((1.5, -2.5),),  # a single knot: one level term
+    ((-1.0, 0.0), (0.0, 0.0), (2.0, 0.0)),  # all zero
+    ((-3.0, -1.5), (-1.0, -0.5), (0.0, 0.0), (1.0, 0.5), (4.0, 2.0)),  # one repeated slope
+    ((-2.0, 1.0), (0.0, -1.0), (1.0, -1.0), (1.5, 2.0), (3.0, 2.0)),
+])
+def test_hinges_match_the_per_knot_loop(points):
+    assert repr(pl_to_relu_sum(PiecewiseLinear(points)).terms) == repr(_per_knot_hinges(points))
+
+
+# Knots a subnormal step apart overflow a slope to inf, in both forms alike.
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    xs=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12, unique=True),
+    ys=st.lists(st.sampled_from([0.0, 1.0, -2.5]) | st.floats(-10.0, 10.0),
+                min_size=12, max_size=12),
+    collinear=st.booleans(),
+)
+def test_hinges_match_the_per_knot_loop_on_random_knots(xs, ys, collinear):
+    xs = sorted(xs)
+    ys = [0.5 * x - 1.0 for x in xs] if collinear else ys[:len(xs)]
+    points = tuple(zip(xs, ys))
+    assert repr(pl_to_relu_sum(PiecewiseLinear(points)).terms) == repr(_per_knot_hinges(points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f=st.sampled_from([SIN, TANH, SIGMOID]),
+    lo=st.sampled_from([0.0, -math.pi]) | st.floats(-50.0, 50.0),
+    width=st.sampled_from([0.0]) | st.floats(1e-3, 50.0),
+    eps=st.floats(1e-4, 1.0),
+)
+def test_interpolants_match_the_per_knot_loop(f, lo, width, eps):
+    # tanh and sin are 0 at 0, so a grid from 0 has no level term; width 0 is one knot.
+    y = Interval(lo, lo + width)
+    xs = np.linspace(y.lo, y.hi, _grid_cells(f, y, eps, 4097) + 1)
+    oracle = _per_knot_hinges(tuple(zip(xs.tolist(), apply_vec(f, xs).tolist())))
+    assert repr(relu_approximate(f, y, eps).terms) == repr(oracle)
+
+
 # -- relu_approximate ---------------------------------------------------------------
 
 def test_relu_approximate_relu_exact():
@@ -245,6 +303,17 @@ def test_relu_approximate_relu_exact():
 def test_relu_approximate_id_exact():
     rs = relu_approximate(ID, Interval(-5.0, 5.0), 0.5)
     assert rs == IDENTITY_SUM
+
+
+@pytest.mark.parametrize("y", [
+    Interval(-1.0, 2.0), Interval(0.5, 3.0), Interval(-4.0, -1.0), Interval(0.0, 0.0),
+    Interval(-math.inf, math.inf), Interval(0.0, math.inf),  # unbounded: no grid needed
+])
+def test_relu_approximate_abs_is_exact_on_the_whole_line(y):
+    g = relu_approximate(ABS, y, 0.1)
+    assert g == ReluSum(((1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)))
+    xs = np.concatenate([np.linspace(-1e6, 1e6, 2001), [-0.0, 5e-324, 1e300, -1e300]])
+    assert np.array_equal(apply_vec(g, xs), np.abs(xs))
 
 
 def test_relu_approximate_sin_certificate():
@@ -395,6 +464,24 @@ def test_interpolation_error_is_the_bound_at_the_grid_step():
 @pytest.mark.parametrize("f", CATALOG, ids=str)
 def test_activation_json_roundtrip(f):
     assert activation_from_json(activation_to_json(f)) == f
+
+
+def _nested_merge(levels, side):
+    obj = activation_to_json(TANH)
+    for _ in range(levels):
+        obj = {"kind": "merged", side: obj, "M": 1.0, "m": -1.0,
+               ("right" if side == "left" else "left"): activation_to_json(SIN)}
+    return obj
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_activation_from_json_bounds_the_merged_nesting(side):
+    f = activation_from_json(_nested_merge(32, side))
+    for _ in range(32):
+        f = getattr(f, side)
+    assert f == TANH
+    with pytest.raises(ValueError, match="merged activations nest deeper than 32 levels"):
+        activation_from_json(_nested_merge(33, side))
 
 
 def test_named_catalog_is_closed():

@@ -822,6 +822,54 @@ def test_check_with_overflowing_operands_is_not_a_pass(capsys):
     assert "PASS" not in out and "not finite" in err
 
 
+@pytest.mark.parametrize("f", ["relu", "abs"])
+def test_approx_with_overflowing_samples_exits_3(tmp_path, capsys, f):
+    # relu and abs are their own exact ReLU forms, so the unbounded image needs
+    # no certificate; the samples of 1e300*P1 overflow, and nothing is judged.
+    # As in check, the command says so in one line, with no numpy warning.
+    out = tmp_path / "approx.mplang"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["approx", "--expr", f"{f}(1e300*P1)", "--box", "[[-1e10,1e10]]",
+                   "--degree-bound", "1", "--epsilon", "0.1", "--out", str(out)])
+    assert rc == 3
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "approx error: sampled values are not finite (NaN or overflow)\n"
+
+
+def test_approx_of_abs_on_an_unbounded_image_writes_its_report(tmp_path, capsys):
+    # Interval arithmetic overflows to [-inf, inf] though every value is finite;
+    # abs needs no grid there, and the record's unbounded ends are null.
+    out = tmp_path / "approx.mplang"
+    rc = main(["approx", "--expr", "abs(1e308*P1 + -1e308*P1 + 1e308*P1)", "--box", "[[-1,1]]",
+               "--degree-bound", "1", "--epsilon", "0.1", "--out", str(out)])
+    assert rc == 0
+    assert "rho_hat = 0.0" in capsys.readouterr().out
+    report = json.loads((tmp_path / "approx.mplang.report.json").read_text())
+    assert report["applications"][0]["interval"] == [None, None]
+    assert report["proven_eps"] == [0.0]
+
+
+def test_check_of_a_network_with_too_deeply_merged_activations_is_an_input_error(
+        tmp_path, capsys):
+    # 300 merged levels decode as JSON, but evaluating them would recurse
+    # once per level; 32 levels are the most a network file may hold.
+    sigma = {"kind": "named", "name": "relu"}
+    for _ in range(300):
+        sigma = {"kind": "merged", "left": sigma, "M": 1.0,
+                 "right": {"kind": "named", "name": "tanh"}, "m": -1.0}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"input_arity": 1, "layers": [
+        {"W1": [[1.0]], "W2": [[0.0]], "b": [0.0], "sigma": sigma}]}))
+    assert main(["check", str(path), "P1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("input error: malformed network: merged activations nest deeper"
+                            " than 32 levels\n")
+    assert captured.out == ""
+
+
 def test_out_of_memory_is_a_configuration_error(monkeypatch, tmp_path, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from helpers import assert_close, batch_instances
+from helpers import assert_close, batch_instances, layer_merge_shifts
 from mplangc.activations import (
     ABS, ID, RELU, SIGMOID, SIN, TANH, Merged, apply_vec, interval_image, merge,
 )
@@ -496,6 +496,7 @@ def test_report_bounds_equal_the_networks_layer_by_layer_bounds(texts, p):
     net, report = compile_all([parse(t) for t in texts], 2, CompileEnv(degree_bound=p, box=box))
     assert report.mode in ("mixed", "relu") and net.output_arity == len(texts)
     assert report.bounds == _propagated(net, p, box)
+    assert repr(report.shifts) == repr(layer_merge_shifts(net))
 
 
 def test_each_layer_is_bounded_once_in_one_pass(monkeypatch):

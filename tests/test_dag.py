@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_close, batch_instances, deep_mpnn, tree_copy
+from helpers import assert_close, batch_instances, deep_mpnn, layer_merge_shifts, tree_copy
 from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH, Merged, Named
 from mplangc.approx import approximate_all, image_bounds, uniform_distance_estimates
 from mplangc.cli import main
@@ -24,6 +24,7 @@ from mplangc.compiler import (
     CompileEnv,
     _Channels,
     compile_addition_free,
+    compile_all,
     compile_expr,
     compile_mixed,
     compile_pointwise,
@@ -55,7 +56,7 @@ from mplangc.generate import MIXED_FUNCTIONS, random_expr, random_relu_expr
 from mplangc.graphs import FeatureMap, Graph, features_to_json, graph_to_json
 from mplangc.interpreter import eval_expr, eval_tuple
 from mplangc.intervals import DomainBox, Interval
-from mplangc.mpnn import Layer, Mpnn, eval_mpnn
+from mplangc.mpnn import Layer, Mpnn, eval_mpnn, mpnn_to_json
 from mplangc.parser import parse
 from mplangc.translate import mpnn_to_mplang
 
@@ -265,6 +266,9 @@ def test_mixed_networks_merge_once_per_level_and_agree_with_the_interpreter(
     e = MIXED_SHARING_FORMS[form](random_expr(rng, depth, d, functions=MIXED_FUNCTIONS))
     box = DomainBox.cube(-1.0, 1.0, d)
     net = compile_mixed(e, d, p, box)
+    reported, report = compile_all([e], d, CompileEnv("mixed", p, box))
+    assert mpnn_to_json(reported) == mpnn_to_json(net)
+    assert repr(report.shifts) == repr(layer_merge_shifts(net))
     union, fm = batch_instances(p, box, 20, seed)
     # assert_close's defaults are test_acceptance's RTOL and FLOOR.
     assert_close(eval_mpnn(net, union, fm).values[:, 0], eval_expr(e, union, fm))
@@ -410,7 +414,7 @@ def test_compile_relu_tuple_forms_each_distinct_node_once(monkeypatch):
     fold_all(t.components, lambda node, kids: nodes.append(node))
     # Folding each root on its own gives the same channels, in the same order.
     channels = _Channels(t.input_arity, RELU)
-    per_root, _ = channels.network([fold(c, channels.form) for c in t.components])
+    per_root, _, _ = channels.network([fold(c, channels.form) for c in t.components])
     calls = []
     form = _Channels.form
     monkeypatch.setattr(_Channels, "form",

@@ -106,3 +106,15 @@ def test_every_public_definition_is_named_elsewhere():
                                 for word in re.findall(r"\w+", path.read_text()))
     assert sorted(name for name in defined if not name.startswith("_")
                   and named[name] <= defined[name] + listed[name]) == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    # A private name belongs to its module; another module that needs the
+    # value imports a public name instead.
+    found = [f"{path.name}: {alias.name}"
+             for path in sorted((ROOT / "src" / "mplangc").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").startswith("mplangc"))
+             for alias in node.names if alias.name.startswith("_")]
+    assert found == []
