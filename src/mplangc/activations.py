@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Union
 
 import numpy as np
@@ -143,8 +143,7 @@ def apply_vec(f: Activation, x: np.ndarray) -> np.ndarray:
             return np.sin(x)
         return np.abs(x)
     if isinstance(f, PiecewiseLinear):
-        xs = np.array([p[0] for p in f.points])
-        ys = np.array([p[1] for p in f.points])
+        xs, ys = np.array(f.points).T
         return np.interp(x, xs, ys)
     if isinstance(f, ReluSum):
         out = np.zeros_like(x)
@@ -195,8 +194,7 @@ def interval_image(f: Activation, y: Interval) -> Interval:
         lo = hi = 0.0
         for a, b, c in f.terms:
             inner = y.scale(a).shift(-b)
-            clamped = Interval(max(0.0, inner.lo), max(0.0, inner.hi))
-            term = clamped.scale(c)
+            term = Interval(max(0.0, inner.lo), max(0.0, inner.hi)).scale(c)
             lo += term.lo
             hi += term.hi
         return Interval(lo, hi)
@@ -231,10 +229,7 @@ def _merged_interval(f: Merged, y: Interval) -> Interval:
         xs = (max(y.lo, -1.0), min(y.hi, 1.0))
         a, b = apply_vec(f, np.array(xs)).tolist()
         pieces.append(Interval(min(a, b), max(a, b)))
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out = out.hull(piece)
-    return out
+    return reduce(Interval.hull, pieces)
 
 
 # -- constructions -------------------------------------------------------------
@@ -250,10 +245,13 @@ def pl_to_relu_sum(f: PiecewiseLinear) -> ReluSum:
     return _hinges(*np.array(f.points).T)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _hinges(xs: np.ndarray, ys: np.ndarray) -> ReluSum:
     """The ReLU combination of the broken line through the knots (xs, ys), xs
     strictly increasing, constant beyond the extremes: the level left of the
     first knot is c*relu(0*x + 1), and each slope change a hinge at its knot."""
+    # Knots a subnormal step apart give an inf slope, quietly, as float
+    # arithmetic does; the errstate keeps numpy from warning about it.
     # Slices difference the arrays as np.diff would, without its per-call
     # overhead, which costs more than the arithmetic on a grid of a few knots.
     slopes = np.zeros(len(xs) + 1)  # 0 beyond the extremes
@@ -415,8 +413,13 @@ def _finite_rows(rows) -> tuple[tuple[float, ...], ...]:
 _MERGE_DEPTH_LIMIT = 32
 
 
-def activation_from_json(obj: dict, *, depth: int = 0) -> Activation:
-    """The activation of an activation_to_json object inside depth merged levels."""
+def activation_from_json(obj: dict) -> Activation:
+    """The activation of an activation_to_json object, nested at most _MERGE_DEPTH_LIMIT deep."""
+    return _activation_from_json(obj, 0)
+
+
+def _activation_from_json(obj: dict, depth: int) -> Activation:
+    """activation_from_json of an object inside depth merged levels."""
     kind = obj["kind"]
     if kind == "named":
         return Named(obj["name"])
@@ -428,9 +431,9 @@ def activation_from_json(obj: dict, *, depth: int = 0) -> Activation:
         if depth == _MERGE_DEPTH_LIMIT:
             raise ValueError(f"merged activations nest deeper than {_MERGE_DEPTH_LIMIT} levels")
         return Merged(
-            activation_from_json(obj["left"], depth=depth + 1),
+            _activation_from_json(obj["left"], depth + 1),
             obj["M"],
-            activation_from_json(obj["right"], depth=depth + 1),
+            _activation_from_json(obj["right"], depth + 1),
             obj["m"],
         )
     raise ValueError(f"unknown activation kind {kind!r}")

@@ -485,9 +485,11 @@ class CompileReport:
     # Per layer, the box of its outputs, one [lo, hi] pair per row (None
     # without a degree bound and a box).
     bounds: list[list[list[float]]] | None
-    # Per layer, the bias shift each function of its merged activation got,
-    # left to right ([] without a merge), and the ulp of the largest |shift|:
-    # a bound on the rounding each shift adds to a pre-activation value.
+    # Per layer, the bias shift each group of rows got when this compile
+    # merged the groups' activations, left to right ([] where it merged none),
+    # and the ulp of the largest |shift|: a bound on the rounding each shift
+    # adds to a pre-activation value.  An activation that was merged already
+    # in the input is one group, and its inner shifts are not listed.
     shifts: list[list[float]]
     shift_ulps: list[float]
 

@@ -258,13 +258,16 @@ def _per_knot_hinges(points):
     ((-1.0, 0.0), (0.0, 0.0), (2.0, 0.0)),  # all zero
     ((-3.0, -1.5), (-1.0, -0.5), (0.0, 0.0), (1.0, 0.5), (4.0, 2.0)),  # one repeated slope
     ((-2.0, 1.0), (0.0, -1.0), (1.0, -1.0), (1.5, 2.0), (3.0, 2.0)),
+    ((0.0, 0.0), (5e-324, 1.0), (1e-323, 2.0)),  # subnormal steps: inf slopes, a nan turn
+    ((0.0, -1e308), (1.0, 1e308)),  # the rise overflows
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # quiet, as the loop's float arithmetic was
 def test_hinges_match_the_per_knot_loop(points):
     assert repr(pl_to_relu_sum(PiecewiseLinear(points)).terms) == repr(_per_knot_hinges(points))
 
 
-# Knots a subnormal step apart overflow a slope to inf, in both forms alike.
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+# Knots a subnormal step apart overflow a slope to inf, in both forms alike, with no warning.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(
     xs=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12, unique=True),

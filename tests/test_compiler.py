@@ -20,7 +20,7 @@ from mplangc.compiler import (
     merge_layers,
 )
 from mplangc.errors import ArityError, ModeError
-from mplangc.expressions import ExprTuple, classify
+from mplangc.expressions import Add, Apply, ExprTuple, Proj, classify
 from mplangc.fixtures import oracle_t2, oracle_t4
 from mplangc.graphs import FeatureMap, Graph, random_graph, random_features
 from mplangc.intervals import DomainBox, Interval
@@ -497,6 +497,21 @@ def test_report_bounds_equal_the_networks_layer_by_layer_bounds(texts, p):
     assert report.mode in ("mixed", "relu") and net.output_arity == len(texts)
     assert report.bounds == _propagated(net, p, box)
     assert repr(report.shifts) == repr(layer_merge_shifts(net))
+
+
+# Activations merged already in the input, as mpnn_to_mplang of a mixed network gives them.
+_INHERITED, _TANH = Apply(merge(TANH, -1.0, SIN, 1.0), Proj(1)), Apply(TANH, Proj(1))
+
+
+@pytest.mark.parametrize("root, shifts", [
+    (_INHERITED, [[]]),  # pointwise: the compile merges nothing
+    (Add(_TANH, _INHERITED), [[-2.0, 2.0], []]),  # the inherited merge is one group,
+    (Add(_INHERITED, _TANH), [[-2.0, 2.0], []]),  # on either side
+])
+def test_report_shifts_are_the_ones_the_compile_applied(root, shifts):
+    _, report = compile_all([root], 1, CompileEnv(degree_bound=1, box=DomainBox.cube(-1.0, 1.0, 1)))
+    assert report.merged_activations == 1
+    assert report.shifts == shifts
 
 
 def test_each_layer_is_bounded_once_in_one_pass(monkeypatch):
