@@ -53,7 +53,6 @@ from .expressions import (
     One,
     Proj,
     Scale,
-    arity_check,
     classify,
     fold,
     fold_all,

@@ -1,12 +1,12 @@
 """Uniform approximation of arbitrary expressions by ReLU-only ones.
 
 Every function application is replaced by a finite ReLU combination accurate
-on an interval covering its argument's image.  The nodes' traits tell the
-exact (ReLU-only) ones and the roots' largest projection, checked against the
-box first.  A first fold over the shared DAG gives its post-order, a second
-bounds the arguments that get interpolants.  The error budget ε is then split
-in two passes.  A top-down pass, parents before children, gives each distinct
-node the smallest ε that any of its parents demands:
+on an interval covering its argument's image.  An ``ExprTuple`` of the roots
+over the box's dimension checks their arity, and the nodes' traits tell the
+exact (ReLU-only) ones.  A first fold over the shared DAG gives its post-order,
+a second bounds the arguments that get interpolants.  The error budget ε is
+then split in two passes.  A top-down pass, parents before children, gives
+each distinct node the smallest ε that any of its parents demands:
 
 * a maximal + spine is one sum of terms.  An exact (ReLU-only) subtree is one
   term, and an Add with another parent ends the spine.  Exact terms get no
@@ -33,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .activations import (
+    ID,
     RELU,
     ReluSum,
     activation_label,
@@ -43,7 +44,6 @@ from .activations import (
     modulus_delta,
     relu_approximate,
 )
-from .errors import ArityError
 from .expressions import (
     Add,
     Apply,
@@ -56,7 +56,6 @@ from .expressions import (
     const,
     fold,
     fold_all,
-    max_projections,
     scaled,
     sum_terms,
 )
@@ -73,12 +72,6 @@ __all__ = [
     "uniform_distance_estimate",
     "uniform_distance_estimates",
 ]
-
-
-def _check_projections(roots: Sequence[Expr], box: DomainBox) -> None:
-    index = max(max_projections(roots), default=0)
-    if index > box.dimension:
-        raise ArityError(f"projection {index} outside box of dimension {box.dimension}")
 
 
 def _bound(p: int, box: DomainBox):
@@ -105,7 +98,7 @@ def image_bounds(e: Expr, p: int, box: DomainBox) -> Interval:
     """Interval containing every value of e over degree-<=p graphs and box."""
     if p < 0:
         raise ValueError("degree bound must be nonnegative")
-    _check_projections((e,), box)
+    ExprTuple((e,), box.dimension)  # the arity check
     return fold(e, _bound(p, box))
 
 
@@ -120,6 +113,15 @@ def _relu_sum_expr(rs: ReluSum, arg: Expr) -> Expr:
             inner.append(const(-b))
         terms.append(scaled(c, Apply(RELU, sum_terms(inner))))
     return sum_terms(terms)
+
+
+def _breakpoints(rs: ReluSum) -> int:
+    """The distinct x where rs's slope changes; c*relu(a*x - b) turns by |a|*c at b/a."""
+    turns: Counter = Counter()
+    for a, b, c in rs.terms:
+        if a != 0.0:
+            turns[b / a] += abs(a) * c
+    return sum(t != 0.0 for t in turns.values())
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,8 @@ def approximate_all(
     if p < 0:
         raise ValueError("degree bound must be nonnegative")
     roots = tuple(roots)
-    _check_projections(roots, box)
+    if roots:
+        ExprTuple(roots, box.dimension)  # the arity check
 
     # One fold for the post-order, then how many parents (or root slots) read
     # each node; then one fold for the images of the arguments that get
@@ -268,10 +271,10 @@ def approximate_all(
         g, y, budget, delta, lip = plans[node]
         arg, arg_error = kids[0]
         proven = interpolation_error(node.func, y, budget) + lip * arg_error
-        records.append(ApplyRecord(activation_label(node.func), y, budget,
-                                   sum(a != 0.0 for a, _, _ in g.terms), curvature(node.func),
-                                   lip, delta, proven))
-        return _relu_sum_expr(g, arg), proven
+        records.append(ApplyRecord(activation_label(node.func), y, budget, _breakpoints(g),
+                                   curvature(node.func), lip, delta, proven))
+        # id(e) is e: its approximant is e's, with no relu(x) - relu(-x) around it.
+        return arg if node.func == ID else _relu_sum_expr(g, arg), proven
 
     built = fold_all(roots, build)
     report = ApproxReport(eps, tuple(records), tuple(b[1] for b in built))

@@ -12,7 +12,8 @@ Exit codes (fixed for scripting):
      JSON is nested too deeply, NaN or infinite feature values or network
      numbers, a network activation of more than 32 nested merged levels, a
      malformed graph, feature or network file)
-  2  arity or dimension mismatch (a negative --arity too)
+  2  arity or dimension mismatch (a negative --arity too; a compile that breaks
+     the arity exits 2 before any mode error, in auto mode too)
   3  mode or configuration error (inapplicable mode, pointwise or
      addition-free mode for more than one expression, bad --box, a --box
      endpoint or width that is not finite, an --epsilon that is not
@@ -46,7 +47,7 @@ import numpy as np
 from .approx import approximate_all, image_bounds, uniform_distance_estimates
 from .compiler import CompileEnv, CompileReport, compile_all
 from .errors import ArityError, CertificateError, ModeError
-from .expressions import Expr, ExprTuple, format_expr, max_projections
+from .expressions import Expr, ExprTuple, format_expr, max_projection
 from .graphs import (
     FeatureMap,
     Graph,
@@ -185,7 +186,7 @@ def _load_operand(spec: str) -> Operand:
     def run(g: Graph, fm: FeatureMap) -> np.ndarray:
         return eval_tuple(ExprTuple(components, fm.dimension), g, fm).values
 
-    return Operand(max(max_projections(components), default=0), len(components), run)
+    return Operand(max(map(max_projection, components)), len(components), run)
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -207,9 +208,7 @@ def cmd_compile(args) -> int:
     box = _parse_box(args.box) if args.box else None
     d = args.arity
     if d is None:
-        d = box.dimension if box else max(max_projections(exprs))
-    elif d < 0:
-        raise ArityError(f"--arity must be nonnegative, got {d}")
+        d = box.dimension if box else max(map(max_projection, exprs))
     env = CompileEnv(mode=args.mode, degree_bound=args.degree_bound, box=box)
     _write_network(*compile_all(exprs, d, env), args.out)
     return 0

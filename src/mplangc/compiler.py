@@ -9,9 +9,9 @@ neighbour weights.  Rows are stored once per level, so a tree and its shared
 DAG give the same network: one layer per level, then an id-layer reading out
 each root.  Rows that no root reads are dropped.  If every root is exactly
 one channel of the top level, the read-out is fused away and the last layer
-is returned with its rows in root order.  Before the fold, the roots' traits
-(see ``expressions.ExprTraits``) decide the route's ArityError and then its
-ModeError, so each route walks the DAG once, to build.
+is returned with its rows in root order.  Before the fold, ``ExprTuple`` checks
+the arity, and the roots' traits (see ``expressions.ExprTraits``) pick the route
+or refuse it, so each route walks the DAG once, to build.
 
 ``compile_all`` is the one entry: any number of roots, one network with an
 output per root, and its ``CompileReport``; the per-route functions below are
@@ -64,6 +64,7 @@ from .expressions import (
     Add,
     Apply,
     Expr,
+    ExprTraits,
     ExprTuple,
     One,
     Proj,
@@ -402,37 +403,51 @@ def _matrix_layer(rows: list[_Row], position: list[int],
     return Layer(w_self, w_neigh, bias, ID), groups
 
 
+# The routes in the order auto tries them: the exact ones, strongest first,
+# then the bounded one.
+_ROUTES = ("pointwise", "addition-free", "relu", "mixed")
+
+
+def _refusal(mode: str, traits: ExprTraits, roots: int, bounded: bool) -> str | None:
+    """Why the route mode refuses roots expressions with these traits, or None."""
+    if mode not in _ROUTES:
+        return f"unknown mode {mode!r}"
+    if mode == "mixed":
+        return None if bounded else "mixed mode needs a degree bound and a feature box"
+    if mode == "relu":
+        return None if traits.relu_only else "expression applies functions other than relu"
+    if roots != 1:
+        return f"{mode} mode compiles one expression, not {roots}"
+    if not traits.addition_free:
+        return "expression uses +"
+    if mode == "pointwise" and not traits.summation_free:
+        return "expression uses the neighbor-sum operator"
+    return None
+
+
 def _schedule(roots: tuple[Expr, ...], d: int, mode: str, p: int | None = None,
               box: DomainBox | None = None
-              ) -> tuple[Mpnn, list[DomainBox] | None, list[list[float]]]:
-    """The roots' network on the route named by mode, from one fold over their
-    DAG, its layers' boxes if p and box are given, and their merge shifts.
-    The arguments are checked first: the arity, then the bounds, then the
-    mode."""
-    traits = classify_all(roots)
-    if traits.max_projection > d:
-        raise ArityError(f"expression uses projections beyond arity {d}")
+              ) -> tuple[Mpnn, list[DomainBox] | None, list[list[float]], str]:
+    """The roots' network from one fold over their DAG, its layers' boxes if p
+    and box are given, their merge shifts and its route (for auto, the first of
+    _ROUTES that _refusal allows), checked after the arity and the bounds."""
+    ExprTuple(roots, d)  # the arity check
     if p is None or box is None:
-        if mode == "mixed":
-            raise ModeError("mixed mode needs a degree bound and a feature box")
         p = box = None
     elif box.dimension != d:
         raise ArityError(f"box dimension {box.dimension} != input arity {d}")
     elif p < 0:
         raise ValueError("degree bound must be nonnegative")
-    chained = mode in ("addition-free", "pointwise")
-    if mode not in ("relu", "mixed") and not chained:
-        raise ModeError(f"unknown mode {mode!r}")
-    if mode == "relu" and not traits.relu_only:
-        raise ModeError("expression applies functions other than relu")
-    if chained and len(roots) != 1:
-        raise ModeError(f"{mode} mode compiles one expression, not {len(roots)}")
-    if chained and not traits.addition_free:
-        raise ModeError("expression uses +")
-    if mode == "pointwise" and not traits.summation_free:
-        raise ModeError("expression uses the neighbor-sum operator")
-    channels = _Channels(d, ID if chained else RELU)
-    return channels.network(fold_all(roots, channels.form), p, box)
+    traits, n, bounded = classify_all(roots), len(roots), box is not None
+    if mode == "auto":
+        mode = next((m for m in _ROUTES if not _refusal(m, traits, n, bounded)), None)
+        if mode is None:
+            raise ModeError("no exact mode applies everywhere; supply --degree-bound and "
+                            "--box for bounded compilation, or approximate first")
+    elif why := _refusal(mode, traits, n, bounded):
+        raise ModeError(why)
+    channels = _Channels(d, ID if mode in ("addition-free", "pointwise") else RELU)
+    return (*channels.network(fold_all(roots, channels.form), p, box), mode)
 
 
 def compile_relu(e: Expr, d: int) -> Mpnn:
@@ -521,26 +536,11 @@ def _report(mode: str, net: Mpnn, boxes: list[DomainBox] | None,
 def compile_all(roots: Iterable[Expr], d: int, env: CompileEnv) -> tuple[Mpnn, CompileReport]:
     """One network with an output per root, and its report.
 
-    Auto picks the strongest applicable exact route; the chained routes carry
-    one row per layer, so they take a single root.  With a degree bound and a
-    box, the report bounds every layer's outputs.
+    Auto picks the strongest applicable route, exact ones first; the chained
+    routes carry one row per layer, so they take a single root.  With a degree
+    bound and a box, the report bounds every layer's outputs.
     """
-    roots = tuple(roots)
-    mode = env.mode
-    if mode == "auto":
-        traits = classify_all(roots)
-        if len(roots) == 1 and traits.addition_free:
-            mode = "pointwise" if traits.summation_free else "addition-free"
-        elif traits.relu_only:
-            mode = "relu"
-        elif env.degree_bound is not None and env.box is not None:
-            mode = "mixed"
-        else:
-            raise ModeError(
-                "no exact mode applies everywhere; supply --degree-bound and "
-                "--box for bounded compilation, or approximate first"
-            )
-    net, boxes, shifts = _schedule(roots, d, mode, env.degree_bound, env.box)
+    net, boxes, shifts, mode = _schedule(tuple(roots), d, env.mode, env.degree_bound, env.box)
     return net, _report(mode, net, boxes, shifts)
 
 

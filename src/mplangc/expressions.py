@@ -1,4 +1,4 @@
-"""MPLang abstract syntax: six constructors, arity checks, syntactic traits.
+"""MPLang abstract syntax: six constructors, syntactic traits, ExprTuple's arity check.
 
 Expressions are hash-consed DAGs: a constructor returns the one live node with
 its fields, whoever calls it, so equal subterms are one object.  The lookup is
@@ -40,9 +40,7 @@ __all__ = [
     "ExprTraits",
     "fold",
     "fold_all",
-    "arity_check",
     "max_projection",
-    "max_projections",
     "classify",
     "classify_all",
     "children",
@@ -265,7 +263,9 @@ class ExprTuple:
     def __post_init__(self):
         if not self.components:
             raise ValueError("expression tuple must be nonempty")
-        if max(max_projections(self.components)) > self.input_arity:
+        if self.input_arity < 0:
+            raise ArityError(f"--arity must be nonnegative, got {self.input_arity}")
+        if max(map(max_projection, self.components)) > self.input_arity:
             raise ArityError(f"component uses projection beyond arity {self.input_arity}")
 
     @property
@@ -330,16 +330,6 @@ def fold(e: Expr, combine: Callable[[Expr, tuple], T]) -> T:
 def max_projection(e: Expr) -> int:
     """Largest projection index used, 0 if none."""
     return e.traits.max_projection
-
-
-def max_projections(roots: Sequence[Expr]) -> list[int]:
-    """max_projection of each root."""
-    return [r.traits.max_projection for r in roots]
-
-
-def arity_check(e: Expr, d: int) -> bool:
-    """True iff every projection index lies in 1..d."""
-    return max_projection(e) <= d
 
 
 def classify(e: Expr) -> ExprTraits:

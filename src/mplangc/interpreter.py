@@ -1,21 +1,19 @@
 """Reference interpreter: the ground truth every compiler is checked against.
 
-Evaluation is one bottom-up fold over the expression DAG, one for all of a
-tuple's components (see ``expressions.fold_all``), after one arity check from
-the roots' traits: each distinct node is evaluated once, vectorized over the
+Evaluation is one bottom-up fold over the expression DAG, one for all of an
+``ExprTuple``'s components (see ``expressions.fold_all``), whose construction
+checked the arity: each distinct node is evaluated once, vectorized over the
 graph's nodes, and no recursion depth grows with the expression.  The
 neighbor sum follows the graph's deterministic edge order.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .activations import apply_vec
 from .errors import ArityError
-from .expressions import Add, Apply, Expr, ExprTuple, One, Proj, Scale, fold_all, max_projections
+from .expressions import Add, Apply, Expr, ExprTuple, One, Proj, Scale, fold_all
 from .graphs import FeatureMap, Graph
 
 __all__ = ["eval_expr", "eval_tuple"]
@@ -23,7 +21,7 @@ __all__ = ["eval_expr", "eval_tuple"]
 
 def eval_expr(e: Expr, g: Graph, chi: FeatureMap) -> np.ndarray:
     """Per-node value of e on (g, chi); shape (node_count,)."""
-    return _evaluate((e,), g, chi)[0]
+    return _evaluate(ExprTuple((e,), chi.dimension), g, chi)[0]
 
 
 def eval_tuple(t: ExprTuple, g: Graph, chi: FeatureMap) -> FeatureMap:
@@ -36,17 +34,15 @@ def eval_tuple(t: ExprTuple, g: Graph, chi: FeatureMap) -> FeatureMap:
         raise ArityError(
             f"tuple of arity {t.input_arity} applied to {chi.dimension}-dim features"
         )
-    return FeatureMap(np.stack(_evaluate(t.components, g, chi), axis=1))
+    return FeatureMap(np.stack(_evaluate(t, g, chi), axis=1))
 
 
-def _evaluate(roots: Sequence[Expr], g: Graph, chi: FeatureMap) -> list[np.ndarray]:
-    """Per-node value of each root on (g, chi), in one fold over their DAG."""
+def _evaluate(t: ExprTuple, g: Graph, chi: FeatureMap) -> list[np.ndarray]:
+    """Per-node value of each component on (g, chi), in one fold over their DAG."""
     if chi.node_count != g.node_count:
         raise ArityError(
             f"feature map covers {chi.node_count} nodes, graph has {g.node_count}"
         )
-    if max(max_projections(roots), default=0) > chi.dimension:
-        raise ArityError(f"expression needs arity > {chi.dimension}")
     values = chi.values
 
     def ev(node: Expr, kids: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -62,4 +58,4 @@ def _evaluate(roots: Sequence[Expr], g: Graph, chi: FeatureMap) -> list[np.ndarr
             return apply_vec(node.func, kids[0])
         return g.neighbor_sum(kids[0])
 
-    return fold_all(roots, ev)
+    return fold_all(t.components, ev)

@@ -6,8 +6,9 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from helpers import batch_instances, deep_mpnn
-from mplangc.activations import SIN, relu_approximate
+from mplangc.activations import SIN, TANH, relu_approximate
 from mplangc.approx import (
+    _relu_sum_expr,
     approximate,
     approximate_all,
     image_bounds,
@@ -15,7 +16,8 @@ from mplangc.approx import (
     uniform_distance_estimates,
 )
 from mplangc.errors import ArityError, CertificateError
-from mplangc.expressions import Apply, Diamond, One, Scale, classify, classify_all, fold_all
+from mplangc.compiler import compile_relu
+from mplangc.expressions import Apply, Diamond, One, Proj, Scale, classify, classify_all, fold_all
 from mplangc.generate import random_expr
 from mplangc.graphs import Graph
 from mplangc.intervals import DomainBox, Interval
@@ -256,6 +258,31 @@ def test_exact_terms_of_a_sum_take_no_share():
     tanh, sin = report.applications
     assert (sin.eps, sin.interval) == (0.1, image_bounds(parse("<>tanh(P1)"), 3, box).widen(0.1))
     assert tanh.eps == min(sin.delta, 0.1) / 3 and tanh.delta is None
+
+
+def test_an_id_application_is_its_arguments_approximant():
+    box = DomainBox.cube(-1, 1, 1)
+    (out,), report = approximate_all([parse("id(tanh(P1))")], 0, box, 0.1)
+    tanh, ident = report.applications
+    # No relu(x) - relu(-x) around tanh's interpolant, and the same proof.
+    assert out == _relu_sum_expr(relu_approximate(TANH, tanh.interval, tanh.eps), Proj(1))
+    assert [lyr.output_arity for lyr in compile_relu(out, 1).layers] == [4, 1]
+    assert (ident.function, ident.knots, ident.proven) == ("id", 0, tanh.proven)
+    assert report.proven_eps == (tanh.proven,) and tanh.proven == pytest.approx(0.02406, abs=1e-5)
+    (exact,), _ = approximate_all([parse("id(P1)")], 0, box, 0.1)
+    assert exact == parse("P1")
+
+
+def test_knots_count_the_breakpoints_of_each_interpolant():
+    box = DomainBox.cube(-1, 1, 1)
+    _, report = approximate_all([parse("abs(P1) + relu(tanh(P1))")], 0, box, 0.1)
+    abs_, tanh, relu = report.applications
+    assert (abs_.knots, relu.knots) == (1, 1)
+    # A grid's count is its hinges': one per knot where the slope turns.
+    hinges = relu_approximate(TANH, tanh.interval, tanh.eps).terms
+    assert tanh.knots == sum(a != 0.0 for a, _, _ in hinges) == 7
+    _, report = approximate_all([parse("id(tanh(P1))")], 0, box, 0.1)
+    assert [(r.function, r.knots) for r in report.applications] == [("tanh", 4), ("id", 0)]
 
 
 def test_a_shared_subterm_has_one_approximant():

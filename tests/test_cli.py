@@ -102,6 +102,15 @@ def test_compile_arity_error_comes_before_mode_error(capsys):
     assert "arity error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["auto", "pointwise", "addition-free", "relu", "mixed"])
+def test_compile_arity_error_comes_first_in_every_mode(capsys, mode):
+    # tanh(P1) + P2 fits no route without bounds, and P2 is beyond arity 1.
+    assert main(["compile", "--mode", mode, "--expr", "tanh(P1) + P2", "--arity", "1"]) == 2
+    assert main(["compile", "--mode", mode, "--expr", "1", "--arity", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("arity error") == 2
+
+
 def test_compile_auto_sum_layer(capsys):
     rc = main(["compile", "--expr", "<>P1"])
     assert rc == 0

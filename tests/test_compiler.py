@@ -22,6 +22,7 @@ from mplangc.compiler import (
 from mplangc.errors import ArityError, ModeError
 from mplangc.expressions import Add, Apply, ExprTuple, Proj, classify
 from mplangc.fixtures import oracle_t2, oracle_t4
+from mplangc.generate import random_expr
 from mplangc.graphs import FeatureMap, Graph, random_graph, random_features
 from mplangc.intervals import DomainBox, Interval
 from mplangc.interpreter import eval_expr
@@ -558,6 +559,35 @@ def test_auto_mode_sends_a_tuple_past_the_chained_routes():
     for mode in ("pointwise", "addition-free"):
         with pytest.raises(ModeError, match="one expression"):
             compile_all(roots, 1, CompileEnv(mode))
+
+
+def _compiled(roots, d, env):
+    """compile_all's network and report as JSON, or the ModeError it raised."""
+    try:
+        net, report = compile_all(roots, d, env)
+    except ModeError:
+        return ModeError
+    return mpnn_to_json(net), report.to_json()
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+def test_auto_mode_is_the_first_route_that_compiles(bounded):
+    # Auto and the explicit routes go through one refusal rule: auto compiles
+    # exactly as the first of pointwise, addition-free, relu and mixed that
+    # does not refuse, and refuses when all four do.
+    rng = np.random.default_rng(23)
+    bounds = (2, DomainBox.cube(-1.0, 1.0, 2)) if bounded else (None, None)
+    picked = set()
+    for _ in range(100):
+        roots = [random_expr(rng, int(rng.integers(0, 4)), 2)
+                 for _ in range(int(rng.integers(1, 4)))]
+        explicit = (_compiled(roots, 2, CompileEnv(mode, *bounds))
+                    for mode in ("pointwise", "addition-free", "relu", "mixed"))
+        want = next((out for out in explicit if out is not ModeError), ModeError)
+        assert _compiled(roots, 2, CompileEnv("auto", *bounds)) == want
+        picked.add(want if want is ModeError else want[1]["mode"])
+    assert picked == ({"pointwise", "addition-free", "relu", "mixed"} if bounded
+                      else {"pointwise", "addition-free", "relu", ModeError})
 
 
 def test_auto_mode_sum_layer_shape():

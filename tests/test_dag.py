@@ -41,7 +41,6 @@ from mplangc.expressions import (
     Proj,
     Scale,
     _NODES,
-    arity_check,
     children,
     classify,
     classify_all,
@@ -50,7 +49,6 @@ from mplangc.expressions import (
     fold_all,
     format_expr,
     max_projection,
-    max_projections,
 )
 from mplangc.generate import MIXED_FUNCTIONS, random_expr, random_relu_expr
 from mplangc.graphs import FeatureMap, Graph, features_to_json, graph_to_json
@@ -390,7 +388,6 @@ def test_each_route_folds_the_dag_once(monkeypatch, tmp_path):
                    (point, CompileEnv())):
         assert folds(compile_expr, e, D, env) == 1
     for walk in ((classify, mixed), (classify_all, t.components), (max_projection, mixed),
-                 (max_projections, t.components), (arity_check, mixed, D),
                  (ExprTuple, (relu, mixed, chain), D)):
         assert folds(*walk) == 0
     assert folds(uniform_distance_estimates, [mixed, relu], [chain, point], P, BOX, 5, 0) == 2

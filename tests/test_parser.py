@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from helpers import deep_mpnn, tree_copy
 from mplangc.activations import RELU, SIN, TANH, Named
+from mplangc.errors import ArityError
 from mplangc.expressions import (
     Add,
     Apply,
     Diamond,
+    ExprTuple,
     One,
     Proj,
     Scale,
-    arity_check,
     classify,
     fold_all,
     format_expr,
@@ -265,9 +266,10 @@ def test_format_rejects_structured_activation():
 # -- arity / classification ------------------------------------------------------
 
 def test_arity_check_examples():
-    assert not arity_check(Proj(2), 1)
-    assert arity_check(Proj(2), 2)
-    assert arity_check(One(), 0)
+    with pytest.raises(ArityError):
+        ExprTuple((Proj(2),), 1)
+    ExprTuple((Proj(2),), 2)
+    ExprTuple((One(),), 0)
 
 
 def test_max_projection():
