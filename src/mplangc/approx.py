@@ -3,20 +3,22 @@
 Every function application is replaced by a finite ReLU combination accurate
 on an interval covering its argument's image.  An ``ExprTuple`` of the roots
 over the box's dimension checks their arity, and the nodes' traits tell the
-exact (ReLU-only) ones.  A first fold over the shared DAG gives its post-order,
-a second bounds the arguments that get interpolants.  The error budget ε is
-then split in two passes.  A top-down pass, parents before children, gives
-each distinct node the smallest ε that any of its parents demands:
+exact (ReLU-only) ones.  ``post_order`` gives the shared DAG's nodes and how
+often each is read, and a fold bounds the arguments that get interpolants.
+The error budget ε is then split in two passes.  A top-down pass, parents
+before children, gives each distinct node the smallest ε that any of its
+parents demands:
 
 * a maximal + spine is one sum of terms.  An exact (ReLU-only) subtree is one
   term, and an Add with another parent ends the spine.  Exact terms get no
   share, and each of the k others gets ε/k;
 * a*e gives e ε/|a|, and <>e gives e ε/p (0*e and, at p = 0, <>e are 0);
-* f(e) with e exact interpolates f on e's image with the whole ε.  Otherwise
-  f gets ε/2 on the image widened by ε/2, and e gets min(δ, ε/2), with δ from
-  the interpolant's Lipschitz constant.
+* f(e) with e exact interpolates f on e's image with the whole ε, and id(e)
+  gives e the whole ε, since id adds no error.  Otherwise f gets ε/2 on the
+  image widened by ε/2, and e gets min(δ, ε/2), with δ from the interpolant's
+  Lipschitz constant.
 
-A bottom-up fold, the third and last, then builds each node's approximant
+A bottom-up fold, the second and last, then builds each node's approximant
 once, so shared subterms stay shared.  Each step is a bound, so the result is
 within ε on every graph of degree <= p with features in the box, up to
 floating-point rounding.  The ``ApproxReport`` records every application and
@@ -56,6 +58,7 @@ from .expressions import (
     const,
     fold,
     fold_all,
+    post_order,
     scaled,
     sum_terms,
 )
@@ -184,12 +187,10 @@ def approximate_all(
     if roots:
         ExprTuple(roots, box.dimension)  # the arity check
 
-    # One fold for the post-order, then how many parents (or root slots) read
-    # each node; then one fold for the images of the arguments that get
-    # interpolants.  A node is exact when it is ReLU-only.
-    order: list[Expr] = []
-    fold_all(roots, lambda node, _: order.append(node))
-    readers = Counter([c for node in order for c in node.kids] + list(roots))
+    # The post-order and how many parents (or root slots) read each node;
+    # then one fold for the images of the arguments that get interpolants.  A
+    # node is exact when it is ReLU-only.
+    order, readers = post_order(roots)
     # Parents before children: the inexact nodes that some root reads other
     # than under 0*e or, at p = 0, <>e.  Only the applications among them get
     # interpolants, so only their arguments are bounded.
@@ -236,10 +237,12 @@ def approximate_all(
                 need(t, budget / len(terms))
         else:  # Apply
             arg = node.arg
-            if arg.traits.relu_only:
+            if arg.traits.relu_only or node.func == ID:
+                # id adds no error, so an inexact e under it keeps the whole budget.
                 y = image[arg]
                 g = relu_approximate(node.func, y, budget)
-                lip, delta = lipschitz(g, y), None
+                lip, delta = lipschitz(g, y), None if arg.traits.relu_only else budget
+                need(arg, budget)
             else:
                 budget /= 2.0
                 y = image[arg].widen(budget)

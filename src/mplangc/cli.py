@@ -2,6 +2,11 @@
 
 Subcommands: eval, compile, approx, check, bounds, fmt.
 
+The parser is built at the first ``main`` call and reused by later calls in
+the same process.  An expression text that starts with ``-`` reads as an
+option: pass it as ``--expr=-0.5*P1``, or give ``check`` its options first and
+then ``--`` before its operands.
+
 Exit codes (fixed for scripting):
   0  success / check passed
   1  parse, input or file error (expression text, an empty expression
@@ -14,7 +19,9 @@ Exit codes (fixed for scripting):
      malformed graph, feature or network file)
   2  arity or dimension mismatch (a negative --arity too; a compile that breaks
      the arity exits 2 before any mode error, in auto mode too)
-  3  mode or configuration error (inapplicable mode, pointwise or
+  3  usage, mode or configuration error (a command line argparse cannot
+     read: an unknown subcommand or option, a missing or malformed argument,
+     with the usage line on stderr; inapplicable mode, pointwise or
      addition-free mode for more than one expression, bad --box, a --box
      endpoint or width that is not finite, an --epsilon that is not
      positive and finite, --trials < 1, --seed < 0, a negative
@@ -35,6 +42,7 @@ Output JSON is strict: NaN and infinity are never written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -319,14 +327,31 @@ def cmd_fmt(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
+class _UsageError(Exception):
+    """A command line argparse cannot read; its message is argparse's own."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 3 through main, not 2 from
+    inside argparse: 2 is the exit code of an arity mismatch."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
 def _add_expr_flags(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--expr", help="expression literal")
     group.add_argument("--expr-file", help="text file, one expression per line")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    """The command-line parser, built at its first call and shared by every
+    later one: parse_args reads it and changes nothing in it, and each call
+    gets a fresh namespace, so no option leaks from one main call to the next."""
+    p = _Parser(
         prog="mplangc",
         description="Parse, evaluate, compile, approximate, and check MPLang "
                     "expressions over graphs.",
@@ -391,7 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 3
     try:
         return args.func(args)
     except MPLangSyntaxError as exc:

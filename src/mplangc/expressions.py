@@ -5,9 +5,14 @@ its fields, whoever calls it, so equal subterms are one object.  The lookup is
 in the node classes' ``__new__``; they have no metaclass, so ``isinstance`` on
 a node stays on CPython's fast path.  A new node gets its children, in its
 ``kids`` slot, and its ``ExprTraits`` (class and arity), in O(1) from its
-children's, so no walk exists only to find them.  Every walk over expressions
-is a ``fold``, one iterative post-order pass over distinct nodes, keyed by the
-nodes themselves.
+children's, so no walk exists only to find them.  A miss stores the node in
+one step: a weak reference written straight into the table under its lock.
+Joining two nodes' traits reads a bounded table of the joins already made.
+
+Every walk over expressions is a ``fold``, one iterative post-order pass over
+distinct nodes, keyed by the nodes themselves.  Its schedule, ``post_order``,
+gives the nodes in that order and how often each is read; a walk of several
+passes, such as ``format_expr``'s, computes it once and reads it in each.
 
 The concrete text form (see parser) writes the neighbor-sum operator as
 ``<>``, scaling as ``a*e``, a bare number ``a`` as shorthand for ``a*1``, and
@@ -40,6 +45,7 @@ __all__ = [
     "ExprTraits",
     "fold",
     "fold_all",
+    "post_order",
     "max_projection",
     "classify",
     "classify_all",
@@ -59,10 +65,13 @@ __all__ = [
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 # Held only to store a new node, so threads building equal nodes at once get one.
 _STORE = threading.Lock()
-# The table's own dict of weak references.  A lookup reads it directly, which
-# saves WeakValueDictionary.get's Python call on every constructor call; a
-# dead reference reads as a missing node, and stores go through _NODES.
+# The table's own dict of weak references.  A lookup reads it directly, and a
+# store writes it directly, which saves WeakValueDictionary's Python calls on
+# every constructor call; a dead reference reads as a missing node.  A
+# reference made with the table's own callback is removed when its node dies,
+# unless a live one has replaced it by then.
 _REFS = _NODES.data
+_REMOVE = _NODES._remove
 
 
 class ExprTraits(NamedTuple):
@@ -75,12 +84,27 @@ class ExprTraits(NamedTuple):
     max_projection: int = 0  # the largest projection index, 0 if none
 
 
+# (a, b) -> their join: 0 when it is a, 1 when it is b, else the new traits.
+# Keyed by value, so a hit still returns the caller's own a or b.  Few
+# distinct traits occur, and the table is emptied when it reaches _JOINS_SIZE.
+_JOINS: dict[tuple[ExprTraits, ExprTraits], Union[int, ExprTraits]] = {}
+_JOINS_SIZE = 1024
+
+
 def _join(a: ExprTraits, b: ExprTraits) -> ExprTraits:
     """The traits of two expressions taken together; a or b itself if it has them."""
-    t = ExprTraits(a.relu_only and b.relu_only, a.addition_free and b.addition_free,
-                   a.summation_free and b.summation_free, a.functions_used | b.functions_used,
-                   max(a.max_projection, b.max_projection))
-    return a if t == a else b if t == b else t
+    key = (a, b)
+    t = _JOINS.get(key)
+    if t is None:
+        t = ExprTraits(a.relu_only and b.relu_only, a.addition_free and b.addition_free,
+                       a.summation_free and b.summation_free,
+                       a.functions_used | b.functions_used,
+                       max(a.max_projection, b.max_projection))
+        t = 0 if t == a else 1 if t == b else t
+        if len(_JOINS) >= _JOINS_SIZE:
+            _JOINS.clear()
+        _JOINS[key] = t
+    return a if t == 0 else b if t == 1 else t
 
 
 # The traits of One, and what a + or a <> adds to its operands' traits.
@@ -113,7 +137,11 @@ class _Node:
         if node is None:
             new = _build(cls, values)
             with _STORE:
-                node = _NODES.setdefault(key, new)
+                ref = _REFS.get(key)
+                node = ref() if ref is not None else None
+                if node is None:
+                    node = new
+                    _REFS[key] = weakref.KeyedRef(new, _REMOVE, key)
         return node
 
     def __reduce__(self):
@@ -280,23 +308,19 @@ def children(e: Expr) -> tuple[Expr, ...]:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def fold_all(roots: Sequence[Expr], combine: Callable[[Expr, tuple], T]) -> list[T]:
-    """Post-order fold over the DAG under the roots, without recursion.
-
-    combine(node, child_results) runs once per distinct node object, with the
-    results of its children left to right, however many roots share it; the
-    result is the list of the roots' results.  Nodes are keyed by themselves:
-    they hash by identity, which for hash-consed nodes is structural equality.
-    A result is dropped once the node's last parent has read it; a root's is
-    kept.
-    """
-    parents: dict[Expr, int] = {}
+def post_order(roots: Sequence[Expr]) -> tuple[list[Expr], dict[Expr, int]]:
+    """The schedule of a fold over the DAG under the roots, without recursion:
+    its distinct nodes, each after its children, children and roots left to
+    right; and how often each is read, once per child slot of a parent and
+    once per root slot.  Nodes are keyed by themselves: they hash by
+    identity, which for hash-consed nodes is structural equality."""
+    readers: dict[Expr, int] = {}
     expanded: set[Expr] = set()
     order: list[Expr] = []
     stack: list[tuple[Expr, bool]] = []
     for r in reversed(roots):
         children(r)  # a TypeError for a root that is not an expression
-        parents[r] = parents.get(r, 0) + 1
+        readers[r] = readers.get(r, 0) + 1
         stack.append((r, False))
     while stack:
         node, done = stack.pop()
@@ -308,18 +332,36 @@ def fold_all(roots: Sequence[Expr], combine: Callable[[Expr, tuple], T]) -> list
         expanded.add(node)
         stack.append((node, True))
         for c in reversed(node.kids):
-            parents[c] = parents.get(c, 0) + 1
+            readers[c] = readers.get(c, 0) + 1
             stack.append((c, False))
+    return order, readers
+
+
+def _run(roots: Sequence[Expr], order: list[Expr], unread: dict[Expr, int],
+         combine: Callable[[Expr, tuple], T]) -> list[T]:
+    """fold_all over the roots' post_order schedule; it counts the readers
+    in unread down as they read, and drops a result no reader is left for."""
     results: dict[Expr, T] = {}
     for node in order:
         kids = node.kids
         args = tuple([results[c] for c in kids])
         for c in kids:
-            parents[c] -= 1
-            if not parents[c]:
+            unread[c] -= 1
+            if not unread[c]:
                 del results[c]
         results[node] = combine(node, args)
     return [results[r] for r in roots]
+
+
+def fold_all(roots: Sequence[Expr], combine: Callable[[Expr, tuple], T]) -> list[T]:
+    """Post-order fold over the DAG under the roots, without recursion.
+
+    combine(node, child_results) runs once per distinct node object, in
+    post_order, with the results of its children left to right, however many
+    roots share it; the result is the list of the roots' results.  A result
+    is dropped once the node's last parent has read it; a root's is kept.
+    """
+    return _run(roots, *post_order(roots), combine)
 
 
 def fold(e: Expr, combine: Callable[[Expr, tuple], T]) -> T:
@@ -367,24 +409,19 @@ def format_expr(e: Expr) -> str:
     tree.  Any other subterm is printed inline, so an expression without a long
     shared subterm prints as a tree.
     """
-    readers: dict[Expr, int] = {}
-
-    def count(node: Expr, _) -> None:
-        for c in node.kids:
-            readers[c] = readers.get(c, 0) + 1
-
-    fold(e, count)
+    roots = (e,)
+    order, readers = post_order(roots)
     bindings: list[str] = []
 
     def text(node: Expr, kids: tuple[str, ...]) -> str:
         out = _format_node(node, kids)
-        if readers.get(node, 0) < 2 or len(out) < _NAME_WIDTH:
+        if readers[node] < 2 or len(out) < _NAME_WIDTH:
             return out
         name = _Name(f"${len(bindings) + 1}")
         bindings.append(f"{name} = {out}; ")
         return name
 
-    root = fold(e, text)
+    (root,) = _run(roots, order, dict(readers), text)
     return "".join(bindings) + root
 
 

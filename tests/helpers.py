@@ -1,9 +1,23 @@
 """Shared helpers for the test suite."""
 
+from collections import Counter
+
 import numpy as np
 
 from mplangc.activations import ABS, RELU, SIGMOID, SIN, TANH, Merged
-from mplangc.expressions import Add, Apply, Diamond, One, Proj, Scale, _build
+from mplangc.expressions import (
+    _NAME_WIDTH,
+    Add,
+    Apply,
+    Diamond,
+    One,
+    Proj,
+    Scale,
+    _build,
+    _format_node,
+    _Name,
+    fold,
+)
 from mplangc.graphs import random_union
 from mplangc.mpnn import Layer, Mpnn
 
@@ -24,6 +38,49 @@ def tree_copy(e):
     if isinstance(e, Diamond):
         return fresh(Diamond, tree_copy(e.arg))
     return fresh(Proj, e.index) if isinstance(e, Proj) else fresh(One)
+
+
+def schedule_by_recursion(roots):
+    """The schedule fold_all walks, found by recursion: each distinct node
+    after its children, children and roots left to right; and how often each
+    is read, once per parent's child slot and once per root slot.  An oracle
+    for post_order, for expressions shallow enough to recurse over."""
+    order, seen = [], set()
+
+    def visit(node):
+        if node not in seen:
+            seen.add(node)
+            for c in node.kids:
+                visit(c)
+            order.append(node)
+
+    for r in roots:
+        visit(r)
+    return order, Counter([c for node in order for c in node.kids] + list(roots))
+
+
+def format_expr_two_folds(e):
+    """format_expr as it was before it read post_order's schedule: one fold
+    counts each node's readers, a second builds the text.  An oracle."""
+    readers = {}
+
+    def count(node, _):
+        for c in node.kids:
+            readers[c] = readers.get(c, 0) + 1
+
+    fold(e, count)
+    bindings = []
+
+    def text(node, kids):
+        out = _format_node(node, kids)
+        if readers.get(node, 0) < 2 or len(out) < _NAME_WIDTH:
+            return out
+        name = _Name(f"${len(bindings) + 1}")
+        bindings.append(f"{name} = {out}; ")
+        return name
+
+    root = fold(e, text)
+    return "".join(bindings) + root
 
 
 def batch_instances(p, box, trials, seed, max_nodes=8):

@@ -266,11 +266,28 @@ def test_an_id_application_is_its_arguments_approximant():
     tanh, ident = report.applications
     # No relu(x) - relu(-x) around tanh's interpolant, and the same proof.
     assert out == _relu_sum_expr(relu_approximate(TANH, tanh.interval, tanh.eps), Proj(1))
-    assert [lyr.output_arity for lyr in compile_relu(out, 1).layers] == [4, 1]
+    assert [lyr.output_arity for lyr in compile_relu(out, 1).layers] == [2, 1]
     assert (ident.function, ident.knots, ident.proven) == ("id", 0, tanh.proven)
-    assert report.proven_eps == (tanh.proven,) and tanh.proven == pytest.approx(0.02406, abs=1e-5)
+    assert report.proven_eps == (tanh.proven,) and tanh.proven == pytest.approx(0.09623, abs=1e-5)
     (exact,), _ = approximate_all([parse("id(P1)")], 0, box, 0.1)
     assert exact == parse("P1")
+
+
+def test_id_adds_no_error_so_its_argument_keeps_the_whole_budget():
+    box = DomainBox.cube(-1, 1, 1)
+    for wrapped, bare in (("id(tanh(P1))", "tanh(P1)"), ("id(id(sin(P1)))", "sin(P1)"),
+                          ("id(<>sin(P1)) + 0.5*P1", "<>sin(P1) + 0.5*P1")):
+        (out,), report = approximate_all([parse(wrapped)], 2, box, 0.1)
+        (want,), want_report = approximate_all([parse(bare)], 2, box, 0.1)
+        assert out is want
+        assert report.proven_eps == want_report.proven_eps
+        inner, *idents = report.applications
+        assert inner == want_report.applications[0]
+        for ident in idents:
+            assert (ident.function, ident.knots, ident.delta, ident.lipschitz) == ("id", 0, 0.1, 1.0)
+    _, report = approximate_all([parse("id(id(sin(P1)))")], 0, box, 0.1)
+    assert [(r.function, r.knots) for r in report.applications] == [
+        ("sin", 4), ("id", 0), ("id", 0)]
 
 
 def test_knots_count_the_breakpoints_of_each_interpolant():
@@ -282,7 +299,7 @@ def test_knots_count_the_breakpoints_of_each_interpolant():
     hinges = relu_approximate(TANH, tanh.interval, tanh.eps).terms
     assert tanh.knots == sum(a != 0.0 for a, _, _ in hinges) == 7
     _, report = approximate_all([parse("id(tanh(P1))")], 0, box, 0.1)
-    assert [(r.function, r.knots) for r in report.applications] == [("tanh", 4), ("id", 0)]
+    assert [(r.function, r.knots) for r in report.applications] == [("tanh", 2), ("id", 0)]
 
 
 def test_a_shared_subterm_has_one_approximant():

@@ -1,4 +1,9 @@
+import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -672,6 +677,81 @@ def test_fmt_of_an_overflowing_literal_is_a_parse_error(capsys):
 def test_bad_box_is_config_error(capsys):
     rc = main(["check", "P1", "P1", "--box", "not-json"])
     assert rc == 3
+
+
+# -- the command line itself ------------------------------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    (["fmt"], "mplangc fmt: error: one of the arguments --expr --expr-file is required"),
+    (["nosuch"], "mplangc: error: argument command: invalid choice: 'nosuch'"),
+    (["check", "P1", "P1", "--trials", "x"],
+     "mplangc check: error: argument --trials: invalid int value: 'x'"),
+    ([], "mplangc: error: the following arguments are required: command"),
+    (["fmt", "--expr", "-0.5*P1"], "mplangc fmt: error: argument --expr: expected one argument"),
+])
+def test_a_usage_error_exits_3_with_argparses_usage_and_message(capsys, argv, message):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: mplangc") and message in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mplangc")
+
+
+def test_an_expression_starting_with_a_minus_follows_an_equals_sign_or_a_double_dash(capsys):
+    assert main(["fmt", "--expr=-0.5*P1"]) == 0
+    assert capsys.readouterr().out == "-0.5*P1\n"
+    assert main(["check", "--trials", "3", "--", "-0.5*P1", "-1*(0.5*P1)"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_the_parser_is_built_at_the_first_call_only(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["fmt", "--expr", "P1"]) == 0
+    built.clear()
+    assert main(["fmt", "--expr", "P2"]) == 0
+    assert built == []
+    assert main(["nosuch"]) == 3
+    assert built == []
+
+
+def test_no_option_leaks_from_one_call_to_the_next(capsys):
+    assert main(["check", "P1", "P1", "--trials", "3", "--seed", "2"]) == 0
+    assert "over 3 trials" in capsys.readouterr().out
+    assert main(["check", "P1", "P1"]) == 0
+    assert "over 1000 trials" in capsys.readouterr().out
+    assert main(["fmt", "--expr-file", "missing.mplang"]) == 1
+    capsys.readouterr()
+    assert main(["fmt", "--expr", "P1"]) == 0
+
+
+def test_importing_the_cli_builds_no_parser():
+    count = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "argparse.ArgumentParser.__init__ = "
+             "lambda self, *a, **k: built.append(self) or init(self, *a, **k)\n"
+             "import mplangc.cli\n"
+             "print(len(built))\n")
+    env = dict(os.environ)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", count], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout == "0\n"
 
 
 # -- input checks, strict JSON, deep and long inputs --------------------------------

@@ -16,7 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_close, batch_instances, deep_mpnn, layer_merge_shifts, tree_copy
+from helpers import (
+    assert_close,
+    batch_instances,
+    deep_mpnn,
+    format_expr_two_folds,
+    layer_merge_shifts,
+    schedule_by_recursion,
+    tree_copy,
+)
 from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH, Merged, Named
 from mplangc.approx import approximate_all, image_bounds, uniform_distance_estimates
 from mplangc.cli import main
@@ -31,6 +39,7 @@ from mplangc.compiler import (
     compile_relu,
     compile_relu_tuple,
 )
+from mplangc.errors import CertificateError
 from mplangc.expressions import (
     Add,
     Apply,
@@ -40,7 +49,11 @@ from mplangc.expressions import (
     One,
     Proj,
     Scale,
+    _JOINS,
+    _JOINS_SIZE,
     _NODES,
+    _REFS,
+    _join,
     children,
     classify,
     classify_all,
@@ -49,6 +62,7 @@ from mplangc.expressions import (
     fold_all,
     format_expr,
     max_projection,
+    post_order,
 )
 from mplangc.generate import MIXED_FUNCTIONS, random_expr, random_relu_expr
 from mplangc.graphs import FeatureMap, Graph, features_to_json, graph_to_json
@@ -336,6 +350,70 @@ def test_fold_all_shares_nodes_across_roots():
     # A root that is also a child keeps its result for the list.
     assert results == [4, 3, 2, 3]
     assert fold_all([], lambda node, kids: 0) == []
+
+
+@st.composite
+def shared_roots(draw):
+    """One to three random expressions over D inputs that share subterms."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = random_expr(rng, draw(st.integers(0, 4)), D)
+    shared = draw(st.sampled_from(SHARING_FORMS))(e)
+    extra = [e, Diamond(e), Add(shared, Proj(2)), shared]
+    return [shared] + draw(st.lists(st.sampled_from(extra), max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(roots=shared_roots())
+def test_post_order_is_the_schedule_fold_all_walks(roots):
+    order, readers = post_order(roots)
+    want_order, want_readers = schedule_by_recursion(roots)
+    assert order == want_order and readers == want_readers
+    visited = []
+    fold_all(roots, lambda node, kids: visited.append(node))
+    assert visited == order
+
+
+def test_post_order_of_translations_and_of_no_root():
+    for layers in (3, 4):
+        roots = mpnn_to_mplang(deep_mpnn(0, layers)).components
+        assert post_order(roots) == schedule_by_recursion(roots)
+    assert post_order([]) == ([], {})
+    with pytest.raises(TypeError):
+        post_order([Proj(1), 2.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(roots=shared_roots())
+def test_format_expr_prints_what_the_two_fold_formatter_printed(roots):
+    for e in roots:
+        assert format_expr(e) == format_expr_two_folds(e)
+
+
+def test_format_expr_of_translations_and_long_sums_is_unchanged():
+    roots = [*mpnn_to_mplang(deep_mpnn(0, 3)).components,
+             *mpnn_to_mplang(deep_mpnn(1, 4)).components,
+             parse(" + ".join(LONG_TERMS[:1200]))]
+    for e in roots:
+        assert format_expr(e) == format_expr_two_folds(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(roots=shared_roots(), eps=st.sampled_from([0.5, 0.1]))
+def test_approximate_all_on_its_own_schedule_builds_what_the_oracle_schedule_does(roots, eps):
+    import mplangc.approx as approx
+
+    try:
+        got, report = approximate_all(roots, P, BOX, eps)
+    except CertificateError:
+        return
+    schedule = approx.post_order
+    approx.post_order = schedule_by_recursion
+    try:
+        want, want_report = approximate_all(roots, P, BOX, eps)
+    finally:
+        approx.post_order = schedule
+    assert all(a is b for a, b in zip(got, want))
+    assert json.dumps(report.to_json()) == json.dumps(want_report.to_json())
 
 
 def test_eval_tuple_evaluates_shared_layers_once(monkeypatch):
@@ -627,6 +705,33 @@ def test_repr_is_short_and_does_not_walk_the_expression():
     assert repr(Proj(1)) == "Proj(1)"
     assert repr(Scale(2, Diamond(One()))) == "Scale(2.0, Diamond(One()))"
     assert repr(Apply(Merged(TANH, 1.0, SIN, -1.0), One())).startswith("Apply(Merged(")
+
+
+def test_a_new_node_replaces_a_dead_reference_left_in_the_table():
+    key = (Scale, 12345.5, Proj(77), 1.0)
+    node = Scale(12345.5, Proj(77))
+    # While the table is iterated, a dead node's reference stays in it.
+    values = _NODES.values()
+    next(values)
+    del node
+    gc.collect()
+    assert key in _REFS and _REFS[key]() is None
+    again = Scale(12345.5, Proj(77))
+    assert _REFS[key]() is again
+    values.close()
+    assert _REFS[key]() is again and Scale(12345.5, Proj(77)) is again
+
+
+def test_joined_traits_keep_the_callers_own_and_the_table_stays_bounded():
+    a, b = Proj(3).traits, Proj(1).traits
+    twin = ExprTraits(*a)  # equal to a, another object
+    assert _join(a, b) is a and _join(twin, b) is twin and _join(b, twin) is twin
+    relu_sin = ExprTraits(False, True, True, frozenset({RELU, SIN}), 3)
+    joined = _join(Apply(RELU, Proj(3)).traits, Apply(SIN, Proj(1)).traits)
+    assert joined == relu_sin
+    for k in range(1, 3 * _JOINS_SIZE):
+        assert _join(Proj(k).traits, b).max_projection == k
+    assert 0 < len(_JOINS) <= _JOINS_SIZE
 
 
 def test_threads_building_equal_nodes_get_one_node():
