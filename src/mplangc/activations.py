@@ -272,7 +272,13 @@ _EXACT = {RELU: ((1.0, 0.0, 1.0),), ID: ((1.0, 0.0, 1.0), (-1.0, 0.0, -1.0)),
           ABS: ((1.0, 0.0, 1.0), (-1.0, 0.0, 1.0))}
 
 
-def relu_approximate(f: Activation, y: Interval, eps: float, *, max_points: int = 4097) -> ReluSum:
+# The most knots a grid may have.  interpolation_error's bound is a proof of
+# relu_approximate's grid only at the same cap, so both read this one.
+_MAX_POINTS = 4097
+
+
+def relu_approximate(f: Activation, y: Interval, eps: float, *,
+                     max_points: int = _MAX_POINTS) -> ReluSum:
     """A ReLU combination within eps of f on y, proven by the interpolation bound.
 
     relu, id, abs, ReluSum and PiecewiseLinear come back exact, on the whole
@@ -313,8 +319,7 @@ def _grid_cells(f: Named, y: Interval, eps: float, max_points: int) -> int:
     return math.ceil(cells)
 
 
-def interpolation_error(f: Activation, y: Interval, eps: float, *,
-                        max_points: int = 4097) -> float:
+def interpolation_error(f: Activation, y: Interval, eps: float) -> float:
     """The bound on |f - relu_approximate(f, y, eps)| on y that its grid proves.
 
     With h the grid's step it is h^2/8 * sup|f''|, which the grid's size keeps
@@ -324,7 +329,7 @@ def interpolation_error(f: Activation, y: Interval, eps: float, *,
     m2 = curvature(f)
     if m2 == 0.0:
         return 0.0
-    h = y.width / max(_grid_cells(f, y, eps, max_points), 1)
+    h = y.width / max(_grid_cells(f, y, eps, _MAX_POINTS), 1)
     return min(eps, h * h / 8.0 * m2)
 
 

@@ -13,10 +13,13 @@ parents demands:
   term, and an Add with another parent ends the spine.  Exact terms get no
   share, and each of the k others gets ε/k;
 * a*e gives e ε/|a|, and <>e gives e ε/p (0*e and, at p = 0, <>e are 0);
-* f(e) with e exact interpolates f on e's image with the whole ε, and id(e)
-  gives e the whole ε, since id adds no error.  Otherwise f gets ε/2 on the
-  image widened by ε/2, and e gets min(δ, ε/2), with δ from the interpolant's
-  Lipschitz constant.
+* f(e) with e exact interpolates f on e's image with the whole ε.  An exact
+  f (``curvature(f) == 0``: relu, abs, id and the piecewise-linear forms)
+  adds no error, but scales e's by its Lipschitz constant L, taken on e's
+  image widened by ε, where e's approximant can reach.  So it gives an
+  inexact e min(ε/L, ε): the whole ε for relu, abs and id, whose L is at
+  most 1.  Otherwise f gets ε/2 on the image widened by ε/2, and e gets
+  min(δ, ε/2), with δ from the interpolant's Lipschitz constant.
 
 A bottom-up fold, the second and last, then builds each node's approximant
 once, so shared subterms stay shared.  Each step is a bound, so the result is
@@ -236,21 +239,21 @@ def approximate_all(
             for t in terms:
                 need(t, budget / len(terms))
         else:  # Apply
-            arg = node.arg
-            if arg.traits.relu_only or node.func == ID:
-                # id adds no error, so an inexact e under it keeps the whole budget.
-                y = image[arg]
-                g = relu_approximate(node.func, y, budget)
-                lip, delta = lipschitz(g, y), None if arg.traits.relu_only else budget
-                need(arg, budget)
-            else:
-                budget /= 2.0
-                y = image[arg].widen(budget)
-                g = relu_approximate(node.func, y, budget)
-                lip = lipschitz(g, y)
-                delta = modulus_delta(g, y, budget, lip=lip)
-                need(arg, min(delta, budget))
-            plans[node] = (g, y, budget, delta, lip)
+            # An exact e or an exact f adds no error, so f keeps the whole
+            # budget; when both add error, each gets half.  e's approximant
+            # reaches at most that share past e's image.
+            arg, delta = node.arg, None
+            exact = curvature(node.func) == 0.0
+            share = budget if exact or arg.traits.relu_only else budget / 2.0
+            y = image[arg] if arg.traits.relu_only else image[arg].widen(share)
+            g = relu_approximate(node.func, y, share)
+            lip = lipschitz(g, y)
+            if not arg.traits.relu_only:
+                # An exact f scales e's error by its slope L, so e gets ε/L
+                # (ε when L is 0): the whole ε under relu, abs and id.
+                delta = budget / (lip or 1.0) if exact else modulus_delta(g, y, share, lip=lip)
+                need(arg, min(delta, share))
+            plans[node] = (g, y, share, delta, lip)
 
     # Bottom-up: each live node's approximant and proven error, once.
     records: list[ApplyRecord] = []

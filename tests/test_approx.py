@@ -6,7 +6,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from helpers import batch_instances, deep_mpnn
-from mplangc.activations import SIN, TANH, relu_approximate
+from mplangc.activations import SIN, TANH, PiecewiseLinear, ReluSum, relu_approximate
 from mplangc.approx import (
     _relu_sum_expr,
     approximate,
@@ -273,21 +273,60 @@ def test_an_id_application_is_its_arguments_approximant():
     assert exact == parse("P1")
 
 
-def test_id_adds_no_error_so_its_argument_keeps_the_whole_budget():
+def test_an_exact_function_adds_no_error_so_its_argument_keeps_the_whole_budget():
     box = DomainBox.cube(-1, 1, 1)
-    for wrapped, bare in (("id(tanh(P1))", "tanh(P1)"), ("id(id(sin(P1)))", "sin(P1)"),
-                          ("id(<>sin(P1)) + 0.5*P1", "<>sin(P1) + 0.5*P1")):
-        (out,), report = approximate_all([parse(wrapped)], 2, box, 0.1)
-        (want,), want_report = approximate_all([parse(bare)], 2, box, 0.1)
-        assert out is want
-        assert report.proven_eps == want_report.proven_eps
-        inner, *idents = report.applications
-        assert inner == want_report.applications[0]
-        for ident in idents:
-            assert (ident.function, ident.knots, ident.delta, ident.lipschitz) == ("id", 0, 0.1, 1.0)
+    for f, knots in (("id", 0), ("relu", 1), ("abs", 1)):
+        for wrapped, bare in ((f"{f}(tanh(P1))", "tanh(P1)"), (f"{f}({f}(sin(P1)))", "sin(P1)"),
+                              (f"{f}(<>sin(P1)) + 0.5*P1", "<>sin(P1) + 0.5*P1")):
+            (out,), report = approximate_all([parse(wrapped)], 2, box, 0.1)
+            (want,), want_report = approximate_all([parse(bare)], 2, box, 0.1)
+            # id(e) is e's approximant; relu and abs wrap it in their exact forms.
+            assert (out is want) == (f == "id")
+            assert report.proven_eps == want_report.proven_eps
+            inner, *outer = report.applications
+            assert inner == want_report.applications[0]
+            for record in outer:
+                assert (record.function, record.knots, record.delta, record.lipschitz) == (
+                    f, knots, 0.1, 1.0)
     _, report = approximate_all([parse("id(id(sin(P1)))")], 0, box, 0.1)
     assert [(r.function, r.knots) for r in report.applications] == [
         ("sin", 4), ("id", 0), ("id", 0)]
+    # sin's grid is the one it has without abs around it: at ε, and at ε/p under <>.
+    _, report = approximate_all([parse("abs(sin(P1))")], 3, box, 0.1)
+    assert [(r.function, r.eps, r.knots) for r in report.applications] == [
+        ("sin", 0.1, 4), ("abs", 0.1, 1)]
+    _, report = approximate_all([parse("abs(<>sin(P1)) + 0.25*<>P1")], 3, box, 0.1)
+    assert [(r.function, r.eps, r.knots) for r in report.applications] == [
+        ("sin", 0.1 / 3, 4), ("abs", 0.1, 1)]
+
+
+def test_an_exact_function_is_bounded_where_its_arguments_approximant_reaches():
+    # sin(P1) - 1 on [0, 2] has the image [-1, 0], which ends at relu's kink:
+    # relu's slope there is 0, but 1 just past 0, where sin's approximant reaches.
+    box = DomainBox.cube(0, 2, 1)
+    _, report = approximate_all([parse("relu(sin(P1) + -1)")], 0, box, 0.1)
+    image = image_bounds(parse("sin(P1) + -1"), 0, box)
+    assert image == Interval(-1.0, 0.0)
+    sin, relu = report.applications
+    assert (relu.lipschitz, relu.interval, relu.eps, relu.delta) == (1.0, image.widen(0.1), 0.1, 0.1)
+    assert report.proven_eps == (sin.proven,)
+
+
+def test_an_exact_function_gives_its_argument_eps_over_its_slope():
+    # A slope-2 form doubles its argument's error, so sin gets ε/2; a slope-1/2
+    # form halves it, and sin keeps the whole ε.
+    box = DomainBox.cube(-1, 1, 1)
+    for f, slope in ((PiecewiseLinear(((0.0, 0.0), (1.0, 2.0))), 2.0),
+                     (ReluSum(((1.0, 0.25, -2.0),)), 2.0), (ReluSum(((1.0, 0.0, 0.5),)), 0.5)):
+        for p, arg in ((0, "sin(P1)"), (3, "sin(<>P1)")):
+            e = Apply(f, parse(arg))
+            (out,), report = approximate_all([e], p, box, 0.1)
+            sin, outer = report.applications
+            assert (outer.eps, outer.lipschitz, outer.delta) == (0.1, slope, 0.1 / slope)
+            assert sin.eps == min(0.1 / slope, 0.1)
+            (proven,) = report.proven_eps
+            assert proven == slope * sin.proven <= 0.1
+            assert uniform_distance_estimate(e, out, p, box, 200, 3) <= proven + 1e-9
 
 
 def test_knots_count_the_breakpoints_of_each_interpolant():
@@ -297,7 +336,7 @@ def test_knots_count_the_breakpoints_of_each_interpolant():
     assert (abs_.knots, relu.knots) == (1, 1)
     # A grid's count is its hinges': one per knot where the slope turns.
     hinges = relu_approximate(TANH, tanh.interval, tanh.eps).terms
-    assert tanh.knots == sum(a != 0.0 for a, _, _ in hinges) == 7
+    assert tanh.knots == sum(a != 0.0 for a, _, _ in hinges) == 4
     _, report = approximate_all([parse("id(tanh(P1))")], 0, box, 0.1)
     assert [(r.function, r.knots) for r in report.applications] == [("tanh", 2), ("id", 0)]
 
@@ -328,6 +367,31 @@ def test_long_sin_sum_approximates_without_recursion():
     finally:
         sys.setrecursionlimit(old)
     assert uniform_distance_estimate(e, out, 1, box, 200, 5) <= 1.0
+
+
+# The approx_nested benchmark's cases (bench/workloads.py), copied here so
+# that tier-1 sees when their networks grow.
+APPROX_NESTED = (
+    ("sin(P1)", 0.5), ("sin(P1)", 0.1), ("sin(P1)", 0.01),
+    ("tanh(<>P1)", 0.5), ("tanh(<>P1)", 0.1), ("tanh(<>P1)", 0.01),
+    ("sin(<>tanh(P1)) + 0.5*P1", 0.1),
+    ("-2*sin(P1)", 0.1), ("-2*sin(P1)", 0.01),
+    ("sin(2*<>P1) + tanh(P1)", 0.1),
+    ("abs(<>sin(P1)) + 0.25*<>P1", 0.1),
+)
+
+
+def test_approx_nested_networks_get_no_bigger():
+    box = DomainBox.cube(-1, 1, 1)
+    dense = nonzero = 0
+    for text, eps in APPROX_NESTED:
+        (out,), report = approximate_all([parse(text)], 3, box, eps)
+        assert report.proven_eps[0] <= eps, text
+        for lyr in compile_relu(out, 1).layers:
+            weights = (lyr.w_self, lyr.w_neigh, lyr.bias)
+            dense += sum(w.size for w in weights)
+            nonzero += sum(np.count_nonzero(w) for w in weights)
+    assert dense <= 798 and nonzero <= 400, (dense, nonzero)
 
 
 # -- uniform_distance_estimate -------------------------------------------------------
