@@ -27,7 +27,6 @@ from .approx import (
     approximate,
     approximate_all,
     image_bounds,
-    uniform_distance_estimate,
 )
 from .compiler import (
     CompileEnv,
@@ -39,7 +38,6 @@ from .compiler import (
     compile_mixed,
     compile_pointwise,
     compile_relu,
-    compile_relu_tuple,
     layer_output_bounds,
     merge_layers,
 )

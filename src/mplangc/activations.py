@@ -335,8 +335,13 @@ def interpolation_error(f: Activation, y: Interval, eps: float) -> float:
 
 def curvature(f: Activation) -> float:
     """The sup|f''| that relu_approximate sizes f's grid by; 0 for a function
-    it returns exactly (relu, id, abs, ReluSum, PiecewiseLinear)."""
-    return _CURVATURE.get(f.name, 0.0) if isinstance(f, Named) else 0.0
+    it returns exactly (relu, id, abs, ReluSum, PiecewiseLinear).  A merged
+    activation has its pieces' larger one, though relu_approximate raises."""
+    if isinstance(f, Named):
+        return _CURVATURE.get(f.name, 0.0)
+    if isinstance(f, Merged):
+        return max(curvature(f.left), curvature(f.right))
+    return 0.0
 
 
 def lipschitz(f: Activation, y: Interval) -> float:

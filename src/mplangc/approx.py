@@ -2,21 +2,23 @@
 
 Every function application is replaced by a finite ReLU combination accurate
 on an interval covering its argument's image.  An ``ExprTuple`` of the roots
-over the box's dimension checks their arity, and the nodes' traits tell the
-exact (ReLU-only) ones.  ``post_order`` gives the shared DAG's nodes and how
-often each is read, and a fold bounds the arguments that get interpolants.
-The error budget ε is then split in two passes.  A top-down pass, parents
-before children, gives each distinct node the smallest ε that any of its
-parents demands:
+over the box's dimension checks their arity.  The nodes' traits tell the
+ReLU-only ones, kept as they are, and the exact ones: a piecewise-linear node
+applies only functions with ``curvature(f) == 0`` (relu, abs, id and the
+piecewise-linear forms), so its ReLU form has no error.  ``post_order`` gives
+the DAG's nodes and how often each is read, and a fold bounds the arguments
+that get interpolants.  The error budget ε is then split in two passes.  A
+top-down pass, parents before children, gives each distinct node the
+smallest ε that any of its parents demands:
 
-* a maximal + spine is one sum of terms.  An exact (ReLU-only) subtree is one
-  term, and an Add with another parent ends the spine.  Exact terms get no
-  share, and each of the k others gets ε/k;
+* a maximal + spine is one sum of terms.  A ReLU-only subtree is one term,
+  and an Add with another parent ends the spine.  A piecewise-linear term
+  takes no share (it gets ε, and adds no error), and each of the k others
+  gets ε/k;
 * a*e gives e ε/|a|, and <>e gives e ε/p (0*e and, at p = 0, <>e are 0);
-* f(e) with e exact interpolates f on e's image with the whole ε.  An exact
-  f (``curvature(f) == 0``: relu, abs, id and the piecewise-linear forms)
-  adds no error, but scales e's by its Lipschitz constant L, taken on e's
-  image widened by ε, where e's approximant can reach.  So it gives an
+* f(e) with e piecewise linear interpolates f on e's image with the whole ε.
+  An exact f adds no error, but scales e's by its Lipschitz constant L, taken
+  on e's image widened by ε, where e's approximant can reach.  So it gives an
   inexact e min(ε/L, ε): the whole ε for relu, abs and id, whose L is at
   most 1.  Otherwise f gets ε/2 on the image widened by ε/2, and e gets
   min(δ, ε/2), with δ from the interpolant's Lipschitz constant.
@@ -75,7 +77,6 @@ __all__ = [
     "image_bounds",
     "approximate",
     "approximate_all",
-    "uniform_distance_estimate",
     "uniform_distance_estimates",
 ]
 
@@ -140,7 +141,7 @@ class ApplyRecord:
     knots: int  # breakpoints of the interpolant
     m2: float  # the sup|f''| its grid was sized by; 0 when it is exact
     lipschitz: float  # the interpolant's Lipschitz constant on the interval
-    delta: float | None  # e's budget, None when e is exact
+    delta: float | None  # e's budget, None when e is piecewise linear
     proven: float  # the interpolation error at the grid step + L * e's proven error
 
     def to_json(self) -> dict:
@@ -191,8 +192,7 @@ def approximate_all(
         ExprTuple(roots, box.dimension)  # the arity check
 
     # The post-order and how many parents (or root slots) read each node;
-    # then one fold for the images of the arguments that get interpolants.  A
-    # node is exact when it is ReLU-only.
+    # then one fold for the images of the arguments that get interpolants.
     order, readers = post_order(roots)
     # Parents before children: the inexact nodes that some root reads other
     # than under 0*e or, at p = 0, <>e.  Only the applications among them get
@@ -236,19 +236,22 @@ def approximate_all(
                     stack += [c.right, c.left]
                 elif not c.traits.relu_only:
                     terms.append(c)
+            k = sum(not t.traits.piecewise_linear for t in terms)
             for t in terms:
-                need(t, budget / len(terms))
+                need(t, budget if t.traits.piecewise_linear else budget / k)
         else:  # Apply
-            # An exact e or an exact f adds no error, so f keeps the whole
-            # budget; when both add error, each gets half.  e's approximant
-            # reaches at most that share past e's image.
+            # An exact (piecewise-linear) e or an exact f adds no error, so f
+            # keeps the whole budget; when both add error, each gets half.  An
+            # inexact e's approximant reaches at most that share past e's image.
             arg, delta = node.arg, None
-            exact = curvature(node.func) == 0.0
-            share = budget if exact or arg.traits.relu_only else budget / 2.0
-            y = image[arg] if arg.traits.relu_only else image[arg].widen(share)
+            exact, exact_arg = curvature(node.func) == 0.0, arg.traits.piecewise_linear
+            share = budget if exact or exact_arg else budget / 2.0
+            y = image[arg] if exact_arg else image[arg].widen(share)
             g = relu_approximate(node.func, y, share)
             lip = lipschitz(g, y)
-            if not arg.traits.relu_only:
+            if exact_arg:
+                need(arg, share)  # rebuilt in ReLU form, with no error
+            else:
                 # An exact f scales e's error by its slope L, so e gets ε/L
                 # (ε when L is 0): the whole ε under relu, abs and id.
                 delta = budget / (lip or 1.0) if exact else modulus_delta(g, y, share, lip=lip)
@@ -312,17 +315,3 @@ def uniform_distance_estimates(
     vb = eval_tuple(right, batch.graph, batch.features).values
     return np.max(np.abs(va - vb), axis=0, initial=0.0).tolist()
 
-
-def uniform_distance_estimate(
-    e1: Expr,
-    e2: Expr,
-    p: int,
-    box: DomainBox,
-    trials: int,
-    seed: int,
-) -> float:
-    """Max |e1 - e2| over sampled (graph, features, node) triples.
-
-    A lower bound on the true supremum; deterministic given the seed.
-    """
-    return uniform_distance_estimates((e1,), (e2,), p, box, trials, seed)[0]

@@ -24,7 +24,7 @@ that are not finite are a ModeError naming the layer.
 A carrier row only carries a value up a level: a lift, or the constant
 channel that a bias under <> reads.  Its activation is fixed by the route:
 
-* ``relu`` (``compile_relu`` / ``compile_relu_tuple``): ReLU-only
+* ``relu`` (``compile_relu``): ReLU-only
   expressions, valid on every graph and every feature map.  Relu carriers: a
   lift is x = relu(x) - relu(-x), one row for a nonnegative x.
 * ``mixed`` (``compile_mixed``): arbitrary catalog activations, valid over
@@ -82,7 +82,6 @@ __all__ = [
     "layer_output_bounds",
     "merge_layers",
     "compile_relu",
-    "compile_relu_tuple",
     "compile_mixed",
     "compile_addition_free",
     "compile_pointwise",
@@ -454,11 +453,6 @@ def compile_relu(e: Expr, d: int) -> Mpnn:
     """ReLU-MPNN equivalent to e on all graphs and all feature maps: one ReLU
     layer per level, then an id read-out unless it fuses into the last."""
     return _schedule((e,), d, "relu")[0]
-
-
-def compile_relu_tuple(t: ExprTuple) -> Mpnn:
-    """compile_relu of every component at once: one network, one output per component."""
-    return _schedule(t.components, t.input_arity, "relu")[0]
 
 
 def compile_mixed(e: Expr, d: int, p: int, box: DomainBox) -> Mpnn:

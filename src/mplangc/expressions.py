@@ -4,10 +4,11 @@ Expressions are hash-consed DAGs: a constructor returns the one live node with
 its fields, whoever calls it, so equal subterms are one object.  The lookup is
 in the node classes' ``__new__``; they have no metaclass, so ``isinstance`` on
 a node stays on CPython's fast path.  A new node gets its children, in its
-``kids`` slot, and its ``ExprTraits`` (class and arity), in O(1) from its
-children's, so no walk exists only to find them.  A miss stores the node in
-one step: a weak reference written straight into the table under its lock.
-Joining two nodes' traits reads a bounded table of the joins already made.
+``kids`` slot, and its ``ExprTraits`` (syntactic classes and arity), in
+O(1) from its children's, so no walk exists only to find them; a node whose
+traits are a child's holds that child's traits object.  A miss stores the
+node in one step: a weak reference written straight into the table under
+its lock.
 
 Every walk over expressions is a ``fold``, one iterative post-order pass over
 distinct nodes, keyed by the nodes themselves.  Its schedule, ``post_order``,
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, NamedTuple, Sequence, TypeVar, Union
 
-from .activations import Activation, Named, RELU
+from .activations import Activation, Named, RELU, curvature
 from .errors import ArityError
 
 __all__ = [
@@ -75,42 +76,26 @@ _REMOVE = _NODES._remove
 
 
 class ExprTraits(NamedTuple):
-    """The syntactic class and the input arity, which decide a compile route."""
+    """The syntactic classes and the input arity: the classes pick a compile
+    route, and the approximator reads piecewise_linear as exact."""
 
-    relu_only: bool
+    relu_only: bool  # every function applied is relu
     addition_free: bool
     summation_free: bool
-    functions_used: frozenset
+    piecewise_linear: bool  # every function applied has curvature 0
     max_projection: int = 0  # the largest projection index, 0 if none
-
-
-# (a, b) -> their join: 0 when it is a, 1 when it is b, else the new traits.
-# Keyed by value, so a hit still returns the caller's own a or b.  Few
-# distinct traits occur, and the table is emptied when it reaches _JOINS_SIZE.
-_JOINS: dict[tuple[ExprTraits, ExprTraits], Union[int, ExprTraits]] = {}
-_JOINS_SIZE = 1024
 
 
 def _join(a: ExprTraits, b: ExprTraits) -> ExprTraits:
     """The traits of two expressions taken together; a or b itself if it has them."""
-    key = (a, b)
-    t = _JOINS.get(key)
-    if t is None:
-        t = ExprTraits(a.relu_only and b.relu_only, a.addition_free and b.addition_free,
-                       a.summation_free and b.summation_free,
-                       a.functions_used | b.functions_used,
-                       max(a.max_projection, b.max_projection))
-        t = 0 if t == a else 1 if t == b else t
-        if len(_JOINS) >= _JOINS_SIZE:
-            _JOINS.clear()
-        _JOINS[key] = t
-    return a if t == 0 else b if t == 1 else t
+    t = (a.relu_only and b.relu_only, a.addition_free and b.addition_free,
+         a.summation_free and b.summation_free, a.piecewise_linear and b.piecewise_linear,
+         max(a.max_projection, b.max_projection))
+    return a if t == a else b if t == b else ExprTraits(*t)
 
 
-# The traits of One, and what a + or a <> adds to its operands' traits.
-_NO_TRAITS = ExprTraits(True, True, True, frozenset())
-_PLUS = ExprTraits(True, False, True, frozenset())
-_NEIGHBOR_SUM = ExprTraits(True, True, False, frozenset())
+# The traits of One.
+_NO_TRAITS = ExprTraits(True, True, True, True)
 
 
 # The longest text repr gives a node, subterms included.
@@ -228,7 +213,7 @@ class Proj(_Node):
         if index < 1:
             raise ValueError("projection index must be >= 1")
         _set(self, "index", index)
-        return (), ExprTraits(True, True, True, frozenset(), index)
+        return (), ExprTraits(True, True, True, True, index)
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
@@ -253,7 +238,8 @@ class Add(_Node):
     def _fill(self, left, right) -> tuple[tuple, ExprTraits]:
         _set(self, "left", left)
         _set(self, "right", right)
-        return (left, right), _join(_join(left.traits, right.traits), _PLUS)
+        t = _join(left.traits, right.traits)
+        return (left, right), t._replace(addition_free=False) if t.addition_free else t
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
@@ -264,8 +250,12 @@ class Apply(_Node):
     def _fill(self, func, arg) -> tuple[tuple, ExprTraits]:
         _set(self, "func", func)
         _set(self, "arg", arg)
-        own = ExprTraits(func == RELU, True, True, frozenset((func,)))
-        return (arg,), _join(arg.traits, own)
+        t = arg.traits
+        relu_only = t.relu_only and func == RELU
+        piecewise_linear = t.piecewise_linear and curvature(func) == 0.0
+        if relu_only != t.relu_only or piecewise_linear != t.piecewise_linear:
+            t = t._replace(relu_only=relu_only, piecewise_linear=piecewise_linear)
+        return (arg,), t
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
@@ -274,7 +264,8 @@ class Diamond(_Node):
 
     def _fill(self, arg) -> tuple[tuple, ExprTraits]:
         _set(self, "arg", arg)
-        return (arg,), _join(arg.traits, _NEIGHBOR_SUM)
+        t = arg.traits
+        return (arg,), t._replace(summation_free=False) if t.summation_free else t
 
 
 Expr = Union[One, Proj, Scale, Add, Apply, Diamond]

@@ -90,11 +90,5 @@ class DomainBox:
     def highs(self) -> np.ndarray:
         return np.array([iv.hi for iv in self.intervals])
 
-    def concat(self, other: "DomainBox") -> "DomainBox":
-        return DomainBox(self.intervals + other.intervals)
-
-    def contains(self, vec, slack: float = 0.0) -> bool:
-        return all(iv.contains(float(x), slack) for iv, x in zip(self.intervals, vec, strict=True))
-
     def __repr__(self) -> str:
         return "Box(" + " x ".join(repr(iv) for iv in self.intervals) + ")"

@@ -23,7 +23,6 @@ from .activations import (
     apply_vec,
 )
 from .errors import ArityError
-from .expressions import ExprTuple
 from .graphs import FeatureMap, Graph
 
 __all__ = [
@@ -224,7 +223,7 @@ def concat_mpnns(a: Mpnn, b: Mpnn) -> Mpnn:
     relu compile of both translations as one tuple, one output per root.  A
     network that applies a function other than relu is a ModeError."""
     # Both modules import this one, so they are imported here.
-    from .compiler import compile_relu_tuple
+    from .compiler import CompileEnv, compile_all
     from .translate import mpnn_to_mplang
 
     if a.input_arity != b.input_arity:
@@ -232,7 +231,7 @@ def concat_mpnns(a: Mpnn, b: Mpnn) -> Mpnn:
             f"input arities differ: {a.input_arity} vs {b.input_arity}"
         )
     roots = mpnn_to_mplang(a).components + mpnn_to_mplang(b).components
-    return compile_relu_tuple(ExprTuple(roots, a.input_arity))
+    return compile_all(roots, a.input_arity, CompileEnv("relu"))[0]
 
 
 # -- JSON interchange ------------------------------------------------------------

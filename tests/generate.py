@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .activations import ABS, ID, RELU, SIGMOID, SIN, TANH, Activation
-from .expressions import Add, Apply, Diamond, Expr, One, Proj, Scale
-from .mpnn import Layer, Mpnn
+from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH, Activation
+from mplangc.expressions import Add, Apply, Diamond, Expr, One, Proj, Scale
+from mplangc.mpnn import Layer, Mpnn
 
 __all__ = ["random_expr", "random_relu_expr", "random_mpnn", "MIXED_FUNCTIONS"]
 

@@ -40,6 +40,18 @@ def tree_copy(e):
     return fresh(Proj, e.index) if isinstance(e, Proj) else fresh(One)
 
 
+def applied_functions(e):
+    """The functions applied anywhere in e, from a fold over its DAG."""
+    found = set()
+
+    def visit(node, _):
+        if isinstance(node, Apply):
+            found.add(node.func)
+
+    fold(e, visit)
+    return found
+
+
 def schedule_by_recursion(roots):
     """The schedule fold_all walks, found by recursion: each distinct node
     after its children, children and roots left to right; and how often each

@@ -11,11 +11,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expressions import Expr
-from .graphs import Graph
-from .mpnn import Mpnn, layer
-from .activations import ID, RELU
-from .parser import parse
+from mplangc.expressions import Expr
+from mplangc.graphs import Graph
+from mplangc.mpnn import Mpnn, layer
+from mplangc.activations import ID, RELU
+from mplangc.parser import parse
 
 __all__ = [
     "Fixture",

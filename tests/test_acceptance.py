@@ -11,9 +11,11 @@ import time
 
 import numpy as np
 
-from helpers import batch_instances
+from generate import MIXED_FUNCTIONS, random_expr, random_mpnn, random_relu_expr
+from helpers import applied_functions, batch_instances
+from oracles import FIXTURES, max_mpnn, oracle_t1, oracle_t2, oracle_t4
 from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH
-from mplangc.approx import approximate, image_bounds, uniform_distance_estimate
+from mplangc.approx import approximate, image_bounds, uniform_distance_estimates
 from mplangc.cli import main
 from mplangc.compiler import (
     compile_addition_free,
@@ -23,8 +25,6 @@ from mplangc.compiler import (
     merge_layers,
 )
 from mplangc.expressions import classify, format_expr
-from mplangc.fixtures import FIXTURES, max_mpnn, oracle_t1, oracle_t2, oracle_t4
-from mplangc.generate import MIXED_FUNCTIONS, random_expr, random_mpnn, random_relu_expr
 from mplangc.graphs import FeatureMap, Graph, random_graph, random_features
 from mplangc.intervals import DomainBox
 from mplangc.interpreter import eval_expr, eval_tuple
@@ -170,7 +170,7 @@ def test_criterion_5_approximation_budget():
         for eps in (0.5, 0.1, 0.01):
             approx = approximate(e, 3, box, eps)
             assert classify(approx).relu_only, (text, eps)
-            rho = uniform_distance_estimate(e, approx, 3, box, 10_000, seed=505)
+            (rho,) = uniform_distance_estimates((e,), (approx,), 3, box, 10_000, seed=505)
             assert rho <= eps, (text, eps, rho)
     _passed("criterion 5 (4 expressions x 3 budgets, 10^4 samples)", started)
 
@@ -213,7 +213,8 @@ def test_criterion_8_structural_activation_sets():
         traits = classify(e)
         if not traits.addition_free:
             continue
-        allowed = set(traits.functions_used) | {ID}
+        functions = applied_functions(e)
+        allowed = functions | {ID}
         if af_count < 50:
             net = compile_addition_free(e, d)
             assert {lyr.activation for lyr in net.layers} <= allowed
@@ -223,7 +224,7 @@ def test_criterion_8_structural_activation_sets():
             # sigma-MPNN shape: id may appear in final position only
             for lyr in net.layers[:-1]:
                 assert lyr.activation != ID
-                assert lyr.activation in traits.functions_used
+                assert lyr.activation in functions
             assert net.layers[-1].activation in allowed
             pw_count += 1
     _passed("criterion 8 (activation-set structure, 50+50 exprs)", started)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from generate import random_expr
 from helpers import batch_instances, deep_mpnn
 from mplangc.activations import SIN, TANH, PiecewiseLinear, ReluSum, relu_approximate
 from mplangc.approx import (
@@ -12,13 +13,11 @@ from mplangc.approx import (
     approximate,
     approximate_all,
     image_bounds,
-    uniform_distance_estimate,
     uniform_distance_estimates,
 )
 from mplangc.errors import ArityError, CertificateError
 from mplangc.compiler import compile_relu
 from mplangc.expressions import Apply, Diamond, One, Proj, Scale, classify, classify_all, fold_all
-from mplangc.generate import random_expr
 from mplangc.graphs import Graph
 from mplangc.intervals import DomainBox, Interval
 from mplangc.interpreter import eval_expr
@@ -101,7 +100,7 @@ def test_sin_on_single_nodes_within_budget():
     box = DomainBox.from_pairs([[-3.141592653589793, 3.141592653589793]])
     out = approximate(e, 0, box, 0.1)
     assert classify(out).relu_only
-    rho = uniform_distance_estimate(e, out, 0, box, 10_000, 13)
+    (rho,) = uniform_distance_estimates((e,), (out,), 0, box, 10_000, 13)
     assert rho <= 0.1
 
 
@@ -110,7 +109,7 @@ def test_tanh_of_neighbor_sum_within_budget():
     box = DomainBox.cube(-1, 1, 1)
     out = approximate(e, 3, box, 0.05)
     assert classify(out).relu_only
-    rho = uniform_distance_estimate(e, out, 3, box, 5_000, 17)
+    (rho,) = uniform_distance_estimates((e,), (out,), 3, box, 5_000, 17)
     assert rho <= 0.05
 
 
@@ -119,7 +118,7 @@ def test_negative_scale_budget():
     box = DomainBox.cube(-1, 1, 1)
     out = approximate(e, 2, box, 0.1)
     assert classify(out).relu_only
-    rho = uniform_distance_estimate(e, out, 2, box, 5_000, 19)
+    (rho,) = uniform_distance_estimates((e,), (out,), 2, box, 5_000, 19)
     assert rho <= 0.1
 
 
@@ -210,7 +209,7 @@ def test_approximants_are_relu_only_and_within_their_proven_eps(seed, depth, p, 
     assert classify(out).relu_only
     (proven,) = report.proven_eps
     assert proven <= eps
-    rho = uniform_distance_estimate(e, out, p, box, 300, seed % 1000)
+    (rho,) = uniform_distance_estimates((e,), (out,), p, box, 300, seed % 1000)
     assert rho <= eps
     assert rho <= proven + ROUNDING
 
@@ -224,7 +223,7 @@ def test_twenty_term_sin_sum_certifies():
     assert classify(out).relu_only
     assert report.proven_eps[0] <= 0.01
     assert {r.eps for r in report.applications} == {0.01 / 20}
-    assert uniform_distance_estimate(e, out, 2, box, 2000, 3) <= 0.01
+    assert uniform_distance_estimates((e,), (out,), 2, box, 2000, 3)[0] <= 0.01
 
 
 def test_translated_three_layer_network_stays_small():
@@ -326,7 +325,7 @@ def test_an_exact_function_gives_its_argument_eps_over_its_slope():
             assert sin.eps == min(0.1 / slope, 0.1)
             (proven,) = report.proven_eps
             assert proven == slope * sin.proven <= 0.1
-            assert uniform_distance_estimate(e, out, p, box, 200, 3) <= proven + 1e-9
+            assert uniform_distance_estimates((e,), (out,), p, box, 200, 3)[0] <= proven + 1e-9
 
 
 def test_knots_count_the_breakpoints_of_each_interpolant():
@@ -336,9 +335,35 @@ def test_knots_count_the_breakpoints_of_each_interpolant():
     assert (abs_.knots, relu.knots) == (1, 1)
     # A grid's count is its hinges': one per knot where the slope turns.
     hinges = relu_approximate(TANH, tanh.interval, tanh.eps).terms
-    assert tanh.knots == sum(a != 0.0 for a, _, _ in hinges) == 4
+    assert tanh.knots == sum(a != 0.0 for a, _, _ in hinges) == 2
     _, report = approximate_all([parse("id(tanh(P1))")], 0, box, 0.1)
     assert [(r.function, r.knots) for r in report.applications] == [("tanh", 2), ("id", 0)]
+
+
+def test_a_piecewise_linear_term_takes_no_share_and_a_piecewise_linear_argument_is_exact():
+    # abs, id and relu of ReLU-only arguments add no error: the curved
+    # function keeps the whole ε, on its argument's bare image.
+    box = DomainBox.cube(-1, 1, 1)
+    for text, p in (("abs(P1) + relu(tanh(P1))", 0),
+                    ("id(<>P1) + -2*abs(relu(P1) + -0.5) + sin(P1)", 2),
+                    ("tanh(abs(P1) + -0.5) + id(P1)", 0),
+                    ("sigmoid(<>abs(P1)) + abs(P1)", 3)):
+        e = parse(text)
+        (out,), report = approximate_all([e], p, box, 0.1)
+        assert classify(out).relu_only
+        curved = [r for r in report.applications if r.m2 > 0.0]
+        assert len(curved) == 1 and curved[0].eps == 0.1, text
+        for record in report.applications:
+            if record.m2 == 0.0 and record.delta is None:  # an exact f of an exact e
+                assert record.proven == 0.0, text
+        (proven,) = report.proven_eps
+        assert proven == curved[0].proven <= 0.1
+        (rho,) = uniform_distance_estimates((e,), (out,), p, box, 2000, 5)
+        assert rho <= proven + ROUNDING, text
+    # The argument of tanh is exact: no δ, and no widening of its image.
+    _, report = approximate_all([parse("tanh(abs(P1) + -0.5)")], 0, box, 0.1)
+    (_, tanh) = report.applications
+    assert (tanh.delta, tanh.interval) == (None, Interval(-0.5, 0.5))
 
 
 def test_a_shared_subterm_has_one_approximant():
@@ -366,7 +391,7 @@ def test_long_sin_sum_approximates_without_recursion():
         assert classify(out).relu_only and len(report.applications) == 2
     finally:
         sys.setrecursionlimit(old)
-    assert uniform_distance_estimate(e, out, 1, box, 200, 5) <= 1.0
+    assert uniform_distance_estimates((e,), (out,), 1, box, 200, 5)[0] <= 1.0
 
 
 # The approx_nested benchmark's cases (bench/workloads.py), copied here so
@@ -394,23 +419,23 @@ def test_approx_nested_networks_get_no_bigger():
     assert dense <= 798 and nonzero <= 400, (dense, nonzero)
 
 
-# -- uniform_distance_estimate -------------------------------------------------------
+# -- uniform_distance_estimates ------------------------------------------------------
 
 def test_distance_of_expression_to_itself_is_zero():
     e = parse("tanh(<>P1) + P1")
-    assert uniform_distance_estimate(e, e, 2, DomainBox.cube(-1, 1, 1), 500, 3) == 0.0
+    assert uniform_distance_estimates((e,), (e,), 2, DomainBox.cube(-1, 1, 1), 500, 3) == [0.0]
 
 
 def test_distance_approaches_analytic_sup():
-    est = uniform_distance_estimate(
-        parse("P1"), parse("0"), 0, DomainBox.cube(-1, 1, 1), 5_000, 11
+    (est,) = uniform_distance_estimates(
+        (parse("P1"),), (parse("0"),), 0, DomainBox.cube(-1, 1, 1), 5_000, 11
     )
     assert 0.99 <= est <= 1.0
 
 
 def test_relu_is_identity_on_nonnegatives():
-    est = uniform_distance_estimate(
-        parse("relu(P1)"), parse("P1"), 2, DomainBox.from_pairs([[0.0, 5.0]]), 1_000, 23
+    (est,) = uniform_distance_estimates(
+        (parse("relu(P1)"),), (parse("P1"),), 2, DomainBox.from_pairs([[0.0, 5.0]]), 1_000, 23
     )
     assert est == 0.0
 
@@ -418,13 +443,13 @@ def test_relu_is_identity_on_nonnegatives():
 def test_distance_is_seed_deterministic():
     e1, e2 = parse("sin(P1)"), parse("P1")
     box = DomainBox.cube(-1, 1, 1)
-    a = uniform_distance_estimate(e1, e2, 1, box, 300, 7)
-    b = uniform_distance_estimate(e1, e2, 1, box, 300, 7)
+    a = uniform_distance_estimates((e1,), (e2,), 1, box, 300, 7)
+    b = uniform_distance_estimates((e1,), (e2,), 1, box, 300, 7)
     assert a == b
 
 
 def test_distance_arity_mismatch():
     with pytest.raises(ArityError):
-        uniform_distance_estimate(
-            parse("P2"), parse("P1"), 1, DomainBox.cube(-1, 1, 1), 10, 1
+        uniform_distance_estimates(
+            (parse("P2"),), (parse("P1"),), 1, DomainBox.cube(-1, 1, 1), 10, 1
         )

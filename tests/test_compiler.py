@@ -3,7 +3,9 @@ import functools
 import numpy as np
 import pytest
 
-from helpers import assert_close, batch_instances, layer_merge_shifts
+from generate import random_expr, random_relu_expr
+from helpers import applied_functions, assert_close, batch_instances, layer_merge_shifts
+from oracles import oracle_t2, oracle_t4
 from mplangc.activations import (
     ABS, ID, RELU, SIGMOID, SIN, TANH, Merged, apply_vec, interval_image, merge,
 )
@@ -15,14 +17,11 @@ from mplangc.compiler import (
     compile_mixed,
     compile_pointwise,
     compile_relu,
-    compile_relu_tuple,
     layer_output_bounds,
     merge_layers,
 )
 from mplangc.errors import ArityError, ModeError
-from mplangc.expressions import Add, Apply, ExprTuple, Proj, classify
-from mplangc.fixtures import oracle_t2, oracle_t4
-from mplangc.generate import random_expr
+from mplangc.expressions import Add, Apply, Proj, classify
 from mplangc.graphs import FeatureMap, Graph, random_graph, random_features
 from mplangc.intervals import DomainBox, Interval
 from mplangc.interpreter import eval_expr
@@ -109,8 +108,6 @@ def test_pointwise_arity_error_comes_before_its_mode_errors():
 
 def test_compile_relu_structural_id_only_final():
     rng = np.random.default_rng(8)
-    from mplangc.generate import random_relu_expr
-
     for _ in range(25):
         d = int(rng.integers(1, 4))
         e = random_relu_expr(rng, int(rng.integers(1, 6)), d)
@@ -126,28 +123,28 @@ def test_compile_relu_drops_dead_rows(text):
     assert net.layers[0].w_self.tolist() == [[0.0, 1.0]]
 
 
-# -- compile_relu_tuple ----------------------------------------------------------------
+# -- relu compiles of several roots --------------------------------------------------------
 
 def test_compile_relu_tuple_duplicate_projection():
-    net = compile_relu_tuple(ExprTuple((parse("P1"), parse("P1")), 1))
+    net, _ = compile_all((parse("P1"), parse("P1")), 1, CompileEnv("relu"))
     fm = FeatureMap(np.array([[3.0], [-4.0]]))
     g = Graph(2, ((0, 1),))
     assert_close(eval_mpnn(net, g, fm).values, [[3.0, 3.0], [-4.0, -4.0]])
 
 
 def test_compile_relu_tuple_projection_and_sum():
-    net = compile_relu_tuple(ExprTuple((parse("P1"), parse("<>P1")), 1))
+    net, _ = compile_all((parse("P1"), parse("<>P1")), 1, CompileEnv("relu"))
     triangle = Graph(3, ((0, 1), (1, 2), (2, 0)))
     fm = FeatureMap(np.ones((3, 1)))
     assert_close(eval_mpnn(net, triangle, fm).values, [[1.0, 2.0]] * 3)
 
 
 def test_compile_relu_tuple_against_component_oracles():
-    t = ExprTuple((MAX_EXPR, parse("<>P1 + <>P2")), 2)
-    net = compile_relu_tuple(t)
+    roots = (MAX_EXPR, parse("<>P1 + <>P2"))
+    net, _ = compile_all(roots, 2, CompileEnv("relu"))
     union, fm = batch_instances(None, DomainBox.cube(-5, 5, 2), 50, 3)
     vals = eval_mpnn(net, union, fm).values
-    for j, comp in enumerate(t.components):
+    for j, comp in enumerate(roots):
         assert_close(vals[:, j], eval_expr(comp, union, fm))
 
 
@@ -408,8 +405,6 @@ def test_pointwise_rejects_diamond_and_plus():
 
 def test_pointwise_id_only_in_final_position():
     rng = np.random.default_rng(59)
-    from mplangc.generate import random_expr
-
     count = 0
     while count < 20:
         e = random_expr(rng, 5, 2)
@@ -421,7 +416,7 @@ def test_pointwise_id_only_in_final_position():
         for lyr in net.layers[:-1]:
             assert lyr.activation != ID
         used = {lyr.activation for lyr in net.layers[:-1]}
-        assert used <= t.functions_used
+        assert used <= applied_functions(e)
 
 
 # -- compile_expr dispatch ------------------------------------------------------------------------

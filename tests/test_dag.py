@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generate import MIXED_FUNCTIONS, random_expr, random_relu_expr
 from helpers import (
+    applied_functions,
     assert_close,
     batch_instances,
     deep_mpnn,
@@ -25,7 +27,7 @@ from helpers import (
     schedule_by_recursion,
     tree_copy,
 )
-from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH, Merged, Named
+from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH, Merged, Named, curvature
 from mplangc.approx import approximate_all, image_bounds, uniform_distance_estimates
 from mplangc.cli import main
 from mplangc.compiler import (
@@ -37,7 +39,6 @@ from mplangc.compiler import (
     compile_mixed,
     compile_pointwise,
     compile_relu,
-    compile_relu_tuple,
 )
 from mplangc.errors import CertificateError
 from mplangc.expressions import (
@@ -49,8 +50,6 @@ from mplangc.expressions import (
     One,
     Proj,
     Scale,
-    _JOINS,
-    _JOINS_SIZE,
     _NODES,
     _REFS,
     _join,
@@ -64,7 +63,6 @@ from mplangc.expressions import (
     max_projection,
     post_order,
 )
-from mplangc.generate import MIXED_FUNCTIONS, random_expr, random_relu_expr
 from mplangc.graphs import FeatureMap, Graph, features_to_json, graph_to_json
 from mplangc.interpreter import eval_expr, eval_tuple
 from mplangc.intervals import DomainBox, Interval
@@ -140,7 +138,7 @@ def _oracle_traits(roots):
         relu_only=functions <= {RELU},
         addition_free=Add not in kinds,
         summation_free=Diamond not in kinds,
-        functions_used=frozenset(functions),
+        piecewise_linear=all(curvature(f) == 0.0 for f in functions),
         max_projection=max(highest, default=0),
     )
 
@@ -170,10 +168,14 @@ def test_every_node_carries_the_traits_of_its_subterm(seed, depth, relu, form, t
 
 def test_traits_are_shared_where_nothing_changes_and_kept_out_of_the_fields():
     e = Add(Apply(SIN, Proj(2)), Diamond(Proj(1)))
-    for node in (Scale(2.0, e), Apply(SIN, e), Diamond(e), Add(e, Proj(1))):
+    for node in (Scale(2.0, e), Apply(SIN, e), Apply(RELU, e), Diamond(e), Add(e, Proj(1))):
         assert node.traits is e.traits
-    assert Apply(RELU, e).traits == ExprTraits(False, False, False, frozenset({SIN, RELU}), 2)
-    assert e.traits == ExprTraits(False, False, False, frozenset({SIN}), 2)
+    assert e.traits == ExprTraits(False, False, False, False, 2)
+    assert Apply(ABS, Proj(2)).traits == ExprTraits(False, True, True, True, 2)
+    # Two nodes' traits joined are one of the two objects where it has the join.
+    a, b = Proj(3).traits, Proj(1).traits
+    twin = ExprTraits(*a)  # equal to a, another object
+    assert _join(a, b) is a and _join(twin, b) is twin and _join(b, twin) is twin
     assert [f.name for f in fields(e)] == ["left", "right"]
     assert "traits" not in repr(e)
 
@@ -227,7 +229,7 @@ def _assert_every_channel_is_read(net):
 def test_relu_networks_are_levelled_and_agree_with_the_interpreter(roots, seed):
     union, fm = batch_instances(None, DomainBox.cube(-10.0, 10.0, D), 20, seed)
     nets = [compile_relu(e, D) for e in roots]
-    joint = compile_relu_tuple(ExprTuple(tuple(roots), D))
+    joint, _ = compile_all(roots, D, CompileEnv("relu"))
     shapes = []
     for j, (e, net) in enumerate(zip(roots, nets)):
         want = eval_expr(e, union, fm)
@@ -287,7 +289,7 @@ def test_mixed_networks_merge_once_per_level_and_agree_with_the_interpreter(
     top, fused = _scheduled([e], d)
     assert len(net.layers) == top + (0 if fused else 1) <= _nesting(e) + 1
     assert (net.layers[-1].activation == ID) == (not fused)
-    functions = classify(e).functions_used | {RELU}  # relu also lifts
+    functions = applied_functions(e) | {RELU}  # relu also lifts
     for lyr in net.layers[:top]:
         leaves = _merge_leaves(lyr.activation)
         assert len(set(leaves)) == len(leaves) and set(leaves) <= functions
@@ -324,7 +326,7 @@ def test_chain_networks_use_only_their_own_functions_and_agree_with_the_interpre
     for net in nets:
         out = eval_mpnn(net, union, fm).values
         assert_close(out[:, 0], want)
-        assert {lyr.activation for lyr in net.layers} <= traits.functions_used | {ID}
+        assert {lyr.activation for lyr in net.layers} <= applied_functions(e) | {ID}
         # One row per layer: an id carrier lifts a value with one row, where
         # relu carriers would need the pair relu(x), relu(-x).
         assert [lyr.output_arity for lyr in net.layers] == [1] * len(net.layers)
@@ -457,7 +459,7 @@ def test_each_route_folds_the_dag_once(monkeypatch, tmp_path):
         return len(calls)
 
     assert folds(compile_relu, relu, D) == 1
-    assert folds(compile_relu_tuple, t) == 1
+    assert folds(compile_all, t.components, D, CompileEnv("relu")) == 1
     assert folds(compile_mixed, mixed, D, P, BOX) == 1
     assert folds(compile_addition_free, chain, D) == 1
     assert folds(compile_pointwise, point, D) == 1
@@ -494,7 +496,7 @@ def test_compile_relu_tuple_forms_each_distinct_node_once(monkeypatch):
     form = _Channels.form
     monkeypatch.setattr(_Channels, "form",
                         lambda self, node, kids: calls.append(node) or form(self, node, kids))
-    together = compile_relu_tuple(t)
+    together, _ = compile_all(t.components, t.input_arity, CompileEnv("relu"))
     assert len(calls) == len(nodes) == 170  # 426 if each root is folded on its own
     assert len(together.layers) == len(per_root.layers)
     for a, b in zip(together.layers, per_root.layers):
@@ -720,18 +722,6 @@ def test_a_new_node_replaces_a_dead_reference_left_in_the_table():
     assert _REFS[key]() is again
     values.close()
     assert _REFS[key]() is again and Scale(12345.5, Proj(77)) is again
-
-
-def test_joined_traits_keep_the_callers_own_and_the_table_stays_bounded():
-    a, b = Proj(3).traits, Proj(1).traits
-    twin = ExprTraits(*a)  # equal to a, another object
-    assert _join(a, b) is a and _join(twin, b) is twin and _join(b, twin) is twin
-    relu_sin = ExprTraits(False, True, True, frozenset({RELU, SIN}), 3)
-    joined = _join(Apply(RELU, Proj(3)).traits, Apply(SIN, Proj(1)).traits)
-    assert joined == relu_sin
-    for k in range(1, 3 * _JOINS_SIZE):
-        assert _join(Proj(k).traits, b).max_projection == k
-    assert 0 < len(_JOINS) <= _JOINS_SIZE
 
 
 def test_threads_building_equal_nodes_get_one_node():

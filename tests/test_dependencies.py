@@ -56,6 +56,23 @@ def test_every_traced_function_resolves():
             f"mplangc.{module}.{name}"
 
 
+def test_every_module_is_imported_by_the_package_or_a_script():
+    # A module that no other module imports and no script entry point names
+    # ships only for the tests or the benchmark, which keep their own.
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"].values()
+    package = sorted((ROOT / "src" / "mplangc").glob("*.py"))
+    imported = {entry.split(":")[0].split(".")[1] for entry in scripts}
+    for path in package:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported.update([node.module.split(".")[0]] if node.module
+                                else [alias.name for alias in node.names])
+    assert [path.stem for path in package
+            if path.stem != "__init__" and path.stem not in imported] == []
+
+
 def _dead_code(path: pathlib.Path) -> list[str]:
     """Unused imports, and module-level private functions and classes that
     nothing in their module refers to."""

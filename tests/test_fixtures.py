@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mplangc.compiler import compile_relu
-from mplangc.fixtures import (
+from oracles import (
     FIXTURES,
     max_mpnn,
     oracle_t1,

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from generate import random_expr
 from helpers import batch_instances
+from oracles import oracle_t4
 from mplangc.errors import ArityError
 from mplangc.expressions import Add, Diamond, ExprTuple, Proj, Scale
-from mplangc.fixtures import oracle_t4
-from mplangc.generate import random_expr
 from mplangc.graphs import FeatureMap, Graph
 from mplangc.interpreter import eval_expr, eval_tuple
 from mplangc.intervals import DomainBox

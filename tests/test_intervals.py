@@ -44,14 +44,3 @@ def test_box_pairs_roundtrip():
     assert box.to_pairs() == [[-1.0, 1.0], [0.0, 2.0]]
     assert box.dimension == 2
 
-
-def test_box_contains():
-    box = DomainBox.cube(-1.0, 1.0, 3)
-    assert box.contains([0.0, 1.0, -1.0])
-    assert not box.contains([0.0, 1.5, 0.0])
-
-
-def test_box_concat():
-    a = DomainBox.cube(0.0, 1.0, 1)
-    b = DomainBox.cube(2.0, 3.0, 2)
-    assert a.concat(b).to_pairs() == [[0.0, 1.0], [2.0, 3.0], [2.0, 3.0]]

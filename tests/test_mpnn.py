@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from generate import random_mpnn
 from helpers import assert_close, batch_instances
+from oracles import max_mpnn, oracle_t2
 from mplangc.activations import ID, RELU, SIGMOID, TANH, Merged, PiecewiseLinear, ReluSum
 from mplangc.errors import ArityError
-from mplangc.fixtures import max_mpnn, oracle_t2
-from mplangc.generate import random_mpnn
 from mplangc.graphs import FeatureMap, Graph
 from mplangc.intervals import DomainBox
 from mplangc.mpnn import (

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generate import random_expr
 from helpers import deep_mpnn, tree_copy
-from mplangc.activations import RELU, SIN, TANH, Named
+from mplangc.activations import RELU, Named
 from mplangc.errors import ArityError
 from mplangc.expressions import (
     Add,
@@ -22,7 +23,6 @@ from mplangc.expressions import (
     format_expr,
     max_projection,
 )
-from mplangc.generate import random_expr
 from mplangc.parser import MPLangSyntaxError, parse
 from mplangc.translate import mpnn_to_mplang
 
@@ -279,26 +279,26 @@ def test_max_projection():
 
 def test_classify_relu_only():
     t = classify(parse("relu(P1)"))
-    assert t.relu_only and t.addition_free and t.summation_free
-    assert t.functions_used == frozenset({RELU})
+    assert t.relu_only and t.addition_free and t.summation_free and t.piecewise_linear
 
 
 def test_classify_diamond():
     t = classify(parse("<>P1"))
     assert t.addition_free and not t.summation_free
-    assert t.functions_used == frozenset()
-    assert t.relu_only  # vacuously: no function applications at all
+    assert t.relu_only and t.piecewise_linear  # vacuously: no function applications at all
 
 
 def test_classify_mixed():
     t = classify(parse("tanh(P1)+1"))
-    assert not t.relu_only and not t.addition_free
-    assert t.functions_used == frozenset({TANH})
+    assert not t.relu_only and not t.addition_free and not t.piecewise_linear
 
 
 def test_classify_collects_all_functions():
     t = classify(parse("sin(tanh(P1) + relu(P2))"))
-    assert t.functions_used == frozenset({SIN, TANH, RELU})
+    assert not t.relu_only and not t.piecewise_linear
+    # abs under relu and a sum: piecewise linear, but not ReLU-only.
+    t = classify(parse("relu(abs(P1) + relu(P2))"))
+    assert not t.relu_only and t.piecewise_linear
 
 
 def test_proj_index_validation():

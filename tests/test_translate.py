@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from generate import random_mpnn
 from helpers import assert_close, batch_instances
+from oracles import max_mpnn, oracle_t2
 from mplangc.expressions import Diamond, Proj, format_expr
-from mplangc.fixtures import max_mpnn, oracle_t2
-from mplangc.generate import random_mpnn
 from mplangc.graphs import FeatureMap, Graph
 from mplangc.interpreter import eval_tuple
 from mplangc.intervals import DomainBox
