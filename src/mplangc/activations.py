@@ -272,20 +272,19 @@ _EXACT = {RELU: ((1.0, 0.0, 1.0),), ID: ((1.0, 0.0, 1.0), (-1.0, 0.0, -1.0)),
           ABS: ((1.0, 0.0, 1.0), (-1.0, 0.0, 1.0))}
 
 
-# The most knots a grid may have.  interpolation_error's bound is a proof of
-# relu_approximate's grid only at the same cap, so both read this one.
+# The most knots a grid may have.  _grid_cells sizes both relu_approximate's
+# grid and interpolation_error's proof of it, so the two always agree.
 _MAX_POINTS = 4097
 
 
-def relu_approximate(f: Activation, y: Interval, eps: float, *,
-                     max_points: int = _MAX_POINTS) -> ReluSum:
+def relu_approximate(f: Activation, y: Interval, eps: float) -> ReluSum:
     """A ReLU combination within eps of f on y, proven by the interpolation bound.
 
     relu, id, abs, ReluSum and PiecewiseLinear come back exact, on the whole
     line, and sin, tanh and sigmoid are interpolated on ceil(width / h) + 1
     uniform knots with h = sqrt(8 eps / sup|f''|), which bounds the error on
     each cell by h^2/8 * sup|f''| = eps.  Raises CertificateError when y is not
-    finite, the grid needs more than max_points knots, or its step is below
+    finite, the grid needs more than _MAX_POINTS knots, or its step is below
     the float spacing, so that two knots round to the same float.
     """
     if not 0.0 < eps < math.inf:
@@ -300,7 +299,7 @@ def relu_approximate(f: Activation, y: Interval, eps: float, *,
         return ReluSum(_EXACT[f])
     if not math.isfinite(y.width):
         raise CertificateError(f"no {eps:g}-certificate on the unbounded interval {y}")
-    xs = np.linspace(y.lo, y.hi, _grid_cells(f, y, eps, max_points) + 1)
+    xs = np.linspace(y.lo, y.hi, _grid_cells(f, y, eps) + 1)
     if not (np.diff(xs) > 0.0).all():
         raise CertificateError(
             f"a {eps:g}-certificate on {y} needs a grid step below the float spacing"
@@ -308,15 +307,20 @@ def relu_approximate(f: Activation, y: Interval, eps: float, *,
     return _hinges(xs, apply_vec(f, xs))
 
 
-def _grid_cells(f: Named, y: Interval, eps: float, max_points: int) -> int:
-    """The cells of the uniform grid relu_approximate interpolates sin, tanh or sigmoid on."""
+def _grid_cells(f: Named, y: Interval, eps: float) -> int:
+    """The cells of the uniform grid relu_approximate interpolates sin, tanh or sigmoid on.
+
+    A count that rounds to 0, as when an eps near the float maximum overflows
+    the step, is still one cell, two knots, on an interval of nonzero width;
+    only a point gets no cell, and one knot.
+    """
     cells = y.width / math.sqrt(8.0 * eps / _CURVATURE[f.name])
-    if not cells <= max_points - 1:
+    if not cells <= _MAX_POINTS - 1:
         raise CertificateError(
             f"a {eps:g}-certificate on {y} needs {cells:.4g} grid cells,"
-            f" more than {max_points - 1}"
+            f" more than {_MAX_POINTS - 1}"
         )
-    return math.ceil(cells)
+    return max(math.ceil(cells), 1 if y.width > 0.0 else 0)
 
 
 def interpolation_error(f: Activation, y: Interval, eps: float) -> float:
@@ -329,7 +333,7 @@ def interpolation_error(f: Activation, y: Interval, eps: float) -> float:
     m2 = curvature(f)
     if m2 == 0.0:
         return 0.0
-    h = y.width / max(_grid_cells(f, y, eps, _MAX_POINTS), 1)
+    h = y.width / max(_grid_cells(f, y, eps), 1)
     return min(eps, h * h / 8.0 * m2)
 
 

@@ -37,8 +37,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .activations import (
     ID,
     RELU,
@@ -67,9 +65,7 @@ from .expressions import (
     scaled,
     sum_terms,
 )
-from .graphs import random_union
 from .intervals import DomainBox, Interval
-from .interpreter import eval_tuple
 
 __all__ = [
     "ApplyRecord",
@@ -77,7 +73,6 @@ __all__ = [
     "image_bounds",
     "approximate",
     "approximate_all",
-    "uniform_distance_estimates",
 ]
 
 
@@ -294,24 +289,3 @@ def approximate(e: Expr, p: int, box: DomainBox, eps: float) -> Expr:
     """ReLU-only expression within eps of e over degree-<=p graphs and box."""
     (out,), _ = approximate_all((e,), p, box, eps)
     return out
-
-
-def uniform_distance_estimates(
-    lefts: Sequence[Expr],
-    rights: Sequence[Expr],
-    p: int,
-    box: DomainBox,
-    trials: int,
-    seed: int,
-) -> list[float]:
-    """Per pair, max |left - right| over sampled (graph, features, node)
-    triples: one sample, and one evaluation of each side's tuple.
-
-    Lower bounds on the true suprema; deterministic given the seed.
-    """
-    left, right = (ExprTuple(tuple(side), box.dimension) for side in (lefts, rights))
-    batch = random_union(p, box, trials, seed)
-    va = eval_tuple(left, batch.graph, batch.features).values
-    vb = eval_tuple(right, batch.graph, batch.features).values
-    return np.max(np.abs(va - vb), axis=0, initial=0.0).tolist()
-

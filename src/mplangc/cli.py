@@ -48,11 +48,11 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .approx import approximate_all, image_bounds, uniform_distance_estimates
+from .approx import approximate_all, image_bounds
 from .compiler import CompileEnv, CompileReport, compile_all
 from .errors import ArityError, CertificateError, ModeError
 from .expressions import Expr, ExprTuple, format_expr, max_projection
@@ -173,6 +173,16 @@ class Operand:
     run: Callable[[Graph, FeatureMap], np.ndarray]  # returns (n, r)
 
 
+def _expr_operand(exprs: Sequence[Expr]) -> Operand:
+    """An expression tuple, evaluated in one fold per run."""
+    components = tuple(exprs)
+
+    def run(g: Graph, fm: FeatureMap) -> np.ndarray:
+        return eval_tuple(ExprTuple(components, fm.dimension), g, fm).values
+
+    return Operand(max(map(max_projection, components)), len(components), run)
+
+
 def _load_operand(spec: str) -> Operand:
     """MPNN .json file, expression text file, or expression literal.
 
@@ -187,14 +197,25 @@ def _load_operand(spec: str) -> Operand:
             lambda g, fm: eval_mpnn(net, g, fm).values,
         )
     if os.path.exists(spec):
-        components = tuple(_read_expr_file(spec))
-    else:
-        components = (parse(spec),)
+        return _expr_operand(_read_expr_file(spec))
+    return _expr_operand([parse(spec)])
 
-    def run(g: Graph, fm: FeatureMap) -> np.ndarray:
-        return eval_tuple(ExprTuple(components, fm.dimension), g, fm).values
 
-    return Operand(max(map(max_projection, components)), len(components), run)
+def _sample(a: Operand, b: Operand, p: int | None, box: DomainBox, trials: int, seed: int):
+    """One random_union of trials instances; both operands' values on it (n, r),
+    where both are finite, and |a - b| there (0 elsewhere).
+
+    A value that is not finite (NaN, or an overflow) cannot be judged, and the
+    caller reports that case itself, so numpy's overflow warnings are silenced.
+    """
+    batch = random_union(p, box, trials, seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        va = a.run(batch.graph, batch.features)
+        vb = b.run(batch.graph, batch.features)
+        finite = np.isfinite(va) & np.isfinite(vb)
+        dev = np.zeros(va.shape)
+        dev[finite] = np.abs(va[finite] - vb[finite])
+    return batch, va, vb, finite, dev
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -231,11 +252,11 @@ def cmd_approx(args) -> int:
     box = _parse_box(args.box)
     results, report = approximate_all(exprs, args.degree_bound, box, args.epsilon)
     # As in check, a sampled value that is not finite (NaN, or an overflow)
-    # cannot be judged: it exits 3, and numpy's overflow warnings are silenced.
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhos = uniform_distance_estimates(
-            exprs, results, args.degree_bound, box, args.trials, args.seed)
-    if not all(map(math.isfinite, rhos)):
+    # cannot be judged, nor can a difference that overflows: it exits 3.
+    _, _, _, finite, dev = _sample(_expr_operand(exprs), _expr_operand(results),
+                                   args.degree_bound, box, args.trials, args.seed)
+    rho_hat = float(dev.max(initial=0.0))
+    if not (finite.all() and math.isfinite(rho_hat)):
         print("approx error: sampled values are not finite (NaN or overflow)", file=sys.stderr)
         return 3
     text = "\n".join(format_expr(r) for r in results)
@@ -245,7 +266,7 @@ def cmd_approx(args) -> int:
         _write_json(report.to_json(), args.out + ".report.json")
     else:
         print(text)
-    print(f"rho_hat = {max(rhos)!r} (sampled over {args.trials} instances, eps = {args.epsilon!r}),"
+    print(f"rho_hat = {rho_hat!r} (sampled over {args.trials} instances, eps = {args.epsilon!r}),"
           f" proven eps = {max(report.proven_eps)!r}")
     if args.compile:
         # The approximants are ReLU-only, so relu mode needs no bounds.
@@ -271,16 +292,10 @@ def cmd_check(args) -> int:
         raise ArityError(
             f"--box has dimension {box.dimension}, operands need {max(a.input_arity, b.input_arity)}"
         )
-    batch = random_union(args.degree_bound, box, args.trials, args.seed)
-    # A non-finite value (NaN, or an overflow) cannot be judged: the check fails on
-    # the finite values, or else it exits 3, never passes.  It reports that case
-    # itself, so numpy's overflow warnings are silenced.
+    batch, va, vb, finite, dev = _sample(a, b, args.degree_bound, box, args.trials, args.seed)
+    # The check fails on the finite values, or else, when some are not finite,
+    # it exits 3, never passes.
     with np.errstate(over="ignore", invalid="ignore"):
-        va = a.run(batch.graph, batch.features)
-        vb = b.run(batch.graph, batch.features)
-        finite = np.isfinite(va) & np.isfinite(vb)
-        dev = np.zeros(va.shape)
-        dev[finite] = np.abs(va[finite] - vb[finite])
         allowed = np.maximum(max(ABS_FLOOR, args.abs_tolerance),
                              args.tolerance * np.maximum(np.abs(va), np.abs(vb)))
         excess = np.where(finite, dev / allowed, 0.0)

@@ -32,9 +32,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
-
     def add(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)
 

@@ -10,6 +10,7 @@ from mplangc.expressions import (
     Add,
     Apply,
     Diamond,
+    ExprTuple,
     One,
     Proj,
     Scale,
@@ -19,6 +20,7 @@ from mplangc.expressions import (
     fold,
 )
 from mplangc.graphs import random_union
+from mplangc.interpreter import eval_tuple
 from mplangc.mpnn import Layer, Mpnn
 
 
@@ -99,6 +101,17 @@ def batch_instances(p, box, trials, seed, max_nodes=8):
     """One union graph + feature map covering `trials` random instances."""
     batch = random_union(p, box, trials, seed, max_nodes)
     return batch.graph, batch.features
+
+
+def uniform_distance_estimates(lefts, rights, p, box, trials, seed):
+    """Per pair, max |left - right| over one random_union of `trials`
+    instances, each side's tuple evaluated once: lower bounds on the true
+    suprema, deterministic given the seed.  An oracle for the proven ε."""
+    left, right = (ExprTuple(tuple(side), box.dimension) for side in (lefts, rights))
+    batch = random_union(p, box, trials, seed)
+    va = eval_tuple(left, batch.graph, batch.features).values
+    vb = eval_tuple(right, batch.graph, batch.features).values
+    return np.max(np.abs(va - vb), axis=0, initial=0.0).tolist()
 
 
 def deep_mpnn(seed, layers=5, width=3, input_arity=2):

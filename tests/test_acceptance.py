@@ -12,10 +12,10 @@ import time
 import numpy as np
 
 from generate import MIXED_FUNCTIONS, random_expr, random_mpnn, random_relu_expr
-from helpers import applied_functions, batch_instances
+from helpers import applied_functions, batch_instances, uniform_distance_estimates
 from oracles import FIXTURES, max_mpnn, oracle_t1, oracle_t2, oracle_t4
 from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH
-from mplangc.approx import approximate, image_bounds, uniform_distance_estimates
+from mplangc.approx import approximate, image_bounds
 from mplangc.cli import main
 from mplangc.compiler import (
     compile_addition_free,

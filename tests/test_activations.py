@@ -292,7 +292,7 @@ def test_hinges_match_the_per_knot_loop_on_random_knots(xs, ys, collinear):
 def test_interpolants_match_the_per_knot_loop(f, lo, width, eps):
     # tanh and sin are 0 at 0, so a grid from 0 has no level term; width 0 is one knot.
     y = Interval(lo, lo + width)
-    xs = np.linspace(y.lo, y.hi, _grid_cells(f, y, eps, 4097) + 1)
+    xs = np.linspace(y.lo, y.hi, _grid_cells(f, y, eps) + 1)
     oracle = _per_knot_hinges(tuple(zip(xs.tolist(), apply_vec(f, xs).tolist())))
     assert repr(relu_approximate(f, y, eps).terms) == repr(oracle)
 
@@ -327,9 +327,23 @@ def test_relu_approximate_sin_certificate():
     assert err <= eps
 
 
+@pytest.mark.parametrize("eps", [1e307, 3e307, 1e308])
+def test_an_eps_near_the_float_maximum_keeps_both_end_knots(eps):
+    # From about 2.3e307 on, 8*eps/sup|f''| overflows and the cell count
+    # rounds to 0: an interval still gets its two end knots, a point one.
+    ends = np.array([-1.0, 1.0])
+    g = relu_approximate(TANH, Interval(-1.0, 1.0), eps)
+    assert np.array_equal(apply_vec(g, ends), apply_vec(TANH, ends))
+    assert interpolation_error(TANH, Interval(-1.0, 1.0), eps) == 4.0 / 8.0 * 4.0 / math.sqrt(27.0)
+    point = relu_approximate(TANH, Interval(1.0, 1.0), eps)
+    assert len(point.terms) == 1
+    assert np.array_equal(apply_vec(point, ends), apply_vec(TANH, ends[1:]).repeat(2))
+
+
 def test_relu_approximate_budget_exhaustion():
     with pytest.raises(CertificateError):
-        relu_approximate(SIN, Interval(-100.0, 100.0), 1e-6, max_points=33)
+        # 70,711 cells against a cap of 4,096.
+        relu_approximate(SIN, Interval(-100.0, 100.0), 1e-6)
 
 
 def test_relu_approximate_rejects_nonpositive_eps():
@@ -425,9 +439,7 @@ def test_relu_approximate_and_modulus_delta_are_proven(f, lo, width, eps, seed):
     else:
         n = math.ceil(y.width / math.sqrt(8.0 * eps / CURVATURE[f])) + 1
         knots = np.linspace(y.lo, y.hi, n)
-        relu_approximate(f, y, eps, max_points=n)
-        with pytest.raises(CertificateError):
-            relu_approximate(f, y, eps, max_points=n - 1)
+        assert _grid_cells(f, y, eps) == n - 1
         hinges = np.array([b for a, b, _ in g.terms if a != 0.0])
         assert np.isin(hinges, knots).all()
     probes = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2.0])

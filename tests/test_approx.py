@@ -6,15 +6,15 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from generate import random_expr
-from helpers import batch_instances, deep_mpnn
+from helpers import batch_instances, deep_mpnn, uniform_distance_estimates
 from mplangc.activations import SIN, TANH, PiecewiseLinear, ReluSum, relu_approximate
 from mplangc.approx import (
     _relu_sum_expr,
     approximate,
     approximate_all,
     image_bounds,
-    uniform_distance_estimates,
 )
+from mplangc.cli import main
 from mplangc.errors import ArityError, CertificateError
 from mplangc.compiler import compile_relu
 from mplangc.expressions import Apply, Diamond, One, Proj, Scale, classify, classify_all, fold_all
@@ -419,37 +419,53 @@ def test_approx_nested_networks_get_no_bigger():
     assert dense <= 798 and nonzero <= 400, (dense, nonzero)
 
 
-# -- uniform_distance_estimates ------------------------------------------------------
+# -- the sampler, through check and approx --------------------------------------------
 
-def test_distance_of_expression_to_itself_is_zero():
-    e = parse("tanh(<>P1) + P1")
-    assert uniform_distance_estimates((e,), (e,), 2, DomainBox.cube(-1, 1, 1), 500, 3) == [0.0]
-
-
-def test_distance_approaches_analytic_sup():
-    (est,) = uniform_distance_estimates(
-        (parse("P1"),), (parse("0"),), 0, DomainBox.cube(-1, 1, 1), 5_000, 11
-    )
-    assert 0.99 <= est <= 1.0
+def _sampled(capsys, argv):
+    """The exit code, and the sampled maximum that check or approx prints."""
+    code = main(argv)
+    out = capsys.readouterr().out
+    return code, float(out.split("max deviation = " if argv[0] == "check" else "rho_hat = ")[1]
+                       .split()[0])
 
 
-def test_relu_is_identity_on_nonnegatives():
-    (est,) = uniform_distance_estimates(
-        (parse("relu(P1)"),), (parse("P1"),), 2, DomainBox.from_pairs([[0.0, 5.0]]), 1_000, 23
-    )
-    assert est == 0.0
+def test_distance_of_expression_to_itself_is_zero(capsys):
+    e = "tanh(<>P1) + P1"
+    argv = ["check", e, e, "--degree-bound", "2", "--trials", "500", "--seed", "3"]
+    assert _sampled(capsys, argv) == (0, 0.0)
 
 
-def test_distance_is_seed_deterministic():
-    e1, e2 = parse("sin(P1)"), parse("P1")
+def test_distance_approaches_analytic_sup(capsys):
+    code, est = _sampled(capsys, ["check", "P1", "0", "--degree-bound", "0", "--box", "[[-1,1]]",
+                                  "--trials", "5000", "--seed", "11"])
+    assert code == 5 and 0.99 <= est <= 1.0
+
+
+def test_relu_is_identity_on_nonnegatives(capsys):
+    argv = ["check", "relu(P1)", "P1", "--degree-bound", "2", "--box", "[[0,5]]",
+            "--trials", "1000", "--seed", "23"]
+    assert _sampled(capsys, argv) == (0, 0.0)
+
+
+def test_distance_is_seed_deterministic(capsys):
+    argv = ["approx", "--expr", "sin(P1)", "--degree-bound", "1", "--box", "[[-1,1]]",
+            "--epsilon", "0.1", "--trials", "300", "--seed"]
+    a, b, c = (_sampled(capsys, argv + [seed]) for seed in ("7", "7", "8"))
+    assert a == b != c and a[0] == 0
+
+
+def test_distance_arity_mismatch(capsys):
+    assert main(["check", "P2", "P1", "--box", "[[-1,1]]", "--trials", "10", "--seed", "1"]) == 2
+    assert "--box has dimension 1, operands need 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", [1e307, 3e307, 1e308])
+@pytest.mark.parametrize("text", ["tanh(P1)", "sin(P1)"])
+def test_an_eps_near_the_float_maximum_proves_what_it_builds(text, eps):
+    # From about 2.3e307 on, 8*eps/sup|f''| overflows, and the grid must still
+    # be the two-knot cell that the report proves.
     box = DomainBox.cube(-1, 1, 1)
-    a = uniform_distance_estimates((e1,), (e2,), 1, box, 300, 7)
-    b = uniform_distance_estimates((e1,), (e2,), 1, box, 300, 7)
-    assert a == b
-
-
-def test_distance_arity_mismatch():
-    with pytest.raises(ArityError):
-        uniform_distance_estimates(
-            (parse("P2"),), (parse("P1"),), 1, DomainBox.cube(-1, 1, 1), 10, 1
-        )
+    e = parse(text)
+    (out,), report = approximate_all([e], 0, box, eps)
+    (rho,) = uniform_distance_estimates((e,), (out,), 0, box, 2000, 0)
+    assert rho <= report.proven_eps[0] <= eps

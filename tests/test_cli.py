@@ -248,6 +248,18 @@ def test_approx_sin(tmp_path, capsys):
     assert classify(parse(out.read_text().strip())).relu_only
 
 
+def test_approx_at_an_eps_near_the_float_maximum_proves_what_it_samples(capsys):
+    # 8*eps/sup|f''| overflows at this eps; a constant approximant would be
+    # 1.52 from tanh on [-1, 1], against a proven 0.385.
+    rc = main(["approx", "--expr", "tanh(P1)", "--degree-bound", "0", "--box", "[[-1,1]]",
+               "--epsilon", "1e308", "--trials", "2000"])
+    assert rc == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    rho, proven = (float(last.split(key)[1].split()[0].rstrip(","))
+                   for key in ("rho_hat = ", "proven eps = "))
+    assert rho <= proven
+
+
 def test_approx_relu_only_echoed(capsys):
     rc = main(["approx", "--expr", "relu(P1) + P1", "--degree-bound", "1",
                "--box", "[[-1,1]]", "--epsilon", "0.5", "--trials", "50"])

@@ -28,7 +28,7 @@ from helpers import (
     tree_copy,
 )
 from mplangc.activations import ABS, ID, RELU, SIGMOID, SIN, TANH, Merged, Named, curvature
-from mplangc.approx import approximate_all, image_bounds, uniform_distance_estimates
+from mplangc.approx import approximate_all, image_bounds
 from mplangc.cli import main
 from mplangc.compiler import (
     CompileEnv,
@@ -439,8 +439,8 @@ def test_eval_tuple_evaluates_shared_layers_once(monkeypatch):
 def test_each_route_folds_the_dag_once(monkeypatch, tmp_path):
     # Arity and mode are read from the roots' traits, so only the walks that
     # produce values fold: a compile route folds to build, approximate_all to
-    # survey, to bound the interpolated arguments and to build, and
-    # uniform_distance_estimates evaluates each side once.
+    # survey, to bound the interpolated arguments and to build, and the
+    # approx command's sample evaluates each side once.
     relu, mixed, chain, point = (parse(text) for text in (
         "relu(P1 + <>P2) + P1", "tanh(P1) + sin(<>P2)", "<>tanh(2*<>P1)", "tanh(2*relu(P2))"))
     t = ExprTuple((relu, Diamond(relu)), D)
@@ -470,8 +470,12 @@ def test_each_route_folds_the_dag_once(monkeypatch, tmp_path):
     for walk in ((classify, mixed), (classify_all, t.components), (max_projection, mixed),
                  (ExprTuple, (relu, mixed, chain), D)):
         assert folds(*walk) == 0
-    assert folds(uniform_distance_estimates, [mixed, relu], [chain, point], P, BOX, 5, 0) == 2
-    assert folds(approximate_all, [mixed, relu], P, BOX, 0.1) <= 3
+    approximating = folds(approximate_all, [mixed, relu], P, BOX, 0.1)
+    assert approximating <= 3
+    (tmp_path / "mixed.mplang").write_text("tanh(P1) + sin(<>P2)\nrelu(P1 + <>P2) + P1\n")
+    argv = ["approx", "--expr-file", str(tmp_path / "mixed.mplang"), "--degree-bound", str(P),
+            "--box", json.dumps(BOX.to_pairs()), "--epsilon", "0.1", "--trials", "5"]
+    assert folds(main, argv) == approximating + 2
     # `eval` of a 2-line file evaluates both lines in one fold.
     (tmp_path / "two.mplang").write_text("relu(P1 + <>P2) + P1\n<>(relu(P1 + <>P2) + P1)\n")
     (tmp_path / "g.json").write_text(json.dumps(graph_to_json(PATH)))

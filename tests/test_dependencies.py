@@ -56,6 +56,20 @@ def test_every_traced_function_resolves():
             f"mplangc.{module}.{name}"
 
 
+def _imports(path: pathlib.Path) -> set[str]:
+    """The modules path imports, by their top-level name; a package module
+    imported relatively as ".name"."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "." if node.level else ""
+            found.update([prefix + node.module.split(".")[0]] if node.module
+                         else [prefix + alias.name for alias in node.names])
+    return found
+
+
 def test_every_module_is_imported_by_the_package_or_a_script():
     # A module that no other module imports and no script entry point names
     # ships only for the tests or the benchmark, which keep their own.
@@ -65,12 +79,28 @@ def test_every_module_is_imported_by_the_package_or_a_script():
     package = sorted((ROOT / "src" / "mplangc").glob("*.py"))
     imported = {entry.split(":")[0].split(".")[1] for entry in scripts}
     for path in package:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                imported.update([node.module.split(".")[0]] if node.module
-                                else [alias.name for alias in node.names])
+        imported |= {name[1:] for name in _imports(path) if name.startswith(".")}
     assert [path.stem for path in package
             if path.stem != "__init__" and path.stem not in imported] == []
+
+
+def test_the_approximator_builds_and_proves_and_the_cli_samples():
+    # approx.py neither samples nor evaluates: of the package it reads the
+    # activations, the expressions and intervals, and it needs no numpy.
+    # Graph instances are drawn in the CLI, the one module beside graphs.py
+    # that calls random_union, and there in one place, which check and approx
+    # share.
+    package = ROOT / "src" / "mplangc"
+    imports = _imports(package / "approx.py")
+    assert {name for name in imports if name.startswith(".")} <= {
+        ".activations", ".expressions", ".intervals"}
+    assert "numpy" not in imports
+    calls = collections.Counter(
+        path.name for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and "random_union" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+    assert set(calls) == {"cli.py", "graphs.py"} and calls["cli.py"] == 1
 
 
 def _dead_code(path: pathlib.Path) -> list[str]:

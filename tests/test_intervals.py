@@ -35,8 +35,10 @@ def test_scale_and_add_sound(lo, hi, a, x):
     lo, hi = min(lo, hi), max(lo, hi)
     iv = Interval(lo, hi)
     x = lo + abs(x) % (hi - lo) if hi > lo else lo
-    assert iv.scale(a).contains(a * x, slack=1e-9 * (1 + abs(a * x)))
-    assert iv.add(iv).contains(2 * x, slack=1e-9 * (1 + abs(x)))
+    scaled, slack = iv.scale(a), 1e-9 * (1 + abs(a * x))
+    assert scaled.lo - slack <= a * x <= scaled.hi + slack
+    doubled, slack = iv.add(iv), 1e-9 * (1 + abs(x))
+    assert doubled.lo - slack <= 2 * x <= doubled.hi + slack
 
 
 def test_box_pairs_roundtrip():
