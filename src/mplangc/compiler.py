@@ -15,11 +15,12 @@ or refuse it, so each route walks the DAG once, to build.
 
 ``compile_all`` is the one entry: any number of roots, one network with an
 output per root, and its ``CompileReport``; the per-route functions below are
-its single-root cases without a report.  Given a degree bound p and an input
-box, each layer is bounded in one array pass over its rows, from the box of
-the layer below: the pass sizes the layer's merge shifts and gives its output
-box, the report's bound for the layer and the next layer's input box.  Bounds
-that are not finite are a ModeError naming the layer.
+its single-root cases without a report (``compile_relu`` also takes a tuple
+of roots).  Given a degree bound p and an input box, each layer is bounded in
+one array pass over its rows, from the box of the layer below: the pass sizes
+the layer's merge shifts and gives its output box, the report's bound for the
+layer and the next layer's input box.  Bounds that are not finite are a
+ModeError naming the layer.
 
 A carrier row only carries a value up a level: a lift, or the constant
 channel that a bias under <> reads.  Its activation is fixed by the route:
@@ -449,10 +450,11 @@ def _schedule(roots: tuple[Expr, ...], d: int, mode: str, p: int | None = None,
     return (*channels.network(fold_all(roots, channels.form), p, box), mode)
 
 
-def compile_relu(e: Expr, d: int) -> Mpnn:
-    """ReLU-MPNN equivalent to e on all graphs and all feature maps: one ReLU
-    layer per level, then an id read-out unless it fuses into the last."""
-    return _schedule((e,), d, "relu")[0]
+def compile_relu(e: Expr | tuple[Expr, ...], d: int) -> Mpnn:
+    """ReLU-MPNN equivalent to e, or with one output per root of a tuple e, on
+    all graphs and all feature maps: one ReLU layer per level, then an id
+    read-out unless it fuses into the last."""
+    return _schedule(e if isinstance(e, tuple) else (e,), d, "relu")[0]
 
 
 def compile_mixed(e: Expr, d: int, p: int, box: DomainBox) -> Mpnn:

@@ -4,13 +4,14 @@ Node ids are dense naturals 0..n-1. Edges are one read-only (E, 2) int64
 array of distinct pairs u < v, sorted, so neighbor iteration is in ascending
 id order and every neighbor sum downstream is reproducible bit-for-bit.
 
-Random instances come from one batch sampler, `_sample`: a few numpy calls
-draw every instance's node count, candidate edges and features, and the
-degree-bounded rejection is one short loop vectorized across instances.
-Each instance follows `random_graph`'s process, so the distribution is
-`random_graph`'s; the seeded stream is the batch's own.  `random_union`
-keeps the batch's edge array as the union's, and every single instance,
-those `random_instances` yields included, is a slice of that union.
+Random graphs come from one degree-bounded rejection process, `_edges`,
+batched across instances: a few numpy calls draw every instance's candidate
+pairs, and the greedy degree pass is one loop over their first draws.
+`random_graph` is one instance of it; `_sample` draws a batch of instances,
+their node counts and features from one seeded stream, so a batch instance
+has `random_graph`'s distribution but not its stream.  `random_union` keeps
+the batch's edge array as the union's, and every single instance, those
+`random_instances` yields included, is a slice of that union.
 """
 
 from __future__ import annotations
@@ -174,28 +175,16 @@ class FeatureMap:
 def random_graph(n: int, p: int, seed: int) -> Graph:
     """Random graph on n nodes with max degree <= p, deterministic in seed.
 
-    Uniform candidate pairs are rejected whenever either endpoint already has
-    p neighbors, so the degree bound holds by construction.
+    The sampler's process (see `_edges`) for the one instance: uniform
+    candidate pairs are rejected whenever either endpoint already has p
+    neighbors, so the degree bound holds by construction.
     """
     if n < 1:
         raise ValueError("need at least one node")
     if p < 0:
         raise ValueError("degree bound must be nonnegative")
-    rng = np.random.default_rng(seed)
-    degree = [0] * n
-    chosen: set[tuple[int, int]] = set()
-    attempts = 2 * n * max(p, 1)
-    candidates = rng.integers(0, n, size=(attempts, 2))
-    for u, v in candidates.tolist():
-        if u == v:
-            continue
-        edge = (min(u, v), max(u, v))
-        if edge in chosen or degree[u] >= p or degree[v] >= p:
-            continue
-        chosen.add(edge)
-        degree[u] += 1
-        degree[v] += 1
-    return Graph._from_sorted(n, np.array(sorted(chosen), dtype=np.int64).reshape(-1, 2))
+    _, u, v = _edges(np.random.default_rng(seed), np.array([n]), np.array([p]))
+    return Graph._from_sorted(n, np.stack([u, v], axis=1))
 
 
 def random_features(g: Graph, box: DomainBox, seed: int) -> FeatureMap:
@@ -262,27 +251,19 @@ def _sample(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(node offsets, union edges, union features) of `trials` instances.
 
-    Instance i has n_i nodes, uniform in 1..max_nodes, and the graph that
-    `random_graph(n_i, bound_i, .)` draws, bound_i being p or, for p=None,
-    n_i - 1.  The instances are drawn in runs of at most _DRAW_PAIRS
-    candidate pairs, which bounds the memory.  The edges are canonical pairs
-    of union ids in sorted order.
+    Instance i has n_i nodes, uniform in 1..max_nodes, and the graph of
+    `_edges`' process with degree bound p or, for p=None, n_i - 1.  The edges
+    are canonical pairs of union ids in sorted order.
     """
     if p is not None and p < 0:
         raise ValueError("degree bound must be nonnegative")
     rng = np.random.default_rng(seed)
     counts = rng.integers(1, max_nodes + 1, size=trials)
-    bound = counts - 1 if p is None else np.full(trials, p)
-    attempts = 2 * counts * np.maximum(bound, 1)
     offsets = np.cumsum(counts) - counts
-    step = max(1, _DRAW_PAIRS // int(attempts.max(initial=1)))
-    edges = [np.zeros((0, 2), dtype=np.int64)]
-    for lo in range(0, trials, step):
-        run = slice(lo, lo + step)
-        inst, u, v = _edges(rng, counts[run], bound[run], attempts[run], max_nodes)
-        edges.append(np.stack([u, v], axis=1) + offsets[run][inst, None])
+    inst, u, v = _edges(rng, counts, counts - 1 if p is None else np.full(trials, p))
+    edges = np.stack([u, v], axis=1) + offsets[inst, None]
     values = box.lows + rng.random((int(counts.sum()), box.dimension)) * (box.highs - box.lows)
-    return offsets, np.concatenate(edges), values
+    return offsets, edges, values
 
 
 # Candidate pairs drawn per numpy call in the sampler.
@@ -290,50 +271,48 @@ _DRAW_PAIRS = 1 << 13
 
 
 def _edges(
-    rng: np.random.Generator,
-    counts: np.ndarray,
-    bound: np.ndarray,
-    attempts: np.ndarray,
-    max_nodes: int,
+    rng: np.random.Generator, counts: np.ndarray, bound: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(instance, u, v) of the edges of instances with counts[i] nodes, sorted.
 
-    Instance i draws attempts[i] uniform ordered candidate pairs, each
-    rejected in order if it is a loop, an edge already chosen, or has an
-    endpoint of degree bound[i].  Degrees only grow, so a pair is taken at its
-    first draw or never: the process is the greedy pass over the distinct
-    pairs in order of first draw.  That pass runs once per rank, vectorized
-    across instances, and only where bound[i] < counts[i] - 1:
-    a node of degree counts[i] - 1 is adjacent to every other, so otherwise
-    every distinct pair is taken.
+    Instance i draws 2·counts[i]·max(bound[i], 1) uniform ordered candidate
+    pairs, each rejected in order if it is a loop, an edge already chosen, or
+    has an endpoint of degree bound[i].  Degrees only grow, so a pair is taken
+    at its first draw or never: the process is the greedy pass over the
+    distinct pairs in order of first draw.  That pass runs only where
+    bound[i] < counts[i] - 1: a node of degree counts[i] - 1 is adjacent to
+    every other, so otherwise every distinct pair is taken.  The instances
+    are drawn in runs of at most _DRAW_PAIRS candidate pairs (or one
+    instance), which bounds the memory.
     """
-    m = max_nodes
-    inst = np.repeat(np.arange(len(counts)), attempts)
-    a, b = rng.integers(0, counts[inst][:, None], size=(len(inst), 2)).T
-    u, v = np.minimum(a, b), np.maximum(a, b)
-    key = (inst * m + u) * m + v
-    # The first draw of each distinct non-loop pair, in draw order.
-    first = np.full(len(counts) * m * m, len(inst))
-    pair = np.flatnonzero(u != v)
-    np.minimum.at(first, key[pair], pair)
-    pair = pair[first[key[pair]] == pair]
-    inst, u, v = inst[pair], u[pair], v[pair]
-    take = bound[inst] >= counts[inst] - 1
-    # The greedy pass: the r-th distinct pair of every bounded instance at once.
-    bounded = np.flatnonzero(~take)
-    rank = np.arange(len(bounded)) - np.searchsorted(inst[bounded], inst[bounded])
-    degree = np.zeros(len(counts) * m, dtype=np.int64)
-    for r in range(rank.max(initial=-1) + 1):
-        at = bounded[rank == r]
-        du, dv = inst[at] * m + u[at], inst[at] * m + v[at]
-        ok = (degree[du] < bound[inst[at]]) & (degree[dv] < bound[inst[at]])
-        take[at[ok]] = True
-        degree[du[ok]] += 1
-        degree[dv[ok]] += 1
-    # The taken pairs in (instance, u, v) order.
-    chosen = np.zeros(len(first), dtype=bool)
-    chosen[key[pair[take]]] = True
-    inst, rest = np.divmod(np.flatnonzero(chosen), m * m)
+    m = int(counts.max(initial=1))
+    attempts = 2 * counts * np.maximum(bound, 1)
+    step = max(1, _DRAW_PAIRS // int(attempts.max(initial=1)))
+    taken = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(counts), step):
+        run = np.arange(lo, min(lo + step, len(counts)))
+        inst = np.repeat(run, attempts[run])
+        a, b = rng.integers(0, counts[inst][:, None], size=(len(inst), 2)).T
+        u, v = np.minimum(a, b), np.maximum(a, b)
+        # The first draw of each distinct non-loop pair, in draw order.
+        pair = np.flatnonzero(u != v)
+        key = (inst[pair] * m + u[pair]) * m + v[pair]
+        first = np.sort(np.unique(key, return_index=True)[1])
+        pair, key = pair[first], key[first]
+        inst, u, v = inst[pair], u[pair], v[pair]
+        take = bound[inst] >= counts[inst] - 1
+        # The greedy pass over the bounded instances' pairs, in draw order.
+        bounded = np.flatnonzero(~take)
+        node = (inst[bounded] - lo) * m
+        degree = [0] * (len(run) * m)
+        for k, s, t, cap in zip(bounded.tolist(), (node + u[bounded]).tolist(),
+                                (node + v[bounded]).tolist(), bound[inst[bounded]].tolist()):
+            if degree[s] < cap and degree[t] < cap:
+                take[k] = True
+                degree[s] += 1
+                degree[t] += 1
+        taken.append(key[take])
+    inst, rest = np.divmod(np.sort(np.concatenate(taken)), m * m)
     return (inst, *np.divmod(rest, m))
 
 

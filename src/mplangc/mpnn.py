@@ -223,7 +223,7 @@ def concat_mpnns(a: Mpnn, b: Mpnn) -> Mpnn:
     relu compile of both translations as one tuple, one output per root.  A
     network that applies a function other than relu is a ModeError."""
     # Both modules import this one, so they are imported here.
-    from .compiler import CompileEnv, compile_all
+    from .compiler import compile_relu
     from .translate import mpnn_to_mplang
 
     if a.input_arity != b.input_arity:
@@ -231,7 +231,7 @@ def concat_mpnns(a: Mpnn, b: Mpnn) -> Mpnn:
             f"input arities differ: {a.input_arity} vs {b.input_arity}"
         )
     roots = mpnn_to_mplang(a).components + mpnn_to_mplang(b).components
-    return compile_all(roots, a.input_arity, CompileEnv("relu"))[0]
+    return compile_relu(roots, a.input_arity)
 
 
 # -- JSON interchange ------------------------------------------------------------

@@ -103,6 +103,24 @@ def batch_instances(p, box, trials, seed, max_nodes=8):
     return batch.graph, batch.features
 
 
+def random_graph_by_pairs(n, p, seed):
+    """The edges of random_graph(n, p, seed), by the process drawn pair by
+    pair: 2n·max(p, 1) uniform candidate pairs, each rejected if it is a loop,
+    an edge already chosen, or has an endpoint of degree p.  An oracle that
+    shares no code with the batched sampler."""
+    rng = np.random.default_rng(seed)
+    degree = [0] * n
+    chosen = set()
+    for u, v in rng.integers(0, n, size=(2 * n * max(p, 1), 2)).tolist():
+        edge = (min(u, v), max(u, v))
+        if u == v or edge in chosen or degree[u] >= p or degree[v] >= p:
+            continue
+        chosen.add(edge)
+        degree[u] += 1
+        degree[v] += 1
+    return np.array(sorted(chosen), dtype=np.int64).reshape(-1, 2)
+
+
 def uniform_distance_estimates(lefts, rights, p, box, trials, seed):
     """Per pair, max |left - right| over one random_union of `trials`
     instances, each side's tuple evaluated once: lower bounds on the true

@@ -146,6 +146,8 @@ def test_compile_relu_tuple_against_component_oracles():
     vals = eval_mpnn(net, union, fm).values
     for j, comp in enumerate(roots):
         assert_close(vals[:, j], eval_expr(comp, union, fm))
+    # compile_relu of the tuple is the same network, built without a report.
+    assert mpnn_to_json(compile_relu(roots, 2)) == mpnn_to_json(net)
 
 
 # -- layer_output_bounds -----------------------------------------------------------------

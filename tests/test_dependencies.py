@@ -103,6 +103,28 @@ def test_the_approximator_builds_and_proves_and_the_cli_samples():
     assert set(calls) == {"cli.py", "graphs.py"} and calls["cli.py"] == 1
 
 
+def test_one_graph_sampler():
+    # The degree-bounded rejection process is written once, in graphs._edges:
+    # it is the only function that draws candidate pairs (an integers draw of
+    # size (k, 2)), and random_graph and the batch sampler both call it.
+    functions = {node.name: node for node in ast.parse(
+        (ROOT / "src" / "mplangc" / "graphs.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)}
+
+    def calls(function):
+        return [node for node in ast.walk(function) if isinstance(node, ast.Call)]
+
+    def draws_pairs(call):
+        size = {kw.arg: kw.value for kw in call.keywords}.get("size")
+        return (getattr(call.func, "attr", None) == "integers" and isinstance(size, ast.Tuple)
+                and getattr(size.elts[-1], "value", None) == 2)
+
+    assert [name for name, f in functions.items() if any(map(draws_pairs, calls(f)))] == [
+        "_edges"]
+    for name in ("random_graph", "_sample"):
+        assert "_edges" in {getattr(c.func, "id", None) for c in calls(functions[name])}, name
+
+
 def _dead_code(path: pathlib.Path) -> list[str]:
     """Unused imports, and module-level private functions and classes that
     nothing in their module refers to."""

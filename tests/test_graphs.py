@@ -1,8 +1,10 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import random_graph_by_pairs
 from mplangc.graphs import (
     FeatureMap,
     Graph,
@@ -341,17 +343,46 @@ def test_instance_accessor_returns_the_union_slice():
 @pytest.mark.parametrize("p", [0, 1, 3, None])
 def test_sampled_edge_counts_follow_random_graph(p):
     # Each instance of n nodes runs random_graph's process, so its mean edge
-    # count matches random_graph(n, bound) over many seeds.  Deterministic;
-    # the allowed gap is 4.5 standard errors of the difference of the means.
+    # count matches that of the pair-by-pair process over many seeds.
+    # Deterministic; the allowed gap is 4.5 standard errors of the difference
+    # of the means.
     counts, edge_counts = _instance_sizes(random_union(p, BOX, 8_000, 99))
     for n in range(1, 9):
         batch = edge_counts[counts == n]
         bound = n - 1 if p is None else p
-        single = np.array([len(random_graph(n, bound, 10_000 * n + s).edges)
+        single = np.array([len(random_graph_by_pairs(n, bound, 10_000 * n + s))
                            for s in range(600)])
         gap = abs(batch.mean() - single.mean())
         stderr = np.sqrt(batch.var() / len(batch) + single.var() / len(single))
         assert gap <= 4.5 * stderr + 1e-12, (n, batch.mean(), single.mean(), stderr)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 40, 200])
+def test_random_graph_is_the_pair_by_pair_process(n):
+    # The batched sampler's one instance draws the same stream and keeps the
+    # same edges as the process run one candidate pair at a time.
+    for p in (0, 1, 2, 3, 7, 50):
+        for seed in range(5):
+            assert np.array_equal(random_graph(n, p, seed).edges,
+                                  random_graph_by_pairs(n, p, seed)), (n, p, seed)
+    big = random_graph(4000, 3, n)
+    assert np.array_equal(big.edges, random_graph_by_pairs(4000, 3, n))
+    assert big.edges.dtype == np.int64 and big.max_degree() <= 3
+
+
+@pytest.mark.parametrize("sample", [lambda: random_union(3, BOX, 1, 0, max_nodes=4000),
+                                    lambda: random_graph(4000, 3, 0)],
+                         ids=["union", "graph"])
+def test_sampling_a_large_instance_needs_no_table_of_node_pairs(sample):
+    # 4,000 nodes make 16M ordered node pairs; the sampler's memory follows
+    # the candidate pairs it draws (at most 24,000 here), not the node pairs.
+    tracemalloc.start()
+    try:
+        sample()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # -- the sampling API the benchmark calls ------------------------------------------

@@ -212,6 +212,21 @@ def test_concat_max_with_sum_layer():
     assert_close(vals[:, 1], expect_sum)
 
 
+def test_concat_mpnns_builds_no_compile_report(monkeypatch):
+    # Only the network is built: the report's per-layer counts are never read.
+    from mplangc import compiler
+
+    def no_report(*args):
+        raise AssertionError("concat_mpnns built a CompileReport")
+
+    monkeypatch.setattr(compiler, "_report", no_report)
+    net = Mpnn((layer([[0.0, 0.0]], [[1.0, 0.0]], 0.0, ID),))
+    union, fm = batch_instances(None, DomainBox.cube(-2, 2, 2), 30, 41)
+    both = eval_mpnn(concat_mpnns(max_mpnn(), net), union, fm).values
+    assert_close(both, np.hstack([eval_mpnn(max_mpnn(), union, fm).values,
+                                  eval_mpnn(net, union, fm).values]))
+
+
 def test_concat_mpnns_requires_relu_networks():
     with pytest.raises(ValueError):
         concat_mpnns(Mpnn((layer(1.0, 0.0, 0.0, TANH),)), Mpnn((SUM_LAYER,)))
