@@ -10,6 +10,10 @@ values in between.
 
 `relu_approximate` and `modulus_delta` are closed forms, so their results are
 proofs: one sizes its grid from sup|f''|, the other divides by a Lipschitz bound.
+tanh and sigmoid are interpolated only where they still bend: `knot_span`
+clips the interval to [-a, a], beyond which f is within eps of its
+asymptotes, and the broken line is constant past its end knots.  The proven
+error is the larger of the grid's bound and that tail gap.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "merge",
     "pl_to_relu_sum",
     "relu_approximate",
+    "knot_span",
     "interpolation_error",
     "curvature",
     "lipschitz",
@@ -272,20 +277,31 @@ _EXACT = {RELU: ((1.0, 0.0, 1.0),), ID: ((1.0, 0.0, 1.0), (-1.0, 0.0, -1.0)),
           ABS: ((1.0, 0.0, 1.0), (-1.0, 0.0, 1.0))}
 
 
-# The most knots a grid may have.  _grid_cells sizes both relu_approximate's
-# grid and interpolation_error's proof of it, so the two always agree.
+# The most knots a grid may have.  knot_span and _grid_cells place both
+# relu_approximate's grid and interpolation_error's proof of it, so the two
+# always agree.
 _MAX_POINTS = 4097
+
+
+# tanh and sigmoid are lo + (hi - lo) * s(k*x), with s the logistic function:
+# (lo, hi, k).  Beyond a = ln((hi - lo)/eps - 1)/k, which is atanh(1 - eps)
+# and ln((1 - eps)/eps), f is within eps of its asymptotes; a is positive
+# for eps below (hi - lo)/2.  The form keeps 1 - eps from rounding to 1.
+_SATURATION = {TANH: (-1.0, 1.0, 2.0), SIGMOID: (0.0, 1.0, 1.0)}
 
 
 def relu_approximate(f: Activation, y: Interval, eps: float) -> ReluSum:
     """A ReLU combination within eps of f on y, proven by the interpolation bound.
 
     relu, id, abs, ReluSum and PiecewiseLinear come back exact, on the whole
-    line, and sin, tanh and sigmoid are interpolated on ceil(width / h) + 1
-    uniform knots with h = sqrt(8 eps / sup|f''|), which bounds the error on
-    each cell by h^2/8 * sup|f''| = eps.  Raises CertificateError when y is not
-    finite, the grid needs more than _MAX_POINTS knots, or its step is below
-    the float spacing, so that two knots round to the same float.
+    line.  sin, tanh and sigmoid are interpolated on ceil(width / h) + 1
+    uniform knots over knot_span's interval, with h = sqrt(8 eps / sup|f''|),
+    which bounds the error on each cell by h^2/8 * sup|f''| = eps.  For tanh
+    and sigmoid that interval is y clipped to where f still bends; the broken
+    line is constant past its end knots, within the tail gap <= eps of f.
+    Raises CertificateError when y is not finite, the grid needs more than
+    _MAX_POINTS knots, or its step is below the float spacing, so that two
+    knots round to the same float.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
@@ -299,7 +315,8 @@ def relu_approximate(f: Activation, y: Interval, eps: float) -> ReluSum:
         return ReluSum(_EXACT[f])
     if not math.isfinite(y.width):
         raise CertificateError(f"no {eps:g}-certificate on the unbounded interval {y}")
-    xs = np.linspace(y.lo, y.hi, _grid_cells(f, y, eps) + 1)
+    grid, _ = knot_span(f, y, eps)
+    xs = np.linspace(grid.lo, grid.hi, _grid_cells(f, grid, eps) + 1)
     if not (np.diff(xs) > 0.0).all():
         raise CertificateError(
             f"a {eps:g}-certificate on {y} needs a grid step below the float spacing"
@@ -307,34 +324,66 @@ def relu_approximate(f: Activation, y: Interval, eps: float) -> ReluSum:
     return _hinges(xs, apply_vec(f, xs))
 
 
-def _grid_cells(f: Named, y: Interval, eps: float) -> int:
-    """The cells of the uniform grid relu_approximate interpolates sin, tanh or sigmoid on.
+def knot_span(f: Activation, y: Interval, eps: float) -> tuple[Interval, float]:
+    """The interval relu_approximate puts f's knots on for y and eps, and its tail gap.
+
+    For tanh and sigmoid the interval is y clipped to [-a, a], beyond which f
+    is within eps of its asymptotes, and the tail gap is the larger distance,
+    in floats, from f(-a) and f(a) to their asymptotes: it bounds the error of
+    the constants the broken line holds past its end knots.  a starts at its
+    closed form and steps outward, from one float spacing and doubling, until
+    that gap is at most eps.  Where nothing is clipped the gap is 0; so it is
+    for every other f, and for an eps at which a would not be positive.
+    """
+    saturation = _SATURATION.get(f)
+    if saturation is None or not eps < (saturation[1] - saturation[0]) / 2.0:
+        return y, 0.0
+    lo, hi, k = saturation
+    a = math.log((hi - lo) / eps - 1.0) / k
+    step = math.ulp(a)
+    while True:
+        below, above = apply_vec(f, np.array([-a, a])).tolist()
+        gap = max(below - lo, hi - above)
+        if gap <= eps:
+            break
+        a, step = a + step, 2.0 * step
+    if -a <= y.lo and y.hi <= a:
+        return y, 0.0
+    return Interval(min(max(y.lo, -a), a), min(max(y.hi, -a), a)), gap
+
+
+def _grid_cells(f: Named, grid: Interval, eps: float) -> int:
+    """The cells of the uniform grid relu_approximate interpolates sin, tanh or
+    sigmoid on, over knot_span's interval.
 
     A count that rounds to 0, as when an eps near the float maximum overflows
     the step, is still one cell, two knots, on an interval of nonzero width;
     only a point gets no cell, and one knot.
     """
-    cells = y.width / math.sqrt(8.0 * eps / _CURVATURE[f.name])
+    cells = grid.width / math.sqrt(8.0 * eps / _CURVATURE[f.name])
     if not cells <= _MAX_POINTS - 1:
         raise CertificateError(
-            f"a {eps:g}-certificate on {y} needs {cells:.4g} grid cells,"
+            f"a {eps:g}-certificate on {grid} needs {cells:.4g} grid cells,"
             f" more than {_MAX_POINTS - 1}"
         )
-    return max(math.ceil(cells), 1 if y.width > 0.0 else 0)
+    return max(math.ceil(cells), 1 if grid.width > 0.0 else 0)
 
 
 def interpolation_error(f: Activation, y: Interval, eps: float) -> float:
     """The bound on |f - relu_approximate(f, y, eps)| on y that its grid proves.
 
-    With h the grid's step it is h^2/8 * sup|f''|, which the grid's size keeps
-    at or below eps: the bound is the smaller of the two, since computing it in
-    floats can round above eps.  0 for a function returned exactly.
+    On knot_span's interval it is h^2/8 * sup|f''|, with h the grid's step,
+    which the grid's size keeps at or below eps: that part is the smaller of
+    the two, since computing it in floats can round above eps.  Past the
+    interval it is the tail gap, also at most eps; the bound is the larger of
+    the two parts, not their sum.  0 for a function returned exactly.
     """
     m2 = curvature(f)
     if m2 == 0.0:
         return 0.0
-    h = y.width / max(_grid_cells(f, y, eps), 1)
-    return min(eps, h * h / 8.0 * m2)
+    grid, gap = knot_span(f, y, eps)
+    h = grid.width / max(_grid_cells(f, grid, eps), 1)
+    return max(min(eps, h * h / 8.0 * m2), gap)
 
 
 def curvature(f: Activation) -> float:

@@ -45,6 +45,7 @@ from .activations import (
     curvature,
     interpolation_error,
     interval_image,
+    knot_span,
     lipschitz,
     modulus_delta,
     relu_approximate,
@@ -126,26 +127,33 @@ def _breakpoints(rs: ReluSum) -> int:
     return sum(t != 0.0 for t in turns.values())
 
 
+def _ends(iv: Interval) -> list[float | None]:
+    """iv's ends for JSON.  An unbounded end, which only an exact function
+    (relu, id, abs) accepts, is null: the report is strict JSON."""
+    return [v if math.isfinite(v) else None for v in (iv.lo, iv.hi)]
+
+
 @dataclass(frozen=True)
 class ApplyRecord:
     """How one application f(e) was approximated."""
 
     function: str
-    interval: Interval  # where f was interpolated
+    interval: Interval  # where f's approximant must hold
+    grid: Interval  # where its knots lie: the interval, clipped for tanh and sigmoid
+    tail_gap: float  # the error past the grid's ends; 0 where nothing was clipped
     eps: float  # the interpolant's share of the node's ε
     knots: int  # breakpoints of the interpolant
     m2: float  # the sup|f''| its grid was sized by; 0 when it is exact
     lipschitz: float  # the interpolant's Lipschitz constant on the interval
     delta: float | None  # e's budget, None when e is piecewise linear
-    proven: float  # the interpolation error at the grid step + L * e's proven error
+    proven: float  # the interpolation error (grid or tail) + L * e's proven error
 
     def to_json(self) -> dict:
-        # An unbounded end, which only an exact function (relu, id, abs)
-        # accepts, is written as null: the report is strict JSON.
-        lo, hi = (v if math.isfinite(v) else None for v in (self.interval.lo, self.interval.hi))
         return {
             "function": self.function,
-            "interval": [lo, hi],
+            "interval": _ends(self.interval),
+            "grid": _ends(self.grid),
+            "tail_gap": self.tail_gap,
             "eps": self.eps,
             "knots": self.knots,
             "m2": self.m2,
@@ -275,8 +283,9 @@ def approximate_all(
         g, y, budget, delta, lip = plans[node]
         arg, arg_error = kids[0]
         proven = interpolation_error(node.func, y, budget) + lip * arg_error
-        records.append(ApplyRecord(activation_label(node.func), y, budget, _breakpoints(g),
-                                   curvature(node.func), lip, delta, proven))
+        grid, tail_gap = knot_span(node.func, y, budget)
+        records.append(ApplyRecord(activation_label(node.func), y, grid, tail_gap, budget,
+                                   _breakpoints(g), curvature(node.func), lip, delta, proven))
         # id(e) is e: its approximant is e's, with no relu(x) - relu(-x) around it.
         return arg if node.func == ID else _relu_sum_expr(g, arg), proven
 

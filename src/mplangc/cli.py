@@ -32,7 +32,8 @@ Exit codes (fixed for scripting):
      out of memory, ...)
   4  no approximation certificate for sin, tanh or sigmoid (an unbounded
      argument image, a grid of more than 4097 knots, or a grid step below the
-     float spacing)
+     float spacing; tanh's and sigmoid's grids span only the part of the
+     image where they are more than epsilon from their asymptotes)
   5  equivalence check failed (a witness instance is printed; an output
      value of the witness node that is not finite is written as null)
 

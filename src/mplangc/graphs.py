@@ -294,10 +294,13 @@ def _edges(
         inst = np.repeat(run, attempts[run])
         a, b = rng.integers(0, counts[inst][:, None], size=(len(inst), 2)).T
         u, v = np.minimum(a, b), np.maximum(a, b)
-        # The first draw of each distinct non-loop pair, in draw order.
+        # The first draw of each distinct non-loop pair, in draw order: the
+        # least draw index in each run of equal keys, which needs no stable sort.
         pair = np.flatnonzero(u != v)
         key = (inst[pair] * m + u[pair]) * m + v[pair]
-        first = np.sort(np.unique(key, return_index=True)[1])
+        order = np.argsort(key)
+        runs = np.flatnonzero(np.diff(key[order], prepend=-1))
+        first = np.sort(np.minimum.reduceat(order, runs))
         pair, key = pair[first], key[first]
         inst, u, v = inst[pair], u[pair], v[pair]
         take = bound[inst] >= counts[inst] - 1

@@ -22,6 +22,7 @@ from mplangc.activations import (
     apply_vec,
     interpolation_error,
     interval_image,
+    knot_span,
     merge,
     modulus_delta,
     pl_to_relu_sum,
@@ -292,7 +293,8 @@ def test_hinges_match_the_per_knot_loop_on_random_knots(xs, ys, collinear):
 def test_interpolants_match_the_per_knot_loop(f, lo, width, eps):
     # tanh and sin are 0 at 0, so a grid from 0 has no level term; width 0 is one knot.
     y = Interval(lo, lo + width)
-    xs = np.linspace(y.lo, y.hi, _grid_cells(f, y, eps) + 1)
+    grid, _ = knot_span(f, y, eps)
+    xs = np.linspace(grid.lo, grid.hi, _grid_cells(f, grid, eps) + 1)
     oracle = _per_knot_hinges(tuple(zip(xs.tolist(), apply_vec(f, xs).tolist())))
     assert repr(relu_approximate(f, y, eps).terms) == repr(oracle)
 
@@ -421,6 +423,10 @@ def test_merged_has_no_closed_form_approximant():
 CURVATURE = {SIN: 1.0, TANH: 4.0 / (3.0 * math.sqrt(3.0)), SIGMOID: 1.0 / (6.0 * math.sqrt(3.0))}
 # Evaluating a ReluSum of up to ~2000 terms on |x| <= 100 rounds by far less.
 ROUNDING = 1e-10
+# Past ±a, tanh and sigmoid are within eps of their asymptotes, worked out by
+# hand: a = atanh(1 - eps) and ln((1 - eps)/eps), while a is positive.
+FLAT = {TANH: lambda eps: math.atanh(1.0 - eps) if eps < 1.0 else None,
+        SIGMOID: lambda eps: math.log((1.0 - eps) / eps) if eps < 0.5 else None}
 
 
 @settings(max_examples=80, deadline=None)
@@ -434,15 +440,27 @@ ROUNDING = 1e-10
 def test_relu_approximate_and_modulus_delta_are_proven(f, lo, width, eps, seed):
     y = Interval(lo, lo + width)
     g = relu_approximate(f, y, eps)
+    grid, gap = knot_span(f, y, eps)
+    assert 0.0 <= gap <= eps
     if f == ABS:
         knots = np.array([y.lo, 0.0, y.hi] if y.lo < 0.0 < y.hi else [y.lo, y.hi])
     else:
-        n = math.ceil(y.width / math.sqrt(8.0 * eps / CURVATURE[f])) + 1
-        knots = np.linspace(y.lo, y.hi, n)
-        assert _grid_cells(f, y, eps) == n - 1
+        # The knots lie on y clipped to [-a, a]: up to the float steps that
+        # bring f(±a) within eps of the asymptotes.
+        a = FLAT.get(f, lambda eps: None)(eps)
+        if a is None:
+            assert (grid, gap) == (y, 0.0)
+        else:
+            for end, want in ((grid.lo, y.lo), (grid.hi, y.hi)):
+                assert end == pytest.approx(min(max(want, -a), a), rel=1e-9, abs=1e-12)
+        n = math.ceil(grid.width / math.sqrt(8.0 * eps / CURVATURE[f])) + 1
+        knots = np.linspace(grid.lo, grid.hi, n)
+        assert _grid_cells(f, grid, eps) == n - 1
         hinges = np.array([b for a, b, _ in g.terms if a != 0.0])
         assert np.isin(hinges, knots).all()
-    probes = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2.0])
+    # The knots, the cells' midpoints, and the whole of y, past the clip too.
+    probes = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2.0,
+                             np.linspace(y.lo, y.hi, 1001)])
     assert np.abs(apply_vec(g, probes) - apply_vec(f, probes)).max() <= eps + ROUNDING
 
     delta = modulus_delta(g, y, eps)
@@ -472,6 +490,56 @@ def test_interpolation_error_is_the_bound_at_the_grid_step():
     assert interpolation_error(SIN, Interval(-1.0, 1.0), 0.01) == 0.25**2 / 8
     assert interpolation_error(ABS, Interval(-1.0, 1.0), 0.01) == 0.0
     assert interpolation_error(SIN, Interval(0.5, 0.5), 0.01) == 0.0
+
+
+# -- the clip of tanh and sigmoid ------------------------------------------------------
+
+@pytest.mark.parametrize("f,asymptote", [(TANH, 1.0), (SIGMOID, 1.0), (TANH, -1.0),
+                                         (SIGMOID, 0.0)])
+def test_an_interval_inside_a_tail_gets_one_knot_and_the_tail_gap(f, asymptote):
+    y = Interval(5.0, 9.0) if asymptote == 1.0 else Interval(-9.0, -5.0)
+    grid, gap = knot_span(f, y, 0.1)
+    assert grid.width == 0.0 and 0.0 < gap <= 0.1
+    g = relu_approximate(f, y, 0.1)
+    assert g.terms == ((0.0, -1.0, apply(f, grid.lo)),)  # one knot: a constant
+    assert interpolation_error(f, y, 0.1) == gap
+    xs = np.linspace(y.lo, y.hi, 101)
+    assert np.abs(apply_vec(g, xs) - apply_vec(f, xs)).max() <= gap
+    # The constant is f(±a), within the gap of f(±∞).
+    assert abs(apply(g, 0.0) - asymptote) <= gap
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st.sampled_from([TANH, SIGMOID]), eps=st.floats(1e-12, 1.0),
+       lo=st.floats(-1e4, 0.0), hi=st.floats(0.0, 1e4))
+def test_the_tail_gap_is_at_most_eps_exactly_in_floats(f, eps, lo, hi):
+    y = Interval(lo, hi)
+    grid, gap = knot_span(f, y, eps)
+    low, high = (-1.0, 1.0) if f == TANH else (0.0, 1.0)
+    # The constants past the end knots, against the asymptotes they stand for.
+    if grid.hi < y.hi:
+        assert high - apply(f, grid.hi) <= gap <= eps
+    if grid.lo > y.lo:
+        assert apply(f, grid.lo) - low <= gap <= eps
+    if grid == y:
+        assert gap == 0.0
+    try:
+        assert interpolation_error(f, y, eps) <= eps
+    except CertificateError:
+        pass  # a grid of more than 4096 cells; the bound needs none
+
+
+@pytest.mark.parametrize("f", [SIN, RELU, ABS, ID, CLAMP01, IDENTITY_SUM])
+def test_only_tanh_and_sigmoid_are_clipped(f):
+    for y in (Interval(-50.0, 50.0), Interval(-math.inf, math.inf)):
+        assert knot_span(f, y, 0.1) == (y, 0.0)
+
+
+@pytest.mark.parametrize("f,eps", [(TANH, 1.0), (TANH, 5.0), (SIGMOID, 0.5), (SIGMOID, 0.75)])
+def test_an_eps_of_half_the_range_clips_nothing(f, eps):
+    # a = atanh(1 - ε) or ln((1 - ε)/ε) is not positive there: no interval is left to clip to.
+    y = Interval(-3.0, 3.0)
+    assert knot_span(f, y, eps) == (y, 0.0)
 
 
 # -- serialization --------------------------------------------------------------------

@@ -409,14 +409,63 @@ APPROX_NESTED = (
 def test_approx_nested_networks_get_no_bigger():
     box = DomainBox.cube(-1, 1, 1)
     dense = nonzero = 0
+    outs = []
     for text, eps in APPROX_NESTED:
         (out,), report = approximate_all([parse(text)], 3, box, eps)
         assert report.proven_eps[0] <= eps, text
+        outs.append(out)
         for lyr in compile_relu(out, 1).layers:
             weights = (lyr.w_self, lyr.w_neigh, lyr.bias)
             dense += sum(w.size for w in weights)
             nonzero += sum(np.count_nonzero(w) for w in weights)
-    assert dense <= 798 and nonzero <= 400, (dense, nonzero)
+    assert dense <= 768 and nonzero <= 382, (dense, nonzero)
+    # The approximants read as trees, and their distinct nodes.
+    tree = sum(fold_all(outs, lambda node, kids: 1 + sum(kids)))
+    assert tree <= 1223 and _dag_size(outs) <= 439, (tree, _dag_size(outs))
+
+
+# -- clipping tanh and sigmoid --------------------------------------------------------
+
+def test_a_neighbor_sum_under_tanh_needs_the_same_knots_at_every_degree():
+    # tanh is interpolated only where it is more than ε from ±1, so a wider
+    # image, from a larger degree bound, adds no knot.
+    box = DomainBox.cube(-1, 1, 1)
+    knots = set()
+    for p in (3, 100, 10**6):
+        (_,), report = approximate_all([parse("tanh(<>P1)")], p, box, 0.01)
+        (tanh,) = report.applications
+        assert tanh.interval == Interval(-p, p) and tanh.grid.width < 6.0
+        assert report.proven_eps[0] <= 0.01
+        knots.add(tanh.knots)
+    assert knots == {18}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_translated_four_layer_networks_certify(seed):
+    # Over the whole images these need 9,111 and 4,626 grid cells, more than 4,096.
+    t = mpnn_to_mplang(deep_mpnn(seed, layers=4))
+    box = DomainBox.cube(-1, 1, t.input_arity)
+    outs, report = approximate_all(t.components, 3, box, 0.1)
+    assert classify_all(outs).relu_only
+    assert all(proven <= 0.1 for proven in report.proven_eps)
+    rhos = uniform_distance_estimates(t.components, outs, 3, box, 300, seed)
+    assert all(rho <= proven + ROUNDING for rho, proven in zip(rhos, report.proven_eps))
+
+
+@pytest.mark.parametrize("text",
+                         ["tanh(8*P1)", "sigmoid(-20*P1)", "tanh(2*<>P1) + sigmoid(10*P1)"])
+@pytest.mark.parametrize("eps", [0.1, 0.01, 1e-3, 0.3, 0.45])
+def test_a_clipped_grid_proves_eps_exactly_in_floats(text, eps):
+    # The clip's a = atanh(1 - ε) can leave f(a) a rounding short of 1 - ε:
+    # its tail gap, and so the proven ε, would then exceed ε by an ulp.
+    box = DomainBox.cube(-1, 1, 1)
+    (out,), report = approximate_all([parse(text)], 3, box, eps)
+    assert report.proven_eps[0] <= eps
+    for record in report.applications:
+        assert record.grid != record.interval and 0.0 < record.tail_gap <= record.eps
+        assert record.proven <= record.eps
+    (rho,) = uniform_distance_estimates((parse(text),), (out,), 3, box, 300, 7)
+    assert rho <= report.proven_eps[0] + ROUNDING
 
 
 # -- the sampler, through check and approx --------------------------------------------

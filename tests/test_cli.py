@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -352,7 +353,26 @@ def test_approx_prints_the_proven_eps_and_writes_the_report(tmp_path, capsys):
     assert report["eps"] == 0.1 and report["proven_eps"] == [proven]
     assert [r["function"] for r in report["applications"]] == ["tanh", "sin"]
     assert set(report["applications"][0]) == {
-        "function", "interval", "eps", "knots", "m2", "lipschitz", "delta", "proven"}
+        "function", "interval", "grid", "tail_gap", "eps", "knots", "m2", "lipschitz", "delta",
+        "proven"}
+
+
+def test_the_report_gives_each_grid_and_its_tail_gap(tmp_path, capsys):
+    # tanh's knots lie where it is more than ε from ±1, inside its argument's
+    # image [-3, 3]; sigmoid on [-0.5, 0.5] is not clipped.
+    src, out = tmp_path / "two.mplang", tmp_path / "approx.mplang"
+    src.write_text("tanh(<>P1)\nsigmoid(0.5*P1)\n")
+    assert main(["approx", "--expr-file", str(src), "--degree-bound", "3", "--box", "[[-1,1]]",
+                 "--epsilon", "0.01", "--trials", "100", "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "approx.mplang.report.json").read_text())
+    tanh, sigmoid = report["applications"]
+    assert tanh["interval"] == [-3.0, 3.0]
+    a = tanh["grid"][1]
+    assert tanh["grid"] == [-a, a] and a == pytest.approx(math.atanh(1.0 - 0.01), rel=1e-12)
+    assert 0.0 < tanh["tail_gap"] <= 0.01
+    assert tanh["proven"] == report["proven_eps"][0] <= 0.01
+    assert sigmoid["grid"] == sigmoid["interval"] == [-0.5, 0.5] and sigmoid["tail_gap"] == 0.0
 
 
 def test_approx_and_bounds_of_a_multi_line_file(tmp_path, capsys):
@@ -949,7 +969,8 @@ def test_approx_of_abs_on_an_unbounded_image_writes_its_report(tmp_path, capsys)
     assert rc == 0
     assert "rho_hat = 0.0" in capsys.readouterr().out
     report = json.loads((tmp_path / "approx.mplang.report.json").read_text())
-    assert report["applications"][0]["interval"] == [None, None]
+    (record,) = report["applications"]
+    assert record["interval"] == record["grid"] == [None, None] and record["tail_gap"] == 0.0
     assert report["proven_eps"] == [0.0]
 
 
