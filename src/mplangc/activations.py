@@ -8,16 +8,21 @@ one continuous curve: the left piece, shifted so its largest intended input
 input `right_min` lands at +1, and the straight segment joining the two seam
 values in between.
 
-`relu_approximate` and `modulus_delta` are closed forms, so their results are
-proofs: one sizes its grid from sup|f''|, the other divides by a Lipschitz bound.
-tanh and sigmoid are interpolated only where they still bend: `knot_span`
-clips the interval to [-a, a], beyond which f is within eps of its
-asymptotes, and the broken line is constant past its end knots.  The proven
-error is the larger of the grid's bound and that tail gap.
+`interpolant`, behind `relu_approximate` and `interpolation_error`, and
+`modulus_delta` are closed forms, so their results are proofs.  The first
+sizes each cell of its knots by the sup of |f''| on that cell, h^2/8 * M <=
+eps, in closed form; the knots come from one walk that makes each step the
+longest whose cell meets the bound (knot equidistribution, as in de Boor, A
+Practical Guide to Splines).  The second divides by a Lipschitz bound.  tanh
+and sigmoid are interpolated only where they still bend, on each side where
+that saves knots: `knot_span` clips the interval to [-a, a], beyond which f
+is within eps of its asymptotes, and the broken line is constant past its end
+knots.  The proven error is the larger of the cells' bound and that tail gap.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -45,6 +50,8 @@ __all__ = [
     "interval_image",
     "merge",
     "pl_to_relu_sum",
+    "Interpolant",
+    "interpolant",
     "relu_approximate",
     "knot_span",
     "interpolation_error",
@@ -277,9 +284,7 @@ _EXACT = {RELU: ((1.0, 0.0, 1.0),), ID: ((1.0, 0.0, 1.0), (-1.0, 0.0, -1.0)),
           ABS: ((1.0, 0.0, 1.0), (-1.0, 0.0, 1.0))}
 
 
-# The most knots a grid may have.  knot_span and _grid_cells place both
-# relu_approximate's grid and interpolation_error's proof of it, so the two
-# always agree.
+# The most knots an interpolant may have.
 _MAX_POINTS = 4097
 
 
@@ -290,42 +295,97 @@ _MAX_POINTS = 4097
 _SATURATION = {TANH: (-1.0, 1.0, 2.0), SIGMOID: (0.0, 1.0, 1.0)}
 
 
-def relu_approximate(f: Activation, y: Interval, eps: float) -> ReluSum:
-    """A ReLU combination within eps of f on y, proven by the interpolation bound.
+def _logistic_bend(lo: float, hi: float, k: float):
+    # _BENDS's entry for lo + (hi - lo) * s(k*x), s the logistic function:
+    # f'' = (hi - lo) k^2 s''(k x), and |s''(t)| = u (1 - u)/(1 + u)^3 with
+    # u = exp(-t) for t >= 0, which peaks at t = ln(2 + sqrt(3)).  1 - u is
+    # -expm1(-t), which keeps its relative precision near 0.
+    scale, peak = (hi - lo) * k * k, math.log(2.0 + math.sqrt(3.0)) / k
+
+    def bend(x: float) -> float:
+        u = math.exp(-k * x)
+        return scale * u * -math.expm1(-k * x) / (1.0 + u) ** 3
+
+    return bend, lambda x: peak - x if x <= peak else math.inf
+
+
+def _sin_to_peak(x: float) -> float:
+    # The phase of x from sin and cos, which reduce x accurately, so the
+    # distance holds far from 0 too; |sin| peaks at the phases +-pi/2.
+    return (math.pi / 2.0 - math.atan2(math.sin(x), math.cos(x))) % math.pi
+
+
+# |f''| of sin, tanh and sigmoid is even, so the knot walk runs on |x|.  On
+# x >= 0 it is monotone between its zeros and its peaks.  Each entry gives
+# |f''(x)| and the distance from x >= 0 to the first peak at or after x.
+_BENDS = {"sin": (lambda x: abs(math.sin(x)), _sin_to_peak),
+          **{f.name: _logistic_bend(*s) for f, s in _SATURATION.items()}}
+
+# |f''| at a cell's end is scaled up by this margin, so that rounding in its
+# few float operations cannot understate the cell's sup.
+_MARGIN = 1.0 + 1e-9
+
+# Bisection steps for a cell whose sup is at its far end.  The step's
+# bracket is already narrow, and a long bisection per knot costs more time
+# than the knots it saves.
+_BISECTIONS = 4
+
+
+@dataclass(frozen=True)
+class Interpolant:
+    """relu_approximate's ReLU combination for f, y and eps, and its proof."""
+
+    relu_sum: ReluSum
+    knots: tuple[float, ...]  # increasing; () for a function returned exactly
+    grid: Interval  # where the knots lie: y, or y clipped for tanh and sigmoid
+    tail_gap: float  # the error past a clipped end; 0 where nothing is clipped
+    bound: float  # the proven sup |f - relu_sum| on y
+
+
+def interpolant(f: Activation, y: Interval, eps: float) -> Interpolant:
+    """A ReLU combination within eps of f on y, with its knots and its proof.
 
     relu, id, abs, ReluSum and PiecewiseLinear come back exact, on the whole
-    line.  sin, tanh and sigmoid are interpolated on ceil(width / h) + 1
-    uniform knots over knot_span's interval, with h = sqrt(8 eps / sup|f''|),
-    which bounds the error on each cell by h^2/8 * sup|f''| = eps.  For tanh
-    and sigmoid that interval is y clipped to where f still bends; the broken
-    line is constant past its end knots, within the tail gap <= eps of f.
-    Raises CertificateError when y is not finite, the grid needs more than
-    _MAX_POINTS knots, or its step is below the float spacing, so that two
-    knots round to the same float.
+    line, with bound 0.  sin, tanh and sigmoid are interpolated on the knots
+    of one walk (_knots): each cell meets h^2/8 * M <= eps, with M the sup of
+    |f''| on the cell, so the bound is the largest such cell value (at most
+    eps) or, where an end is clipped, the larger tail gap.  Raises
+    CertificateError when y is not finite, or the walk needs more than
+    _MAX_POINTS knots or a step below the float spacing.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if isinstance(f, ReluSum):
-        return f
-    if isinstance(f, PiecewiseLinear):
-        return pl_to_relu_sum(f)
     if isinstance(f, Merged):
         raise ValueError("merged activations have no closed-form approximant")
-    if f in _EXACT:
-        return ReluSum(_EXACT[f])
-    if not math.isfinite(y.width):
-        raise CertificateError(f"no {eps:g}-certificate on the unbounded interval {y}")
-    grid, _ = knot_span(f, y, eps)
-    xs = np.linspace(grid.lo, grid.hi, _grid_cells(f, grid, eps) + 1)
-    if not (np.diff(xs) > 0.0).all():
-        raise CertificateError(
-            f"a {eps:g}-certificate on {y} needs a grid step below the float spacing"
-        )
-    return _hinges(xs, apply_vec(f, xs))
+    if isinstance(f, ReluSum):
+        exact = f
+    elif isinstance(f, PiecewiseLinear):
+        exact = pl_to_relu_sum(f)
+    elif f in _EXACT:
+        exact = ReluSum(_EXACT[f])
+    else:
+        if not math.isfinite(y.width):
+            raise CertificateError(f"no {eps:g}-certificate on the unbounded interval {y}")
+        xs, cells, gap = _knots(f, y, eps)
+        knots = np.array(xs)
+        return Interpolant(_hinges(knots, apply_vec(f, knots)), tuple(xs),
+                           Interval(xs[0], xs[-1]), gap, max(min(eps, cells), gap))
+    return Interpolant(exact, (), y, 0.0, 0.0)
+
+
+def relu_approximate(f: Activation, y: Interval, eps: float) -> ReluSum:
+    """interpolant(f, y, eps)'s ReLU combination, within eps of f on y."""
+    return interpolant(f, y, eps).relu_sum
+
+
+def interpolation_error(f: Activation, y: Interval, eps: float) -> float:
+    """The bound on |f - relu_approximate(f, y, eps)| on y that its knots
+    prove, interpolant(f, y, eps)'s: 0 for a function returned exactly."""
+    return interpolant(f, y, eps).bound
 
 
 def knot_span(f: Activation, y: Interval, eps: float) -> tuple[Interval, float]:
-    """The interval relu_approximate puts f's knots on for y and eps, and its tail gap.
+    """y clipped to where f still bends, and the tail gap of that clip.
 
     For tanh and sigmoid the interval is y clipped to [-a, a], beyond which f
     is within eps of its asymptotes, and the tail gap is the larger distance,
@@ -334,6 +394,7 @@ def knot_span(f: Activation, y: Interval, eps: float) -> tuple[Interval, float]:
     closed form and steps outward, from one float spacing and doubling, until
     that gap is at most eps.  Where nothing is clipped the gap is 0; so it is
     for every other f, and for an eps at which a would not be positive.
+    _knots keeps each side of this clip only where it saves knots.
     """
     saturation = _SATURATION.get(f)
     if saturation is None or not eps < (saturation[1] - saturation[0]) / 2.0:
@@ -352,44 +413,121 @@ def knot_span(f: Activation, y: Interval, eps: float) -> tuple[Interval, float]:
     return Interval(min(max(y.lo, -a), a), min(max(y.hi, -a), a)), gap
 
 
-def _grid_cells(f: Named, grid: Interval, eps: float) -> int:
-    """The cells of the uniform grid relu_approximate interpolates sin, tanh or
-    sigmoid on, over knot_span's interval.
+def _knots(f: Named, y: Interval, eps: float) -> tuple[list[float], float, float]:
+    """The knots of sin, tanh or sigmoid's interpolant on the finite y for eps,
+    the largest h^2/8 * M of their cells, and the tail gap.
 
-    A count that rounds to 0, as when an eps near the float maximum overflows
-    the step, is still one cell, two knots, on an interval of nonzero width;
-    only a point gets no cell, and one knot.
+    M is the cell's sup|f''| in closed form: the global sup when the cell
+    holds a peak of |f''|, else the larger of |f''| at its ends, since |f''|
+    is monotone between a zero and a peak.  A point is one knot, so is a y
+    that lies past knot_span's clip, and y is one cell when that cell meets
+    width^2/8 * M <= eps.  Otherwise the knots walk outward from 0 when y
+    holds it, else from y's end nearest 0, so a symmetric y gets symmetric
+    knots; each step is the longest one (up to a few bisections) whose cell
+    meets the bound.  Moving away from a peak the cell's sup is at its start
+    and the step is sqrt(8 eps / |f''(x)|).  A side of y that reaches past
+    knot_span's clip ends at the clip, with the tail gap, where the walk
+    would put another knot before y's end; else it ends at y's end.  A
+    clipped grid that one cell covers is that one cell.
     """
-    cells = grid.width / math.sqrt(8.0 * eps / _CURVATURE[f.name])
-    if not cells <= _MAX_POINTS - 1:
-        raise CertificateError(
-            f"a {eps:g}-certificate on {grid} needs {cells:.4g} grid cells,"
-            f" more than {_MAX_POINTS - 1}"
-        )
-    return max(math.ceil(cells), 1 if grid.width > 0.0 else 0)
+    bend, to_peak = _BENDS[f.name]
+    m2 = _CURVATURE[f.name]
 
+    def refuse(need: str, x: float) -> CertificateError:
+        return CertificateError(f"a {eps:g}-certificate for {f.name} on {y} needs {need}:"
+                                f" the walk reached |x| = {x:.6g}")
 
-def interpolation_error(f: Activation, y: Interval, eps: float) -> float:
-    """The bound on |f - relu_approximate(f, y, eps)| on y that its grid proves.
+    def sup(a: float, b: float) -> float:  # sup|f''| on [a, b], 0 <= a <= b
+        return m2 if b - a >= to_peak(a) else max(bend(a), bend(b)) * _MARGIN
 
-    On knot_span's interval it is h^2/8 * sup|f''|, with h the grid's step,
-    which the grid's size keeps at or below eps: that part is the smaller of
-    the two, since computing it in floats can round above eps.  Past the
-    interval it is the tail gap, also at most eps; the bound is the larger of
-    the two parts, not their sum.  0 for a function returned exactly.
-    """
-    m2 = curvature(f)
-    if m2 == 0.0:
-        return 0.0
-    grid, gap = knot_span(f, y, eps)
-    h = grid.width / max(_grid_cells(f, grid, eps), 1)
-    return max(min(eps, h * h / 8.0 * m2), gap)
+    def one_cell(a: float, b: float) -> float:  # h^2/8 * M of the cell [a, b]
+        w = b - a
+        return w * w / 8.0 * (sup(a, b) if a >= 0.0 else sup(-b, -a) if b <= 0.0
+                              else sup(0.0, max(-a, b)))
+
+    lo, hi = y.lo, y.hi
+    if lo == hi:
+        return [lo], 0.0, 0.0
+    clip, gap = knot_span(f, y, eps)
+    if clip.width == 0.0:  # y lies where f is within eps of an asymptote: one constant
+        return [clip.lo], 0.0, gap
+    whole = one_cell(lo, hi)
+    if whole <= eps:
+        return [lo, hi], whole, 0.0
+    # The sides of y around the start s, in |x|: each one's end and its clip.
+    s = min(max(lo, 0.0), hi)
+    left = (-lo, -clip.lo) if lo < s else None
+    right = (hi, clip.hi) if hi > s else None
+    sides = [side for side in (left, right) if side]
+    stop, far = max(c for _, c in sides), max(end for end, _ in sides)
+    # 8 eps, less the margin again: a knot x + h rounds, so a cell can be a
+    # little wider than its step h.
+    budget = 8.0 * eps / _MARGIN
+    h0 = math.sqrt(budget / m2)  # a step that holds anywhere
+    x = abs(s)
+    raw, cells = [x], []  # the walk's knots and its cells' h^2/8 * M
+    # The knots both sides have so far: a walk knot below the nearer side's
+    # end is a knot of each.
+    near, count = min(c for _, c in sides) if left and right else 0.0, 1
+    while x < stop:
+        if x + h0 >= far:  # the next knot ends every side, wherever it lies
+            raw.append(far)
+            break
+        bx = bend(x) * _MARGIN
+        to = to_peak(x)
+        h = math.sqrt(budget / bx) if bx > 0.0 else math.inf  # the step if M = |f''(x)|
+        if to == math.inf or (h < to and bend(x + h) * _MARGIN <= bx):
+            m = bx
+        elif min(h, to) <= h0:
+            h, m = h0, m2  # the cell holds a peak: M is the global sup
+        else:  # the sup is at the cell's far end, before the peak
+            top, h, m = min(h, to), h0, m2
+            for _ in range(_BISECTIONS):
+                mid = 0.5 * (h + top)
+                m_mid = max(bx, bend(x + mid) * _MARGIN)
+                if mid * mid * m_mid <= budget:
+                    h, m = mid, m_mid
+                else:
+                    top = mid
+        nxt = x + h
+        if nxt == x:
+            raise refuse("a step below the float spacing", x)
+        cells.append((nxt - x) * (nxt - x) / 8.0 * m)
+        raw.append(nxt)
+        x = nxt
+        count += 2 if x < near else 1
+        if count > _MAX_POINTS:
+            raise refuse(f"more than {_MAX_POINTS} knots", x)
+
+    def side(end: float, c: float) -> tuple[list[float], float, bool]:
+        n = bisect.bisect_left(raw, c)  # raw[:n] lie before the clip, raw[n] past it
+        clipped = c < end and raw[n] < end
+        last = c if clipped else end
+        return raw[:n] + [last], max(cells[:n - 1] + [one_cell(raw[n - 1], last)]), clipped
+
+    xs, value, clipped = [], 0.0, False
+    if left:
+        ks, value, clipped = side(*left)
+        xs = [0.0 - k for k in reversed(ks)]
+    if right:
+        ks, v, c = side(*right)
+        xs += ks[1:] if left else ks
+        value, clipped = max(value, v), clipped or c
+    if len(xs) > _MAX_POINTS:
+        raise refuse(f"more than {_MAX_POINTS} knots", x)
+    if not clipped:
+        return xs, value, 0.0
+    # Clipped, the bound is about eps anyway: one cell, where it holds, has
+    # no knot at 0 to turn the slope.
+    one = one_cell(xs[0], xs[-1])
+    return ([xs[0], xs[-1]], one, gap) if len(xs) > 2 and one <= eps else (xs, value, gap)
 
 
 def curvature(f: Activation) -> float:
-    """The sup|f''| that relu_approximate sizes f's grid by; 0 for a function
-    it returns exactly (relu, id, abs, ReluSum, PiecewiseLinear).  A merged
-    activation has its pieces' larger one, though relu_approximate raises."""
+    """The sup|f''| on the real line, which caps the M of every cell of
+    relu_approximate's knots; 0 for a function it returns exactly (relu, id,
+    abs, ReluSum, PiecewiseLinear).  A merged activation has its pieces'
+    larger one, though relu_approximate raises."""
     if isinstance(f, Named):
         return _CURVATURE.get(f.name, 0.0)
     if isinstance(f, Merged):

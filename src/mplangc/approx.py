@@ -27,7 +27,7 @@ A bottom-up fold, the second and last, then builds each node's approximant
 once, so shared subterms stay shared.  Each step is a bound, so the result is
 within ε on every graph of degree <= p with features in the box, up to
 floating-point rounding.  The ``ApproxReport`` records every application and
-the bound proven bottom-up from the grids actually used.
+the bound proven bottom-up from the knots actually used.
 """
 
 from __future__ import annotations
@@ -40,15 +40,14 @@ from typing import Sequence
 from .activations import (
     ID,
     RELU,
+    Interpolant,
     ReluSum,
     activation_label,
     curvature,
-    interpolation_error,
+    interpolant,
     interval_image,
-    knot_span,
     lipschitz,
     modulus_delta,
-    relu_approximate,
 )
 from .expressions import (
     Add,
@@ -143,10 +142,10 @@ class ApplyRecord:
     tail_gap: float  # the error past the grid's ends; 0 where nothing was clipped
     eps: float  # the interpolant's share of the node's ε
     knots: int  # breakpoints of the interpolant
-    m2: float  # the sup|f''| its grid was sized by; 0 when it is exact
+    m2: float  # sup|f''| on the line, which caps each cell's; 0 when f is exact
     lipschitz: float  # the interpolant's Lipschitz constant on the interval
     delta: float | None  # e's budget, None when e is piecewise linear
-    proven: float  # the interpolation error (grid or tail) + L * e's proven error
+    proven: float  # the interpolation error (cells or tail) + L * e's proven error
 
     def to_json(self) -> dict:
         return {
@@ -212,7 +211,7 @@ def approximate_all(
     # Top-down: the smallest ε any parent demands of a node, and each
     # application's interpolant and its Lipschitz constant.
     demand: dict[Expr, float] = {}
-    plans: dict[Expr, tuple[ReluSum, Interval, float, float | None, float]] = {}
+    plans: dict[Expr, tuple[Interpolant, Interval, float, float | None, float]] = {}
 
     def need(node: Expr, budget: float) -> None:
         if not node.traits.relu_only:
@@ -250,7 +249,8 @@ def approximate_all(
             exact, exact_arg = curvature(node.func) == 0.0, arg.traits.piecewise_linear
             share = budget if exact or exact_arg else budget / 2.0
             y = image[arg] if exact_arg else image[arg].widen(share)
-            g = relu_approximate(node.func, y, share)
+            it = interpolant(node.func, y, share)
+            g = it.relu_sum
             lip = lipschitz(g, y)
             if exact_arg:
                 need(arg, share)  # rebuilt in ReLU form, with no error
@@ -259,7 +259,7 @@ def approximate_all(
                 # (ε when L is 0): the whole ε under relu, abs and id.
                 delta = budget / (lip or 1.0) if exact else modulus_delta(g, y, share, lip=lip)
                 need(arg, min(delta, share))
-            plans[node] = (g, y, share, delta, lip)
+            plans[node] = (it, y, share, delta, lip)
 
     # Bottom-up: each live node's approximant and proven error, once.
     records: list[ApplyRecord] = []
@@ -280,14 +280,14 @@ def approximate_all(
             return Diamond(kids[0][0]), p * kids[0][1]
         if isinstance(node, Add):
             return Add(kids[0][0], kids[1][0]), kids[0][1] + kids[1][1]
-        g, y, budget, delta, lip = plans[node]
+        it, y, budget, delta, lip = plans[node]
         arg, arg_error = kids[0]
-        proven = interpolation_error(node.func, y, budget) + lip * arg_error
-        grid, tail_gap = knot_span(node.func, y, budget)
-        records.append(ApplyRecord(activation_label(node.func), y, grid, tail_gap, budget,
-                                   _breakpoints(g), curvature(node.func), lip, delta, proven))
+        proven = it.bound + lip * arg_error
+        records.append(ApplyRecord(activation_label(node.func), y, it.grid, it.tail_gap, budget,
+                                   _breakpoints(it.relu_sum), curvature(node.func), lip, delta,
+                                   proven))
         # id(e) is e: its approximant is e's, with no relu(x) - relu(-x) around it.
-        return arg if node.func == ID else _relu_sum_expr(g, arg), proven
+        return arg if node.func == ID else _relu_sum_expr(it.relu_sum, arg), proven
 
     built = fold_all(roots, build)
     report = ApproxReport(eps, tuple(records), tuple(b[1] for b in built))

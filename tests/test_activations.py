@@ -20,6 +20,7 @@ from mplangc.activations import (
     activation_to_json,
     apply,
     apply_vec,
+    interpolant,
     interpolation_error,
     interval_image,
     knot_span,
@@ -28,7 +29,6 @@ from mplangc.activations import (
     pl_to_relu_sum,
     relu_approximate,
 )
-from mplangc.activations import _grid_cells
 from mplangc.errors import CertificateError
 from mplangc.intervals import Interval
 
@@ -293,9 +293,10 @@ def test_hinges_match_the_per_knot_loop_on_random_knots(xs, ys, collinear):
 def test_interpolants_match_the_per_knot_loop(f, lo, width, eps):
     # tanh and sin are 0 at 0, so a grid from 0 has no level term; width 0 is one knot.
     y = Interval(lo, lo + width)
-    grid, _ = knot_span(f, y, eps)
-    xs = np.linspace(grid.lo, grid.hi, _grid_cells(f, grid, eps) + 1)
+    it = interpolant(f, y, eps)
+    xs = np.array(it.knots)
     oracle = _per_knot_hinges(tuple(zip(xs.tolist(), apply_vec(f, xs).tolist())))
+    assert repr(it.relu_sum.terms) == repr(oracle)
     assert repr(relu_approximate(f, y, eps).terms) == repr(oracle)
 
 
@@ -343,8 +344,10 @@ def test_an_eps_near_the_float_maximum_keeps_both_end_knots(eps):
 
 
 def test_relu_approximate_budget_exhaustion():
-    with pytest.raises(CertificateError):
-        # 70,711 cells against a cap of 4,096.
+    # About 850 knots per period of sin, against a cap of 4,097 knots; the
+    # message names the function, the interval, eps and where the walk was.
+    with pytest.raises(CertificateError, match=r"1e-06-certificate for sin on \[-100.0, 100.0\]"
+                       r" needs more than 4097 knots: the walk reached \|x\| = "):
         relu_approximate(SIN, Interval(-100.0, 100.0), 1e-6)
 
 
@@ -440,22 +443,28 @@ FLAT = {TANH: lambda eps: math.atanh(1.0 - eps) if eps < 1.0 else None,
 def test_relu_approximate_and_modulus_delta_are_proven(f, lo, width, eps, seed):
     y = Interval(lo, lo + width)
     g = relu_approximate(f, y, eps)
-    grid, gap = knot_span(f, y, eps)
+    it = interpolant(f, y, eps)
+    grid, gap = it.grid, it.tail_gap
     assert 0.0 <= gap <= eps
     if f == ABS:
         knots = np.array([y.lo, 0.0, y.hi] if y.lo < 0.0 < y.hi else [y.lo, y.hi])
     else:
-        # The knots lie on y clipped to [-a, a]: up to the float steps that
-        # bring f(±a) within eps of the asymptotes.
+        knots = np.array(it.knots)
+        assert (np.diff(knots) > 0.0).all() and (grid.lo, grid.hi) == (knots[0], knots[-1])
+        # Each end of the knots is y's, or y's clipped to [-a, a], up to the
+        # float steps that bring f(±a) within eps of the asymptotes; only a
+        # clip leaves a tail gap.
         a = FLAT.get(f, lambda eps: None)(eps)
-        if a is None:
-            assert (grid, gap) == (y, 0.0)
-        else:
-            for end, want in ((grid.lo, y.lo), (grid.hi, y.hi)):
+        for end, want in ((grid.lo, y.lo), (grid.hi, y.hi)):
+            if end != want:
+                assert a is not None and gap > 0.0
                 assert end == pytest.approx(min(max(want, -a), a), rel=1e-9, abs=1e-12)
-        n = math.ceil(grid.width / math.sqrt(8.0 * eps / CURVATURE[f])) + 1
-        knots = np.linspace(grid.lo, grid.hi, n)
-        assert _grid_cells(f, grid, eps) == n - 1
+        if grid == y:
+            assert gap == 0.0
+        # Every step but the last of each side from 0 is at least the uniform
+        # grid's sqrt(8 eps / sup|f''|), less a relative margin of 1e-9.
+        h = math.sqrt(8.0 * eps / CURVATURE[f])
+        assert len(knots) <= math.ceil(grid.width / h * (1.0 + 1e-9)) + 2
         hinges = np.array([b for a, b, _ in g.terms if a != 0.0])
         assert np.isin(hinges, knots).all()
     # The knots, the cells' midpoints, and the whole of y, past the clip too.
@@ -486,10 +495,54 @@ def test_interpolation_error_bounds_the_interpolant(f, lo, width, eps):
 
 
 def test_interpolation_error_is_the_bound_at_the_grid_step():
-    # sin on [-1, 1] at eps = 0.01 takes ceil(2 / sqrt(0.08)) = 8 cells of 0.25.
-    assert interpolation_error(SIN, Interval(-1.0, 1.0), 0.01) == 0.25**2 / 8
+    # One cell where it is enough: tanh on [-1, 1] holds both peaks of
+    # |tanh''|, so its sup is the global one; |sin''| = |sin| on [0, 0.4] is
+    # largest at the right end.
+    assert interpolation_error(TANH, Interval(-1.0, 1.0), 0.9) == 4.0 / 8.0 * CURVATURE[TANH]
+    assert interpolation_error(SIN, Interval(0.0, 0.4), 0.01) == pytest.approx(
+        0.4**2 / 8.0 * math.sin(0.4), rel=1e-8)
+    # Many cells: the largest cell's h^2/8 * sup|f''|, at most eps.
+    it = interpolant(SIN, Interval(-1.0, 1.0), 0.01)
+    assert len(it.knots) == 7 and it.bound <= 0.01
+    largest = max((b - a) ** 2 / 8.0 * np.abs(np.sin(np.linspace(a, b, 1001))).max()
+                  for a, b in zip(it.knots, it.knots[1:]))
+    assert largest <= it.bound <= largest * (1.0 + 1e-6)
     assert interpolation_error(ABS, Interval(-1.0, 1.0), 0.01) == 0.0
     assert interpolation_error(SIN, Interval(0.5, 0.5), 0.01) == 0.0
+
+
+# |f''| written out by hand, for the per-cell check of the knots.
+SECOND = {SIN: lambda x: -np.sin(x),
+          TANH: lambda x: -2.0 * np.tanh(x) / np.cosh(x) ** 2,
+          # s(1 - s)(1 - 2s) with 1 - s = s(-x), which keeps its precision for large x.
+          SIGMOID: lambda x: (lambda s, t: s * t * (t - s))(1.0 / (1.0 + np.exp(-x)),
+                                                           1.0 / (1.0 + np.exp(x)))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    f=st.sampled_from([SIN, TANH, SIGMOID]),
+    lo=st.sampled_from([0.0, -math.pi, -1.5]) | st.floats(-50.0, 50.0),
+    width=st.sampled_from([0.0, 3.0]) | st.floats(1e-3, 50.0),
+    eps=st.floats(1e-4, 1.0),
+)
+def test_every_cell_meets_the_interpolation_bound(f, lo, width, eps):
+    # h^2/8 * max|f''| <= eps on each cell, with |f''| sampled densely on the
+    # cell; the bound is at least the largest such value, and past the end
+    # knots f stays within the tail gap of the constant held there.
+    y = Interval(lo, lo + width)
+    it = interpolant(f, y, eps)
+    knots = np.array(it.knots)
+    if len(knots) > 1:
+        t = np.linspace(0.0, 1.0, 257)
+        cells = knots[:-1, None] + np.diff(knots)[:, None] * t
+        values = np.diff(knots) ** 2 / 8.0 * np.abs(SECOND[f](cells)).max(axis=1)
+        assert values.max() <= eps * (1.0 + 1e-12)
+        assert values.max() <= it.bound * (1.0 + 1e-12)
+    for end, tail in ((knots[0], np.linspace(y.lo, knots[0], 101)),
+                      (knots[-1], np.linspace(knots[-1], y.hi, 101))):
+        assert np.abs(apply_vec(f, tail) - apply(f, end)).max() <= it.tail_gap + 2.0 * ROUNDING
+    assert it.tail_gap <= it.bound <= eps
 
 
 # -- the clip of tanh and sigmoid ------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from generate import random_expr
 from helpers import batch_instances, deep_mpnn, uniform_distance_estimates
+from mplangc import activations
 from mplangc.activations import SIN, TANH, PiecewiseLinear, ReluSum, relu_approximate
 from mplangc.approx import (
     _relu_sum_expr,
@@ -237,7 +238,7 @@ def test_translated_three_layer_network_stays_small():
 
 
 def test_an_exact_argument_gets_the_whole_eps_on_its_image():
-    eps = 0.1
+    eps = 0.01
     (out,), report = approximate_all([parse("sin(P1)")], 2, DomainBox.cube(-1, 1, 1), eps)
     (record,) = report.applications
     assert (record.eps, record.interval, record.delta) == (eps, Interval(-1.0, 1.0), None)
@@ -406,49 +407,88 @@ APPROX_NESTED = (
 )
 
 
+# Each case's knots per application, bottom-up.
+APPROX_NESTED_KNOTS = ([2], [4], [6], [2], [4], [14], [8, 8], [4], [8], [18, 4], [4, 1])
+
+
 def test_approx_nested_networks_get_no_bigger():
     box = DomainBox.cube(-1, 1, 1)
     dense = nonzero = 0
     outs = []
-    for text, eps in APPROX_NESTED:
+    for (text, eps), knots in zip(APPROX_NESTED, APPROX_NESTED_KNOTS):
         (out,), report = approximate_all([parse(text)], 3, box, eps)
         assert report.proven_eps[0] <= eps, text
+        got = [r.knots for r in report.applications]
+        assert len(got) == len(knots) and all(a <= b for a, b in zip(got, knots)), (text, got)
         outs.append(out)
         for lyr in compile_relu(out, 1).layers:
             weights = (lyr.w_self, lyr.w_neigh, lyr.bias)
             dense += sum(w.size for w in weights)
             nonzero += sum(np.count_nonzero(w) for w in weights)
-    assert dense <= 768 and nonzero <= 382, (dense, nonzero)
+    assert dense <= 713 and nonzero <= 350, (dense, nonzero)
     # The approximants read as trees, and their distinct nodes.
     tree = sum(fold_all(outs, lambda node, kids: 1 + sum(kids)))
-    assert tree <= 1223 and _dag_size(outs) <= 439, (tree, _dag_size(outs))
+    assert tree <= 1141 and _dag_size(outs) <= 404, (tree, _dag_size(outs))
+
+
+def test_each_application_walks_its_knots_once(monkeypatch):
+    # The plan's interpolant carries the knots, the grid, the tail gap and
+    # the bound to the build and the report: one walk per curved application.
+    calls = []
+    walk = activations._knots
+    monkeypatch.setattr(activations, "_knots", lambda *args: calls.append(args) or walk(*args))
+    box = DomainBox.cube(-1, 1, 1)
+    for text, eps in APPROX_NESTED:
+        calls.clear()
+        _, report = approximate_all([parse(text)], 3, box, eps)
+        curved = [r for r in report.applications if r.m2 > 0.0]
+        assert len(calls) == len(curved), text
 
 
 # -- clipping tanh and sigmoid --------------------------------------------------------
 
 def test_a_neighbor_sum_under_tanh_needs_the_same_knots_at_every_degree():
     # tanh is interpolated only where it is more than ε from ±1, so a wider
-    # image, from a larger degree bound, adds no knot.
+    # image, from a larger degree bound, adds no knot.  On [-3, 3] the clip
+    # to [-2.65, 2.65] would save none, so the grid is the whole image.
     box = DomainBox.cube(-1, 1, 1)
     knots = set()
     for p in (3, 100, 10**6):
         (_,), report = approximate_all([parse("tanh(<>P1)")], p, box, 0.01)
         (tanh,) = report.applications
-        assert tanh.interval == Interval(-p, p) and tanh.grid.width < 6.0
+        assert tanh.interval == Interval(-p, p) and tanh.grid.width <= 6.0
+        assert (tanh.grid == tanh.interval) == (tanh.tail_gap == 0.0) == (p == 3)
         assert report.proven_eps[0] <= 0.01
         knots.add(tanh.knots)
-    assert knots == {18}
+    assert knots == {14}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_translated_four_layer_networks_certify(seed):
-    # Over the whole images these need 9,111 and 4,626 grid cells, more than 4,096.
+    # Over the whole images uniform grids need 9,111 and 4,626 cells, more
+    # than 4,096; clipped, 3,298 and 2,606 knots; clipped and adaptive, about
+    # 1,180 and 990.
     t = mpnn_to_mplang(deep_mpnn(seed, layers=4))
     box = DomainBox.cube(-1, 1, t.input_arity)
     outs, report = approximate_all(t.components, 3, box, 0.1)
     assert classify_all(outs).relu_only
+    assert sum(r.knots for r in report.applications) <= (1300, 1100)[seed]
     assert all(proven <= 0.1 for proven in report.proven_eps)
     rhos = uniform_distance_estimates(t.components, outs, 3, box, 300, seed)
+    assert all(rho <= proven + ROUNDING for rho, proven in zip(rhos, report.proven_eps))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_translated_five_layer_networks_certify(seed):
+    # With uniform grids a tanh at ε ≈ 3.7e-7 on [-7.75, 7.75] needs 7,915
+    # cells (seed 0); adaptive knots take the whole network in about 6,850
+    # and 5,020.  Approximated only: compiling these networks is much larger.
+    t = mpnn_to_mplang(deep_mpnn(seed, layers=5))
+    box = DomainBox.cube(-1, 1, t.input_arity)
+    outs, report = approximate_all(t.components, 3, box, 0.1)
+    assert classify_all(outs).relu_only
+    assert all(proven <= 0.1 for proven in report.proven_eps)
+    rhos = uniform_distance_estimates(t.components, outs, 3, box, 2000, seed)
     assert all(rho <= proven + ROUNDING for rho, proven in zip(rhos, report.proven_eps))
 
 

@@ -359,15 +359,15 @@ def test_approx_prints_the_proven_eps_and_writes_the_report(tmp_path, capsys):
 
 def test_the_report_gives_each_grid_and_its_tail_gap(tmp_path, capsys):
     # tanh's knots lie where it is more than ε from ±1, inside its argument's
-    # image [-3, 3]; sigmoid on [-0.5, 0.5] is not clipped.
+    # image [-6, 6]; sigmoid on [-0.5, 0.5] is not clipped.
     src, out = tmp_path / "two.mplang", tmp_path / "approx.mplang"
-    src.write_text("tanh(<>P1)\nsigmoid(0.5*P1)\n")
+    src.write_text("tanh(2*<>P1)\nsigmoid(0.5*P1)\n")
     assert main(["approx", "--expr-file", str(src), "--degree-bound", "3", "--box", "[[-1,1]]",
                  "--epsilon", "0.01", "--trials", "100", "--out", str(out)]) == 0
     capsys.readouterr()
     report = json.loads((tmp_path / "approx.mplang.report.json").read_text())
     tanh, sigmoid = report["applications"]
-    assert tanh["interval"] == [-3.0, 3.0]
+    assert tanh["interval"] == [-6.0, 6.0]
     a = tanh["grid"][1]
     assert tanh["grid"] == [-a, a] and a == pytest.approx(math.atanh(1.0 - 0.01), rel=1e-12)
     assert 0.0 < tanh["tail_gap"] <= 0.01
@@ -433,7 +433,7 @@ def test_bounds_rejects_a_negative_degree_bound(capsys, text):
 
 def test_approx_rejects_a_negative_degree_bound(capsys, monkeypatch):
     # Refused at entry, before any function is interpolated.
-    monkeypatch.setattr("mplangc.approx.relu_approximate", None)
+    monkeypatch.setattr("mplangc.approx.interpolant", None)
     rc = main(["approx", "--expr", "sin(P1)", "--degree-bound", "-2", "--box", "[[-1,1]]",
                "--epsilon", "0.1"])
     assert rc == 3

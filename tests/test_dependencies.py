@@ -125,6 +125,35 @@ def test_one_graph_sampler():
         assert "_edges" in {getattr(c.func, "id", None) for c in calls(functions[name])}, name
 
 
+def test_one_knot_placer():
+    # The knots of sin, tanh and sigmoid are placed once, by activations._knots:
+    # it is the only function that sizes a step from 8 * eps, as in
+    # h = sqrt(8 eps / M); no grid is uniform (no linspace); and
+    # relu_approximate and interpolation_error both reach it.
+    tree = ast.parse((ROOT / "src" / "mplangc" / "activations.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def sizes_steps(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and getattr(node.left, "value", None) == 8.0
+                and getattr(node.right, "id", None) == "eps")
+
+    assert [name for name, f in functions.items() if any(map(sizes_steps, ast.walk(f)))] == [
+        "_knots"]
+    assert "linspace" not in {getattr(node, "attr", None) for node in ast.walk(tree)}
+
+    def reached(name, seen):
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            callee = getattr(node, "func", None)
+            if isinstance(callee, ast.Name) and callee.id in functions and callee.id not in seen:
+                reached(callee.id, seen)
+        return seen
+
+    for name in ("relu_approximate", "interpolation_error"):
+        assert "_knots" in reached(name, set()), name
+
+
 def _dead_code(path: pathlib.Path) -> list[str]:
     """Unused imports, and module-level private functions and classes that
     nothing in their module refers to."""
