@@ -57,6 +57,7 @@ __all__ = [
     "interpolation_error",
     "curvature",
     "lipschitz",
+    "sup_slope",
     "modulus_delta",
     "activation_label",
     "activation_to_json",
@@ -152,7 +153,8 @@ def apply_vec(f: Activation, x: np.ndarray) -> np.ndarray:
             with np.errstate(over="ignore"):  # exp(-x) = inf gives the right limit, 0
                 return 1.0 / (1.0 + np.exp(-x))
         if f.name == "sin":
-            return np.sin(x)
+            with np.errstate(invalid="ignore"):  # sin of an infinite x is NaN, quietly
+                return np.sin(x)
         return np.abs(x)
     if isinstance(f, PiecewiseLinear):
         xs, ys = np.array(f.points).T
@@ -554,6 +556,22 @@ def lipschitz(f: Activation, y: Interval) -> float:
         probes = edges[:-1] / 2.0 + edges[1:] / 2.0
         slopes = sum((ai * ci) * (ai * probes - bi > 0.0) for ai, bi, ci in f.terms)
     return float(np.abs(slopes).max(initial=0.0))
+
+
+def sup_slope(f: Named, y: Interval) -> float:
+    """sup|f'| on y for sin, tanh and sigmoid, in closed form: it bounds the
+    chord slopes of every interpolant of f whose knots lie in y.  |tanh'| and
+    |sigmoid'| peak at 0 and fall away from it; |sin'| = |cos| is 1 at each
+    k*pi and falls towards the midpoints between them."""
+    if f.name == "sin":
+        if y.width >= math.pi or math.floor(y.hi / math.pi) >= math.ceil(y.lo / math.pi):
+            return 1.0
+        return max(abs(math.cos(y.lo)), abs(math.cos(y.hi)))
+    x = abs(min(max(0.0, y.lo), y.hi))  # the point of y nearest 0
+    if f.name == "tanh":
+        return 1.0 - math.tanh(x) ** 2
+    u = math.exp(-x)
+    return u / (1.0 + u) ** 2
 
 
 def modulus_delta(f: Activation, y: Interval, eps: float, *, lip: float | None = None) -> float:

@@ -5,41 +5,57 @@ on an interval covering its argument's image.  An ``ExprTuple`` of the roots
 over the box's dimension checks their arity.  The nodes' traits tell the
 ReLU-only ones, kept as they are, and the exact ones: a piecewise-linear node
 applies only functions with ``curvature(f) == 0`` (relu, abs, id and the
-piecewise-linear forms), so its ReLU form has no error.  ``post_order`` gives
-the DAG's nodes and how often each is read, and a fold bounds the arguments
-that get interpolants.  The error budget ε is then split in two passes.  A
-top-down pass, parents before children, gives each distinct node the
-smallest ε that any of its parents demands:
+piecewise-linear forms), so its ReLU form has no error and takes no share of
+ε.  ``post_order`` gives the DAG's nodes, and a fold bounds the arguments
+that get interpolants.
 
-* a maximal + spine is one sum of terms.  A ReLU-only subtree is one term,
-  and an Add with another parent ends the spine.  A piecewise-linear term
-  takes no share (it gets ε, and adds no error), and each of the k others
-  gets ε/k;
-* a*e gives e ε/|a|, and <>e gives e ε/p (0*e and, at p = 0, <>e are 0);
-* f(e) with e piecewise linear interpolates f on e's image with the whole ε.
-  An exact f adds no error, but scales e's by its Lipschitz constant L, taken
-  on e's image widened by ε, where e's approximant can reach.  So it gives an
-  inexact e min(ε/L, ε): the whole ε for relu, abs and id, whose L is at
-  most 1.  Otherwise f gets ε/2 on the image widened by ε/2, and e gets
-  min(δ, ε/2), with δ from the interpolant's Lipschitz constant.
+The error is linear in the interpolants' bounds.  A node's proven error is
+the sum, over the curved applications i under it, of s_i times i's bound,
+where the sensitivity s_i sums over the paths from the node down to i the
+product of |a| per scaling a*e, p per <>e, 1 per sum and, per application
+f(e) on the way, f's slope on e's interval.  So ε is spent by giving each
+curved application a share ε_i with sum(s_i ε_i) <= ε at every root.  An
+interpolant needs about I_i / sqrt(8 ε_i) knots, with I_i the integral of
+sqrt|f''| on its interval (de Boor, A Practical Guide to Splines), and the
+fewest knots in all come from ε_i proportional to (I_i / s_i)^(2/3).
 
-A bottom-up fold, the second and last, then builds each node's approximant
-once, so shared subterms stay shared.  Each step is a bound, so the result is
-within ε on every graph of degree <= p with features in the box, up to
-floating-point rounding.  The ``ApproxReport`` records every application and
-the bound proven bottom-up from the knots actually used.
+A plan gives every application its interpolant for its share, bottom-up:
+f(e) is interpolated on e's image widened by e's own proven error, and its
+proven error is the interpolant's bound plus L times e's, with L the
+interpolant's Lipschitz constant there.  Plans are made twice at most:
+
+* the first plan takes each slope on the whole line (1, or 1/4 for sigmoid,
+  and an exact form's steepest piece), so every sum(s_i ε_i) it spends is a
+  bound whatever the intervals turn out to be; I_i is estimated from the
+  image's width;
+* the re-plan reads I_i off the first plan's knots, I_i = n_i sqrt(8 ε_i),
+  and the slopes off its intervals: sup|f'| there, which bounds the chord
+  slopes of every interpolant of f on them, and an exact f's own.  It walks
+  again only the applications whose interval or share changed, and is kept
+  when every root still proves ε and it needs no more knots.
+
+A bottom-up fold then builds each node's approximant once, from the kept
+plan, so shared subterms stay shared.  Each step is a bound, so the result
+is within ε on every graph of degree <= p with features in the box, up to
+floating-point rounding.  The ``ApproxReport`` records every application,
+with its share and sensitivity, and the bound proven bottom-up from the
+knots actually used.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
+from typing import Callable, NamedTuple, Sequence
 
 from .activations import (
     ID,
     RELU,
+    SIGMOID,
+    TANH,
     Interpolant,
     ReluSum,
     activation_label,
@@ -47,7 +63,7 @@ from .activations import (
     interpolant,
     interval_image,
     lipschitz,
-    modulus_delta,
+    sup_slope,
 )
 from .expressions import (
     Add,
@@ -65,6 +81,7 @@ from .expressions import (
     scaled,
     sum_terms,
 )
+from .errors import CertificateError
 from .intervals import DomainBox, Interval
 
 __all__ = [
@@ -140,11 +157,12 @@ class ApplyRecord:
     interval: Interval  # where f's approximant must hold
     grid: Interval  # where its knots lie: the interval, clipped for tanh and sigmoid
     tail_gap: float  # the error past the grid's ends; 0 where nothing was clipped
-    eps: float  # the interpolant's share of the node's ε
+    eps: float  # the interpolant's share of ε; 0 for an exact f, which adds no error
     knots: int  # breakpoints of the interpolant
     m2: float  # sup|f''| on the line, which caps each cell's; 0 when f is exact
     lipschitz: float  # the interpolant's Lipschitz constant on the interval
-    delta: float | None  # e's budget, None when e is piecewise linear
+    delta: float | None  # e's proven error, which widens the interval; None when e is exact
+    sensitivity: float  # how far a unit error of f(e) moves a root, at most
     proven: float  # the interpolation error (cells or tail) + L * e's proven error
 
     def to_json(self) -> dict:
@@ -158,6 +176,7 @@ class ApplyRecord:
             "m2": self.m2,
             "lipschitz": self.lipschitz,
             "delta": self.delta,
+            "sensitivity": self.sensitivity,
             "proven": self.proven,
         }
 
@@ -180,6 +199,223 @@ class ApproxReport:
         }
 
 
+class _Step(NamedTuple):
+    """One application's plan: its interpolant on the interval, its share of
+    ε (0 for an exact f), the interpolant's Lipschitz constant there, and the
+    argument's proven error (None for a piecewise-linear argument)."""
+
+    it: Interpolant
+    interval: Interval
+    share: float
+    lip: float
+    arg_error: float | None
+
+
+# The real line, on which lipschitz gives an exact f's steepest slope.
+_LINE = Interval(-math.inf, math.inf)
+
+# A root with several curved applications under it aims this fraction of
+# eps below eps, so that rounding in its sum of bounds cannot push it over.
+_SLACK = 1e-6
+
+
+def _steepest(it: Interpolant) -> float:
+    """An interpolant's Lipschitz constant on its interval, as lipschitz finds
+    it: every hinge is relu(x - knot) and every knot lies in the interval, so
+    the slopes are the running sums of the hinges' turns, in the same order."""
+    return max(map(abs, accumulate(c for a, _, c in it.relu_sum.terms if a)), default=0.0)
+
+
+def _sensitivities(roots: Sequence[Expr], order: list[Expr], live: set[Expr], p: int,
+                   slope: Callable[[Apply], float]) -> dict[Expr, list[float]]:
+    """Per live node and root, a bound on how far a unit error at the node
+    moves the root: a sum over the paths from the root down to the node of
+    the product of |a| per scaling, p per <>, 1 per sum and slope(node) per
+    application on the way."""
+    sens: dict[Expr, list[float]] = {}
+
+    def add(node: Expr, row: list[float]) -> None:
+        if node in live:
+            old = sens.get(node)
+            sens[node] = row if old is None else [a + b for a, b in zip(old, row)]
+
+    for j, r in enumerate(roots):
+        add(r, [float(k == j) for k in range(len(roots))])
+    for node in reversed(order):
+        row = sens.get(node)
+        if row is None or node.traits.piecewise_linear:
+            continue
+        if isinstance(node, Scale):
+            factor = abs(node.factor)
+        elif isinstance(node, Diamond):
+            factor = float(p)
+        elif isinstance(node, Add):
+            factor = 1.0
+        else:
+            factor = slope(node)
+        if factor:
+            for kid in node.kids:
+                add(kid, [factor * v for v in row])
+    return sens
+
+
+def _allocate(integrals: dict[Expr, float], sens: dict[Expr, list[float]], eps: float,
+              first: dict[Expr, float] | None = None) -> dict[Expr, float]:
+    """Each curved application's share of eps, from its integral I of
+    sqrt|f''| and its sensitivities.
+
+    An interpolant needs about I / sqrt(8 share) knots, so under
+    sum(s_i share_i) <= eps, with s_i an application's largest sensitivity,
+    the fewest knots come from share_i proportional to (I_i / s_i)^(2/3).
+    Each root's factor makes its sum of s * share eps, counting each bound as
+    its whole share, and an application takes the smallest factor of the
+    roots it moves.  An application with I = 0 (a constant) takes no share;
+    one that moves no root takes eps, or keeps its first share."""
+    def underflow(node: Apply) -> CertificateError:
+        return CertificateError(f"no {eps:g}-certificate: the share of"
+                                f" {activation_label(node.func)} underflows to 0")
+
+    weights: dict[Expr, tuple[list[float], float, float]] = {}
+    spent: list[float] = []
+    count: list[int] = []
+    for node, integral in integrals.items():
+        row = sens.get(node)
+        s = max(row) if row else 0.0
+        if integral == 0.0:
+            continue  # a constant: no error, whatever its sensitivity
+        if s == math.inf:  # a product of scalings overflowed
+            raise underflow(node)
+        if s > 0.0:
+            # Clamped to the positive floats, so that no product with it is NaN.
+            w = min(max((integral / s) ** (2.0 / 3.0), sys.float_info.min), sys.float_info.max)
+            weights[node] = (row, s, w)
+            spent = [a + b * w for a, b in zip(spent or [0.0] * len(row), row)]
+            count = [n + (b > 0.0) for n, b in zip(count or [0] * len(row), row)]
+    factors = [eps * (1.0 - _SLACK * (n > 1)) / v if v > 0.0 else math.inf
+               for v, n in zip(spent, count)]
+    shares: dict[Expr, float] = {}
+    for node, integral in integrals.items():
+        if node in weights:
+            row, s, w = weights[node]
+            share = min(f for f, v in zip(factors, row) if v > 0.0) * w
+            # A root's lone application takes eps / s itself, not a rounding below it.
+            share = eps / s if share * s > eps * (1.0 - 1e-12) else share
+            if share == 0.0:
+                raise underflow(node)
+            shares[node] = min(share, sys.float_info.max)
+        else:
+            shares[node] = first[node] if first else eps if integral else 0.0
+    return shares
+
+
+# The integral of sqrt|f''| over the real line, rounded up: tanh and sigmoid
+# bend only near 0, so no interval needs more.
+_WHOLE_LINE = {TANH: 3.39, SIGMOID: 2.4}
+
+
+def _spread(node: Apply, y: Interval, sens: dict[Expr, list[float]], eps: float) -> float:
+    """The first plan's stand-in for the integral of sqrt|f''| on f's interval:
+    sqrt(sup|f''|) times the width of e's image y, widened by 2 eps / s for an
+    inexact e, and at most the integral over the whole line.  A
+    piecewise-linear e with a one-point image makes f(e) a constant, with no
+    error and no share."""
+    width = y.width
+    s = max(sens.get(node) or [0.0])
+    if not node.arg.traits.piecewise_linear and s > 0.0:
+        width += 2.0 * eps / s
+    spread = math.sqrt(curvature(node.func)) * width
+    cap = _WHOLE_LINE.get(node.func, sys.float_info.max)
+    return spread if spread < cap else cap  # also for an overflowed, NaN-wide image
+
+
+def _plan(order: list[Expr], live: set[Expr], image: dict[Expr, Interval], p: int,
+          eps: float, shares: dict[Expr, float],
+          walked: dict) -> tuple[dict[Expr, _Step], dict[Expr, float]]:
+    """Every live application's step for the given shares, bottom-up, and each
+    live node's proven error: the interpolant's bound plus L times its
+    argument's error, sums added, a*e scaled by |a| and <>e by p.  An
+    argument's interval is its image widened by its own proven error.  The
+    steps are kept in walked by (node, interval, share), so a re-plan walks
+    only the applications whose interval or share changed."""
+    steps: dict[Expr, _Step] = {}
+    errors: dict[Expr, float] = {}
+    for node in order:
+        if node not in live:
+            continue
+        if isinstance(node, Scale):
+            errors[node] = abs(node.factor) * errors.get(node.arg, 0.0)
+        elif isinstance(node, Diamond):
+            errors[node] = p * errors.get(node.arg, 0.0)
+        elif isinstance(node, Add):
+            errors[node] = errors.get(node.left, 0.0) + errors.get(node.right, 0.0)
+        elif isinstance(node, Apply):
+            arg_error = None if node.arg.traits.piecewise_linear else errors.get(node.arg, 0.0)
+            y = image[node.arg] if arg_error is None else image[node.arg].widen(arg_error)
+            share = shares.get(node, 0.0)
+            key = (node, y, share)
+            if key not in walked:
+                # An exact f ignores the ε it is given, and adds no error.
+                it = interpolant(node.func, y, share or eps)
+                walked[key] = (it, _steepest(it) if share else lipschitz(it.relu_sum, y))
+            it, lip = walked[key]
+            steps[node] = _Step(it, y, share, lip, arg_error)
+            errors[node] = it.bound + lip * (arg_error or 0.0)
+    return steps, errors
+
+
+def _knot_count(steps: dict[Expr, _Step]) -> int:
+    return sum(len(step.it.knots) for step in steps.values())
+
+
+def _planned(roots: tuple[Expr, ...], p: int, box: DomainBox, eps: float):
+    """The live nodes, and the kept plan's steps, proven errors and
+    sensitivities.
+
+    The first plan weighs every curved application alike and takes the
+    slopes on the whole line, so it proves eps whatever its intervals are.
+    The re-plan reads each application's integral off the first plan's
+    knots, and its slopes off the first plan's intervals: sup|f'| there for a
+    curved f, which bounds the chord slopes of every interpolant of f on
+    them, and the interpolant's own for an exact f.  It is kept when every
+    root still proves eps and it needs no more knots."""
+    # The post-order; then one fold for the images of the arguments that get
+    # interpolants.
+    order, _ = post_order(roots)
+    # Parents before children: the inexact nodes that some root reads other
+    # than under 0*e or, at p = 0, <>e.  Only the applications among them get
+    # interpolants, so only their arguments are bounded.
+    live = {r for r in roots if not r.traits.relu_only}
+    for node in reversed(order):
+        zero = (isinstance(node, Scale) and node.factor == 0.0) or (
+            isinstance(node, Diamond) and p == 0)
+        if node in live and not zero:
+            live.update(c for c in node.kids if not c.traits.relu_only)
+    args = [node.arg for node in order if isinstance(node, Apply) and node in live]
+    image = dict(zip(args, fold_all(args, _bound(p, box))))
+
+    curved = [n for n in order if isinstance(n, Apply) and n in live and curvature(n.func) > 0.0]
+    walked: dict = {}
+    sens = _sensitivities(roots, order, live, p, lambda node: lipschitz(node.func, _LINE))
+    shares = _allocate({n: _spread(n, image[n.arg], sens, eps) for n in curved}, sens, eps)
+    steps, errors = _plan(order, live, image, p, eps, shares, walked)
+
+    def slope(node: Apply) -> float:
+        step = steps[node]
+        return sup_slope(node.func, step.interval) if step.share else step.lip
+
+    sens = _sensitivities(roots, order, live, p, slope)
+    # sqrt(8) * sqrt(share), as 8 * share can overflow.
+    integrals = {n: len(steps[n].it.knots) * math.sqrt(8.0) * math.sqrt(shares[n]) for n in curved}
+    again = _allocate(integrals, sens, eps, shares)
+    if again != shares:
+        steps2, errors2 = _plan(order, live, image, p, eps, again, walked)
+        if (all(errors2.get(r, 0.0) <= eps for r in roots)
+                and _knot_count(steps2) <= _knot_count(steps)):
+            steps, errors = steps2, errors2
+            sens = _sensitivities(roots, order, live, p, slope)
+    return live, steps, errors, sens
+
+
 def approximate_all(
     roots: Sequence[Expr], p: int, box: DomainBox, eps: float
 ) -> tuple[list[Expr], ApproxReport]:
@@ -193,73 +429,7 @@ def approximate_all(
     if roots:
         ExprTuple(roots, box.dimension)  # the arity check
 
-    # The post-order and how many parents (or root slots) read each node;
-    # then one fold for the images of the arguments that get interpolants.
-    order, readers = post_order(roots)
-    # Parents before children: the inexact nodes that some root reads other
-    # than under 0*e or, at p = 0, <>e.  Only the applications among them get
-    # interpolants, so only their arguments are bounded.
-    live = {r for r in roots if not r.traits.relu_only}
-    for node in reversed(order):
-        zero = (isinstance(node, Scale) and node.factor == 0.0) or (
-            isinstance(node, Diamond) and p == 0)
-        if node in live and not zero:
-            live.update(c for c in node.kids if not c.traits.relu_only)
-    args = [node.arg for node in order if isinstance(node, Apply) and node in live]
-    image = dict(zip(args, fold_all(args, _bound(p, box))))
-
-    # Top-down: the smallest ε any parent demands of a node, and each
-    # application's interpolant and its Lipschitz constant.
-    demand: dict[Expr, float] = {}
-    plans: dict[Expr, tuple[Interpolant, Interval, float, float | None, float]] = {}
-
-    def need(node: Expr, budget: float) -> None:
-        if not node.traits.relu_only:
-            demand[node] = min(demand.get(node, math.inf), budget)
-
-    for r in roots:
-        need(r, eps)
-    for node in reversed(order):
-        budget = demand.get(node)
-        if budget is None:
-            continue
-        if isinstance(node, Scale):
-            if node.factor != 0.0:
-                need(node.arg, budget / abs(node.factor))
-        elif isinstance(node, Diamond):
-            if p:
-                need(node.arg, budget / p)
-        elif isinstance(node, Add):
-            terms: list[Expr] = []
-            stack = [node.right, node.left]
-            while stack:
-                c = stack.pop()
-                if isinstance(c, Add) and not c.traits.relu_only and readers[c] == 1:
-                    stack += [c.right, c.left]
-                elif not c.traits.relu_only:
-                    terms.append(c)
-            k = sum(not t.traits.piecewise_linear for t in terms)
-            for t in terms:
-                need(t, budget if t.traits.piecewise_linear else budget / k)
-        else:  # Apply
-            # An exact (piecewise-linear) e or an exact f adds no error, so f
-            # keeps the whole budget; when both add error, each gets half.  An
-            # inexact e's approximant reaches at most that share past e's image.
-            arg, delta = node.arg, None
-            exact, exact_arg = curvature(node.func) == 0.0, arg.traits.piecewise_linear
-            share = budget if exact or exact_arg else budget / 2.0
-            y = image[arg] if exact_arg else image[arg].widen(share)
-            it = interpolant(node.func, y, share)
-            g = it.relu_sum
-            lip = lipschitz(g, y)
-            if exact_arg:
-                need(arg, share)  # rebuilt in ReLU form, with no error
-            else:
-                # An exact f scales e's error by its slope L, so e gets ε/L
-                # (ε when L is 0): the whole ε under relu, abs and id.
-                delta = budget / (lip or 1.0) if exact else modulus_delta(g, y, share, lip=lip)
-                need(arg, min(delta, share))
-            plans[node] = (it, y, share, delta, lip)
+    live, steps, _, sens = _planned(roots, p, box, eps)
 
     # Bottom-up: each live node's approximant and proven error, once.
     records: list[ApplyRecord] = []
@@ -280,12 +450,14 @@ def approximate_all(
             return Diamond(kids[0][0]), p * kids[0][1]
         if isinstance(node, Add):
             return Add(kids[0][0], kids[1][0]), kids[0][1] + kids[1][1]
-        it, y, budget, delta, lip = plans[node]
+        step = steps[node]
+        it = step.it
         arg, arg_error = kids[0]
-        proven = it.bound + lip * arg_error
-        records.append(ApplyRecord(activation_label(node.func), y, it.grid, it.tail_gap, budget,
-                                   _breakpoints(it.relu_sum), curvature(node.func), lip, delta,
-                                   proven))
+        proven = it.bound + step.lip * arg_error
+        records.append(ApplyRecord(activation_label(node.func), step.interval, it.grid,
+                                   it.tail_gap, step.share, _breakpoints(it.relu_sum),
+                                   curvature(node.func), step.lip, step.arg_error,
+                                   max(sens.get(node, ()), default=0.0), proven))
         # id(e) is e: its approximant is e's, with no relu(x) - relu(-x) around it.
         return arg if node.func == ID else _relu_sum_expr(it.relu_sum, arg), proven
 

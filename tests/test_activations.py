@@ -28,6 +28,7 @@ from mplangc.activations import (
     modulus_delta,
     pl_to_relu_sum,
     relu_approximate,
+    sup_slope,
 )
 from mplangc.errors import CertificateError
 from mplangc.intervals import Interval
@@ -360,6 +361,31 @@ def test_relu_approximate_rejects_nonpositive_eps():
 def test_relu_approximate_degenerate_interval():
     rs = relu_approximate(TANH, Interval(0.5, 0.5), 0.1)
     assert apply(rs, 0.5) == pytest.approx(math.tanh(0.5), abs=1e-12)
+
+
+# -- sup_slope -----------------------------------------------------------------------
+
+_DERIVATIVES = {SIN: np.cos, TANH: lambda x: 1.0 - np.tanh(x) ** 2,
+                SIGMOID: lambda x: np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))) ** 2}
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st.sampled_from([SIN, TANH, SIGMOID]), lo=st.floats(-30.0, 30.0),
+       width=st.one_of(st.just(0.0), st.floats(0.0, 10.0)), eps=st.floats(1e-4, 0.5))
+def test_sup_slope_is_the_largest_slope_on_the_interval(f, lo, width, eps):
+    # A dense grid, with the ends and every peak of |f'| in y (0, and k*pi for
+    # sin), attains the sup; and every chord of an interpolant on y is at most
+    # it, up to the rounding of f's values (|f| <= 1) over the chord's width.
+    y = Interval(lo, lo + width)
+    peaks = [k * math.pi for k in range(math.ceil(y.lo / math.pi), math.floor(y.hi / math.pi) + 1)]
+    xs = np.concatenate((np.linspace(y.lo, y.hi, 2001), [min(max(0.0, y.lo), y.hi)], peaks))
+    sampled = float(np.abs(_DERIVATIVES[f](xs)).max())
+    assert sup_slope(f, y) == pytest.approx(sampled, rel=1e-9, abs=1e-12)
+    knots = np.array(interpolant(f, y, eps).knots)
+    if len(knots) > 1:
+        chords = np.diff(apply_vec(f, knots)) / np.diff(knots)
+        rounding = 4.0 * np.finfo(float).eps / np.diff(knots).min()
+        assert np.abs(chords).max() <= sup_slope(f, y) * (1.0 + 1e-9) + rounding
 
 
 # -- modulus_delta -------------------------------------------------------------------

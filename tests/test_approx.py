@@ -10,6 +10,7 @@ from helpers import batch_instances, deep_mpnn, uniform_distance_estimates
 from mplangc import activations
 from mplangc.activations import SIN, TANH, PiecewiseLinear, ReluSum, relu_approximate
 from mplangc.approx import (
+    _planned,
     _relu_sum_expr,
     approximate,
     approximate_all,
@@ -215,6 +216,33 @@ def test_approximants_are_relu_only_and_within_their_proven_eps(seed, depth, p, 
     assert rho <= proven + ROUNDING
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(1, 6),
+    p=st.integers(0, 3),
+    roots=st.integers(1, 3),
+    eps=st.floats(1e-3, 1.0),
+)
+def test_the_plans_prove_what_the_build_reports(seed, depth, p, roots, eps):
+    # The plan proves each root's error from the interpolants alone; the build
+    # proves it again from the approximants it makes, and must agree.  Every
+    # root spends at most ε, and the samples stay within what it proves.
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 3))
+    exprs = [random_expr(rng, depth, d) for _ in range(roots)]
+    box = DomainBox.cube(-1, 1, d)
+    try:
+        outs, report = approximate_all(exprs, p, box, eps)
+    except CertificateError:
+        reject()  # an image too wide for a 4097-knot grid at its share of eps
+    _, _, errors, _ = _planned(tuple(exprs), p, box, eps)
+    assert report.proven_eps == tuple(errors.get(e, 0.0) for e in exprs)
+    assert all(proven <= eps for proven in report.proven_eps)
+    rhos = uniform_distance_estimates(exprs, outs, p, box, 300, seed % 1000)
+    assert all(rho <= proven + ROUNDING for rho, proven in zip(rhos, report.proven_eps))
+
+
 def test_twenty_term_sin_sum_certifies():
     # Halving eps at every binary + would leave the leftmost term eps / 2**19,
     # more than a 4097-knot grid resolves.
@@ -223,7 +251,11 @@ def test_twenty_term_sin_sum_certifies():
     (out,), report = approximate_all([e], 2, box, 0.01)
     assert classify(out).relu_only
     assert report.proven_eps[0] <= 0.01
-    assert {r.eps for r in report.applications} == {0.01 / 20}
+    # The sum reads its three distinct terms 7, 7 and 6 times: those are their
+    # sensitivities, and the shares they weigh spend ε, as 20 shares of ε/20 did.
+    assert [r.sensitivity for r in report.applications] == [7.0, 7.0, 6.0]
+    spent = sum(r.sensitivity * r.eps for r in report.applications)
+    assert 0.01 * (1 - 1e-5) <= spent <= 0.01
     assert uniform_distance_estimates((e,), (out,), 2, box, 2000, 3)[0] <= 0.01
 
 
@@ -233,6 +265,8 @@ def test_translated_three_layer_network_stays_small():
     outs, report = approximate_all(t.components, 3, box, 0.1)
     assert classify_all(outs).relu_only
     assert _dag_size(outs) <= 8000  # 44,552 if each path is approximated on its own
+    # 111 knots when each node took the smallest share any parent demanded.
+    assert sum(r.knots for r in report.applications) <= 50
     assert max(report.proven_eps) <= 0.1
     assert max(uniform_distance_estimates(t.components, outs, 3, box, 300, 4)) <= 0.1
 
@@ -252,12 +286,18 @@ def test_an_exact_argument_gets_the_whole_eps_on_its_image():
 def test_exact_terms_of_a_sum_take_no_share():
     box = DomainBox.cube(-1, 1, 2)
     _, report = approximate_all([parse("relu(P2) + sin(P1) + 0.5*P2 + tanh(P2)")], 1, box, 0.2)
-    assert [r.eps for r in report.applications] == [0.1, 0.1]
-    # Under a nonlinear argument the interpolant keeps half, on the widened image.
+    sin, tanh = report.applications
+    assert (sin.sensitivity, tanh.sensitivity) == (1.0, 1.0)
+    assert sin.eps + tanh.eps == pytest.approx(0.2, rel=1e-5) and sin.eps + tanh.eps <= 0.2
+    # Under a nonlinear argument the interpolant's interval is the image widened
+    # by its argument's own proven error: p times tanh's.  An error at tanh
+    # moves the root by p times sin's steepest slope there, which is 1.
     _, report = approximate_all([parse("sin(<>tanh(P1)) + 0.5*P1")], 3, box, 0.2)
     tanh, sin = report.applications
-    assert (sin.eps, sin.interval) == (0.1, image_bounds(parse("<>tanh(P1)"), 3, box).widen(0.1))
-    assert tanh.eps == min(sin.delta, 0.1) / 3 and tanh.delta is None
+    assert sin.delta == 3 * tanh.proven and tanh.delta is None
+    assert sin.interval == image_bounds(parse("<>tanh(P1)"), 3, box).widen(sin.delta)
+    assert (tanh.sensitivity, sin.sensitivity) == (3.0, 1.0)
+    assert tanh.sensitivity * tanh.eps + sin.eps <= 0.2
 
 
 def test_an_id_application_is_its_arguments_approximant():
@@ -286,18 +326,21 @@ def test_an_exact_function_adds_no_error_so_its_argument_keeps_the_whole_budget(
             inner, *outer = report.applications
             assert inner == want_report.applications[0]
             for record in outer:
-                assert (record.function, record.knots, record.delta, record.lipschitz) == (
-                    f, knots, 0.1, 1.0)
+                # An exact f takes no share; its interval is widened by its
+                # argument's proven error, which it passes on with slope 1.
+                assert (record.function, record.knots, record.eps, record.lipschitz) == (
+                    f, knots, 0.0, 1.0)
+                assert record.delta == record.proven == report.proven_eps[0]
     _, report = approximate_all([parse("id(id(sin(P1)))")], 0, box, 0.1)
     assert [(r.function, r.knots) for r in report.applications] == [
         ("sin", 4), ("id", 0), ("id", 0)]
     # sin's grid is the one it has without abs around it: at ε, and at ε/p under <>.
     _, report = approximate_all([parse("abs(sin(P1))")], 3, box, 0.1)
     assert [(r.function, r.eps, r.knots) for r in report.applications] == [
-        ("sin", 0.1, 4), ("abs", 0.1, 1)]
+        ("sin", 0.1, 4), ("abs", 0.0, 1)]
     _, report = approximate_all([parse("abs(<>sin(P1)) + 0.25*<>P1")], 3, box, 0.1)
     assert [(r.function, r.eps, r.knots) for r in report.applications] == [
-        ("sin", 0.1 / 3, 4), ("abs", 0.1, 1)]
+        ("sin", 0.1 / 3, 4), ("abs", 0.0, 1)]
 
 
 def test_an_exact_function_is_bounded_where_its_arguments_approximant_reaches():
@@ -308,13 +351,14 @@ def test_an_exact_function_is_bounded_where_its_arguments_approximant_reaches():
     image = image_bounds(parse("sin(P1) + -1"), 0, box)
     assert image == Interval(-1.0, 0.0)
     sin, relu = report.applications
-    assert (relu.lipschitz, relu.interval, relu.eps, relu.delta) == (1.0, image.widen(0.1), 0.1, 0.1)
+    assert (relu.lipschitz, relu.interval, relu.eps, relu.delta) == (
+        1.0, image.widen(sin.proven), 0.0, sin.proven)
     assert report.proven_eps == (sin.proven,)
 
 
 def test_an_exact_function_gives_its_argument_eps_over_its_slope():
     # A slope-2 form doubles its argument's error, so sin gets ε/2; a slope-1/2
-    # form halves it, and sin keeps the whole ε.
+    # form halves it, and sin gets 2ε.
     box = DomainBox.cube(-1, 1, 1)
     for f, slope in ((PiecewiseLinear(((0.0, 0.0), (1.0, 2.0))), 2.0),
                      (ReluSum(((1.0, 0.25, -2.0),)), 2.0), (ReluSum(((1.0, 0.0, 0.5),)), 0.5)):
@@ -322,8 +366,8 @@ def test_an_exact_function_gives_its_argument_eps_over_its_slope():
             e = Apply(f, parse(arg))
             (out,), report = approximate_all([e], p, box, 0.1)
             sin, outer = report.applications
-            assert (outer.eps, outer.lipschitz, outer.delta) == (0.1, slope, 0.1 / slope)
-            assert sin.eps == min(0.1 / slope, 0.1)
+            assert (outer.eps, outer.lipschitz, outer.delta) == (0.0, slope, sin.proven)
+            assert (sin.eps, sin.sensitivity) == (0.1 / slope, slope)
             (proven,) = report.proven_eps
             assert proven == slope * sin.proven <= 0.1
             assert uniform_distance_estimates((e,), (out,), p, box, 200, 3)[0] <= proven + 1e-9
@@ -373,12 +417,14 @@ def test_a_shared_subterm_has_one_approximant():
     (out,), report = approximate_all([e], 2, box, 0.1)
     assert isinstance(out.right, Diamond) and out.right.arg is out.left
     (record,) = report.applications
-    assert record.eps == 0.1 / 2 / 2  # the smaller of its two demands
+    # Read once as it is and p times through <>: a unit error moves the root by 3.
+    assert (record.sensitivity, record.eps) == (3.0, 0.1 / 3)
     # Across roots too: the lines of a file share their parsed nodes.
     roots = [parse("tanh(P1) + 1"), parse("-3*tanh(P1)")]
     (first, second), report = approximate_all(roots, 2, box, 0.3)
     assert first.left is second.arg and len(report.applications) == 1
-    assert report.applications[0].eps == 0.3 / 3
+    # The larger of its sensitivities in the two roots.
+    assert (report.applications[0].sensitivity, report.applications[0].eps) == (3.0, 0.3 / 3)
     assert report.proven_eps[1] == 3 * report.proven_eps[0]
 
 
@@ -408,7 +454,7 @@ APPROX_NESTED = (
 
 
 # Each case's knots per application, bottom-up.
-APPROX_NESTED_KNOTS = ([2], [4], [6], [2], [4], [14], [8, 8], [4], [8], [18, 4], [4, 1])
+APPROX_NESTED_KNOTS = ([2], [4], [6], [2], [4], [14], [6, 8], [4], [8], [16, 4], [4, 1])
 
 
 def test_approx_nested_networks_get_no_bigger():
@@ -425,15 +471,17 @@ def test_approx_nested_networks_get_no_bigger():
             weights = (lyr.w_self, lyr.w_neigh, lyr.bias)
             dense += sum(w.size for w in weights)
             nonzero += sum(np.count_nonzero(w) for w in weights)
-    assert dense <= 713 and nonzero <= 350, (dense, nonzero)
+    assert dense <= 657 and nonzero <= 324, (dense, nonzero)
     # The approximants read as trees, and their distinct nodes.
     tree = sum(fold_all(outs, lambda node, kids: 1 + sum(kids)))
-    assert tree <= 1141 and _dag_size(outs) <= 404, (tree, _dag_size(outs))
+    assert tree <= 1011 and _dag_size(outs) <= 392, (tree, _dag_size(outs))
 
 
-def test_each_application_walks_its_knots_once(monkeypatch):
+def test_each_application_walks_its_knots_at_most_twice(monkeypatch):
     # The plan's interpolant carries the knots, the grid, the tail gap and
-    # the bound to the build and the report: one walk per curved application.
+    # the bound to the build and the report.  The first plan walks each
+    # curved application once; the re-plan walks again only those whose
+    # interval or share changed, so a lone curved application is walked once.
     calls = []
     walk = activations._knots
     monkeypatch.setattr(activations, "_knots", lambda *args: calls.append(args) or walk(*args))
@@ -442,7 +490,9 @@ def test_each_application_walks_its_knots_once(monkeypatch):
         calls.clear()
         _, report = approximate_all([parse(text)], 3, box, eps)
         curved = [r for r in report.applications if r.m2 > 0.0]
-        assert len(calls) == len(curved), text
+        assert len(calls) == (1 if len(curved) == 1 else 2 * len(curved)), text
+        assert set(calls) >= {(TANH if r.function == "tanh" else SIN, r.interval, r.eps)
+                              for r in curved}, text
 
 
 # -- clipping tanh and sigmoid --------------------------------------------------------
@@ -467,12 +517,12 @@ def test_a_neighbor_sum_under_tanh_needs_the_same_knots_at_every_degree():
 def test_translated_four_layer_networks_certify(seed):
     # Over the whole images uniform grids need 9,111 and 4,626 cells, more
     # than 4,096; clipped, 3,298 and 2,606 knots; clipped and adaptive, about
-    # 1,180 and 990.
+    # 1,180 and 990; with ε allocated by sensitivity, 276 and 240.
     t = mpnn_to_mplang(deep_mpnn(seed, layers=4))
     box = DomainBox.cube(-1, 1, t.input_arity)
     outs, report = approximate_all(t.components, 3, box, 0.1)
     assert classify_all(outs).relu_only
-    assert sum(r.knots for r in report.applications) <= (1300, 1100)[seed]
+    assert sum(r.knots for r in report.applications) <= (285, 250)[seed]
     assert all(proven <= 0.1 for proven in report.proven_eps)
     rhos = uniform_distance_estimates(t.components, outs, 3, box, 300, seed)
     assert all(rho <= proven + ROUNDING for rho, proven in zip(rhos, report.proven_eps))
@@ -482,11 +532,13 @@ def test_translated_four_layer_networks_certify(seed):
 def test_translated_five_layer_networks_certify(seed):
     # With uniform grids a tanh at ε ≈ 3.7e-7 on [-7.75, 7.75] needs 7,915
     # cells (seed 0); adaptive knots take the whole network in about 6,850
-    # and 5,020.  Approximated only: compiling these networks is much larger.
+    # and 5,020, and with ε allocated by sensitivity 993 and 791.
+    # Approximated only: compiling these networks is much larger.
     t = mpnn_to_mplang(deep_mpnn(seed, layers=5))
     box = DomainBox.cube(-1, 1, t.input_arity)
     outs, report = approximate_all(t.components, 3, box, 0.1)
     assert classify_all(outs).relu_only
+    assert sum(r.knots for r in report.applications) <= (1010, 810)[seed]
     assert all(proven <= 0.1 for proven in report.proven_eps)
     rhos = uniform_distance_estimates(t.components, outs, 3, box, 2000, seed)
     assert all(rho <= proven + ROUNDING for rho, proven in zip(rhos, report.proven_eps))

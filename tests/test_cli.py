@@ -354,7 +354,13 @@ def test_approx_prints_the_proven_eps_and_writes_the_report(tmp_path, capsys):
     assert [r["function"] for r in report["applications"]] == ["tanh", "sin"]
     assert set(report["applications"][0]) == {
         "function", "interval", "grid", "tail_gap", "eps", "knots", "m2", "lipschitz", "delta",
-        "proven"}
+        "sensitivity", "proven"}
+    # How ε was split: sin reads tanh through <>, so a unit error at tanh moves
+    # the root by p = 3; the shares weighed by their sensitivities spend ε.
+    tanh, sin = report["applications"]
+    assert (tanh["sensitivity"], sin["sensitivity"]) == (3.0, 1.0)
+    assert tanh["sensitivity"] * tanh["eps"] + sin["eps"] <= 0.1
+    assert sin["delta"] == 3 * tanh["proven"]
 
 
 def test_the_report_gives_each_grid_and_its_tail_gap(tmp_path, capsys):
@@ -1002,6 +1008,36 @@ def test_out_of_memory_is_a_configuration_error(monkeypatch, tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("out of memory") and "Traceback" not in err
+
+
+def test_approx_of_a_piecewise_linear_term_under_huge_scales_needs_no_share(capsys):
+    # ε / 1e200 / 1e200 underflows to 0 on the way down, but abs is rebuilt
+    # exactly and takes no share: nothing to certify, and a proven ε of 0.
+    rc = main(["approx", "--expr", "1e200*(1 + 1e200*abs(1e-300*P1))", "--degree-bound", "0",
+               "--box", "[[-1,1]]", "--epsilon", "0.1", "--trials", "50"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert captured.out.rstrip().endswith("proven eps = 0.0")
+
+
+def test_approx_of_a_curved_function_whose_share_underflows_is_a_certificate_error(capsys):
+    # sin's share of ε is 0.1 / 1e400: it underflows to 0, and the message
+    # names sin and the ε the user gave, not a share of 0.
+    rc = main(["approx", "--expr", "1e200*(1e200*sin(1e-300*P1) + P1)", "--degree-bound", "0",
+               "--box", "[[-1,1]]", "--epsilon", "0.1"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err == "certificate error: no 0.1-certificate: the share of sin underflows to 0\n"
+
+
+def test_sin_of_an_overflowing_constant_prints_no_numpy_warning(capsys):
+    # The constant's product is -inf, and sin(-inf) is NaN: the command exits
+    # 3 with its own message, and numpy says nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["compile", "--expr", "sin(-7.344452100518308e+199*(8.080758190684238e+197))"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("configuration error:")
 
 
 def test_approx_of_an_unbounded_argument_is_a_certificate_error(capsys):

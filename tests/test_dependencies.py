@@ -86,14 +86,15 @@ def test_every_module_is_imported_by_the_package_or_a_script():
 
 def test_the_approximator_builds_and_proves_and_the_cli_samples():
     # approx.py neither samples nor evaluates: of the package it reads the
-    # activations, the expressions and intervals, and it needs no numpy.
+    # activations, the expressions and intervals, and the certificate error
+    # it raises when a share underflows; it needs no numpy.
     # Graph instances are drawn in the CLI, the one module beside graphs.py
     # that calls random_union, and there in one place, which check and approx
     # share.
     package = ROOT / "src" / "mplangc"
     imports = _imports(package / "approx.py")
     assert {name for name in imports if name.startswith(".")} <= {
-        ".activations", ".expressions", ".intervals"}
+        ".activations", ".errors", ".expressions", ".intervals"}
     assert "numpy" not in imports
     calls = collections.Counter(
         path.name for path in package.glob("*.py")
@@ -152,6 +153,21 @@ def test_one_knot_placer():
 
     for name in ("relu_approximate", "interpolation_error"):
         assert "_knots" in reached(name, set()), name
+
+
+def test_one_planner():
+    # approx.py interpolates in one place, the plan: the first plan and the
+    # re-plan run the same code, with different shares.  modulus_delta is no
+    # part of the allocation any more.
+    tree = ast.parse((ROOT / "src" / "mplangc" / "approx.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "interpolant"]
+    owners = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              for node in ast.walk(f) if node in calls]
+    assert owners == ["_plan"]
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "interpolant" in imported and "modulus_delta" not in imported
 
 
 def _dead_code(path: pathlib.Path) -> list[str]:
