@@ -8,10 +8,11 @@ one continuous curve: the left piece, shifted so its largest intended input
 input `right_min` lands at +1, and the straight segment joining the two seam
 values in between.
 
-`interpolant`, behind `relu_approximate` and `interpolation_error`, and
-`modulus_delta` are closed forms, so their results are proofs.  The first
-sizes each cell of its knots by the sup of |f''| on that cell, h^2/8 * M <=
-eps, in closed form; the knots come from one walk that makes each step the
+`interpolant`, behind `relu_approximate`, and `modulus_delta` are closed
+forms, so their results are proofs.  The first returns its ReLU combination
+with the bound it proves and its Lipschitz constant, and sizes each cell of
+its knots by the sup of |f''| on that cell, h^2/8 * M <= eps, in closed
+form; the knots come from one walk that makes each step the
 longest whose cell meets the bound (knot equidistribution, as in de Boor, A
 Practical Guide to Splines).  The second divides by a Lipschitz bound.  tanh
 and sigmoid are interpolated only where they still bend, on each side where
@@ -26,6 +27,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -54,7 +56,6 @@ __all__ = [
     "interpolant",
     "relu_approximate",
     "knot_span",
-    "interpolation_error",
     "curvature",
     "lipschitz",
     "sup_slope",
@@ -342,6 +343,7 @@ class Interpolant:
     grid: Interval  # where the knots lie: y, or y clipped for tanh and sigmoid
     tail_gap: float  # the error past a clipped end; 0 where nothing is clipped
     bound: float  # the proven sup |f - relu_sum| on y
+    lipschitz: float  # relu_sum's Lipschitz constant on y
 
 
 def interpolant(f: Activation, y: Interval, eps: float) -> Interpolant:
@@ -370,20 +372,18 @@ def interpolant(f: Activation, y: Interval, eps: float) -> Interpolant:
             raise CertificateError(f"no {eps:g}-certificate on the unbounded interval {y}")
         xs, cells, gap = _knots(f, y, eps)
         knots = np.array(xs)
-        return Interpolant(_hinges(knots, apply_vec(f, knots)), tuple(xs),
-                           Interval(xs[0], xs[-1]), gap, max(min(eps, cells), gap))
-    return Interpolant(exact, (), y, 0.0, 0.0)
+        rs = _hinges(knots, apply_vec(f, knots))
+        # Every hinge is relu(x - knot) with its knot in y, so the slopes on y
+        # are the running sums of the hinges' turns.
+        lip = max(map(abs, accumulate(c for a, _, c in rs.terms if a)), default=0.0)
+        return Interpolant(rs, tuple(xs), Interval(xs[0], xs[-1]), gap,
+                           max(min(eps, cells), gap), lip)
+    return Interpolant(exact, (), y, 0.0, 0.0, lipschitz(exact, y))
 
 
 def relu_approximate(f: Activation, y: Interval, eps: float) -> ReluSum:
     """interpolant(f, y, eps)'s ReLU combination, within eps of f on y."""
     return interpolant(f, y, eps).relu_sum
-
-
-def interpolation_error(f: Activation, y: Interval, eps: float) -> float:
-    """The bound on |f - relu_approximate(f, y, eps)| on y that its knots
-    prove, interpolant(f, y, eps)'s: 0 for a function returned exactly."""
-    return interpolant(f, y, eps).bound
 
 
 def knot_span(f: Activation, y: Interval, eps: float) -> tuple[Interval, float]:
@@ -574,16 +574,14 @@ def sup_slope(f: Named, y: Interval) -> float:
     return u / (1.0 + u) ** 2
 
 
-def modulus_delta(f: Activation, y: Interval, eps: float, *, lip: float | None = None) -> float:
+def modulus_delta(f: Activation, y: Interval, eps: float) -> float:
     """A delta with |f(x) - f(x')| < eps for x, x' in y at most delta apart:
-    min(eps / L, width) / 2, with L the Lipschitz constant of f on y (computed
-    by lipschitz unless given)."""
+    min(eps / L, width) / 2, with L = lipschitz(f, y)."""
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if y.width == 0.0:
         return eps / 2.0
-    if lip is None:
-        lip = lipschitz(f, y)
+    lip = lipschitz(f, y)
     return (min(eps / lip, y.width) if lip > 0.0 else y.width) / 2.0
 
 

@@ -9,11 +9,12 @@ piecewise-linear forms), so its ReLU form has no error and takes no share of
 ε.  ``post_order`` gives the DAG's nodes, and a fold bounds the arguments
 that get interpolants.
 
-The error is linear in the interpolants' bounds.  A node's proven error is
-the sum, over the curved applications i under it, of s_i times i's bound,
-where the sensitivity s_i sums over the paths from the node down to i the
-product of |a| per scaling a*e, p per <>e, 1 per sum and, per application
-f(e) on the way, f's slope on e's interval.  So ε is spent by giving each
+The error is linear in the interpolants' bounds.  One rule, ``_gain``,
+composes it: a unit error in a child moves a*e by |a|, <>e by p, a sum by 1
+and f(e) by f's slope on e's interval.  A node's proven error is the sum,
+over the curved applications i under it, of s_i times i's bound, where the
+sensitivity s_i sums over the paths from the node down to i the product of
+the gains on the way.  So ε is spent by giving each
 curved application a share ε_i with sum(s_i ε_i) <= ε at every root.  An
 interpolant needs about I_i / sqrt(8 ε_i) knots, with I_i the integral of
 sqrt|f''| on its interval (de Boor, A Practical Guide to Splines), and the
@@ -34,12 +35,12 @@ interpolant's Lipschitz constant there.  Plans are made twice at most:
   again only the applications whose interval or share changed, and is kept
   when every root still proves ε and it needs no more knots.
 
-A bottom-up fold then builds each node's approximant once, from the kept
-plan, so shared subterms stay shared.  Each step is a bound, so the result
-is within ε on every graph of degree <= p with features in the box, up to
-floating-point rounding.  The ``ApproxReport`` records every application,
-with its share and sensitivity, and the bound proven bottom-up from the
-knots actually used.
+The kept plan is the ``ApproxReport``: its steps, in post-order, record
+every application with its share, sensitivity and proven bound, and its
+errors are the roots' proven ε.  A bottom-up fold then only rewrites each
+node into its approximant, once, from the kept plan, so shared subterms stay
+shared.  Each step is a bound, so the result is within ε on every graph of
+degree <= p with features in the box, up to floating-point rounding.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .activations import (
@@ -107,8 +107,9 @@ def _bound(p: int, box: DomainBox):
             return kids[0].add(kids[1])
         if isinstance(node, Apply):
             return interval_image(node.func, kids[0])
-        # Sum of up to p values from the image (or none at all).
-        return Interval(p * min(0.0, kids[0].lo), p * max(0.0, kids[0].hi))
+        # Sum of up to p values from the image (or none at all): 0 at p = 0,
+        # also for an unbounded image.
+        return Interval(0.0, 0.0).hull(kids[0]).scale(p)
 
     return bound
 
@@ -166,19 +167,7 @@ class ApplyRecord:
     proven: float  # the interpolation error (cells or tail) + L * e's proven error
 
     def to_json(self) -> dict:
-        return {
-            "function": self.function,
-            "interval": _ends(self.interval),
-            "grid": _ends(self.grid),
-            "tail_gap": self.tail_gap,
-            "eps": self.eps,
-            "knots": self.knots,
-            "m2": self.m2,
-            "lipschitz": self.lipschitz,
-            "delta": self.delta,
-            "sensitivity": self.sensitivity,
-            "proven": self.proven,
-        }
+        return {**asdict(self), "interval": _ends(self.interval), "grid": _ends(self.grid)}
 
 
 @dataclass(frozen=True)
@@ -201,13 +190,12 @@ class ApproxReport:
 
 class _Step(NamedTuple):
     """One application's plan: its interpolant on the interval, its share of
-    ε (0 for an exact f), the interpolant's Lipschitz constant there, and the
-    argument's proven error (None for a piecewise-linear argument)."""
+    ε (0 for an exact f), and the argument's proven error (None for a
+    piecewise-linear argument)."""
 
     it: Interpolant
     interval: Interval
     share: float
-    lip: float
     arg_error: float | None
 
 
@@ -219,19 +207,24 @@ _LINE = Interval(-math.inf, math.inf)
 _SLACK = 1e-6
 
 
-def _steepest(it: Interpolant) -> float:
-    """An interpolant's Lipschitz constant on its interval, as lipschitz finds
-    it: every hinge is relu(x - knot) and every knot lies in the interval, so
-    the slopes are the running sums of the hinges' turns, in the same order."""
-    return max(map(abs, accumulate(c for a, _, c in it.relu_sum.terms if a)), default=0.0)
+def _gain(node: Expr, p: int, slope: Callable[[Apply], float]) -> float:
+    """How far a unit error in each child of node moves node, at most: |a|
+    for a*e, p for <>e, 1 for a sum and slope(node) for f(e).  It is the one
+    rule by which errors compose."""
+    if isinstance(node, Scale):
+        return abs(node.factor)
+    if isinstance(node, Diamond):
+        return float(p)
+    if isinstance(node, Add):
+        return 1.0
+    return slope(node)
 
 
 def _sensitivities(roots: Sequence[Expr], order: list[Expr], live: set[Expr], p: int,
                    slope: Callable[[Apply], float]) -> dict[Expr, list[float]]:
     """Per live node and root, a bound on how far a unit error at the node
     moves the root: a sum over the paths from the root down to the node of
-    the product of |a| per scaling, p per <>, 1 per sum and slope(node) per
-    application on the way."""
+    the product of the gains on the way."""
     sens: dict[Expr, list[float]] = {}
 
     def add(node: Expr, row: list[float]) -> None:
@@ -245,14 +238,7 @@ def _sensitivities(roots: Sequence[Expr], order: list[Expr], live: set[Expr], p:
         row = sens.get(node)
         if row is None or node.traits.piecewise_linear:
             continue
-        if isinstance(node, Scale):
-            factor = abs(node.factor)
-        elif isinstance(node, Diamond):
-            factor = float(p)
-        elif isinstance(node, Add):
-            factor = 1.0
-        else:
-            factor = slope(node)
+        factor = _gain(node, p, slope)
         if factor:
             for kid in node.kids:
                 add(kid, [factor * v for v in row])
@@ -331,35 +317,35 @@ def _spread(node: Apply, y: Interval, sens: dict[Expr, list[float]], eps: float)
 def _plan(order: list[Expr], live: set[Expr], image: dict[Expr, Interval], p: int,
           eps: float, shares: dict[Expr, float],
           walked: dict) -> tuple[dict[Expr, _Step], dict[Expr, float]]:
-    """Every live application's step for the given shares, bottom-up, and each
-    live node's proven error: the interpolant's bound plus L times its
-    argument's error, sums added, a*e scaled by |a| and <>e by p.  An
+    """Every live application's step for the given shares, in post-order, and
+    each live node's proven error: its interpolant's bound, for an
+    application, plus its gain times the sum of its children's errors, with
+    the interpolant's Lipschitz constant as an application's gain.  An
     argument's interval is its image widened by its own proven error.  The
-    steps are kept in walked by (node, interval, share), so a re-plan walks
-    only the applications whose interval or share changed."""
+    interpolants are kept in walked by (node, interval, share), so a re-plan
+    walks only the applications whose interval or share changed."""
     steps: dict[Expr, _Step] = {}
     errors: dict[Expr, float] = {}
+
+    def slope(node: Apply) -> float:
+        return steps[node].it.lipschitz
+
     for node in order:
         if node not in live:
             continue
-        if isinstance(node, Scale):
-            errors[node] = abs(node.factor) * errors.get(node.arg, 0.0)
-        elif isinstance(node, Diamond):
-            errors[node] = p * errors.get(node.arg, 0.0)
-        elif isinstance(node, Add):
-            errors[node] = errors.get(node.left, 0.0) + errors.get(node.right, 0.0)
-        elif isinstance(node, Apply):
+        bound = 0.0
+        if isinstance(node, Apply):
             arg_error = None if node.arg.traits.piecewise_linear else errors.get(node.arg, 0.0)
             y = image[node.arg] if arg_error is None else image[node.arg].widen(arg_error)
             share = shares.get(node, 0.0)
             key = (node, y, share)
             if key not in walked:
                 # An exact f ignores the ε it is given, and adds no error.
-                it = interpolant(node.func, y, share or eps)
-                walked[key] = (it, _steepest(it) if share else lipschitz(it.relu_sum, y))
-            it, lip = walked[key]
-            steps[node] = _Step(it, y, share, lip, arg_error)
-            errors[node] = it.bound + lip * (arg_error or 0.0)
+                walked[key] = interpolant(node.func, y, share or eps)
+            steps[node] = _Step(walked[key], y, share, arg_error)
+            bound = walked[key].bound
+        below = sum(errors.get(kid, 0.0) for kid in node.kids)
+        errors[node] = bound + _gain(node, p, slope) * below
     return steps, errors
 
 
@@ -386,9 +372,8 @@ def _planned(roots: tuple[Expr, ...], p: int, box: DomainBox, eps: float):
     # interpolants, so only their arguments are bounded.
     live = {r for r in roots if not r.traits.relu_only}
     for node in reversed(order):
-        zero = (isinstance(node, Scale) and node.factor == 0.0) or (
-            isinstance(node, Diamond) and p == 0)
-        if node in live and not zero:
+        # An application reads its argument whatever its slope.
+        if node in live and _gain(node, p, lambda _: 1.0):
             live.update(c for c in node.kids if not c.traits.relu_only)
     args = [node.arg for node in order if isinstance(node, Apply) and node in live]
     image = dict(zip(args, fold_all(args, _bound(p, box))))
@@ -401,7 +386,7 @@ def _planned(roots: tuple[Expr, ...], p: int, box: DomainBox, eps: float):
 
     def slope(node: Apply) -> float:
         step = steps[node]
-        return sup_slope(node.func, step.interval) if step.share else step.lip
+        return sup_slope(node.func, step.interval) if step.share else step.it.lipschitz
 
     sens = _sensitivities(roots, order, live, p, slope)
     # sqrt(8) * sqrt(share), as 8 * share can overflow.
@@ -429,41 +414,32 @@ def approximate_all(
     if roots:
         ExprTuple(roots, box.dimension)  # the arity check
 
-    live, steps, _, sens = _planned(roots, p, box, eps)
+    live, steps, errors, sens = _planned(roots, p, box, eps)
+    records = tuple(
+        ApplyRecord(activation_label(node.func), step.interval, step.it.grid, step.it.tail_gap,
+                    step.share, _breakpoints(step.it.relu_sum), curvature(node.func),
+                    step.it.lipschitz, step.arg_error, max(sens.get(node, ()), default=0.0),
+                    errors[node])
+        for node, step in steps.items())
 
-    # Bottom-up: each live node's approximant and proven error, once.
-    records: list[ApplyRecord] = []
-
-    def build(node: Expr, kids: tuple) -> tuple[Expr, float] | None:
+    # Bottom-up: each live node's approximant, once, from its step.
+    def build(node: Expr, kids: tuple) -> Expr | None:
         if node.traits.relu_only:
-            return node, 0.0
+            return node
         if node not in live:
             return None  # read only under 0*e or <>e at p = 0
         if isinstance(node, Scale):
-            if node.factor == 0.0:
-                return const(0.0), 0.0
-            return Scale(node.factor, kids[0][0]), abs(node.factor) * kids[0][1]
+            return const(0.0) if node.factor == 0.0 else Scale(node.factor, kids[0])
         if isinstance(node, Diamond):
-            if p == 0:
-                # No graph of degree 0 has neighbors, so the sum is identically 0.
-                return const(0.0), 0.0
-            return Diamond(kids[0][0]), p * kids[0][1]
+            # No graph of degree 0 has neighbors, so the sum is identically 0.
+            return const(0.0) if p == 0 else Diamond(kids[0])
         if isinstance(node, Add):
-            return Add(kids[0][0], kids[1][0]), kids[0][1] + kids[1][1]
-        step = steps[node]
-        it = step.it
-        arg, arg_error = kids[0]
-        proven = it.bound + step.lip * arg_error
-        records.append(ApplyRecord(activation_label(node.func), step.interval, it.grid,
-                                   it.tail_gap, step.share, _breakpoints(it.relu_sum),
-                                   curvature(node.func), step.lip, step.arg_error,
-                                   max(sens.get(node, ()), default=0.0), proven))
+            return Add(*kids)
         # id(e) is e: its approximant is e's, with no relu(x) - relu(-x) around it.
-        return arg if node.func == ID else _relu_sum_expr(it.relu_sum, arg), proven
+        return kids[0] if node.func == ID else _relu_sum_expr(steps[node].it.relu_sum, kids[0])
 
-    built = fold_all(roots, build)
-    report = ApproxReport(eps, tuple(records), tuple(b[1] for b in built))
-    return [b[0] for b in built], report
+    report = ApproxReport(eps, records, tuple(errors.get(r, 0.0) for r in roots))
+    return fold_all(roots, build), report
 
 
 def approximate(e: Expr, p: int, box: DomainBox, eps: float) -> Expr:

@@ -21,9 +21,9 @@ from mplangc.activations import (
     apply,
     apply_vec,
     interpolant,
-    interpolation_error,
     interval_image,
     knot_span,
+    lipschitz,
     merge,
     modulus_delta,
     pl_to_relu_sum,
@@ -338,7 +338,7 @@ def test_an_eps_near_the_float_maximum_keeps_both_end_knots(eps):
     ends = np.array([-1.0, 1.0])
     g = relu_approximate(TANH, Interval(-1.0, 1.0), eps)
     assert np.array_equal(apply_vec(g, ends), apply_vec(TANH, ends))
-    assert interpolation_error(TANH, Interval(-1.0, 1.0), eps) == 4.0 / 8.0 * 4.0 / math.sqrt(27.0)
+    assert interpolant(TANH, Interval(-1.0, 1.0), eps).bound == 4.0 / 8.0 * 4.0 / math.sqrt(27.0)
     point = relu_approximate(TANH, Interval(1.0, 1.0), eps)
     assert len(point.terms) == 1
     assert np.array_equal(apply_vec(point, ends), apply_vec(TANH, ends[1:]).repeat(2))
@@ -514,7 +514,7 @@ def test_relu_approximate_and_modulus_delta_are_proven(f, lo, width, eps, seed):
 def test_interpolation_error_bounds_the_interpolant(f, lo, width, eps):
     y = Interval(lo, lo + width)
     g = relu_approximate(f, y, eps)
-    bound = interpolation_error(f, y, eps)
+    bound = interpolant(f, y, eps).bound
     assert 0.0 <= bound <= eps
     probes = np.linspace(y.lo, y.hi, 2001)
     assert np.abs(apply_vec(g, probes) - apply_vec(f, probes)).max() <= bound + ROUNDING
@@ -524,8 +524,8 @@ def test_interpolation_error_is_the_bound_at_the_grid_step():
     # One cell where it is enough: tanh on [-1, 1] holds both peaks of
     # |tanh''|, so its sup is the global one; |sin''| = |sin| on [0, 0.4] is
     # largest at the right end.
-    assert interpolation_error(TANH, Interval(-1.0, 1.0), 0.9) == 4.0 / 8.0 * CURVATURE[TANH]
-    assert interpolation_error(SIN, Interval(0.0, 0.4), 0.01) == pytest.approx(
+    assert interpolant(TANH, Interval(-1.0, 1.0), 0.9).bound == 4.0 / 8.0 * CURVATURE[TANH]
+    assert interpolant(SIN, Interval(0.0, 0.4), 0.01).bound == pytest.approx(
         0.4**2 / 8.0 * math.sin(0.4), rel=1e-8)
     # Many cells: the largest cell's h^2/8 * sup|f''|, at most eps.
     it = interpolant(SIN, Interval(-1.0, 1.0), 0.01)
@@ -533,8 +533,27 @@ def test_interpolation_error_is_the_bound_at_the_grid_step():
     largest = max((b - a) ** 2 / 8.0 * np.abs(np.sin(np.linspace(a, b, 1001))).max()
                   for a, b in zip(it.knots, it.knots[1:]))
     assert largest <= it.bound <= largest * (1.0 + 1e-6)
-    assert interpolation_error(ABS, Interval(-1.0, 1.0), 0.01) == 0.0
-    assert interpolation_error(SIN, Interval(0.5, 0.5), 0.01) == 0.0
+    assert interpolant(ABS, Interval(-1.0, 1.0), 0.01).bound == 0.0
+    assert interpolant(SIN, Interval(0.5, 0.5), 0.01).bound == 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    f=st.sampled_from([SIN, TANH, SIGMOID, ABS, ID, ReluSum(((2.0, 1.0, -3.0),))]),
+    lo=st.floats(-50.0, 50.0),
+    width=st.floats(0.0, 50.0),
+    eps=st.floats(1e-4, 1.0),
+)
+def test_the_interpolant_carries_its_lipschitz_constant_on_y(f, lo, width, eps):
+    # The running sum of a walk's turns is the steepest slope lipschitz finds
+    # on y; an exact form's is lipschitz's own.
+    y = Interval(lo, lo + width)
+    it = interpolant(f, y, eps)
+    want = lipschitz(it.relu_sum, y)
+    if it.knots:
+        assert it.lipschitz == pytest.approx(want, rel=1e-12, abs=1e-300)
+    else:
+        assert it.lipschitz == want
 
 
 # |f''| written out by hand, for the per-cell check of the knots.
@@ -581,7 +600,7 @@ def test_an_interval_inside_a_tail_gets_one_knot_and_the_tail_gap(f, asymptote):
     assert grid.width == 0.0 and 0.0 < gap <= 0.1
     g = relu_approximate(f, y, 0.1)
     assert g.terms == ((0.0, -1.0, apply(f, grid.lo)),)  # one knot: a constant
-    assert interpolation_error(f, y, 0.1) == gap
+    assert interpolant(f, y, 0.1).bound == gap
     xs = np.linspace(y.lo, y.hi, 101)
     assert np.abs(apply_vec(g, xs) - apply_vec(f, xs)).max() <= gap
     # The constant is f(±a), within the gap of f(±∞).
@@ -603,7 +622,7 @@ def test_the_tail_gap_is_at_most_eps_exactly_in_floats(f, eps, lo, hi):
     if grid == y:
         assert gap == 0.0
     try:
-        assert interpolation_error(f, y, eps) <= eps
+        assert interpolant(f, y, eps).bound <= eps
     except CertificateError:
         pass  # a grid of more than 4096 cells; the bound needs none
 

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -19,7 +20,17 @@ from mplangc.approx import (
 from mplangc.cli import main
 from mplangc.errors import ArityError, CertificateError
 from mplangc.compiler import compile_relu
-from mplangc.expressions import Apply, Diamond, One, Proj, Scale, classify, classify_all, fold_all
+from mplangc.expressions import (
+    Add,
+    Apply,
+    Diamond,
+    One,
+    Proj,
+    Scale,
+    classify,
+    classify_all,
+    fold_all,
+)
 from mplangc.graphs import Graph
 from mplangc.intervals import DomainBox, Interval
 from mplangc.interpreter import eval_expr
@@ -47,6 +58,12 @@ def test_image_of_neighbor_sum_nonnegative_box():
 def test_image_of_neighbor_sum_symmetric_box():
     got = image_bounds(parse("<>P1"), 3, DomainBox.cube(-1, 1, 1))
     assert got == Interval(-3.0, 3.0)
+
+
+def test_image_of_neighbor_sum_at_degree_0_is_0_even_when_its_argument_overflows():
+    # 1e300*(1e300*P1) is unbounded; no graph of degree 0 has neighbors.
+    got = image_bounds(parse("<>(1e300*(1e300*P1))"), 0, DomainBox.cube(-1, 1, 1))
+    assert got == Interval(0.0, 0.0)
 
 
 def test_image_affine():
@@ -225,9 +242,11 @@ def test_approximants_are_relu_only_and_within_their_proven_eps(seed, depth, p, 
     eps=st.floats(1e-3, 1.0),
 )
 def test_the_plans_prove_what_the_build_reports(seed, depth, p, roots, eps):
-    # The plan proves each root's error from the interpolants alone; the build
-    # proves it again from the approximants it makes, and must agree.  Every
-    # root spends at most ε, and the samples stay within what it proves.
+    # The report is the kept plan's.  A fold written here proves each root's
+    # error again from the plan's interpolants, by the rules of the proof
+    # (|a|·Δ, p·Δ, Δ1 + Δ2 and bound + L·Δ, with 0 under 0*e, under <>e at
+    # p = 0 and for ReLU-only nodes), and must agree to the bit.  Every root
+    # spends at most ε, and the samples stay within what it proves.
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 3))
     exprs = [random_expr(rng, depth, d) for _ in range(roots)]
@@ -236,8 +255,26 @@ def test_the_plans_prove_what_the_build_reports(seed, depth, p, roots, eps):
         outs, report = approximate_all(exprs, p, box, eps)
     except CertificateError:
         reject()  # an image too wide for a 4097-knot grid at its share of eps
-    _, _, errors, _ = _planned(tuple(exprs), p, box, eps)
-    assert report.proven_eps == tuple(errors.get(e, 0.0) for e in exprs)
+    _, steps, _, _ = _planned(tuple(exprs), p, box, eps)
+    proven: dict = {}
+
+    def prove(node, kids):
+        if node.traits.relu_only:
+            return 0.0
+        if isinstance(node, Scale):
+            return 0.0 if node.factor == 0.0 else abs(node.factor) * kids[0]
+        if isinstance(node, Diamond):
+            return 0.0 if p == 0 else p * kids[0]
+        if isinstance(node, Add):
+            return kids[0] + kids[1]
+        if node not in steps:
+            return math.nan  # must be read only where the rules give 0
+        it = steps[node].it
+        proven[node] = it.bound + it.lipschitz * kids[0]
+        return proven[node]
+
+    assert report.proven_eps == tuple(fold_all(exprs, prove))
+    assert [r.proven for r in report.applications] == list(proven.values())
     assert all(proven <= eps for proven in report.proven_eps)
     rhos = uniform_distance_estimates(exprs, outs, p, box, 300, seed % 1000)
     assert all(rho <= proven + ROUNDING for rho, proven in zip(rhos, report.proven_eps))

@@ -1030,6 +1030,24 @@ def test_approx_of_a_curved_function_whose_share_underflows_is_a_certificate_err
     assert err == "certificate error: no 0.1-certificate: the share of sin underflows to 0\n"
 
 
+def test_bounds_of_a_neighbor_sum_at_degree_0_is_0_however_its_argument_overflows(capsys):
+    rc = main(["bounds", "--expr", "<>(1e300*(1e300*P1))", "--degree-bound", "0",
+               "--box", "[[-1,1]]"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert captured.out == "[0.0, 0.0]\n"
+
+
+def test_approx_under_a_neighbor_sum_at_degree_0_of_an_unbounded_argument(capsys):
+    # <>e at p = 0 is the constant 0, so sigmoid's argument is bounded by [0, 0].
+    rc = main(["approx", "--expr", "sigmoid(<>(1.9e183*P1))", "--degree-bound", "0",
+               "--box", "[[-8.2e256,8.2e256]]", "--epsilon", "0.1"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert captured.out.startswith("0.5*relu(1)\n")
+    assert captured.out.rstrip().endswith("proven eps = 0.0")
+
+
 def test_sin_of_an_overflowing_constant_prints_no_numpy_warning(capsys):
     # The constant's product is -inf, and sin(-inf) is NaN: the command exits
     # 3 with its own message, and numpy says nothing.

@@ -130,7 +130,7 @@ def test_one_knot_placer():
     # The knots of sin, tanh and sigmoid are placed once, by activations._knots:
     # it is the only function that sizes a step from 8 * eps, as in
     # h = sqrt(8 eps / M); no grid is uniform (no linspace); and
-    # relu_approximate and interpolation_error both reach it.
+    # relu_approximate and interpolant both reach it.
     tree = ast.parse((ROOT / "src" / "mplangc" / "activations.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
@@ -151,7 +151,7 @@ def test_one_knot_placer():
                 reached(callee.id, seen)
         return seen
 
-    for name in ("relu_approximate", "interpolation_error"):
+    for name in ("relu_approximate", "interpolant"):
         assert "_knots" in reached(name, set()), name
 
 
@@ -168,6 +168,19 @@ def test_one_planner():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert "interpolant" in imported and "modulus_delta" not in imported
+
+
+def test_one_gain_rule():
+    # Errors compose by one rule, approx._gain: |a| per scaling, p per <>, 1
+    # per sum and a slope per application.  No other function of approx.py
+    # takes |a| of a scaling, so the liveness walk, the sensitivities and the
+    # plan's errors cannot drift apart.
+    tree = ast.parse((ROOT / "src" / "mplangc" / "approx.py").read_text())
+    owners = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              for node in ast.walk(f) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "abs"
+              and any(getattr(arg, "attr", None) == "factor" for arg in node.args)]
+    assert owners == ["_gain"]
 
 
 def _dead_code(path: pathlib.Path) -> list[str]:
