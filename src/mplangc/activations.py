@@ -17,8 +17,11 @@ longest whose cell meets the bound (knot equidistribution, as in de Boor, A
 Practical Guide to Splines).  The second divides by a Lipschitz bound.  tanh
 and sigmoid are interpolated only where they still bend, on each side where
 that saves knots: `knot_span` clips the interval to [-a, a], beyond which f
-is within eps of its asymptotes, and the broken line is constant past its end
-knots.  The proven error is the larger of the cells' bound and that tail gap.
+is within eps of its asymptotes.  The ReLU combination holds on the interval:
+left of it and past a clipped high end it is constant, and past an unclipped
+high end it continues its last slope, since a knot at the interval's high end
+turns the slope only outside it and writes no term.  The proven error is the
+larger of the cells' bound and the tail gap of the clip.
 """
 
 from __future__ import annotations
@@ -257,24 +260,30 @@ def merge(left: Activation, left_max: float, right: Activation, right_min: float
 
 def pl_to_relu_sum(f: PiecewiseLinear) -> ReluSum:
     """Exact ReLU-combination form of a piecewise-linear function."""
-    return _hinges(*np.array(f.points).T)
+    xs, ys = np.array(f.points).T
+    return _hinges(xs, ys[0], _turns(xs, ys))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _hinges(xs: np.ndarray, ys: np.ndarray) -> ReluSum:
-    """The ReLU combination of the broken line through the knots (xs, ys), xs
-    strictly increasing, constant beyond the extremes: the level left of the
-    first knot is c*relu(0*x + 1), and each slope change a hinge at its knot."""
+def _turns(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The slope changes at the knots of the broken line through (xs, ys), xs
+    strictly increasing, with slope 0 beyond the extremes."""
     # Knots a subnormal step apart give an inf slope, quietly, as float
     # arithmetic does; the errstate keeps numpy from warning about it.
     # Slices difference the arrays as np.diff would, without its per-call
     # overhead, which costs more than the arithmetic on a grid of a few knots.
     slopes = np.zeros(len(xs) + 1)  # 0 beyond the extremes
     slopes[1:-1] = (ys[1:] - ys[:-1]) / (xs[1:] - xs[:-1])
-    turns = slopes[1:] - slopes[:-1]
+    return slopes[1:] - slopes[:-1]
+
+
+def _hinges(xs: np.ndarray, level: float, turns: np.ndarray) -> ReluSum:
+    """The ReLU combination of a broken line with knots xs, its level left of
+    the first knot and its slope turns at the knots (_turns): the level is
+    c*relu(0*x + 1), and each nonzero turn c a hinge c*relu(x - k) at its knot k."""
     kinks = turns != 0.0
     hinges = [(1.0, x, t) for x, t in zip(xs[kinks].tolist(), turns[kinks].tolist())]
-    return ReluSum(([(0.0, -1.0, ys[0])] if ys[0] != 0.0 else []) + hinges)
+    return ReluSum(([(0.0, -1.0, level)] if level != 0.0 else []) + hinges)
 
 
 # sup|f''| on the real line: sin'' = -sin; tanh'' = -2 tanh sech^2 peaks at
@@ -338,7 +347,7 @@ _BISECTIONS = 4
 class Interpolant:
     """relu_approximate's ReLU combination for f, y and eps, and its proof."""
 
-    relu_sum: ReluSum
+    relu_sum: ReluSum  # on y; for sin, tanh and sigmoid no term is 0 on all of y
     knots: tuple[float, ...]  # increasing; () for a function returned exactly
     grid: Interval  # where the knots lie: y, or y clipped for tanh and sigmoid
     tail_gap: float  # the error past a clipped end; 0 where nothing is clipped
@@ -353,9 +362,12 @@ def interpolant(f: Activation, y: Interval, eps: float) -> Interpolant:
     line, with bound 0.  sin, tanh and sigmoid are interpolated on the knots
     of one walk (_knots): each cell meets h^2/8 * M <= eps, with M the sup of
     |f''| on the cell, so the bound is the largest such cell value (at most
-    eps) or, where an end is clipped, the larger tail gap.  Raises
-    CertificateError when y is not finite, or the walk needs more than
-    _MAX_POINTS knots or a step below the float spacing.
+    eps) or, where an end is clipped, the larger tail gap.  Their broken
+    line holds on y: a knot at y.hi writes no term, so past an unclipped
+    high end the line continues its last slope; left of y and past a clipped
+    high end it is constant.  Raises CertificateError when y is not finite,
+    or the walk needs more than _MAX_POINTS knots or a step below the float
+    spacing.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
@@ -372,17 +384,23 @@ def interpolant(f: Activation, y: Interval, eps: float) -> Interpolant:
             raise CertificateError(f"no {eps:g}-certificate on the unbounded interval {y}")
         xs, cells, gap = _knots(f, y, eps)
         knots = np.array(xs)
-        rs = _hinges(knots, apply_vec(f, knots))
-        # Every hinge is relu(x - knot) with its knot in y, so the slopes on y
-        # are the running sums of the hinges' turns.
-        lip = max(map(abs, accumulate(c for a, _, c in rs.terms if a)), default=0.0)
-        return Interpolant(rs, tuple(xs), Interval(xs[0], xs[-1]), gap,
-                           max(min(eps, cells), gap), lip)
+        values = apply_vec(f, knots)
+        turns = _turns(knots, values)
+        if xs[-1] == y.hi:
+            turns[-1] = 0.0  # it turns the slope only past y: no term
+        # The knots lie in y, so the line's slopes on y are the running sums of
+        # its turns; a turn cleared at y.hi repeats the last cell's slope.
+        lip = max(map(abs, accumulate(turns.tolist())), default=0.0)
+        return Interpolant(_hinges(knots, values[0], turns), tuple(xs),
+                           Interval(xs[0], xs[-1]), gap, max(min(eps, cells), gap), lip)
     return Interpolant(exact, (), y, 0.0, 0.0, lipschitz(exact, y))
 
 
 def relu_approximate(f: Activation, y: Interval, eps: float) -> ReluSum:
-    """interpolant(f, y, eps)'s ReLU combination, within eps of f on y."""
+    """interpolant(f, y, eps)'s ReLU combination, within eps of f on y.  For
+    sin, tanh and sigmoid it holds on y only: left of y and past a clipped
+    high end it is constant, and past an unclipped high end it continues its
+    last slope."""
     return interpolant(f, y, eps).relu_sum
 
 
@@ -392,10 +410,10 @@ def knot_span(f: Activation, y: Interval, eps: float) -> tuple[Interval, float]:
     For tanh and sigmoid the interval is y clipped to [-a, a], beyond which f
     is within eps of its asymptotes, and the tail gap is the larger distance,
     in floats, from f(-a) and f(a) to their asymptotes: it bounds the error of
-    the constants the broken line holds past its end knots.  a starts at its
-    closed form and steps outward, from one float spacing and doubling, until
-    that gap is at most eps.  Where nothing is clipped the gap is 0; so it is
-    for every other f, and for an eps at which a would not be positive.
+    the constants the broken line holds past its clipped end knots.  a starts
+    at its closed form and steps outward, from one float spacing and doubling,
+    until that gap is at most eps.  Where nothing is clipped the gap is 0; so
+    it is for every other f, and for an eps at which a would not be positive.
     _knots keeps each side of this clip only where it saves knots.
     """
     saturation = _SATURATION.get(f)

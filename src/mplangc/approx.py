@@ -159,7 +159,7 @@ class ApplyRecord:
     grid: Interval  # where its knots lie: the interval, clipped for tanh and sigmoid
     tail_gap: float  # the error past the grid's ends; 0 where nothing was clipped
     eps: float  # the interpolant's share of ε; 0 for an exact f, which adds no error
-    knots: int  # breakpoints of the interpolant
+    knots: int  # breakpoints: the knots where the interpolant turns, none at the interval's hi
     m2: float  # sup|f''| on the line, which caps each cell's; 0 when f is exact
     lipschitz: float  # the interpolant's Lipschitz constant on the interval
     delta: float | None  # e's proven error, which widens the interval; None when e is exact

@@ -284,6 +284,12 @@ def test_hinges_match_the_per_knot_loop_on_random_knots(xs, ys, collinear):
     assert repr(pl_to_relu_sum(PiecewiseLinear(points)).terms) == repr(_per_knot_hinges(points))
 
 
+def _per_knot_terms_on(points, y):
+    """The per-knot oracle for an interpolant on y: _per_knot_hinges without
+    the hinge at y's high end, which is 0 on y."""
+    return tuple(t for t in _per_knot_hinges(points) if t[0] == 0.0 or t[1] != y.hi)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     f=st.sampled_from([SIN, TANH, SIGMOID]),
@@ -292,13 +298,49 @@ def test_hinges_match_the_per_knot_loop_on_random_knots(xs, ys, collinear):
     eps=st.floats(1e-4, 1.0),
 )
 def test_interpolants_match_the_per_knot_loop(f, lo, width, eps):
-    # tanh and sin are 0 at 0, so a grid from 0 has no level term; width 0 is one knot.
+    # tanh and sin are 0 at 0, so a grid from 0 has no level term; width 0 is
+    # one knot.  On y the sum is the full per-knot line's, to the bit: the
+    # term it leaves out is exactly 0 there.
     y = Interval(lo, lo + width)
     it = interpolant(f, y, eps)
     xs = np.array(it.knots)
-    oracle = _per_knot_hinges(tuple(zip(xs.tolist(), apply_vec(f, xs).tolist())))
+    points = tuple(zip(xs.tolist(), apply_vec(f, xs).tolist()))
+    oracle = _per_knot_terms_on(points, y)
     assert repr(it.relu_sum.terms) == repr(oracle)
     assert repr(relu_approximate(f, y, eps).terms) == repr(oracle)
+    grid = np.linspace(y.lo, y.hi, 2001)
+    full = ReluSum(_per_knot_hinges(points))
+    assert np.array_equal(apply_vec(it.relu_sum, grid), apply_vec(full, grid))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f=st.sampled_from([SIN, TANH, SIGMOID]),
+    lo=st.sampled_from([0.0, -math.pi, 0.5, -10.0]) | st.floats(-50.0, 50.0),
+    width=st.sampled_from([0.0, 9.5]) | st.floats(1e-3, 50.0),
+    eps=st.floats(1e-4, 1.0),
+)
+def test_every_term_of_an_interpolant_turns_inside_its_interval(f, lo, width, eps):
+    y = Interval(lo, lo + width)
+    it = interpolant(f, y, eps)
+    knots = np.array(it.knots)
+    values = apply_vec(f, knots)
+    g = it.relu_sum
+    full = pl_to_relu_sum(PiecewiseLinear(tuple(zip(knots.tolist(), values.tolist()))))
+    # Each term turns at a point of y and is positive somewhere strictly inside it.
+    for a, b, _ in g.terms:
+        if a != 0.0:
+            assert y.lo <= b / a <= y.hi and max(a * y.lo - b, a * y.hi - b) > 0.0
+    # On y the sum is the full per-knot line, within the proven bound of f.
+    xs = np.linspace(y.lo, y.hi, 2001)
+    assert np.array_equal(apply_vec(g, xs), apply_vec(full, xs))
+    assert np.abs(apply_vec(g, xs) - apply_vec(f, xs)).max() <= it.bound + ROUNDING
+    assert it.lipschitz == pytest.approx(lipschitz(g, y), rel=1e-12, abs=1e-300)
+    # A term per knot where the slope turns, but none at y's high end, and the level.
+    dead = {len(knots) - 1} if knots[-1] == y.hi else set()
+    turning = {b for a, b, _ in full.terms if a != 0.0}
+    zero_turns = sum(k not in turning for i, k in enumerate(knots.tolist()) if i not in dead)
+    assert len(g.terms) == len(knots) - len(dead) - zero_turns + (values[0] != 0.0)
 
 
 # -- relu_approximate ---------------------------------------------------------------

@@ -1,5 +1,7 @@
 import math
 import sys
+from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -8,8 +10,17 @@ from hypothesis import strategies as st
 
 from generate import random_expr
 from helpers import batch_instances, deep_mpnn, uniform_distance_estimates
-from mplangc import activations
-from mplangc.activations import SIN, TANH, PiecewiseLinear, ReluSum, relu_approximate
+from mplangc import activations, approx
+from mplangc.activations import (
+    SIN,
+    TANH,
+    PiecewiseLinear,
+    ReluSum,
+    apply_vec,
+    interpolant,
+    pl_to_relu_sum,
+    relu_approximate,
+)
 from mplangc.approx import (
     _planned,
     _relu_sum_expr,
@@ -343,7 +354,8 @@ def test_an_id_application_is_its_arguments_approximant():
     tanh, ident = report.applications
     # No relu(x) - relu(-x) around tanh's interpolant, and the same proof.
     assert out == _relu_sum_expr(relu_approximate(TANH, tanh.interval, tanh.eps), Proj(1))
-    assert [lyr.output_arity for lyr in compile_relu(out, 1).layers] == [2, 1]
+    # One ReLU: tanh's level is a bias, and its knot at 1 writes no term.
+    assert [lyr.output_arity for lyr in compile_relu(out, 1).layers] == [1, 1]
     assert (ident.function, ident.knots, ident.proven) == ("id", 0, tanh.proven)
     assert report.proven_eps == (tanh.proven,) and tanh.proven == pytest.approx(0.09623, abs=1e-5)
     (exact,), _ = approximate_all([parse("id(P1)")], 0, box, 0.1)
@@ -370,14 +382,14 @@ def test_an_exact_function_adds_no_error_so_its_argument_keeps_the_whole_budget(
                 assert record.delta == record.proven == report.proven_eps[0]
     _, report = approximate_all([parse("id(id(sin(P1)))")], 0, box, 0.1)
     assert [(r.function, r.knots) for r in report.applications] == [
-        ("sin", 4), ("id", 0), ("id", 0)]
+        ("sin", 3), ("id", 0), ("id", 0)]
     # sin's grid is the one it has without abs around it: at ε, and at ε/p under <>.
     _, report = approximate_all([parse("abs(sin(P1))")], 3, box, 0.1)
     assert [(r.function, r.eps, r.knots) for r in report.applications] == [
-        ("sin", 0.1, 4), ("abs", 0.0, 1)]
+        ("sin", 0.1, 3), ("abs", 0.0, 1)]
     _, report = approximate_all([parse("abs(<>sin(P1)) + 0.25*<>P1")], 3, box, 0.1)
     assert [(r.function, r.eps, r.knots) for r in report.applications] == [
-        ("sin", 0.1 / 3, 4), ("abs", 0.0, 1)]
+        ("sin", 0.1 / 3, 3), ("abs", 0.0, 1)]
 
 
 def test_an_exact_function_is_bounded_where_its_arguments_approximant_reaches():
@@ -415,11 +427,14 @@ def test_knots_count_the_breakpoints_of_each_interpolant():
     _, report = approximate_all([parse("abs(P1) + relu(tanh(P1))")], 0, box, 0.1)
     abs_, tanh, relu = report.applications
     assert (abs_.knots, relu.knots) == (1, 1)
-    # A grid's count is its hinges': one per knot where the slope turns.
+    # A grid's count is its hinges': one per knot where the slope turns, but
+    # none at the interval's high end.  tanh's knots -1, 0 and 1 lie on one
+    # line, which turns only at -1 and 1.
     hinges = relu_approximate(TANH, tanh.interval, tanh.eps).terms
-    assert tanh.knots == sum(a != 0.0 for a, _, _ in hinges) == 2
+    assert tanh.knots == sum(a != 0.0 for a, _, _ in hinges) == 1
+    assert interpolant(TANH, tanh.interval, tanh.eps).knots == (-1.0, 0.0, 1.0)
     _, report = approximate_all([parse("id(tanh(P1))")], 0, box, 0.1)
-    assert [(r.function, r.knots) for r in report.applications] == [("tanh", 2), ("id", 0)]
+    assert [(r.function, r.knots) for r in report.applications] == [("tanh", 1), ("id", 0)]
 
 
 def test_a_piecewise_linear_term_takes_no_share_and_a_piecewise_linear_argument_is_exact():
@@ -491,7 +506,7 @@ APPROX_NESTED = (
 
 
 # Each case's knots per application, bottom-up.
-APPROX_NESTED_KNOTS = ([2], [4], [6], [2], [4], [14], [6, 8], [4], [8], [16, 4], [4, 1])
+APPROX_NESTED_KNOTS = ([1], [3], [5], [2], [4], [13], [5, 7], [3], [7], [15, 3], [3, 1])
 
 
 def test_approx_nested_networks_get_no_bigger():
@@ -508,10 +523,10 @@ def test_approx_nested_networks_get_no_bigger():
             weights = (lyr.w_self, lyr.w_neigh, lyr.bias)
             dense += sum(w.size for w in weights)
             nonzero += sum(np.count_nonzero(w) for w in weights)
-    assert dense <= 657 and nonzero <= 324, (dense, nonzero)
+    assert dense <= 564 and nonzero <= 278, (dense, nonzero)
     # The approximants read as trees, and their distinct nodes.
     tree = sum(fold_all(outs, lambda node, kids: 1 + sum(kids)))
-    assert tree <= 1011 and _dag_size(outs) <= 392, (tree, _dag_size(outs))
+    assert tree <= 838 and _dag_size(outs) <= 358, (tree, _dag_size(outs))
 
 
 def test_each_application_walks_its_knots_at_most_twice(monkeypatch):
@@ -532,22 +547,76 @@ def test_each_application_walks_its_knots_at_most_twice(monkeypatch):
                               for r in curved}, text
 
 
+def test_a_dead_hinge_changes_only_the_breakpoints(monkeypatch):
+    # The reference builds every interpolant as the full per-knot line,
+    # constant past both end knots, so a knot at the interval's high end
+    # writes a term that is 0 on it, and reads its Lipschitz constant from
+    # that line's hinges.  Both prove the same, to the bit, in every record
+    # but its breakpoints, and their approximants agree on a random union.
+    cases = [((parse(text),), 3, DomainBox.cube(-1, 1, 1), eps) for text, eps in APPROX_NESTED]
+    rng = np.random.default_rng(33)
+    for _ in range(300):
+        d = int(rng.integers(1, 3))
+        roots = tuple(random_expr(rng, int(rng.integers(1, 6)), d)
+                      for _ in range(int(rng.integers(1, 4))))
+        eps = float(rng.choice([0.5, 0.1, 0.02]))
+        cases.append((roots, int(rng.integers(0, 4)), DomainBox.cube(-1, 1, d), eps))
+
+    def approximated(case):
+        try:
+            return approximate_all(*case)
+        except CertificateError:
+            return None  # an image too wide for a 4097-knot grid at its share of eps
+
+    def with_the_full_line(f, y, eps):
+        it = interpolant(f, y, eps)
+        if not it.knots:
+            return it
+        points = tuple(zip(it.knots, apply_vec(f, np.array(it.knots)).tolist()))
+        full = pl_to_relu_sum(PiecewiseLinear(points))
+        lip = max(map(abs, accumulate(c for a, _, c in full.terms if a)), default=0.0)
+        return replace(it, relu_sum=full, lipschitz=lip)
+
+    got = [approximated(case) for case in cases]
+    monkeypatch.setattr(approx, "interpolant", with_the_full_line)
+    want = [approximated(case) for case in cases]
+    assert sum(w is not None for w in want) >= 250
+    fewer = 0
+    for (roots, p, box, _), g, w in zip(cases, got, want):
+        assert (g is None) == (w is None)
+        if w is None:
+            continue
+        (outs, report), (ref_outs, ref_report) = g, w
+        assert report.proven_eps == ref_report.proven_eps
+        assert ([replace(r, knots=0) for r in report.applications]
+                == [replace(r, knots=0) for r in ref_report.applications])
+        pairs = list(zip(report.applications, ref_report.applications))
+        assert all(r.knots <= q.knots for r, q in pairs)
+        fewer += sum(r.knots < q.knots for r, q in pairs)
+        distances = uniform_distance_estimates(outs, ref_outs, p, box, 50, 0)
+        assert max(distances, default=0.0) <= ROUNDING
+    assert fewer > 0
+
+
 # -- clipping tanh and sigmoid --------------------------------------------------------
 
 def test_a_neighbor_sum_under_tanh_needs_the_same_knots_at_every_degree():
     # tanh is interpolated only where it is more than ε from ±1, so a wider
     # image, from a larger degree bound, adds no knot.  On [-3, 3] the clip
-    # to [-2.65, 2.65] would save none, so the grid is the whole image.
+    # to [-2.65, 2.65] would save none, so the grid is the whole image.  Of
+    # its 15 knots, 0 turns no slope and 3 writes no term: 13 breakpoints.
+    # Clipped, the end knots turn inside the image: 14 breakpoints.
     box = DomainBox.cube(-1, 1, 1)
-    knots = set()
+    breakpoints = {}
     for p in (3, 100, 10**6):
         (_,), report = approximate_all([parse("tanh(<>P1)")], p, box, 0.01)
         (tanh,) = report.applications
         assert tanh.interval == Interval(-p, p) and tanh.grid.width <= 6.0
         assert (tanh.grid == tanh.interval) == (tanh.tail_gap == 0.0) == (p == 3)
         assert report.proven_eps[0] <= 0.01
-        knots.add(tanh.knots)
-    assert knots == {14}
+        assert len(interpolant(TANH, tanh.interval, tanh.eps).knots) == 15
+        breakpoints[p] = tanh.knots
+    assert breakpoints == {3: 13, 100: 14, 10**6: 14}
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -326,6 +326,18 @@ def test_approx_compile_of_a_nested_function_at_a_small_epsilon(tmp_path, capsys
     )
 
 
+def test_approx_of_sin_at_a_coarse_epsilon_compiles_to_one_relu(tmp_path, capsys, monkeypatch):
+    # sin on [-1, 1] at 0.5 is one cell: its level is a bias, its turn at -1
+    # one ReLU, and its knot at 1, an end of the interval, writes no term.
+    monkeypatch.chdir(tmp_path)
+    assert main(["approx", "--expr", "sin(P1)", "--degree-bound", "0", "--box", "[[-1,1]]",
+                 "--epsilon", "0.5", "--compile", "net.json"]) == 0
+    report = json.loads((tmp_path / "net.json.report.json").read_text())
+    assert report["widths"] == [1, 1]
+    assert main(["check", "sin(P1)", "net.json", "--degree-bound", "0", "--box", "[[-1,1]]",
+                 "--abs-tolerance", "0.5"]) == 0
+
+
 def test_approx_compile_writes_the_networks_report(tmp_path, capsys):
     src, net_out = tmp_path / "pair.mplang", tmp_path / "net.json"
     src.write_text("tanh(P1)\nsin(<>P1) + P1\n")
