@@ -16,9 +16,10 @@ over the curved applications i under it, of s_i times i's bound, where the
 sensitivity s_i sums over the paths from the node down to i the product of
 the gains on the way.  So ε is spent by giving each
 curved application a share ε_i with sum(s_i ε_i) <= ε at every root.  An
-interpolant needs about I_i / sqrt(8 ε_i) knots, with I_i the integral of
-sqrt|f''| on its interval (de Boor, A Practical Guide to Splines), and the
-fewest knots in all come from ε_i proportional to (I_i / s_i)^(2/3).
+interpolant whose offsets spend each cell's whole ±ε_i band needs about
+I_i / sqrt(16 ε_i) knots, with I_i the integral of sqrt|f''| on its interval
+(de Boor, A Practical Guide to Splines), and the fewest knots in all come
+from ε_i proportional to (I_i / s_i)^(2/3).
 
 A plan gives every application its interpolant for its share, bottom-up:
 f(e) is interpolated on e's image widened by e's own proven error, and its
@@ -29,7 +30,7 @@ interpolant's Lipschitz constant there.  Plans are made twice at most:
   and an exact form's steepest piece), so every sum(s_i ε_i) it spends is a
   bound whatever the intervals turn out to be; I_i is estimated from the
   image's width;
-* the re-plan reads I_i off the first plan's knots, I_i = n_i sqrt(8 ε_i),
+* the re-plan reads I_i off the first plan's knots, I_i = n_i sqrt(16 ε_i),
   and the slopes off its intervals: sup|f'| there, which bounds the chord
   slopes of every interpolant of f on them, and an exact f's own.  It walks
   again only the applications whose interval or share changed, and is kept
@@ -57,11 +58,13 @@ from .activations import (
     SIGMOID,
     TANH,
     Interpolant,
+    Named,
     ReluSum,
     activation_label,
     curvature,
     interpolant,
     interval_image,
+    knots_floor,
     lipschitz,
     sup_slope,
 )
@@ -166,8 +169,19 @@ class ApplyRecord:
     sensitivity: float  # how far a unit error of f(e) moves a root, at most
     proven: float  # the interpolation error (cells or tail) + L * e's proven error
 
+    @property
+    def knots_floor(self) -> int:
+        """The fewest breakpoints that any ReLU combination within eps of f on
+        the interval can have, at least (activations.knots_floor); 0 when f
+        is exact.  Computed when read: the build does not need it."""
+        return knots_floor(Named(self.function), self.interval, self.eps) if self.m2 else 0
+
     def to_json(self) -> dict:
-        return {**asdict(self), "interval": _ends(self.interval), "grid": _ends(self.grid)}
+        fields = asdict(self)
+        at = list(fields).index("knots") + 1
+        fields = dict([*list(fields.items())[:at], ("knots_floor", self.knots_floor),
+                       *list(fields.items())[at:]])
+        return {**fields, "interval": _ends(self.interval), "grid": _ends(self.grid)}
 
 
 @dataclass(frozen=True)
@@ -250,7 +264,7 @@ def _allocate(integrals: dict[Expr, float], sens: dict[Expr, list[float]], eps: 
     """Each curved application's share of eps, from its integral I of
     sqrt|f''| and its sensitivities.
 
-    An interpolant needs about I / sqrt(8 share) knots, so under
+    An interpolant needs about I / sqrt(16 share) knots, so under
     sum(s_i share_i) <= eps, with s_i an application's largest sensitivity,
     the fewest knots come from share_i proportional to (I_i / s_i)^(2/3).
     Each root's factor makes its sum of s * share eps, counting each bound as
@@ -389,8 +403,8 @@ def _planned(roots: tuple[Expr, ...], p: int, box: DomainBox, eps: float):
         return sup_slope(node.func, step.interval) if step.share else step.it.lipschitz
 
     sens = _sensitivities(roots, order, live, p, slope)
-    # sqrt(8) * sqrt(share), as 8 * share can overflow.
-    integrals = {n: len(steps[n].it.knots) * math.sqrt(8.0) * math.sqrt(shares[n]) for n in curved}
+    # 4 * sqrt(share), as 16 * share can overflow.
+    integrals = {n: len(steps[n].it.knots) * 4.0 * math.sqrt(shares[n]) for n in curved}
     again = _allocate(integrals, sens, eps, shares)
     if again != shares:
         steps2, errors2 = _plan(order, live, image, p, eps, again, walked)

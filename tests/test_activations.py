@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mplangc.activations import (
@@ -23,6 +23,7 @@ from mplangc.activations import (
     interpolant,
     interval_image,
     knot_span,
+    knots_floor,
     lipschitz,
     merge,
     modulus_delta,
@@ -298,13 +299,16 @@ def _per_knot_terms_on(points, y):
     eps=st.floats(1e-4, 1.0),
 )
 def test_interpolants_match_the_per_knot_loop(f, lo, width, eps):
-    # tanh and sin are 0 at 0, so a grid from 0 has no level term; width 0 is
-    # one knot.  On y the sum is the full per-knot line's, to the bit: the
-    # term it leaves out is exactly 0 there.
+    # The line meets f plus an offset at each knot; its values there are the
+    # oracle's points.  tanh and sin are 0 at 0, so a grid from 0 has no
+    # level term; width 0 is one knot.  On y the sum is the full per-knot
+    # line's, to the bit: the term it leaves out is exactly 0 there.  Each
+    # offset, the error at its knot, is within the bound.
     y = Interval(lo, lo + width)
     it = interpolant(f, y, eps)
     xs = np.array(it.knots)
-    points = tuple(zip(xs.tolist(), apply_vec(f, xs).tolist()))
+    points = tuple(zip(xs.tolist(), it.values))
+    assert np.abs(np.array(it.values) - apply_vec(f, xs)).max() <= it.bound
     oracle = _per_knot_terms_on(points, y)
     assert repr(it.relu_sum.terms) == repr(oracle)
     assert repr(relu_approximate(f, y, eps).terms) == repr(oracle)
@@ -324,7 +328,7 @@ def test_every_term_of_an_interpolant_turns_inside_its_interval(f, lo, width, ep
     y = Interval(lo, lo + width)
     it = interpolant(f, y, eps)
     knots = np.array(it.knots)
-    values = apply_vec(f, knots)
+    values = np.array(it.values)
     g = it.relu_sum
     full = pl_to_relu_sum(PiecewiseLinear(tuple(zip(knots.tolist(), values.tolist()))))
     # Each term turns at a point of y and is positive somewhere strictly inside it.
@@ -495,7 +499,9 @@ CURVATURE = {SIN: 1.0, TANH: 4.0 / (3.0 * math.sqrt(3.0)), SIGMOID: 1.0 / (6.0 *
 # Evaluating a ReluSum of up to ~2000 terms on |x| <= 100 rounds by far less.
 ROUNDING = 1e-10
 # Past ±a, tanh and sigmoid are within eps of their asymptotes, worked out by
-# hand: a = atanh(1 - eps) and ln((1 - eps)/eps), while a is positive.
+# hand: a = atanh(1 - eps) and ln((1 - eps)/eps), while a is positive.  The
+# clip takes them at eps less the margin that the offsets keep below eps.
+MARGIN = 1.0 + 1e-9
 FLAT = {TANH: lambda eps: math.atanh(1.0 - eps) if eps < 1.0 else None,
         SIGMOID: lambda eps: math.log((1.0 - eps) / eps) if eps < 0.5 else None}
 
@@ -522,7 +528,7 @@ def test_relu_approximate_and_modulus_delta_are_proven(f, lo, width, eps, seed):
         # Each end of the knots is y's, or y's clipped to [-a, a], up to the
         # float steps that bring f(±a) within eps of the asymptotes; only a
         # clip leaves a tail gap.
-        a = FLAT.get(f, lambda eps: None)(eps)
+        a = FLAT.get(f, lambda eps: None)(eps / MARGIN)
         for end, want in ((grid.lo, y.lo), (grid.hi, y.hi)):
             if end != want:
                 assert a is not None and gap > 0.0
@@ -564,16 +570,20 @@ def test_interpolation_error_bounds_the_interpolant(f, lo, width, eps):
 
 def test_interpolation_error_is_the_bound_at_the_grid_step():
     # One cell where it is enough: tanh on [-1, 1] holds both peaks of
-    # |tanh''|, so its sup is the global one; |sin''| = |sin| on [0, 0.4] is
-    # largest at the right end.
+    # |tanh''|, so its sup is the global one, and its inflection at 0, so
+    # the chord is not shifted; |sin''| = |sin| on [0, 0.4] is largest at
+    # the right end, and sin is concave there, so the chord shifted up by
+    # half of h^2/8 * M errs by at most that half either way.
     assert interpolant(TANH, Interval(-1.0, 1.0), 0.9).bound == 4.0 / 8.0 * CURVATURE[TANH]
     assert interpolant(SIN, Interval(0.0, 0.4), 0.01).bound == pytest.approx(
-        0.4**2 / 8.0 * math.sin(0.4), rel=1e-8)
-    # Many cells: the largest cell's h^2/8 * sup|f''|, at most eps.
+        0.4**2 / 16.0 * math.sin(0.4), rel=1e-8)
+    # Many cells: each cell's error range, its offsets widened by h^2/8 *
+    # sup|f''| on the side f bends to, at most eps.  The first cell from the
+    # inflection at 0 starts at offset 0, so it meets h^2/8 * M <= eps as
+    # before, and sin on [-1, 1] keeps its 7 knots.
     it = interpolant(SIN, Interval(-1.0, 1.0), 0.01)
     assert len(it.knots) == 7 and it.bound <= 0.01
-    largest = max((b - a) ** 2 / 8.0 * np.abs(np.sin(np.linspace(a, b, 1001))).max()
-                  for a, b in zip(it.knots, it.knots[1:]))
+    largest = max(_cell_errors(SIN, it)[1])
     assert largest <= it.bound <= largest * (1.0 + 1e-6)
     assert interpolant(ABS, Interval(-1.0, 1.0), 0.01).bound == 0.0
     assert interpolant(SIN, Interval(0.5, 0.5), 0.01).bound == 0.0
@@ -586,9 +596,11 @@ def test_interpolation_error_is_the_bound_at_the_grid_step():
     width=st.floats(0.0, 50.0),
     eps=st.floats(1e-4, 1.0),
 )
+@example(f=SIN, lo=0.0, width=5e-324, eps=1.0)  # one piece, one float wide
 def test_the_interpolant_carries_its_lipschitz_constant_on_y(f, lo, width, eps):
     # The running sum of a walk's turns is the steepest slope lipschitz finds
-    # on y; an exact form's is lipschitz's own.
+    # on y; an exact form's is lipschitz's own.  lipschitz reads which terms
+    # are on from the order of the kinks, so a piece one float wide counts.
     y = Interval(lo, lo + width)
     it = interpolant(f, y, eps)
     want = lipschitz(it.relu_sum, y)
@@ -606,6 +618,43 @@ SECOND = {SIN: lambda x: -np.sin(x),
                                                            1.0 / (1.0 + np.exp(x)))}
 
 
+def _curvature_range(f, knots, offsets, samples):
+    # Per cell: [min(c_a, c_b) + lo, max(c_a, c_b) + hi], with c the offsets
+    # at its ends and [lo, hi] = h^2/8 * [-sup f''-, sup f''+], |f''|
+    # sampled densely on the cell.
+    cells = knots[:-1, None] + np.diff(knots)[:, None] * np.linspace(0.0, 1.0, samples)
+    second = SECOND[f](cells)
+    scale = np.diff(knots) ** 2 / 8.0
+    return (np.minimum(offsets[:-1], offsets[1:]) - scale * np.maximum(-second, 0.0).max(axis=1),
+            np.maximum(offsets[:-1], offsets[1:]) + scale * np.maximum(second, 0.0).max(axis=1))
+
+
+def _cell_errors(f, it, samples=257):
+    """Per piece of it's line: a range that holds the line less f, and its
+    largest magnitude.  The pieces are the cells, cut at each inflection of
+    f (0, and k*pi for sin) with the line's value there, so that f bends one
+    way on each.  A piece's range is its curvature range (above), within its
+    cell's own; where the line is nearly as steep as f gets on the piece,
+    the line less f moves one way, but for the drift h * sup|f'| - |rise of
+    the line|, which then bounds lo and hi too.  |f'| peaks at the
+    inflections, so its sup on a piece is at an end."""
+    knots, values = np.array(it.knots), np.array(it.values)
+    whole = _curvature_range(f, knots, values - apply_vec(f, knots), samples)
+    inflections = np.pi * np.arange(np.ceil(knots[0] / np.pi), np.floor(knots[-1] / np.pi) + 1)
+    inside = [x for x in (inflections if f == SIN else [0.0]) if knots[0] < x < knots[-1]]
+    cuts = np.concatenate((knots, inside))
+    order = np.argsort(cuts, kind="stable")
+    cell = np.searchsorted(knots, cuts[order][:-1], side="right") - 1
+    knots, values = cuts[order], np.concatenate((values, np.interp(inside, knots, values)))[order]
+    offsets = values - apply_vec(f, knots)
+    low, high = _curvature_range(f, knots, offsets, samples)
+    slopes = np.abs(_DERIVATIVES[f](knots))
+    drift = np.maximum(np.diff(knots) * np.maximum(slopes[:-1], slopes[1:]) - np.abs(np.diff(values)), 0.0)
+    low = np.maximum.reduce([low, np.minimum(offsets[:-1], offsets[1:]) - drift, whole[0][cell]])
+    high = np.minimum.reduce([high, np.maximum(offsets[:-1], offsets[1:]) + drift, whole[1][cell]])
+    return (low, high), np.maximum(-low, high)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     f=st.sampled_from([SIN, TANH, SIGMOID]),
@@ -614,22 +663,143 @@ SECOND = {SIN: lambda x: -np.sin(x),
     eps=st.floats(1e-4, 1.0),
 )
 def test_every_cell_meets_the_interpolation_bound(f, lo, width, eps):
-    # h^2/8 * max|f''| <= eps on each cell, with |f''| sampled densely on the
-    # cell; the bound is at least the largest such value, and past the end
-    # knots f stays within the tail gap of the constant held there.
+    # Each cell's error range, from its offsets and its densely sampled f'',
+    # lies in [-eps, eps] and in [-bound, bound]; past the end knots f stays
+    # within the tail gap of its value at the end knot.
     y = Interval(lo, lo + width)
     it = interpolant(f, y, eps)
     knots = np.array(it.knots)
     if len(knots) > 1:
-        t = np.linspace(0.0, 1.0, 257)
-        cells = knots[:-1, None] + np.diff(knots)[:, None] * t
-        values = np.diff(knots) ** 2 / 8.0 * np.abs(SECOND[f](cells)).max(axis=1)
-        assert values.max() <= eps * (1.0 + 1e-12)
-        assert values.max() <= it.bound * (1.0 + 1e-12)
+        _, largest = _cell_errors(f, it)
+        assert largest.max() <= eps * (1.0 + 1e-12)
+        assert largest.max() <= it.bound * (1.0 + 1e-12)
     for end, tail in ((knots[0], np.linspace(y.lo, knots[0], 101)),
                       (knots[-1], np.linspace(knots[-1], y.hi, 101))):
         assert np.abs(apply_vec(f, tail) - apply(f, end)).max() <= it.tail_gap + 2.0 * ROUNDING
     assert it.tail_gap <= it.bound <= eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    f=st.sampled_from([SIN, TANH, SIGMOID]),
+    lo=st.sampled_from([0.0, -math.pi, 0.5, -3.0]) | st.floats(-8.0, 8.0),
+    width=st.sampled_from([0.0, 2.0 * math.pi]) | st.floats(0.1, 30.0),
+    eps=st.floats(1e-4, 1.0),
+)
+def test_every_cell_spends_the_band_within_the_slope(f, lo, width, eps):
+    # The offsets bend no cell steeper than sup|f'| on y, which the planner
+    # assumes of every interpolant; and the densely sampled error, the
+    # knots and the cells' midpoints included, is within the bound, with no
+    # slack: the offsets stay a margin of 1e-9 inside eps, which covers the
+    # rounding of the sum's terms.  (Far out in a tail of sigmoid or tanh,
+    # or on a tiny y, a bound can fall below one rounding of f; this box
+    # keeps clear of that.)
+    y = Interval(lo, lo + width)
+    it = interpolant(f, y, eps)
+    assert it.lipschitz <= sup_slope(f, y)
+    knots = np.array(it.knots)
+    xs = np.concatenate([np.linspace(y.lo, y.hi, 4001), knots, (knots[:-1] + knots[1:]) / 2.0])
+    assert np.abs(apply_vec(it.relu_sum, xs) - apply_vec(f, xs)).max() <= it.bound
+
+
+@pytest.mark.parametrize("y,eps", [(Interval(-1.0, 1.0), 0.01), (Interval(-3.0, 3.0), 1e-3),
+                                   (Interval(-2.5, 1.0), 0.01)])
+@pytest.mark.parametrize("f", [SIGMOID, TANH, SIN])
+def test_a_walk_from_0_turns_no_slope_there(f, y, eps):
+    # Each side's values mirror the other's, exactly in floats (sigmoid's
+    # as 1 - v), so the line's slopes either side of 0 are equal and 0
+    # writes no term; sigmoid's knot values once left a rounding turn there.
+    it = interpolant(f, y, eps)
+    assert 0.0 in it.knots
+    assert all(b != 0.0 for a, b, _ in it.relu_sum.terms if a != 0.0)
+    mid = 0.5 if f == SIGMOID else 0.0
+    pairs = {k: v for k, v in zip(it.knots, it.values)}
+    assert all(pairs[-k] == 2.0 * mid - v for k, v in pairs.items() if -k in pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f=st.sampled_from([SIN, TANH, SIGMOID]),
+    lo=st.sampled_from([0.0, -math.pi, -1.5, 0.5]) | st.floats(-20.0, 20.0),
+    width=st.sampled_from([2.0 * math.pi, 3.0]) | st.floats(0.1, 40.0),
+    eps=st.floats(1e-4, 1.0),
+)
+@example(f=SIGMOID, lo=-1.5, width=3.227791357755662, eps=0.09524529924638232)
+@example(f=SIN, lo=-1.5, width=6.293427329275544, eps=0.8400338206488314)
+@example(f=SIN, lo=-0.08757262927355924, width=43.344118775162784, eps=0.0002363224216021911)
+def test_no_turn_of_an_interpolant_is_a_rounding(f, lo, width, eps):
+    # Two cells on one line, each as steep as the slope cap lets it (from an
+    # inflection, or across one of sin), once met at a knot whose turn was a
+    # rounding of the slope, which still cost a compiled row; such a knot
+    # goes, and the cells stay within the bound.  Dropping one can leave a
+    # rounding turn at its neighbour (the last example), which goes too.
+    y = Interval(lo, lo + width)
+    it = interpolant(f, y, eps)
+    assert all(abs(c) > 1e-12 * it.lipschitz for a, _, c in it.relu_sum.terms if a != 0.0)
+    knots = np.array(it.knots)
+    xs = np.concatenate([np.linspace(y.lo, y.hi, 4001), knots])
+    assert np.abs(apply_vec(it.relu_sum, xs) - apply_vec(f, xs)).max() <= it.bound + ROUNDING
+
+
+def test_a_cell_crosses_an_inflection_of_sin():
+    # No knot need land on k*pi: one cell crosses it, read as the two cells
+    # that meet there.  At eps = 1 on [0, 7], 4 knots, as on a uniform grid.
+    it = interpolant(SIN, Interval(0.0, 7.0), 1.0)
+    assert len(it.knots) == 4 and not {math.pi, 2.0 * math.pi} & set(it.knots)
+    assert max(_cell_errors(SIN, it)[1]) <= it.bound <= 1.0
+
+
+def _fewest_pieces(f, y, eps, n=160):
+    """The fewest pieces of a broken line, continuous or not, with its
+    breakpoints on an n-point grid of y, each piece within eps of f, where y
+    holds no inflection: the best line on a convex or concave piece errs by
+    half the chord's largest gap, found where f' meets the chord's slope."""
+    grid = np.linspace(y.lo, y.hi, n)
+    a, b = np.meshgrid(grid, grid, indexing="ij")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fa, fb = apply_vec(f, a), apply_vec(f, b)
+        slope = (fb - fa) / (b - a)
+        # Where f' equals the slope, for each of sin, tanh and sigmoid, clipped to the piece.
+        if f == SIN:
+            k = np.floor(y.lo / math.pi)
+            base = np.arccos(np.clip(slope, -1.0, 1.0))
+            x = k * math.pi + np.where(k % 2 == 0, base, math.pi - base)
+        elif f == TANH:
+            x = np.sign(y.lo + y.hi) * np.arctanh(np.sqrt(np.clip(1.0 - slope, 0.0, 1.0)))
+        else:
+            u = np.clip(1.0 - 4.0 * slope, 0.0, 1.0)  # s(1 - s) = slope at s = (1 + sqrt u) / 2
+            x = np.sign(y.lo + y.hi) * np.log((1.0 + np.sqrt(u)) / (1.0 - np.sqrt(u)))
+        x = np.clip(np.nan_to_num(x), a, b)
+        gap = np.abs(fa + slope * (x - a) - apply_vec(f, x)) / 2.0
+    fits = (gap <= eps) | (b <= a)
+    best = [0] + [n] * (n - 1)
+    for j in range(1, n):
+        best[j] = 1 + min(best[i] for i in range(j) if fits[i, j])
+    return best[-1]
+
+
+@pytest.mark.parametrize("f,y,eps", [
+    (TANH, Interval(0.0, 3.0), 1e-3), (TANH, Interval(-4.0, -0.2), 3e-4),
+    (SIGMOID, Interval(-6.0, 0.0), 1e-4), (SIN, Interval(0.0, math.pi), 1e-3),
+    (SIN, Interval(3.3, 6.1), 3e-4), (SIN, Interval(0.2, 2.9), 1e-3),
+])
+def test_the_knots_floor_is_below_the_fewest_pieces(f, y, eps):
+    # The floor counts breakpoints inside y; a line of n pieces has n - 1.
+    # The brute-force minimum over a grid is at least the true one, so the
+    # floor lies below it, and below the interpolant's breakpoints inside y;
+    # on these cases it is within a fifth of the minimum.
+    floor = knots_floor(f, y, eps)
+    fewest = _fewest_pieces(f, y, eps) - 1
+    it = interpolant(f, y, eps)
+    turns = sum(y.lo < b / a < y.hi for a, b, _ in it.relu_sum.terms if a != 0.0)
+    assert 0 < floor <= min(fewest, turns)
+    assert floor >= 0.75 * fewest
+
+
+def test_the_knots_floor_is_0_for_an_exact_function_or_an_unbounded_interval():
+    assert knots_floor(ABS, Interval(-1.0, 1.0), 0.01) == 0
+    assert knots_floor(SIN, Interval(0.0, math.inf), 0.01) == 0
+    assert knots_floor(TANH, Interval(0.5, 0.5), 0.01) == 0
 
 
 # -- the clip of tanh and sigmoid ------------------------------------------------------

@@ -16,7 +16,6 @@ from mplangc.activations import (
     TANH,
     PiecewiseLinear,
     ReluSum,
-    apply_vec,
     interpolant,
     pl_to_relu_sum,
     relu_approximate,
@@ -357,7 +356,8 @@ def test_an_id_application_is_its_arguments_approximant():
     # One ReLU: tanh's level is a bias, and its knot at 1 writes no term.
     assert [lyr.output_arity for lyr in compile_relu(out, 1).layers] == [1, 1]
     assert (ident.function, ident.knots, ident.proven) == ("id", 0, tanh.proven)
-    assert report.proven_eps == (tanh.proven,) and tanh.proven == pytest.approx(0.09623, abs=1e-5)
+    # The offsets spend tanh's whole share.
+    assert report.proven_eps == (tanh.proven,) and tanh.proven == pytest.approx(0.1, abs=1e-9)
     (exact,), _ = approximate_all([parse("id(P1)")], 0, box, 0.1)
     assert exact == parse("P1")
 
@@ -506,7 +506,7 @@ APPROX_NESTED = (
 
 
 # Each case's knots per application, bottom-up.
-APPROX_NESTED_KNOTS = ([1], [3], [5], [2], [4], [13], [5, 7], [3], [7], [15, 3], [3, 1])
+APPROX_NESTED_KNOTS = ([1], [3], [5], [2], [4], [10], [5, 5], [3], [7], [11, 3], [3, 1])
 
 
 def test_approx_nested_networks_get_no_bigger():
@@ -523,10 +523,10 @@ def test_approx_nested_networks_get_no_bigger():
             weights = (lyr.w_self, lyr.w_neigh, lyr.bias)
             dense += sum(w.size for w in weights)
             nonzero += sum(np.count_nonzero(w) for w in weights)
-    assert dense <= 564 and nonzero <= 278, (dense, nonzero)
+    assert dense <= 491 and nonzero <= 241, (dense, nonzero)
     # The approximants read as trees, and their distinct nodes.
     tree = sum(fold_all(outs, lambda node, kids: 1 + sum(kids)))
-    assert tree <= 838 and _dag_size(outs) <= 358, (tree, _dag_size(outs))
+    assert tree <= 690 and _dag_size(outs) <= 318, (tree, _dag_size(outs))
 
 
 def test_each_application_walks_its_knots_at_most_twice(monkeypatch):
@@ -572,7 +572,7 @@ def test_a_dead_hinge_changes_only_the_breakpoints(monkeypatch):
         it = interpolant(f, y, eps)
         if not it.knots:
             return it
-        points = tuple(zip(it.knots, apply_vec(f, np.array(it.knots)).tolist()))
+        points = tuple(zip(it.knots, it.values))
         full = pl_to_relu_sum(PiecewiseLinear(points))
         lip = max(map(abs, accumulate(c for a, _, c in full.terms if a)), default=0.0)
         return replace(it, relu_sum=full, lipschitz=lip)
@@ -603,32 +603,34 @@ def test_a_dead_hinge_changes_only_the_breakpoints(monkeypatch):
 def test_a_neighbor_sum_under_tanh_needs_the_same_knots_at_every_degree():
     # tanh is interpolated only where it is more than ε from ±1, so a wider
     # image, from a larger degree bound, adds no knot.  On [-3, 3] the clip
-    # to [-2.65, 2.65] would save none, so the grid is the whole image.  Of
-    # its 15 knots, 0 turns no slope and 3 writes no term: 13 breakpoints.
-    # Clipped, the end knots turn inside the image: 14 breakpoints.
+    # to [-2.65, 2.65] saves knots now that each cell spends the whole band,
+    # so every grid is clipped.  Of its 11 knots, 0 turns no slope: 10
+    # breakpoints.
     box = DomainBox.cube(-1, 1, 1)
     breakpoints = {}
     for p in (3, 100, 10**6):
         (_,), report = approximate_all([parse("tanh(<>P1)")], p, box, 0.01)
         (tanh,) = report.applications
         assert tanh.interval == Interval(-p, p) and tanh.grid.width <= 6.0
-        assert (tanh.grid == tanh.interval) == (tanh.tail_gap == 0.0) == (p == 3)
+        assert tanh.grid != tanh.interval and tanh.tail_gap > 0.0
         assert report.proven_eps[0] <= 0.01
-        assert len(interpolant(TANH, tanh.interval, tanh.eps).knots) == 15
+        assert len(interpolant(TANH, tanh.interval, tanh.eps).knots) == 11
         breakpoints[p] = tanh.knots
-    assert breakpoints == {3: 13, 100: 14, 10**6: 14}
+    assert breakpoints == {3: 10, 100: 10, 10**6: 10}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_translated_four_layer_networks_certify(seed):
     # Over the whole images uniform grids need 9,111 and 4,626 cells, more
     # than 4,096; clipped, 3,298 and 2,606 knots; clipped and adaptive, about
-    # 1,180 and 990; with ε allocated by sensitivity, 276 and 240.
+    # 1,180 and 990; with ε allocated by sensitivity, 276 and 240; with
+    # offsets that spend each cell's whole band, 202 and 175.
     t = mpnn_to_mplang(deep_mpnn(seed, layers=4))
     box = DomainBox.cube(-1, 1, t.input_arity)
     outs, report = approximate_all(t.components, 3, box, 0.1)
     assert classify_all(outs).relu_only
-    assert sum(r.knots for r in report.applications) <= (285, 250)[seed]
+    assert sum(r.knots for r in report.applications) <= (202, 175)[seed]
+    assert all(r.knots >= r.knots_floor for r in report.applications)
     assert all(proven <= 0.1 for proven in report.proven_eps)
     rhos = uniform_distance_estimates(t.components, outs, 3, box, 300, seed)
     assert all(rho <= proven + ROUNDING for rho, proven in zip(rhos, report.proven_eps))
@@ -638,13 +640,14 @@ def test_translated_four_layer_networks_certify(seed):
 def test_translated_five_layer_networks_certify(seed):
     # With uniform grids a tanh at ε ≈ 3.7e-7 on [-7.75, 7.75] needs 7,915
     # cells (seed 0); adaptive knots take the whole network in about 6,850
-    # and 5,020, and with ε allocated by sensitivity 993 and 791.
+    # and 5,020, with ε allocated by sensitivity 993 and 791, and with offsets
+    # 715 and 572.
     # Approximated only: compiling these networks is much larger.
     t = mpnn_to_mplang(deep_mpnn(seed, layers=5))
     box = DomainBox.cube(-1, 1, t.input_arity)
     outs, report = approximate_all(t.components, 3, box, 0.1)
     assert classify_all(outs).relu_only
-    assert sum(r.knots for r in report.applications) <= (1010, 810)[seed]
+    assert sum(r.knots for r in report.applications) <= (715, 572)[seed]
     assert all(proven <= 0.1 for proven in report.proven_eps)
     rhos = uniform_distance_estimates(t.components, outs, 3, box, 2000, seed)
     assert all(rho <= proven + ROUNDING for rho, proven in zip(rhos, report.proven_eps))

@@ -365,7 +365,8 @@ def test_approx_prints_the_proven_eps_and_writes_the_report(tmp_path, capsys):
     assert report["eps"] == 0.1 and report["proven_eps"] == [proven]
     assert [r["function"] for r in report["applications"]] == ["tanh", "sin"]
     assert set(report["applications"][0]) == {
-        "function", "interval", "grid", "tail_gap", "eps", "knots", "m2", "lipschitz", "delta",
+        "function", "interval", "grid", "tail_gap", "eps", "knots", "knots_floor", "m2", "lipschitz",
+        "delta",
         "sensitivity", "proven"}
     # How ε was split: sin reads tanh through <>, so a unit error at tanh moves
     # the root by p = 3; the shares weighed by their sensitivities spend ε.
@@ -387,7 +388,7 @@ def test_the_report_gives_each_grid_and_its_tail_gap(tmp_path, capsys):
     tanh, sigmoid = report["applications"]
     assert tanh["interval"] == [-6.0, 6.0]
     a = tanh["grid"][1]
-    assert tanh["grid"] == [-a, a] and a == pytest.approx(math.atanh(1.0 - 0.01), rel=1e-12)
+    assert tanh["grid"] == [-a, a] and a == pytest.approx(math.atanh(1.0 - 0.01 / (1.0 + 1e-9)), rel=1e-12)
     assert 0.0 < tanh["tail_gap"] <= 0.01
     assert tanh["proven"] == report["proven_eps"][0] <= 0.01
     assert sigmoid["grid"] == sigmoid["interval"] == [-0.5, 0.5] and sigmoid["tail_gap"] == 0.0
