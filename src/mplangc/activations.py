@@ -11,30 +11,26 @@ values in between.
 `interpolant`, behind `relu_approximate`, and `modulus_delta` are closed
 forms, so their results are proofs.  The first returns its ReLU combination
 with the bound it proves and its Lipschitz constant.  Its broken line meets f
-plus an offset at each knot, -t on a convex run of f and +t on a concave one
-(t just under eps), so a cell's error lies in [min(c_a, c_b) + lo,
-max(c_a, c_b) + hi], with [lo, hi] = [0, h^2/8 * M] on a convex cell and
-[-h^2/8 * M, 0] on a concave one, M the sup of |f''| on it in closed form: a
-cell may have h^2/8 * M up to 2t, the equioscillation idea of best uniform
-approximation.  The knots come from one walk that makes each step the
-longest whose cell meets the bound (knot equidistribution, as in de Boor, A
-Practical Guide to Splines); the offset ramps from 0 at each inflection, a
-cell across an inflection of sin is read as the two cells that meet there,
-and no cell is steeper than sup_slope.  `knots_floor` proves how few
+plus an offset at each knot, towards the side f bends to and up to t, just
+under eps, so that a piece of a cell on which f bends one way, with h^2/8 *
+M up to 2t (M the sup of |f''| on it in closed form), spends the whole band
+[-t, t]: the equioscillation idea of best uniform approximation.  The knots
+come from one walk, left to right, that makes each step the longest whose
+cell holds (knot equidistribution, as in de Boor, A Practical Guide to
+Splines); a cell across an inflection is read as the two pieces that meet
+there, and no cell is steeper than sup_slope.  `knots_floor` proves how few
 breakpoints any line within eps can have.  `modulus_delta` divides by a
-Lipschitz bound.  tanh
-and sigmoid are interpolated only where they still bend, on each side where
-that saves knots: `knot_span` clips the interval to [-a, a], beyond which f
-is within eps of its asymptotes.  The ReLU combination holds on the interval:
-left of it and past a clipped high end it is constant, and past an unclipped
-high end it continues its last slope, since a knot at the interval's high end
+Lipschitz bound.  tanh and sigmoid are interpolated only where they still
+bend: `knot_span` clips the interval to [-a, a], beyond which f is within
+eps of its asymptotes.  The ReLU combination holds on the interval: left of
+it and past a clipped high end it is constant, and past an unclipped high
+end it continues its last slope, since a knot at the interval's high end
 turns the slope only outside it and writes no term.  The proven error is the
 larger of the cells' bound and the tail gap of the clip.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -319,50 +315,47 @@ _SATURATION = {TANH: (-1.0, 1.0, 2.0), SIGMOID: (0.0, 1.0, 1.0)}
 def _logistic_bend(lo: float, hi: float, k: float):
     # _BENDS's entry for lo + (hi - lo) * s(k*x), s the logistic function:
     # f'' = (hi - lo) k^2 s''(k x), and |s''(t)| = u (1 - u)/(1 + u)^3 with
-    # u = exp(-t) for t >= 0, which peaks at t = ln(2 + sqrt(3)).  1 - u is
-    # -expm1(-t), which keeps its relative precision near 0.
-    scale, peak = (hi - lo) * k * k, math.log(2.0 + math.sqrt(3.0)) / k
+    # u = exp(-|t|), which peaks at |t| = ln(2 + sqrt(3)).  1 - u is
+    # -expm1(-|t|), which keeps its relative precision near 0.
+    scale = (hi - lo) * k * k
 
     def bend(x: float) -> float:
-        u = math.exp(-k * x)
-        return scale * u * -math.expm1(-k * x) / (1.0 + u) ** 3
+        u = math.exp(-k * abs(x))
+        return scale * u * -math.expm1(-k * abs(x)) / (1.0 + u) ** 3
 
-    return bend, lambda x: peak - x if x <= peak else math.inf
-
-
-def _sin_to_peak(x: float) -> float:
-    # The phase of x from sin and cos, which reduce x accurately, so the
-    # distance holds far from 0 too; |sin| peaks at the phases +-pi/2.
-    return (math.pi / 2.0 - math.atan2(math.sin(x), math.cos(x))) % math.pi
+    return bend, math.log(2.0 + math.sqrt(3.0)) / k
 
 
-# |f''| of sin, tanh and sigmoid is even, so the knot walk runs on |x|.  On
-# x >= 0 it is monotone between its zeros and its peaks.  Each entry gives
-# |f''(x)| and the distance from x >= 0 to the first peak at or after x.
-_BENDS = {"sin": (lambda x: abs(math.sin(x)), _sin_to_peak),
+# |f''| of sin, tanh and sigmoid, and how far from its run's inflection (0
+# for tanh and sigmoid, each k*pi for sin) it peaks; between an inflection
+# and a peak it is monotone.
+_BENDS = {"sin": (lambda x: abs(math.sin(x)), math.pi / 2.0),
           **{f.name: _logistic_bend(*s) for f, s in _SATURATION.items()}}
 
-# f on x >= 0, and f(0).  sin, tanh and sigmoid are each odd about their value
-# at 0, f(-x) = 2 f(0) - f(x), so the line's values left of 0 mirror those
-# right of it, exactly in floats: -v is exact, and so is 1 - v for v in
-# [1/2, 2].  A walk from 0 then turns no slope at 0.
-_VALUES = {"sin": (math.sin, 0.0), "tanh": (math.tanh, 0.0),
-           "sigmoid": (lambda x: 1.0 / (1.0 + math.exp(-x)), 0.5)}
+
+def _sigmoid(x: float) -> float:
+    u = math.exp(-abs(x))  # never overflows
+    return 1.0 / (1.0 + u) if x >= 0.0 else u / (1.0 + u)
+
+
+# f at a point in scalar floats, which the walk reads far more cheaply than
+# apply's arrays.
+_SCALAR = {"sin": math.sin, "tanh": math.tanh, "sigmoid": _sigmoid}
 
 # |f''| at a cell's end is scaled up by this margin, so that rounding in its
 # few float operations cannot understate the cell's sup.  The offsets keep
 # the same margin below eps, since the error at a knot is its offset.
 _MARGIN = 1.0 + 1e-9
 
-# Bisection steps for a cell whose sup is at its far end, and for a cell
-# across an inflection once a doubled step has failed.  The bracket is
-# already narrow, and a long bisection per knot costs more time than the
-# knots it saves.
+# Bisection steps for a cell across an inflection once a doubled trial has
+# failed.  The bracket is already narrow, and a long bisection per knot
+# costs more time than the knots it saves.
 _BISECTIONS = 4
 
-# Bisection steps for a cell whose first trial fails: one across an
-# inflection of sin, or one that ends where the offset must fall before the
-# next inflection.  Such a cell comes about once per inflection.
+# Bisection steps for a step towards a peak of |f''| or against the room,
+# which reads only f and |f''|, and for a cell whose first trial fails: one
+# across an inflection, or one that ends where the offset must fall before
+# the next inflection.  Such a cell comes about once per inflection.
 _SHORTEN = 8
 
 
@@ -384,10 +377,10 @@ def interpolant(f: Activation, y: Interval, eps: float) -> Interpolant:
 
     relu, id, abs, ReluSum and PiecewiseLinear come back exact, on the whole
     line, with bound 0.  sin, tanh and sigmoid get the broken line of one
-    walk (_knots): it meets f plus an offset at each knot, -t on a convex run
-    of f and +t on a concave one, t just under eps, so that each cell's error
-    spans the whole band [-t, t].  The bound is the largest of its cells' (at
-    most eps) or, where an end is clipped, the larger tail gap.  No cell is
+    walk (_knots): it meets f plus an offset at each knot, up to t, just
+    under eps, towards the side f bends to, so that its cells' errors span
+    the whole band [-t, t].  The bound is the largest of its cells' (at most
+    eps) or, where an end is clipped, the larger tail gap.  No cell is
     steeper than sup_slope(f, y).  A turn that moves the line by less than
     1e-12 * eps is a rounding between two cells on one line, each as steep as
     that slope lets it: its knot is dropped, and the cells' bounds hold the
@@ -454,7 +447,8 @@ def knot_span(f: Activation, y: Interval, eps: float) -> tuple[Interval, float]:
     until that gap is at most eps, less the margin that covers the rounding of
     the line's cancelling hinges there.  Where nothing is clipped the gap is 0; so
     it is for every other f, and for an eps at which a would not be positive.
-    _knots keeps each side of this clip only where it saves knots.
+    _knots starts at the left clip and ends at the right one where its walk
+    gets there before y.hi.
     """
     saturation = _SATURATION.get(f)
     if saturation is None or not eps < (saturation[1] - saturation[0]) / 2.0:
@@ -478,67 +472,43 @@ def _knots(f: Named, y: Interval, eps: float) -> tuple[list[float], list[float],
     the broken line's values at them, the largest error bound of its cells,
     and the tail gap.
 
-    Each cell [a, b] has h^2/8 * M, with M its sup|f''| in closed form: the
-    global sup when the cell holds a peak of |f''|, else the larger of |f''|
-    at its ends, since |f''| is monotone between a zero and a peak.  With
-    offsets c_a and c_b (the line less f at the knots) its error lies in
-    [min(c_a, c_b) + lo, max(c_a, c_b) + hi], where [lo, hi] is
-    [-h^2/8 * M, 0] on a concave cell and [0, h^2/8 * M] on a convex one.
+    A point is one knot, and so is a y past knot_span's clip.  Otherwise one
+    walk runs from the left clip where y reaches past it, else from y.lo, to
+    y.hi, or to the right clip where it gets there first.  f bends one way
+    on each run between inflections (0 for tanh and sigmoid, each k*pi for
+    sin).  A knot's offset c is the line less f there.  Read towards the
+    concave side of a piece (a run's part of a cell) with v = w^2/8 * M,
+    both of the piece's end offsets lie in the band [v - t, t], t = eps less
+    the margin, so that the piece errs by at most t.
 
-    A point is one knot, so is a y that lies past knot_span's clip, and y is
-    one cell, the chord, when h^2/8 * M <= eps; with no inflection inside,
-    when h^2/8 * M <= 2t, the chord shifted by half of that towards f's
-    concave side.  Otherwise the knots walk outward from 0 when y holds it,
-    else from y's end nearest 0, so a symmetric y gets symmetric knots, with
-    odd offsets.  The walk's offset u points to the concave side of its run,
-    the stretch up to the next inflection (none for tanh and sigmoid, each
-    k*pi for sin); t = eps less the margin.  It is 0 at an inflection and t,
-    or the room it has, elsewhere at the start.  A cell from offset u takes
-    the longest step (up to a few bisections) with h^2/8 * M <= t + u; the
-    next offset is min(t, u + w*S - d, room), with S = sup_slope(f, y) less
-    the margin and d the rise of f towards the concave side, so no cell is
-    steeper than S; room is what the offset may hold and still fall to 0 at
-    the next inflection within that slope, and for tanh and sigmoid what
-    keeps the line inside their range.  A step that would pass an
-    inflection crosses it in one cell, read as the two cells that meet
-    there with the line's value there; its far offset is the largest that
-    keeps the slope, the room and both readings within t, and the cell the
-    longest that holds.  Where none holds the cell lands on the inflection.
-    A cell whose error would leave [-t, t] is shortened.  A side of y that
-    reaches past knot_span's clip ends at the clip, with the tail gap,
-    where the walk would put another knot before y's end; else it ends at
-    y's end.  Each side walks its own last cells from its last knot before
-    that end.  A clipped grid that one cell covers is that one cell, the
-    chord.
+    Every trial cell [a, b] is read by one rule.  It is cut at the
+    inflection q it crosses, if any, where the line's offset is affine in
+    the far offset c_b, so that each condition bounds c_b to an interval:
+    each piece's band, and past q an offset on the new run's concave side,
+    so that the next cell keeps its budget; the slope cap, sup_slope(f, y) less the margin or f's
+    own chord; the room to fall to 0 by the next inflection within that
+    slope; tanh's and sigmoid's range; and at a right clip the tail
+    [gap - t, t].  The cell holds when the intervals meet, and c_b is the
+    end of their intersection towards b's concave side.  The start's offset
+    is that end of its own band, room, range and left tail, kept inside the
+    band and the tail.
+
+    From each knot the walk tries the longest step (bisected on f and |f''|)
+    whose piece fits the band from its offset and, short of the inflection,
+    the room; where that step reaches the inflection, the longest cell
+    across it, tried from the mirror point 2q - a (|f''| is even about each
+    inflection), doubled while it holds, then bisected; else the step,
+    bisected shorter while it fails.  A trial at the end is one cell to
+    y.hi, else one to the right clip.
     """
-    bend, to_peak = _BENDS[f.name]
+    fx, (bend, to_peak) = _SCALAR[f.name], _BENDS[f.name]
     m2 = _CURVATURE[f.name]
-    fx, mid = _VALUES[f.name]
-    ceiling = _SATURATION[f][1] if f in _SATURATION else math.inf
     waves = f.name == "sin"  # inflections at each k*pi, not only at 0
+    floor, ceiling = _SATURATION[f][:2] if f in _SATURATION else (-math.inf, math.inf)
 
     def refuse(need: str, x: float) -> CertificateError:
         return CertificateError(f"a {eps:g}-certificate for {f.name} on {y} needs {need}:"
-                                f" the walk reached |x| = {x:.6g}")
-
-    def sup(a: float, b: float) -> float:  # sup|f''| on [a, b], 0 <= a <= b
-        return m2 if b - a >= to_peak(a) else max(bend(a), bend(b)) * _MARGIN
-
-    def one_cell(a: float, b: float) -> float:  # h^2/8 * M of the cell [a, b]
-        w = b - a
-        return w * w / 8.0 * (sup(a, b) if a >= 0.0 else sup(-b, -a) if b <= 0.0
-                              else sup(0.0, max(-a, b)))
-
-    def concave(a: float, b: float) -> float:
-        # 1 where f'' <= 0 on [a, b], -1 where f'' >= 0, 0 where its sign
-        # changes inside: at 0, and for sin at each k*pi; a cell shorter than
-        # pi holds at most one of these.
-        if not waves:
-            return 1.0 if a >= 0.0 else -1.0 if b <= 0.0 else 0.0
-        sa, sb = math.sin(a), math.sin(b)  # -sin'' = sin
-        if b - a >= math.pi or sa * sb < 0.0:
-            return 0.0
-        return math.copysign(1.0, sa if sa else sb)
+                                f" the walk reached |x| = {abs(x):.6g}")
 
     lo, hi = y.lo, y.hi
     if lo == hi:
@@ -546,233 +516,181 @@ def _knots(f: Named, y: Interval, eps: float) -> tuple[list[float], list[float],
     clip, gap = knot_span(f, y, eps)
     if clip.width == 0.0:  # y lies where f is within eps of an asymptote: one constant
         return [clip.lo], [apply(f, clip.lo)], 0.0, gap
-    t = eps / _MARGIN
-    whole, sign = one_cell(lo, hi), concave(lo, hi)
-    if whole <= (2.0 * t if sign else eps):
-        # The chord, shifted by half its error where f bends one way; the
-        # shifted values round by an ulp, which a tiny y's bound must hold.
-        c = sign * whole / 2.0
-        return ([lo, hi], [apply(f, lo) + c, apply(f, hi) + c],
-                whole / 2.0 * _MARGIN + 4.0 * math.ulp(2.0) if sign else whole, 0.0)
-    # The sides of y around the start s, in |x|: each one's end and its clip.
-    s = min(max(lo, 0.0), hi)
-    left = (-lo, -clip.lo) if lo < s else None
-    right = (hi, clip.hi) if hi > s else None
-    sides = [side for side in (left, right) if side]
-    stop, far = max(c for _, c in sides), max(end for end, _ in sides)
-    steep = sup_slope(f, y)
-    slope = steep / _MARGIN
+    t = max(eps / _MARGIN, gap)  # the gap is at most that, up to a rounding
+    slope = sup_slope(f, y) / _MARGIN
+    stop = clip.hi
 
-    def longest(x: float, eps: float) -> float:
-        """The longest step from x (up to a few bisections) whose cell meets
-        h^2/8 * M <= eps."""
-        # 8 eps, less the margin again: a knot x + h rounds, so a cell can be
-        # a little wider than its step h.
-        budget = 8.0 * eps / _MARGIN
-        h0 = math.sqrt(budget / m2)  # a step that holds anywhere
-        bx = bend(x) * _MARGIN
-        to = to_peak(x)
-        h = math.sqrt(budget / bx) if bx > 0.0 else math.inf  # the step if M = |f''(x)|
-        if to == math.inf or (h < to and bend(x + h) * _MARGIN <= bx):
-            return h
-        if min(h, to) <= h0:
-            return h0  # the cell holds a peak: M is the global sup
-        top, h = min(h, to), h0  # the sup is at the cell's far end, before the peak
-        for _ in range(_BISECTIONS):
-            mid = 0.5 * (h + top)
-            if mid * mid * max(bx, bend(x + mid) * _MARGIN) <= budget:
-                h = mid
-            else:
-                top = mid
-        return h
+    def run(x: float) -> tuple[float, float, float]:
+        """The run of f right of x: 1 where f is concave on it and -1 where it
+        is convex, its end (the first inflection after x) and its peak of
+        |f''|."""
+        if not waves:
+            return (-1.0, 0.0, -to_peak) if x < 0.0 else (1.0, math.inf, to_peak)
+        k = math.floor(x / math.pi)
+        k += ((k + 1) * math.pi <= x) - (k * math.pi > x)  # x / pi rounds across k*pi
+        q = (k + 1) * math.pi
+        if not x < q:  # the float spacing at x is wider than pi
+            raise refuse("a step below the float spacing", x)
+        return (1.0 if k % 2 == 0 else -1.0), q, q - to_peak
 
-    known: dict[int, tuple[float, float, float]] = {}
+    def piece(a: float, b: float, peak: float) -> float:
+        """v = w^2/8 * M of a piece [a, b] of the run with that peak: M is the
+        global sup|f''| where the piece holds the peak, else the larger at
+        its ends.  (A float k*pi is an ulp or so off the inflection, so f
+        bends the other way on a sliver that wide, by at most that much: it
+        moves the piece's error by under w * ulp^2, far inside the margin.)"""
+        m = m2 if a <= peak <= b else max(bend(a), bend(b)) * _MARGIN
+        return (b - a) * (b - a) / 8.0 * m
 
-    def run(k: int) -> tuple[float, float, float]:
-        # The k-th run from 0: its sign, 1 where f is concave and -1 where
-        # it is convex, its end (the next inflection) and f there.
-        if k not in known:
-            q = (k + 1) * math.pi if waves else math.inf
-            known[k] = 1.0 if k % 2 == 0 else -1.0, q, fx(q) if q < far else 0.0
-        return known[k]
+    def reading(v: float, ua: float, ub: float) -> float:
+        # A piece's error bound from its end offsets towards its concave
+        # side, and the rounding of the line's values f + c and of f, under
+        # an ulp of 2 each.
+        return max(v - min(ua, ub), max(ua, ub)) * _MARGIN + 4.0 * math.ulp(2.0)
 
-    def room(b: float, fb: float, k: int) -> float:
-        # The most the offset at b may be in the run k: it can still fall to
-        # 0 at the run's end within the slope, or, where no inflection comes
-        # before y's end, it keeps the line inside the range of tanh and
-        # sigmoid.
-        sigma, q, fq = run(k)
-        return (q - b) * slope + sigma * (fq - fb) if q < far else ceiling - fb
+    def room(b: float, fb: float, sigma: float, q: float) -> float:
+        # The most the offset at b may be towards the concave side of its run
+        # (sigma, q) and still fall to 0 by q within the slope; unbounded
+        # where the run ends at or past the walk's end.
+        return (q - b) * slope + sigma * (fx(q) - fb) if q < stop else math.inf
 
-    def stray(w: float, fa: float, fb: float, sigma: float) -> float:
-        # f'' = -f for sin: an end a rounding past k*pi bends the other way on
-        # a sliver, by at most |f| there.
-        wrong = max(-sigma * fa, -sigma * fb)  # |f| at an end on the other side
-        return w * w / 8.0 * _MARGIN * wrong if waves and wrong > 0.0 else 0.0
+    def towards(sigma: float, low: float, high: float) -> tuple[float, float]:
+        # The offsets c with sigma * c in [low, high].
+        return (low, high) if sigma > 0.0 else (-high, -low)
 
-    def reading(w: float, m: float, ua: float, ub: float, spill: float) -> tuple[float, bool]:
-        # The error bound of a one-signed cell of width w with sup|f''| m,
-        # the offsets ua and ub towards its concave side and the stray
-        # spill, and whether that is within t.
-        v = w * w / 8.0 * m
-        low, high = min(ua, ub), max(ua, ub)
-        return max(v - low, high * _MARGIN + spill), v - low <= t and high + spill <= t
-
-    def follow(a: float, fa: float, ua: float, b: float, k: int) -> tuple[float, float, bool]:
-        """The offset at b (the line less f there) after the cell [a, b] of
-        the run k, from f(a) = fa and the offset ua at a towards the run's
-        concave side; the cell's error bound; and whether it meets [-t, t]
-        and the slope.  A cell past the run's end holds the inflection and is
-        read as two cells that meet there."""
-        sigma, q, _ = run(k)
+    def cell(a: float, fa: float, ca: float, at: tuple, b: float, tail: bool):
+        """The cell [a, b] from the offset ca at a, in a's run at, with a right
+        clip's tail at b where tail is set: b, f(b), the offset at b and the
+        cell's bound; or None where the cell does not hold."""
+        sigma, q, peak = at
+        if not a < b:
+            return None
         fb, w = fx(b), b - a
-        d = sigma * (fb - fa)  # f's rise towards the run's concave side
+        sb, qb, pb = at if b < q else run(q)  # b's run
+        if b > qb:
+            return None  # a cell crosses one inflection at most
+        d = fb - fa
+        # The slope cap, or f's own chord where f is steeper than the cap's
+        # margin allows (a clip that collapses onto an inflection); ca itself
+        # keeps it, in floats too.
+        rise = max(slope * w, abs(d))
+        low, high = max(ca - (d + rise), floor - fb), min(ca + (rise - d), ceiling - fb)
         if b <= q:
-            spill = stray(w, fa, fb, sigma)
-            ub = min(t - spill, ua + w * slope - d, room(b, fb, k))
-            bound, ok = reading(w, sup(a, b), ua, ub, spill)
-            return sigma * ub, bound, ok and ub >= ua - (w * steep + d)
-        if b >= run(k + 1)[1]:  # a cell holds one inflection at most
-            return 0.0, math.inf, False
-        # Across the inflection the offset at b, ub, points to the next run's
-        # concave side, and the line's offset at q is uq = c - lam * ub.  Of
-        # the ub that keep the slope, the room and both cells' readings
-        # within t, the largest.
-        fq = fx(q)
-        lam = (q - a) / w
-        c = (1.0 - lam) * (sigma * fa + ua) + lam * sigma * fb - sigma * fq
-        v1 = (q - a) ** 2 / 8.0 * sup(a, q)
-        v2 = (b - q) ** 2 / 8.0 * sup(q, b)
-        s1, s2 = stray(q - a, fa, fq, sigma), stray(b - q, fq, fb, -sigma)
-        most = min(t - s2, room(b, fb, k + 1), d - ua + w * slope)
-        ub = max(min(most, (c - v1 + t) / lam, (c + t - s2) / lam),
-                 0.0, d - ua - w * slope, v2 - t, (c - t + s1) / lam, (c - t + v2) / lam)
-        uq = c - lam * ub
-        first, ok1 = reading(q - a, sup(a, q), ua, uq, s1)
-        second, ok2 = reading(b - q, sup(q, b), -uq, ub, s2)
-        ok = ok1 and ok2 and d - ua - w * steep <= ub <= most
-        return -sigma * ub, max(first, second), ok
+            v = piece(a, b, peak)
+            bands = [towards(sigma, v - t, t)]
+        else:  # the pieces [a, q] and [q, b]; the offset at q is k + lam * c_b
+            fq, lam = fx(q), (q - a) / w
+            if lam == 0.0:
+                return None  # q is too near a to place in floats: land on it
+            k = (1.0 - lam) * (fa + ca) + lam * fb - fq
+            v, v2 = piece(a, q, peak), piece(q, b, pb)
+            cl, ch = towards(sigma, v - t, t - v2)  # the offset at q within both bands
+            # Past q the offset stays on the new run's concave side.
+            bands = [((cl - k) / lam, (ch - k) / lam), towards(sb, max(v2 - t, 0.0), t)]
+        if not v - t <= sigma * ca <= t:
+            return None
+        rs, rq = (sigma, q) if b <= q else (sb, qb)  # a knot on q falls to 0 there
+        bands.append(towards(rs, -math.inf, room(b, fb, rs, rq)))
+        if tail:
+            bands.append(towards(sb, gap - t, t))
+        for band_lo, band_hi in bands:
+            low, high = max(low, band_lo), min(high, band_hi)
+        if not low <= high:
+            return None
+        cb = high if sb > 0.0 else low
+        if b <= q:
+            bound = reading(v, sigma * ca, sigma * cb)
+        else:
+            cq = k + lam * cb
+            bound = max(reading(v, sigma * ca, sigma * cq), reading(v2, sb * cq, sb * cb))
+        if tail:
+            bound = max(bound, abs(cb) * _MARGIN, abs(cb - sb * gap) * _MARGIN)
+        return b, fb, cb, bound
 
-    def reach(x: float, fxx: float, u: float, k: int, below: float, good, top: float,
-              limit: float):
-        """The furthest end b in (below, limit] whose cell [x, b] in the run
-        k holds, from the offset u at x: tried at top, doubled from x while
-        that holds, then bisected towards below.  b with follow's result;
-        or good, an end known to hold with its result, or None."""
-        found = follow(x, fxx, u, top, k)
-        while found[2] and top < limit:
-            below, good = top, (top, found)
-            top = min(x + 2.0 * (top - x), limit)
-            found = follow(x, fxx, u, top, k)
-        if found[2]:
-            return top, found
-        for _ in range(_SHORTEN if good is None else _BISECTIONS):
-            trial = 0.5 * (below + top)
-            found = follow(x, fxx, u, trial, k)
-            if found[2]:
-                below, good = trial, (trial, found)
+    def longest(x: float, at: tuple, u: float, end: float) -> float:
+        """The longest step from x in its run at, to end at most, up to a few
+        bisections on f and |f''| alone, whose piece has v - t within the
+        offset u at x and, short of the run's end, within the room there."""
+        sigma, q, peak = at
+
+        def fits(h: float) -> bool:
+            b = x + h
+            v = piece(x, b, peak) - t
+            return v <= u and (b >= q or v <= room(b, fx(b), sigma, q))
+
+        eps = t + u
+        bx = bend(x) * _MARGIN
+        h = min(math.sqrt(8.0 * eps / bx) if bx > 0.0 else math.inf, end - x)
+        if fits(h):
+            return h  # the sup is at x, or the run's rest holds
+        good = min(math.sqrt(8.0 * eps / m2), h)  # a step that fits the band anywhere,
+        good, bad = good if fits(good) else 0.0, h  # and the room where it holds there
+        for _ in range(_SHORTEN):
+            trial = 0.5 * (good + bad)
+            if fits(trial):
+                good = trial
             else:
-                top = trial
+                bad = trial
         return good
 
-    def step(x: float, fxx: float, u: float, k: int, h: float,
-             end: float) -> tuple[float, float, float]:
-        """The next knot from x, at most end, in the run k from the offset u
-        at x towards its concave side, where the longest step is h: the
-        knot, the offset there and the cell's error bound."""
-        q = run(k)[1]
+    def search(x: float, fa: float, c: float, at: tuple, below: float, top: float,
+               limit: float):
+        """The furthest knot in (below, limit] whose cell from x holds, as
+        cell gives it, or None: tried at top, doubled from x while it holds,
+        then bisected.  A trial at stop is one cell to y.hi, else one to the
+        right clip."""
         got = None
-        if x + h > q < end:  # the step passes the inflection: the longest cell across it
-            limit = min(math.nextafter(run(k + 1)[1], 0.0), end)
-            got = reach(x, fxx, u, k, q, None, min(q + longest(q, 2.0 * t), limit), limit)
-        if not got:  # on the inflection or short of it, where the offset must fall before it
-            nxt = min(x + h, q, end)
-            got = reach(x, fxx, u, k, x, None, nxt, nxt)
-        if not got or got[0] == x:
-            raise refuse("a step below the float spacing", x)
-        return got[0], *got[1][:2]
-
-    def walk(x: float, cb: float, k: int, stop: float, end: float):
-        """The knots from x, with the offset cb there, in the run k, until
-        one reaches stop, each at most end: the knots, f and the offsets at
-        them, the run at each and the cells' bounds."""
-        fxx = fx(x)
-        raw, fr, offsets, runs, cells = [x], [fxx], [cb], [k], []
-        # The knots both sides have so far: a walk knot below the nearer
-        # side's end is a knot of each.
-        count = 1
-        while x < stop:
-            sigma, q, _ = run(k)
-            last = follow(x, fxx, sigma * cb, end, k) if end < math.inf else None
-            if last and last[2]:  # one cell to end
-                x, (cb, bound, _) = end, last
+        while True:
+            if top < stop:
+                trial = cell(x, fa, c, at, top, False)
             else:
-                h = longest(x, t + sigma * cb)
-                if end == math.inf and x + h >= stop:
-                    # The next knot lies past every side's end, where each
-                    # side walks its own last cells.
-                    raw.append(x + h)
-                    break
-                x, cb, bound = step(x, fxx, sigma * cb, k, h, end)
-            if x >= q:  # on or past an inflection: the next run bends the other way
-                k += 1
-            fxx = fx(x)
-            raw.append(x)
-            fr.append(fxx)
-            offsets.append(cb)
-            runs.append(k)
-            cells.append(bound)
-            count += 2 if x < near else 1
-            if count > _MAX_POINTS:
-                raise refuse(f"more than {_MAX_POINTS} knots", x)
-        return raw, fr, offsets, runs, cells
+                trial = (cell(x, fa, c, at, hi, False)
+                         or (cell(x, fa, c, at, stop, True) if stop < hi else None))
+            if not trial or top >= limit:
+                break
+            got, below, top = trial, top, min(x + 2.0 * (top - x), limit)
+        if trial:
+            return trial
+        for _ in range(_BISECTIONS if got else _SHORTEN):
+            mid = 0.5 * (below + top)
+            if not below < mid < top:
+                break
+            trial = cell(x, fa, c, at, mid, False)
+            if trial:
+                got, below = trial, mid
+            else:
+                top = mid
+        return got
 
-    x = abs(s)
-    k = 0  # the run holding x
-    if waves:
-        k = math.floor(x / math.pi)
-        while (k + 1) * math.pi <= x:
-            k += 1
-    # From an inflection the offset starts at 0; elsewhere at t, or at the
-    # room it has.
-    u = 0.0 if x == k * math.pi else min(t, room(x, fx(x), k))
-    near = min(c for _, c in sides) if left and right else 0.0
-    raw, fr, offsets, runs, cells = walk(x, run(k)[0] * u, k, stop, math.inf)
-
-    def side(end: float, c: float) -> tuple[list[float], list[float], float, bool]:
-        n = bisect.bisect_left(raw, c)  # raw[:n] lie before the clip, raw[n] past it
-        clipped = c < end and raw[n] < end
-        last = c if clipped else end
-        # The walk again from the last knot before last, to it.
-        ks, fs, cs, _, bounds = walk(raw[n - 1], offsets[n - 1], runs[n - 1], last, last)
-        # Past a clipped end the line holds its last value, f there plus its
-        # offset, while f climbs at most the tail gap towards its asymptote;
-        # the margin covers the rounding of the hinges that cancel out there.
-        tail = max(abs(cs[-1]), abs(cs[-1] - gap)) * _MARGIN if clipped else 0.0
-        values = [v + o for v, o in zip(fr[:n - 1] + fs, offsets[:n - 1] + cs)]
-        return raw[:n - 1] + ks, values, max(cells[:n - 1] + bounds + [tail]), clipped
-
-    walked = {end: side(*end) for end in sides}  # a symmetric y walks one side
-    xs, vs, value, clipped = [], [], 0.0, False
-    if left:
-        ks, ws, value, clipped = walked[left]
-        xs = [0.0 - k for k in reversed(ks)]
-        vs = [2.0 * mid - w for w in reversed(ws)]
-    if right:
-        ks, ws, v, c = walked[right]
-        xs += ks[1:] if left else ks
-        vs += ws[1:] if left else ws
-        value, clipped = max(value, v), clipped or c
-    if len(xs) > _MAX_POINTS:
-        raise refuse(f"more than {_MAX_POINTS} knots", x)
-    if not clipped:
-        return xs, vs, value, 0.0
-    # Clipped, the bound is about eps anyway: one cell, where it holds, has
-    # no knot at 0 to turn the slope.
-    one = one_cell(xs[0], xs[-1])
-    if len(xs) > 2 and one <= eps:
-        return [xs[0], xs[-1]], [apply(f, xs[0]), apply(f, xs[-1])], max(one, gap * _MARGIN), gap
-    return xs, vs, value, gap
+    x = clip.lo
+    fa = fx(x)
+    sigma, q, _ = run(x)
+    u = min(t, ceiling - fa if sigma > 0.0 else fa - floor, room(x, fa, sigma, q))
+    c = sigma * max(u, gap - t if x > lo else -t)
+    xs, values = [x], [fa + c]
+    # Left of a left clip f moves by at most the gap, away from the offset's side.
+    bounds = [max(abs(c), abs(c - sigma * gap)) * _MARGIN if x > lo else 0.0]
+    while x < stop:
+        at = run(x)
+        sigma, q, _ = at
+        end = min(q, stop)
+        h = longest(x, at, sigma * c, end)
+        got = None
+        if x + h >= q < stop:  # the step reaches the inflection: the longest cell across it
+            limit = min(run(q)[1], stop)
+            got = search(x, fa, c, at, q, min(2.0 * q - x, limit), limit)
+        if not got:
+            top = min(x + h, end)
+            got = search(x, fa, c, at, x, top, top)
+        if not got:
+            raise refuse("a step below the float spacing", x)
+        x, fa, c, bound = got
+        xs.append(x)
+        values.append(fa + c)
+        bounds.append(bound)
+        if len(xs) > _MAX_POINTS:
+            raise refuse(f"more than {_MAX_POINTS} knots", x)
+    return xs, values, max(bounds), gap if xs[0] > lo or xs[-1] < hi else 0.0
 
 
 # Where a pass of knots_floor may start, as fractions of its stretch: half
@@ -801,7 +719,7 @@ def knots_floor(f: Activation, y: Interval, eps: float) -> int:
     bend = _BENDS[f.name][0]
 
     def lower(x: float) -> float:  # a floor on |f''(x)|
-        return bend(abs(x)) / _MARGIN
+        return bend(x) / _MARGIN
 
     def reach(p: float, way: float) -> float:  # the near end of the interval from p
         m = lower(p)

@@ -298,8 +298,12 @@ def _allocate(integrals: dict[Expr, float], sens: dict[Expr, list[float]], eps: 
         if node in weights:
             row, s, w = weights[node]
             share = min(f for f, v in zip(factors, row) if v > 0.0) * w
-            # A root's lone application takes eps / s itself, not a rounding below it.
-            share = eps / s if share * s > eps * (1.0 - 1e-12) else share
+            if share * s > eps * (1.0 - 1e-12):
+                # A root's lone application takes the largest share that s
+                # times keeps within eps: eps / s, less a rounding above it.
+                share = eps / s
+                while share * s > eps:
+                    share = math.nextafter(share, 0.0)
             if share == 0.0:
                 raise underflow(node)
             shares[node] = min(share, sys.float_info.max)

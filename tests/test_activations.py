@@ -379,12 +379,17 @@ def test_relu_approximate_sin_certificate():
 
 @pytest.mark.parametrize("eps", [1e307, 3e307, 1e308])
 def test_an_eps_near_the_float_maximum_keeps_both_end_knots(eps):
-    # From about 2.3e307 on, 8*eps/sup|f''| overflows and the cell count
-    # rounds to 0: an interval still gets its two end knots, a point one.
+    # From about 2.3e307 on, 8*eps/sup|f''| overflows: an interval still gets
+    # its two end knots, a point one.  The offsets spend what tanh's range
+    # leaves them, so the line runs from -1 to 1, and it errs most at the
+    # ends, by 1 - tanh(1).
     ends = np.array([-1.0, 1.0])
-    g = relu_approximate(TANH, Interval(-1.0, 1.0), eps)
-    assert np.array_equal(apply_vec(g, ends), apply_vec(TANH, ends))
-    assert interpolant(TANH, Interval(-1.0, 1.0), eps).bound == 4.0 / 8.0 * 4.0 / math.sqrt(27.0)
+    it = interpolant(TANH, Interval(-1.0, 1.0), eps)
+    assert it.knots == (-1.0, 1.0)
+    assert apply_vec(it.relu_sum, ends) == pytest.approx(ends, rel=1e-8)  # the slope cap's margin
+    assert it.bound == pytest.approx(1.0 - math.tanh(1.0), rel=1e-8)
+    xs = np.linspace(-1.0, 1.0, 2001)
+    assert np.abs(apply_vec(it.relu_sum, xs) - np.tanh(xs)).max() <= it.bound
     point = relu_approximate(TANH, Interval(1.0, 1.0), eps)
     assert len(point.terms) == 1
     assert np.array_equal(apply_vec(point, ends), apply_vec(TANH, ends[1:]).repeat(2))
@@ -569,20 +574,20 @@ def test_interpolation_error_bounds_the_interpolant(f, lo, width, eps):
 
 
 def test_interpolation_error_is_the_bound_at_the_grid_step():
-    # One cell where it is enough: tanh on [-1, 1] holds both peaks of
-    # |tanh''|, so its sup is the global one, and its inflection at 0, so
-    # the chord is not shifted; |sin''| = |sin| on [0, 0.4] is largest at
-    # the right end, and sin is concave there, so the chord shifted up by
-    # half of h^2/8 * M errs by at most that half either way.
-    assert interpolant(TANH, Interval(-1.0, 1.0), 0.9).bound == 4.0 / 8.0 * CURVATURE[TANH]
-    assert interpolant(SIN, Interval(0.0, 0.4), 0.01).bound == pytest.approx(
-        0.4**2 / 16.0 * math.sin(0.4), rel=1e-8)
+    # One cell where it is enough, its offsets spending the band: tanh on
+    # [-1, 1] holds both peaks of |tanh''| and its inflection at 0, so the
+    # cell is read as two pieces of 1/8 * sup|tanh''| each; sin on [0, 0.4]
+    # bends one way.  The walk tries the whole of y from its first knot.
+    for f, y, eps in ((TANH, Interval(-1.0, 1.0), 0.1), (SIN, Interval(0.0, 0.4), 0.01)):
+        it = interpolant(f, y, eps)
+        assert it.knots == (y.lo, y.hi)
+        assert it.bound == pytest.approx(eps, rel=1e-8) and it.bound <= eps
+        assert max(_cell_errors(f, it)[1]) <= it.bound
     # Many cells: each cell's error range, its offsets widened by h^2/8 *
-    # sup|f''| on the side f bends to, at most eps.  The first cell from the
-    # inflection at 0 starts at offset 0, so it meets h^2/8 * M <= eps as
-    # before, and sin on [-1, 1] keeps its 7 knots.
+    # sup|f''| on the side f bends to, at most eps.  sin on [-1, 1] needs 6
+    # knots.
     it = interpolant(SIN, Interval(-1.0, 1.0), 0.01)
-    assert len(it.knots) == 7 and it.bound <= 0.01
+    assert len(it.knots) == 6 and it.bound <= 0.01
     largest = max(_cell_errors(SIN, it)[1])
     assert largest <= it.bound <= largest * (1.0 + 1e-6)
     assert interpolant(ABS, Interval(-1.0, 1.0), 0.01).bound == 0.0
@@ -686,6 +691,11 @@ def test_every_cell_meets_the_interpolation_bound(f, lo, width, eps):
     width=st.sampled_from([0.0, 2.0 * math.pi]) | st.floats(0.1, 30.0),
     eps=st.floats(1e-4, 1.0),
 )
+# The clip collapses to about +-1e-5, where tanh is steeper than the slope
+# cap's margin allows: a left-to-right walk that let no cell be as steep as
+# f's own chord stalled there.
+@example(f=TANH, lo=-0.5, width=4.0, eps=0.99999)
+@example(f=SIN, lo=-5e-324, width=2.0 * math.pi, eps=1.0)  # an inflection a float past y.lo
 def test_every_cell_spends_the_band_within_the_slope(f, lo, width, eps):
     # The offsets bend no cell steeper than sup|f'| on y, which the planner
     # assumes of every interpolant; and the densely sampled error, the
@@ -706,15 +716,11 @@ def test_every_cell_spends_the_band_within_the_slope(f, lo, width, eps):
                                    (Interval(-2.5, 1.0), 0.01)])
 @pytest.mark.parametrize("f", [SIGMOID, TANH, SIN])
 def test_a_walk_from_0_turns_no_slope_there(f, y, eps):
-    # Each side's values mirror the other's, exactly in floats (sigmoid's
-    # as 1 - v), so the line's slopes either side of 0 are equal and 0
-    # writes no term; sigmoid's knot values once left a rounding turn there.
+    # The inflection at 0 writes no term: a cell crosses it, read as two
+    # pieces, so no breakpoint is spent on 0 (nor a rounding turn there).
     it = interpolant(f, y, eps)
-    assert 0.0 in it.knots
     assert all(b != 0.0 for a, b, _ in it.relu_sum.terms if a != 0.0)
-    mid = 0.5 if f == SIGMOID else 0.0
-    pairs = {k: v for k, v in zip(it.knots, it.values)}
-    assert all(pairs[-k] == 2.0 * mid - v for k, v in pairs.items() if -k in pairs)
+    assert max(_cell_errors(f, it)[1]) <= it.bound <= eps
 
 
 @settings(max_examples=200, deadline=None)

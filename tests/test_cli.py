@@ -251,7 +251,7 @@ def test_approx_sin(tmp_path, capsys):
 
 def test_approx_at_an_eps_near_the_float_maximum_proves_what_it_samples(capsys):
     # 8*eps/sup|f''| overflows at this eps; a constant approximant would be
-    # 1.52 from tanh on [-1, 1], against a proven 0.385.
+    # 1.52 from tanh on [-1, 1], against a proven 0.238.
     rc = main(["approx", "--expr", "tanh(P1)", "--degree-bound", "0", "--box", "[[-1,1]]",
                "--epsilon", "1e308", "--trials", "2000"])
     assert rc == 0
@@ -1031,6 +1031,17 @@ def test_approx_of_a_piecewise_linear_term_under_huge_scales_needs_no_share(caps
     captured = capsys.readouterr()
     assert rc == 0 and captured.err == ""
     assert captured.out.rstrip().endswith("proven eps = 0.0")
+
+
+def test_approx_of_a_lone_scaled_application_proves_at_most_eps(capsys):
+    # sigmoid's share is 0.1 / 2.3029..., which times 2.3029... rounds to
+    # 0.10000000000000002 once the offsets spend the whole share: the share
+    # steps down to the largest that keeps the product within eps.
+    rc = main(["approx", "--expr", "2.3029179356378937*sigmoid(7.543752642114399*P1)",
+               "--degree-bound", "1", "--box", "[[-1,1]]", "--epsilon", "0.1", "--trials", "50"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert float(captured.out.rstrip().split("proven eps = ")[1]) <= 0.1
 
 
 def test_approx_of_a_curved_function_whose_share_underflows_is_a_certificate_error(capsys):

@@ -183,6 +183,25 @@ def test_one_gain_rule():
     assert owners == ["_gain"]
 
 
+def test_one_cell_reading():
+    # A piece's w^2/8 * M, how far a chord strays where f bends one way, is
+    # computed in one function, activations._knots' piece: every cell the
+    # walk tries and every step it sizes read it there, so no second reading
+    # (of a crossing, a stray sliver or a step) can drift from the first.
+    tree = ast.parse((ROOT / "src" / "mplangc" / "activations.py").read_text())
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.BinOp) and isinstance(child.op, ast.Div)
+                    and getattr(child.right, "value", None) == 8.0):
+                owners.append(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(tree, None)
+    assert owners == ["piece"]
+
+
 def _dead_code(path: pathlib.Path) -> list[str]:
     """Unused imports, and module-level private functions and classes that
     nothing in their module refers to."""
