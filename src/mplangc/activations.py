@@ -17,8 +17,9 @@ M up to 2t (M the sup of |f''| on it in closed form), spends the whole band
 [-t, t]: the equioscillation idea of best uniform approximation.  The knots
 come from one walk, left to right, that makes each step the longest whose
 cell holds (knot equidistribution, as in de Boor, A Practical Guide to
-Splines); a cell across an inflection is read as the two pieces that meet
-there, and no cell is steeper than sup_slope.  `knots_floor` proves how few
+Splines), found by one bracketed search; a cell across an inflection is read
+as the two pieces that meet there, and no cell is steeper than `lipschitz`,
+the one slope rule, which the planner reads too.  `knots_floor` proves how few
 breakpoints any line within eps can have.  `modulus_delta` divides by a
 Lipschitz bound.  tanh and sigmoid are interpolated only where they still
 bend: `knot_span` clips the interval to [-a, a], beyond which f is within
@@ -66,7 +67,6 @@ __all__ = [
     "knots_floor",
     "curvature",
     "lipschitz",
-    "sup_slope",
     "modulus_delta",
     "activation_label",
     "activation_to_json",
@@ -347,15 +347,11 @@ _SCALAR = {"sin": math.sin, "tanh": math.tanh, "sigmoid": _sigmoid}
 # the same margin below eps, since the error at a knot is its offset.
 _MARGIN = 1.0 + 1e-9
 
-# Bisection steps for a cell across an inflection once a doubled trial has
-# failed.  The bracket is already narrow, and a long bisection per knot
-# costs more time than the knots it saves.
-_BISECTIONS = 4
-
-# Bisection steps for a step towards a peak of |f''| or against the room,
-# which reads only f and |f''|, and for a cell whose first trial fails: one
-# across an inflection, or one that ends where the offset must fall before
-# the next inflection.  Such a cell comes about once per inflection.
+# Bisection steps of the walk's one search once a trial has failed: for a
+# step towards a peak of |f''| or against the room, which reads only f and
+# |f''|, and for a cell across an inflection, or one that ends where the
+# offset must fall before the next inflection.  Such a cell comes about
+# once per inflection.  Fewer steps cost knots, or certificates.
 _SHORTEN = 8
 
 
@@ -381,7 +377,7 @@ def interpolant(f: Activation, y: Interval, eps: float) -> Interpolant:
     under eps, towards the side f bends to, so that its cells' errors span
     the whole band [-t, t].  The bound is the largest of its cells' (at most
     eps) or, where an end is clipped, the larger tail gap.  No cell is
-    steeper than sup_slope(f, y).  A turn that moves the line by less than
+    steeper than lipschitz(f, y).  A turn that moves the line by less than
     1e-12 * eps is a rounding between two cells on one line, each as steep as
     that slope lets it: its knot is dropped, and the cells' bounds hold the
     straight line.  The line holds on y: a knot at y.hi writes
@@ -394,13 +390,8 @@ def interpolant(f: Activation, y: Interval, eps: float) -> Interpolant:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if isinstance(f, Merged):
         raise ValueError("merged activations have no closed-form approximant")
-    if isinstance(f, ReluSum):
-        exact = f
-    elif isinstance(f, PiecewiseLinear):
-        exact = pl_to_relu_sum(f)
-    elif f in _EXACT:
-        exact = ReluSum(_EXACT[f])
-    else:
+    exact = _exact(f)
+    if exact is None:
         if not math.isfinite(y.width):
             raise CertificateError(f"no {eps:g}-certificate on the unbounded interval {y}")
         xs, ys, cells, gap = _knots(f, y, eps)
@@ -485,21 +476,25 @@ def _knots(f: Named, y: Interval, eps: float) -> tuple[list[float], list[float],
     inflection q it crosses, if any, where the line's offset is affine in
     the far offset c_b, so that each condition bounds c_b to an interval:
     each piece's band, and past q an offset on the new run's concave side,
-    so that the next cell keeps its budget; the slope cap, sup_slope(f, y) less the margin or f's
-    own chord; the room to fall to 0 by the next inflection within that
-    slope; tanh's and sigmoid's range; and at a right clip the tail
-    [gap - t, t].  The cell holds when the intervals meet, and c_b is the
-    end of their intersection towards b's concave side.  The start's offset
-    is that end of its own band, room, range and left tail, kept inside the
-    band and the tail.
+    so that the next cell keeps its budget; the slope cap, lipschitz(f, y)
+    less the margin or f's own chord; the room to fall to 0 by the next
+    inflection within that slope; tanh's and sigmoid's range; and at a
+    right clip the tail [gap - t, t].  The cell holds when the intervals
+    meet, and c_b is the end of their intersection towards b's concave
+    side.  The start's offset is that end of its own band, room, range and
+    left tail, kept inside the band and the tail.
 
-    From each knot the walk tries the longest step (bisected on f and |f''|)
-    whose piece fits the band from its offset and, short of the inflection,
-    the room; where that step reaches the inflection, the longest cell
-    across it, tried from the mirror point 2q - a (|f''| is even about each
-    inflection), doubled while it holds, then bisected; else the step,
-    bisected shorter while it fails.  A trial at the end is one cell to
-    y.hi, else one to the right clip.
+    Every knot comes from two calls of one bracketed search, reach: tried
+    at a first point, doubled away from the knot while it holds and is
+    short of its limit, then bisected _SHORTEN times.  The first finds the
+    step on f and |f''| alone: the longest whose piece fits the band from
+    the knot's offset and, short of the inflection, the room, from one that
+    fits the band anywhere up to one sized from |f''| at the knot.  The
+    second finds the cell: where the step reaches the inflection q, from
+    the mirror point 2q - a (|f''| is even about each inflection) to the
+    end of the next run; else at the step's end, bisected shorter if it
+    fails.  A trial at the end is one cell to y.hi, else one to the right
+    clip.
     """
     fx, (bend, to_peak) = _SCALAR[f.name], _BENDS[f.name]
     m2 = _CURVATURE[f.name]
@@ -517,7 +512,7 @@ def _knots(f: Named, y: Interval, eps: float) -> tuple[list[float], list[float],
     if clip.width == 0.0:  # y lies where f is within eps of an asymptote: one constant
         return [clip.lo], [apply(f, clip.lo)], 0.0, gap
     t = max(eps / _MARGIN, gap)  # the gap is at most that, up to a rounding
-    slope = sup_slope(f, y) / _MARGIN
+    slope = lipschitz(f, y) / _MARGIN
     stop = clip.hi
 
     def run(x: float) -> tuple[float, float, float]:
@@ -607,60 +602,31 @@ def _knots(f: Named, y: Interval, eps: float) -> tuple[list[float], list[float],
             bound = max(bound, abs(cb) * _MARGIN, abs(cb - sb * gap) * _MARGIN)
         return b, fb, cb, bound
 
-    def longest(x: float, at: tuple, u: float, end: float) -> float:
-        """The longest step from x in its run at, to end at most, up to a few
-        bisections on f and |f''| alone, whose piece has v - t within the
-        offset u at x and, short of the run's end, within the room there."""
-        sigma, q, peak = at
+    def stride(eps: float, m: float) -> float:
+        # The width of a piece that spends eps where sup|f''| on it is m.
+        return math.sqrt(8.0 * eps / m) if m > 0.0 else math.inf
 
-        def fits(h: float) -> bool:
-            b = x + h
-            v = piece(x, b, peak) - t
-            return v <= u and (b >= q or v <= room(b, fx(b), sigma, q))
-
-        eps = t + u
-        bx = bend(x) * _MARGIN
-        h = min(math.sqrt(8.0 * eps / bx) if bx > 0.0 else math.inf, end - x)
-        if fits(h):
-            return h  # the sup is at x, or the run's rest holds
-        good = min(math.sqrt(8.0 * eps / m2), h)  # a step that fits the band anywhere,
-        good, bad = good if fits(good) else 0.0, h  # and the room where it holds there
+    def reach(x: float, holds, top: float, limit: float) -> tuple:
+        """The last point in (x, limit] found to hold, and what holds gave
+        there; or x and None.  Tried at top, doubled away from x while it
+        holds and is short of limit, then bisected _SHORTEN times between the
+        last point that held and the first that failed."""
+        below, got = x, None
+        while below < top and (trial := holds(top)):
+            below, got = top, trial
+            if top >= limit:
+                return below, got
+            top = min(x + 2.0 * (top - x), limit)
         for _ in range(_SHORTEN):
-            trial = 0.5 * (good + bad)
-            if fits(trial):
-                good = trial
-            else:
-                bad = trial
-        return good
-
-    def search(x: float, fa: float, c: float, at: tuple, below: float, top: float,
-               limit: float):
-        """The furthest knot in (below, limit] whose cell from x holds, as
-        cell gives it, or None: tried at top, doubled from x while it holds,
-        then bisected.  A trial at stop is one cell to y.hi, else one to the
-        right clip."""
-        got = None
-        while True:
-            if top < stop:
-                trial = cell(x, fa, c, at, top, False)
-            else:
-                trial = (cell(x, fa, c, at, hi, False)
-                         or (cell(x, fa, c, at, stop, True) if stop < hi else None))
-            if not trial or top >= limit:
-                break
-            got, below, top = trial, top, min(x + 2.0 * (top - x), limit)
-        if trial:
-            return trial
-        for _ in range(_BISECTIONS if got else _SHORTEN):
             mid = 0.5 * (below + top)
             if not below < mid < top:
                 break
-            trial = cell(x, fa, c, at, mid, False)
+            trial = holds(mid)
             if trial:
-                got, below = trial, mid
+                below, got = mid, trial
             else:
                 top = mid
-        return got
+        return below, got
 
     x = clip.lo
     fa = fx(x)
@@ -672,16 +638,32 @@ def _knots(f: Named, y: Interval, eps: float) -> tuple[list[float], list[float],
     bounds = [max(abs(c), abs(c - sigma * gap)) * _MARGIN if x > lo else 0.0]
     while x < stop:
         at = run(x)
-        sigma, q, _ = at
-        end = min(q, stop)
-        h = longest(x, at, sigma * c, end)
-        got = None
-        if x + h >= q < stop:  # the step reaches the inflection: the longest cell across it
+        sigma, q, peak = at
+        end, u = min(q, stop), sigma * c
+
+        def fits(b: float) -> bool:
+            # The step [x, b] on f and |f''| alone: its piece's v - t within
+            # the offset at x and, short of the run's end, within the room.
+            v = piece(x, b, peak) - t
+            return v <= u and (b >= q or v <= room(b, fx(b), sigma, q))
+
+        def holds(b: float):
+            # The cell to b; at stop, one cell to y.hi, else one to the right clip.
+            if b < stop:
+                return cell(x, fa, c, at, b, False)
+            return (cell(x, fa, c, at, hi, False)
+                    or (cell(x, fa, c, at, stop, True) if stop < hi else None))
+
+        # The step: from one that fits the band anywhere, up to one sized
+        # from |f''| at x, which fits where the sup is at x.
+        top = min(x + stride(t + u, bend(x) * _MARGIN), end)
+        b, _ = reach(x, fits, min(x + stride(t + u, m2), top), top)
+        if b >= q < stop:  # the step reaches the inflection: the longest cell across it
             limit = min(run(q)[1], stop)
-            got = search(x, fa, c, at, q, min(2.0 * q - x, limit), limit)
-        if not got:
-            top = min(x + h, end)
-            got = search(x, fa, c, at, x, top, top)
+            top = min(2.0 * q - x, limit)
+        else:
+            top = limit = b
+        _, got = reach(x, holds, top, limit)
         if not got:
             raise refuse("a step below the float spacing", x)
         x, fa, c, bound = got
@@ -755,16 +737,35 @@ def curvature(f: Activation) -> float:
     return 0.0
 
 
+def _exact(f: Activation) -> ReluSum | None:
+    """The exact ReLU form of relu, id, abs, ReluSum and PiecewiseLinear, else None."""
+    if isinstance(f, ReluSum):
+        return f
+    if isinstance(f, PiecewiseLinear):
+        return pl_to_relu_sum(f)
+    return ReluSum(_EXACT[f]) if f in _EXACT else None
+
+
 def lipschitz(f: Activation, y: Interval) -> float:
-    """A Lipschitz constant of f on y: global for a named f, and for ReluSum and
-    PiecewiseLinear the exact one, the largest |slope| of a piece meeting y."""
-    if isinstance(f, Named):
-        return 0.25 if f.name == "sigmoid" else 1.0
+    """sup|f'| on y, which bounds the chord slopes of f there: in closed form
+    for sin, tanh and sigmoid, and exact for the rest, the largest |slope| of
+    a piece of f's ReLU form meeting y.  |tanh'| and |sigmoid'| peak at 0 and
+    fall away from it; |sin'| = |cos| is 1 at each k*pi and falls towards the
+    midpoints between them."""
     if isinstance(f, Merged):
         raise ValueError("merged activations have no closed-form Lipschitz constant")
-    if isinstance(f, PiecewiseLinear):
-        f = pl_to_relu_sum(f)
-    a, b, c = np.array(f.terms).reshape(-1, 3).T
+    exact = _exact(f)
+    if exact is None:
+        if f.name == "sin":
+            if y.width >= math.pi or math.floor(y.hi / math.pi) >= math.ceil(y.lo / math.pi):
+                return 1.0
+            return max(abs(math.cos(y.lo)), abs(math.cos(y.hi)))
+        x = abs(min(max(0.0, y.lo), y.hi))  # the point of y nearest 0
+        if f.name == "tanh":
+            return 1.0 - math.tanh(x) ** 2
+        u = math.exp(-x)
+        return u / (1.0 + u) ** 2
+    a, b, c = np.array(exact.terms).reshape(-1, 3).T
     # The pieces between the kinks in y, and on each the terms that are on:
     # c*relu(a*x - b) is on right of its kink for a > 0 and left of it for
     # a < 0.  Read from the kinks' order, this holds on a piece one float
@@ -775,22 +776,6 @@ def lipschitz(f: Activation, y: Interval) -> float:
     edges = np.unique(np.concatenate(([y.lo, y.hi], kinks[(kinks > y.lo) & (kinks < y.hi)])))
     on = np.where(a > 0.0, kinks <= edges[:-1, None], kinks >= edges[1:, None])
     return float(np.abs(on @ (a * c)).max(initial=0.0))
-
-
-def sup_slope(f: Named, y: Interval) -> float:
-    """sup|f'| on y for sin, tanh and sigmoid, in closed form: it bounds the
-    chord slopes of every interpolant of f whose knots lie in y.  |tanh'| and
-    |sigmoid'| peak at 0 and fall away from it; |sin'| = |cos| is 1 at each
-    k*pi and falls towards the midpoints between them."""
-    if f.name == "sin":
-        if y.width >= math.pi or math.floor(y.hi / math.pi) >= math.ceil(y.lo / math.pi):
-            return 1.0
-        return max(abs(math.cos(y.lo)), abs(math.cos(y.hi)))
-    x = abs(min(max(0.0, y.lo), y.hi))  # the point of y nearest 0
-    if f.name == "tanh":
-        return 1.0 - math.tanh(x) ** 2
-    u = math.exp(-x)
-    return u / (1.0 + u) ** 2
 
 
 def modulus_delta(f: Activation, y: Interval, eps: float) -> float:

@@ -29,12 +29,12 @@ interpolant's Lipschitz constant there.  Plans are made twice at most:
 * the first plan takes each slope on the whole line (1, or 1/4 for sigmoid,
   and an exact form's steepest piece), so every sum(s_i ε_i) it spends is a
   bound whatever the intervals turn out to be; I_i is estimated from the
-  image's width;
+  image's width; a root whose fold rounds above ε steps its shares down;
 * the re-plan reads I_i off the first plan's knots, I_i = n_i sqrt(16 ε_i),
-  and the slopes off its intervals: sup|f'| there, which bounds the chord
-  slopes of every interpolant of f on them, and an exact f's own.  It walks
-  again only the applications whose interval or share changed, and is kept
-  when every root still proves ε and it needs no more knots.
+  and the slopes off its intervals, sup|f'| there, which bounds the chord
+  slopes of every interpolant of f on them.  Both read ``lipschitz``.  It
+  walks again only the applications whose interval or share changed, and
+  is kept when every root still proves ε and it needs no more knots.
 
 The kept plan is the ``ApproxReport``: its steps, in post-order, record
 every application with its share, sensitivity and proven bound, and its
@@ -66,7 +66,6 @@ from .activations import (
     interval_image,
     knots_floor,
     lipschitz,
-    sup_slope,
 )
 from .expressions import (
     Add,
@@ -378,10 +377,9 @@ def _planned(roots: tuple[Expr, ...], p: int, box: DomainBox, eps: float):
     The first plan weighs every curved application alike and takes the
     slopes on the whole line, so it proves eps whatever its intervals are.
     The re-plan reads each application's integral off the first plan's
-    knots, and its slopes off the first plan's intervals: sup|f'| there for a
-    curved f, which bounds the chord slopes of every interpolant of f on
-    them, and the interpolant's own for an exact f.  It is kept when every
-    root still proves eps and it needs no more knots."""
+    knots, and its slopes off the first plan's intervals: lipschitz(f, y),
+    which bounds the chord slopes of every interpolant of f on them.  It is
+    kept when every root still proves eps and it needs no more knots."""
     # The post-order; then one fold for the images of the arguments that get
     # interpolants.
     order, _ = post_order(roots)
@@ -401,10 +399,16 @@ def _planned(roots: tuple[Expr, ...], p: int, box: DomainBox, eps: float):
     sens = _sensitivities(roots, order, live, p, lambda node: lipschitz(node.func, _LINE))
     shares = _allocate({n: _spread(n, image[n.arg], sens, eps) for n in curved}, sens, eps)
     steps, errors = _plan(order, live, image, p, eps, shares, walked)
+    # The plan composes the errors in another order than the allocation, so
+    # a root's fold can round above eps: the shares under it step down an
+    # ulp at a time until it proves eps.
+    while over := {j for j, r in enumerate(roots) if errors.get(r, 0.0) > eps}:
+        under = {n for n, row in sens.items() if any(row[j] > 0.0 for j in over)}
+        shares = {n: math.nextafter(v, 0.0) if n in under else v for n, v in shares.items()}
+        steps, errors = _plan(order, live, image, p, eps, shares, walked)
 
     def slope(node: Apply) -> float:
-        step = steps[node]
-        return sup_slope(node.func, step.interval) if step.share else step.it.lipschitz
+        return lipschitz(node.func, steps[node].interval)
 
     sens = _sensitivities(roots, order, live, p, slope)
     # 4 * sqrt(share), as 16 * share can overflow.

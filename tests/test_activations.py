@@ -29,7 +29,6 @@ from mplangc.activations import (
     modulus_delta,
     pl_to_relu_sum,
     relu_approximate,
-    sup_slope,
 )
 from mplangc.errors import CertificateError
 from mplangc.intervals import Interval
@@ -414,7 +413,7 @@ def test_relu_approximate_degenerate_interval():
     assert apply(rs, 0.5) == pytest.approx(math.tanh(0.5), abs=1e-12)
 
 
-# -- sup_slope -----------------------------------------------------------------------
+# -- lipschitz -----------------------------------------------------------------------
 
 _DERIVATIVES = {SIN: np.cos, TANH: lambda x: 1.0 - np.tanh(x) ** 2,
                 SIGMOID: lambda x: np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))) ** 2}
@@ -423,7 +422,7 @@ _DERIVATIVES = {SIN: np.cos, TANH: lambda x: 1.0 - np.tanh(x) ** 2,
 @settings(max_examples=300, deadline=None)
 @given(f=st.sampled_from([SIN, TANH, SIGMOID]), lo=st.floats(-30.0, 30.0),
        width=st.one_of(st.just(0.0), st.floats(0.0, 10.0)), eps=st.floats(1e-4, 0.5))
-def test_sup_slope_is_the_largest_slope_on_the_interval(f, lo, width, eps):
+def test_lipschitz_is_the_largest_slope_on_the_interval(f, lo, width, eps):
     # A dense grid, with the ends and every peak of |f'| in y (0, and k*pi for
     # sin), attains the sup; and every chord of an interpolant on y is at most
     # it, up to the rounding of f's values (|f| <= 1) over the chord's width.
@@ -431,12 +430,31 @@ def test_sup_slope_is_the_largest_slope_on_the_interval(f, lo, width, eps):
     peaks = [k * math.pi for k in range(math.ceil(y.lo / math.pi), math.floor(y.hi / math.pi) + 1)]
     xs = np.concatenate((np.linspace(y.lo, y.hi, 2001), [min(max(0.0, y.lo), y.hi)], peaks))
     sampled = float(np.abs(_DERIVATIVES[f](xs)).max())
-    assert sup_slope(f, y) == pytest.approx(sampled, rel=1e-9, abs=1e-12)
+    assert lipschitz(f, y) == pytest.approx(sampled, rel=1e-9, abs=1e-12)
     knots = np.array(interpolant(f, y, eps).knots)
     if len(knots) > 1:
         chords = np.diff(apply_vec(f, knots)) / np.diff(knots)
         rounding = 4.0 * np.finfo(float).eps / np.diff(knots).min()
-        assert np.abs(chords).max() <= sup_slope(f, y) * (1.0 + 1e-9) + rounding
+        assert np.abs(chords).max() <= lipschitz(f, y) * (1.0 + 1e-9) + rounding
+
+
+@pytest.mark.parametrize("f,y,want", [
+    (RELU, Interval(-2.0, -1.0), 0.0),  # left of the kink relu is flat
+    (RELU, Interval(1.0, 2.0), 1.0),
+    (ABS, Interval(-3.0, -1.0), 1.0),
+    (ID, Interval(-1.0, 1.0), 1.0),
+    # slopes: 0 left of 0, 1 on [0, 2], 4 right of 2
+    (ReluSum(((1.0, 0.0, 1.0), (1.0, 2.0, 3.0))), Interval(0.5, 1.5), 1.0),
+    (ReluSum(((1.0, 0.0, 1.0), (1.0, 2.0, 3.0))), Interval(-5.0, -1.0), 0.0),
+    (CLAMP01, Interval(2.0, 3.0), 0.0),
+    (CLAMP01, Interval(0.25, 0.5), 1.0),
+    # On the line the curved functions keep their global slopes, bit for bit.
+    (SIN, Interval(-math.inf, math.inf), 1.0),
+    (TANH, Interval(-math.inf, math.inf), 1.0),
+    (SIGMOID, Interval(-math.inf, math.inf), 0.25),
+])
+def test_lipschitz_is_the_exact_slope_of_an_exact_form_on_the_interval(f, y, want):
+    assert lipschitz(f, y) == want
 
 
 # -- modulus_delta -------------------------------------------------------------------
@@ -466,6 +484,9 @@ def _sampled_oscillation(f, iv, delta, n=20_000):
         (ID, Interval(0.0, 1.0), 0.1, 0.1),
         (RELU, Interval(-1.0, 1.0), 0.1, 0.1),
         (TANH, Interval(-2.0, 2.0), 0.05, None),
+        # lipschitz on y: |cos| is at most cos(1) there, and relu is flat.
+        (SIN, Interval(1.0, 2.0), 0.1, None),
+        (RELU, Interval(-2.0, -1.0), 0.1, None),
     ],
 )
 def test_modulus_delta_post(f, iv, eps, ceiling):
@@ -706,7 +727,7 @@ def test_every_cell_spends_the_band_within_the_slope(f, lo, width, eps):
     # keeps clear of that.)
     y = Interval(lo, lo + width)
     it = interpolant(f, y, eps)
-    assert it.lipschitz <= sup_slope(f, y)
+    assert it.lipschitz <= lipschitz(f, y)
     knots = np.array(it.knots)
     xs = np.concatenate([np.linspace(y.lo, y.hi, 4001), knots, (knots[:-1] + knots[1:]) / 2.0])
     assert np.abs(apply_vec(it.relu_sum, xs) - apply_vec(f, xs)).max() <= it.bound

@@ -229,6 +229,12 @@ ROUNDING = 1e-9
 # 0.3095703235669376*(tanh(<>1) + -1.5487026159535633): tanh's share times
 # the sensitivity once rounded above eps.
 @example(seed=165, depth=4, p=2, eps=0.02)
+# <>(abs(1.40...*tanh(P1)) + <>(tanh(P1) + abs(1))) and
+# 1.09...*(-1.50...*(0.66...*(tanh(P1) + 1))): shares that keep share * s
+# within eps, but a plan that folds the error in another order rounds above
+# it, by an ulp.
+@example(seed=3648, depth=5, p=2, eps=0.02)
+@example(seed=2378965872, depth=5, p=2, eps=0.1)
 def test_approximants_are_relu_only_and_within_their_proven_eps(seed, depth, p, eps):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 3))
@@ -509,7 +515,7 @@ APPROX_NESTED = (
 
 
 # Each case's knots per application, bottom-up.
-APPROX_NESTED_KNOTS = ([1], [3], [5], [2], [4], [10], [3, 5], [3], [6], [11, 3], [3, 1])
+APPROX_NESTED_KNOTS = ([1], [3], [5], [2], [4], [10], [3, 5], [3], [5], [11, 3], [3, 1])
 
 
 def test_approx_nested_networks_get_no_bigger():
@@ -526,10 +532,10 @@ def test_approx_nested_networks_get_no_bigger():
             weights = (lyr.w_self, lyr.w_neigh, lyr.bias)
             dense += sum(w.size for w in weights)
             nonzero += sum(np.count_nonzero(w) for w in weights)
-    assert dense <= 452 and nonzero <= 224, (dense, nonzero)
+    assert dense <= 447 and nonzero <= 221, (dense, nonzero)
     # The approximants read as trees, and their distinct nodes.
     tree = sum(fold_all(outs, lambda node, kids: 1 + sum(kids)))
-    assert tree <= 613 and _dag_size(outs) <= 303, (tree, _dag_size(outs))
+    assert tree <= 606 and _dag_size(outs) <= 298, (tree, _dag_size(outs))
 
 
 def test_each_application_walks_its_knots_at_most_twice(monkeypatch):
@@ -627,12 +633,12 @@ def test_translated_four_layer_networks_certify(seed):
     # than 4,096; clipped, 3,298 and 2,606 knots; clipped and adaptive, about
     # 1,180 and 990; with ε allocated by sensitivity, 276 and 240; with
     # offsets that spend each cell's whole band, 202 and 175; walked left to
-    # right, 201 and 175.
+    # right, 201 and 175; with one knot search, 200 and 174.
     t = mpnn_to_mplang(deep_mpnn(seed, layers=4))
     box = DomainBox.cube(-1, 1, t.input_arity)
     outs, report = approximate_all(t.components, 3, box, 0.1)
     assert classify_all(outs).relu_only
-    assert sum(r.knots for r in report.applications) <= (201, 175)[seed]
+    assert sum(r.knots for r in report.applications) <= (200, 174)[seed]
     assert all(r.knots >= r.knots_floor for r in report.applications)
     assert all(proven <= 0.1 for proven in report.proven_eps)
     rhos = uniform_distance_estimates(t.components, outs, 3, box, 300, seed)
@@ -644,13 +650,14 @@ def test_translated_five_layer_networks_certify(seed):
     # With uniform grids a tanh at ε ≈ 3.7e-7 on [-7.75, 7.75] needs 7,915
     # cells (seed 0); adaptive knots take the whole network in about 6,850
     # and 5,020, with ε allocated by sensitivity 993 and 791, with offsets 715
-    # and 572, and walked left to right 712 and 566.
+    # and 572, walked left to right 712 and 566, and with one knot search 709
+    # and 566.
     # Approximated only: compiling these networks is much larger.
     t = mpnn_to_mplang(deep_mpnn(seed, layers=5))
     box = DomainBox.cube(-1, 1, t.input_arity)
     outs, report = approximate_all(t.components, 3, box, 0.1)
     assert classify_all(outs).relu_only
-    assert sum(r.knots for r in report.applications) <= (712, 566)[seed]
+    assert sum(r.knots for r in report.applications) <= (709, 566)[seed]
     assert all(proven <= 0.1 for proven in report.proven_eps)
     rhos = uniform_distance_estimates(t.components, outs, 3, box, 2000, seed)
     assert all(rho <= proven + ROUNDING for rho, proven in zip(rhos, report.proven_eps))

@@ -1033,15 +1033,26 @@ def test_approx_of_a_piecewise_linear_term_under_huge_scales_needs_no_share(caps
     assert captured.out.rstrip().endswith("proven eps = 0.0")
 
 
-def test_approx_of_a_lone_scaled_application_proves_at_most_eps(capsys):
+@pytest.mark.parametrize("expr,degree,box,eps", [
     # sigmoid's share is 0.1 / 2.3029..., which times 2.3029... rounds to
     # 0.10000000000000002 once the offsets spend the whole share: the share
     # steps down to the largest that keeps the product within eps.
-    rc = main(["approx", "--expr", "2.3029179356378937*sigmoid(7.543752642114399*P1)",
-               "--degree-bound", "1", "--box", "[[-1,1]]", "--epsilon", "0.1", "--trials", "50"])
+    ("2.3029179356378937*sigmoid(7.543752642114399*P1)", "1", "[[-1,1]]", "0.1"),
+    # Shares that keep share * s within eps, where the plan folds the error
+    # in another order and rounds above it by an ulp: the shares under the
+    # root step down until its fold proves eps.
+    ("<>(abs(1.400542148355803*tanh(P1)) + <>(tanh(P1) + abs(1)))", "2", "[[-1,1]]", "0.02"),
+    ("1.0973511883747573*(-1.5006929233692858*(0.6670682127924965*(tanh(P1) + 1)))", "2",
+     "[[-1,1],[-1,1]]", "0.1"),
+    ("<>(1 + 1.307275755477693*sigmoid(1.140961610794848*P1))", "3", "[[-1,1]]",
+     "0.014770500498943694"),
+], ids=["scaled-sigmoid", "two-tanh-under-sums", "tanh-under-three-scales", "sigmoid-under-a-sum"])
+def test_approx_of_a_lone_scaled_application_proves_at_most_eps(capsys, expr, degree, box, eps):
+    rc = main(["approx", "--expr", expr, "--degree-bound", degree, "--box", box,
+               "--epsilon", eps, "--trials", "50"])
     captured = capsys.readouterr()
     assert rc == 0 and captured.err == ""
-    assert float(captured.out.rstrip().split("proven eps = ")[1]) <= 0.1
+    assert float(captured.out.rstrip().split("proven eps = ")[1]) <= float(eps)
 
 
 def test_approx_of_a_curved_function_whose_share_underflows_is_a_certificate_error(capsys):

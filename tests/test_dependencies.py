@@ -264,3 +264,40 @@ def test_no_module_imports_another_modules_private_name():
              and (node.level or (node.module or "").startswith("mplangc"))
              for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def test_one_slope_rule():
+    # "How steep is f on this interval?" has one answer, activations.lipschitz:
+    # closed form for sin, tanh and sigmoid, exact for the rest.  The walk's
+    # slope cap, the first plan and the re-plan all read it, so no second
+    # rule (a sup_slope, or an interpolant's own constant behind a switch on
+    # its share) can drift from it.
+    activations = ast.parse((ROOT / "src" / "mplangc" / "activations.py").read_text())
+    assert "sup_slope" not in {node.name for node in ast.walk(activations)
+                               if isinstance(node, ast.FunctionDef)}
+    approx = ast.parse((ROOT / "src" / "mplangc" / "approx.py").read_text())
+    (planned,) = [node for node in approx.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_planned"]
+    attributes = {node.attr for node in ast.walk(planned) if isinstance(node, ast.Attribute)}
+    assert not {"lipschitz", "share"} & attributes
+    assert "lipschitz" in {getattr(node.func, "id", None) for node in ast.walk(planned)
+                           if isinstance(node, ast.Call)}
+
+
+def test_one_knot_search():
+    # activations._knots finds every knot with one bracketed search: the
+    # cheap step and the cell both double and then bisect in one helper, by
+    # one budget, so _knots holds one loop that halves a bracket.
+    tree = ast.parse((ROOT / "src" / "mplangc" / "activations.py").read_text())
+    (knots,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_knots"]
+
+    def halves(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and getattr(node.left, "value", None) == 0.5
+                and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Add))
+
+    loops = [node for node in ast.walk(knots) if isinstance(node, (ast.For, ast.While))
+             and any(map(halves, ast.walk(node)))]
+    assert len(loops) == 1
+    assert "_BISECTIONS" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
